@@ -1,0 +1,329 @@
+"""Command-line front end.
+
+Subcommands: table, compare, bounds, datadep, axiom-check.
+Exit codes: 0 success, 1 check failed, 2 config error, 3 scheme failure,
+4 inconclusive convergence (datadep).
+
+Option precedence: flags > config file (flat key=value lines) > defaults.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+from . import bounds as bounds_mod
+from . import experiments, mappings, schemes, spaces
+from .errors import ConfigError, ImplicitFPError, NonconvergenceError
+
+EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
+EXIT_CONFIG = 2
+EXIT_SCHEME = 3
+EXIT_INCONCLUSIVE = 4
+
+
+def _read_config_file(path):
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"bad config line: {line!r}")
+            key, val = line.split("=", 1)
+            values[key.strip().replace("_", "-")] = val.strip()
+    return values
+
+
+def _merge_config(args, parser_defaults):
+    """Apply config-file values for options the flags left at their default."""
+    if not getattr(args, "config", None):
+        return args
+    fileconf = _read_config_file(args.config)
+    for key, val in fileconf.items():
+        attr = key.replace("-", "_")
+        if not hasattr(args, attr):
+            raise ConfigError(f"unknown config key {key!r}")
+        if getattr(args, attr) == parser_defaults.get(attr):
+            current = parser_defaults.get(attr)
+            if isinstance(current, bool):
+                val = val.lower() in ("1", "true", "yes", "on")
+            elif isinstance(current, int) and not isinstance(current, bool):
+                val = int(val)
+            elif isinstance(current, float):
+                val = float(val)
+            setattr(args, attr, val)
+    return args
+
+
+def _resolve_schedule(args):
+    if getattr(args, "alpha", None):
+        return schemes.expression_schedule(args.alpha, getattr(args, "beta", None),
+                                           divergent=None)
+    return schemes.schedule_from_name(args.schedule)
+
+
+def _resolve_run(args):
+    space, t, sampler = mappings.from_name(args.mapping)
+    if args.space is not None:
+        requested = spaces.from_name(args.space)
+        if requested.name != space.name:
+            raise ConfigError(
+                f"mapping {args.mapping!r} lives on {space.name!r}, not {args.space!r}")
+        space = requested
+    schedule = _resolve_schedule(args)
+    cfg = schemes.InnerSolverConfig(tolerance=args.tol, mode=args.solver)
+    return space, t, sampler, schedule, cfg
+
+
+def _parse_x0(arg, space, t):
+    if arg is None:
+        return experiments.default_x0(space, t)
+    if isinstance(space, spaces.Tripod):
+        ray, r = arg.split(":")
+        return (ray, float(r))
+    vals = [float(v) for v in arg.split(",")]
+    if isinstance(space, spaces.HalfPlane):
+        return (vals[0], vals[1])
+    return np.array(vals)
+
+
+def _emit(text, path):
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_table(args):
+    space, t, _sampler, schedule, cfg = _resolve_run(args)
+    rows = (tuple(n for n in experiments.TABLE_ROWS if n <= args.n_max)
+            or (1,))
+    try:
+        table = experiments.reproduce_table(rows=rows, n_max=args.n_max,
+                                            mapping_name=args.mapping,
+                                            schedule=schedule, cfg=cfg,
+                                            digits=args.digits)
+    except NonconvergenceError as exc:
+        print(f"scheme failure: {exc}", file=sys.stderr)
+        return EXIT_SCHEME
+    _emit(table.to_csv() if args.format == "csv" else table.to_text(),
+          args.output)
+    if args.verify:
+        mismatches = table.verify()
+        if args.digits != 15 or args.mapping != "halving" or len(table.rows) != len(experiments.TABLE_ROWS):
+            mismatches = mismatches or [("-", "-", "non-reference configuration", "-")]
+        if mismatches:
+            for n, col, got, exp in mismatches:
+                print(f"verify mismatch at n={n} {col}: got {got}, expected {exp}",
+                      file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        print("verify: all table cells match", file=sys.stderr)
+    return EXIT_OK
+
+
+def cmd_compare(args):
+    space, t, _sampler, schedule, cfg = _resolve_run(args)
+    x0 = _parse_x0(args.x0, space, t)
+    try:
+        race = experiments.rate_race(space, t, schedule, x0=x0,
+                                     n_max=args.n_max, cfg=cfg,
+                                     horizon=args.horizon,
+                                     threshold=args.threshold)
+    except NonconvergenceError as exc:
+        print(f"scheme failure: {exc}", file=sys.stderr)
+        return EXIT_SCHEME
+
+    lines = []
+    for (left, right), verdict in race.actual_verdicts.items():
+        lines.append(f"actual {left} vs {right}: {verdict.verdict}"
+                     f" (final ratio {verdict.final_ratio!r})")
+    for (left, right), verdict in race.envelope_verdicts.items():
+        lines.append(f"envelope {left} vs {right}: {verdict.verdict}"
+                     f" (final ratio {verdict.final_ratio!r})")
+    for scheme, zi in race.converged_exactly.items():
+        if zi is not None:
+            lines.append(f"{scheme}: converged exactly at n={zi};"
+                         " verdict computed on the pre-zero prefix")
+    _emit("\n".join(lines) + "\n", args.output)
+    if args.assert_faster and not race.all_faster:
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
+
+
+def cmd_bounds(args):
+    space, t, _sampler, schedule, cfg = _resolve_run(args)
+    x0 = _parse_x0(args.x0, space, t)
+    p = t.fixed_point
+    d0 = space.d(x0, p)
+    env = bounds_mod.BoundSequences.compute(schedule, t.delta, d0, args.n_max,
+                                            literal=args.literal)
+    try:
+        traces = {s: schemes.run(space, t, s, schedule, x0, args.n_max, cfg, p=p)
+                  for s in schemes.SCHEME_IDS}
+    except NonconvergenceError as exc:
+        print(f"scheme failure: {exc}", file=sys.stderr)
+        return EXIT_SCHEME
+    lines = ["n,a_n,b_n,c_n,dist_s,dist_mann,dist_ishikawa"]
+    for i, n in enumerate(range(2, args.n_max + 1)):
+        ds = traces["implicit-s"].records[i + 1].dist_to_p
+        dm = traces["implicit-mann"].records[i + 1].dist_to_p
+        di = traces["implicit-ishikawa"].records[i + 1].dist_to_p
+        lines.append(f"{n},{env.a[i]!r},{env.b[i]!r},{env.c[i]!r},"
+                     f"{ds!r},{dm!r},{di!r}")
+    _emit("\n".join(lines) + "\n", args.output)
+    return EXIT_OK
+
+
+def cmd_datadep(args):
+    space, t, _sampler, schedule, cfg = _resolve_run(args)
+    if args.perturb_spec:
+        space, t, s, _sampler = mappings.from_perturb_name(args.perturb_spec)
+    else:
+        if isinstance(space, spaces.Euclidean):
+            offset = np.array([float(v) for v in str(args.perturb).split(",")])
+            if not np.any(offset):
+                # zero perturbation: S = T, observed 0 by construction
+                report = experiments.DataDepReport(
+                    epsilon=0.0, delta=t.delta, p=t.fixed_point,
+                    q=t.fixed_point, observed=0.0,
+                    bound=0.0, margin=0.0, converged=True, lemma1=None)
+                _emit(report.to_text(space), args.output)
+                return EXIT_OK
+        else:
+            offset = float(args.perturb)
+        s = mappings.perturbed(space, t, offset)
+    x0 = _parse_x0(args.x0, space, t)
+    try:
+        report = experiments.run_datadep(space, t, s, schedule, x0=x0,
+                                         n_max=args.n_max, cfg=cfg,
+                                         proof_variant=args.proof_variant)
+    except NonconvergenceError as exc:
+        print(f"scheme failure: {exc}", file=sys.stderr)
+        return EXIT_SCHEME
+    _emit(report.to_text(space), args.output)
+    if not report.converged:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK if report.holds else EXIT_CHECK_FAILED
+
+
+def cmd_axiom_check(args):
+    space = spaces.from_name(args.space or "euclidean:1")
+    report = spaces.check_axioms(space, n_samples=args.samples,
+                                 tol=args.tol, seed=args.seed)
+    lines = [f"space={report.space} samples={report.n_samples} tol={report.tol!r}"]
+    for name, res in report.results.items():
+        status = "pass" if res.passed else "FAIL"
+        lines.append(f"{name}: max violation {res.max_violation!r} [{status}]")
+    _emit("\n".join(lines) + "\n", args.output)
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="implicitfp",
+        description="Implicit fixed-point iteration experiments in W-hyperbolic spaces")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, n_max_default=50):
+        p.add_argument("--space", default=None,
+                       help="space name (euclidean:<dim>, tripod, halfplane)")
+        p.add_argument("--mapping", default="halving",
+                       help="mapping name (halving, affine:<spec>, "
+                            "tripod-radial:<f>, halfplane-vertical:<f>)")
+        p.add_argument("--schedule", default="default",
+                       help="schedule preset (default, constant:<a>[,<b>], polynomial:<q>)")
+        p.add_argument("--alpha", default=None,
+                       help="inline alpha_n expression in n, e.g. '1-1/n'")
+        p.add_argument("--beta", default=None,
+                       help="inline beta_n expression in n")
+        p.add_argument("--x0", default=None, help="starting point")
+        p.add_argument("--n-max", type=int, default=n_max_default)
+        p.add_argument("--tol", type=float, default=1e-14,
+                       help="inner solver residual tolerance")
+        p.add_argument("--solver", default="picard",
+                       choices=["picard", "exact-affine"])
+        p.add_argument("--digits", type=int, default=15)
+        p.add_argument("--format", default="table", choices=["table", "csv"])
+        p.add_argument("--output", default=None, help="write output to a file")
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        p.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("table", help="benchmark comparison table")
+    common(p)
+    p.add_argument("--verify", action="store_true",
+                   help="check every cell against embedded reference values")
+    p.set_defaults(func=cmd_table)
+
+    p = sub.add_parser("compare", help="rate race between the three schemes")
+    common(p, n_max_default=200)
+    p.add_argument("--assert-faster", action="store_true")
+    p.add_argument("--horizon", type=int, default=200)
+    p.add_argument("--threshold", type=float, default=1e-6)
+    p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("bounds", help="emit envelope and trace CSV")
+    common(p, n_max_default=200)
+    p.add_argument("--literal", action="store_true",
+                   help="use the literal (D_n)^n envelope form")
+    p.set_defaults(func=cmd_bounds)
+
+    p = sub.add_parser("datadep", help="data-dependence bound experiment")
+    common(p, n_max_default=200)
+    p.add_argument("--perturb", default="0.01",
+                   help="constant offset added to T (vector: comma-separated)")
+    p.add_argument("--perturb-spec", default=None,
+                   help="full perturbation name perturb:<base>:<offset>")
+    p.add_argument("--proof-variant", action="store_true",
+                   help="apply S (not T) to v_n in the first line of the u-step")
+    p.set_defaults(func=cmd_datadep)
+
+    p = sub.add_parser("axiom-check", help="convexity-axiom checker")
+    p.add_argument("--space", default="euclidean:1")
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", default=None)
+    p.add_argument("--config", default=None)
+    p.set_defaults(func=cmd_axiom_check)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    defaults = {a.dest: a.default for a in parser._actions}
+    for sp in parser._subparsers._group_actions[0].choices.values():
+        if sp.get_default("func") is getattr(args, "func", None):
+            defaults.update({a.dest: a.default for a in sp._actions})
+            break
+    try:
+        args = _merge_config(args, defaults)
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NonconvergenceError as exc:
+        print(f"scheme failure: {exc}", file=sys.stderr)
+        return EXIT_SCHEME
+    except ImplicitFPError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,363 @@
+"""End-to-end experiments: the benchmark comparison table, rate races, the
+data-dependence bound check, and the exact-rational oracle backing them.
+
+For Tx = x/2 with alpha_n = beta_n = 1 - 1/n (n >= 2) and x_1 = 1, solving
+each implicit step by hand gives exact rational recursions:
+
+    implicit-mann:     x_n = x_{n-1} * 2(n-1)/(2n-1)
+    implicit-ishikawa: x_n = x_{n-1} * 4n(n-1)/(4n^2-2n+1)
+    implicit-s:        x_n = x_{n-1} * 2n(n-1)/(4n^2-2n+1)
+
+The oracle evaluates these in fractions.Fraction; rounded to 15 decimals
+they reproduce the benchmark table exactly.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from decimal import ROUND_HALF_EVEN, Decimal
+from fractions import Fraction
+from typing import Optional
+
+import numpy as np
+
+from . import bounds, mappings, schemes
+from .bounds import BoundSequences, Lemma1Report, RateVerdict, berinde_compare, check_lemma1, datadep_bound
+from .errors import ConfigError, DegenerateComparisonError, NonconvergenceError
+from .mappings import ApproximateOperator, ContractiveLike
+from .schemes import InnerSolverConfig, IterationTrace, Schedule, default_schedule, run
+from .spaces import Euclidean, Space
+
+# ---------------------------------------------------------------------------
+# exact-rational oracle
+
+
+ORACLE_RATIOS = {
+    "implicit-mann": lambda n: Fraction(2 * (n - 1), 2 * n - 1),
+    "implicit-ishikawa": lambda n: Fraction(4 * n * (n - 1), 4 * n * n - 2 * n + 1),
+    "implicit-s": lambda n: Fraction(2 * n * (n - 1), 4 * n * n - 2 * n + 1),
+}
+
+
+@dataclass
+class RationalOracle:
+    """Exact state of the halving-map recursions under the default schedule."""
+
+    scheme: str
+    x: Fraction = Fraction(1)
+    n: int = 1
+
+    def step(self) -> Fraction:
+        self.n += 1
+        self.x *= ORACLE_RATIOS[self.scheme](self.n)
+        return self.x
+
+    def sequence(self, n_max: int) -> list:
+        """Exact values x_1..x_{n_max} (resets state)."""
+        self.x, self.n = Fraction(1), 1
+        vals = [self.x]
+        for _ in range(2, n_max + 1):
+            vals.append(self.step())
+        return vals
+
+
+def format15(value, digits: int = 15) -> str:
+    """Fixed-point formatting with round-half-even, 15 decimals by default."""
+    if isinstance(value, Fraction):
+        dec = Decimal(value.numerator) / Decimal(value.denominator)
+    else:
+        dec = Decimal(value)
+    q = Decimal(1).scaleb(-digits)
+    return format(dec.quantize(q, rounding=ROUND_HALF_EVEN), "f")
+
+
+# ---------------------------------------------------------------------------
+# benchmark table
+
+TABLE_ROWS = (2, 5, 7, 10, 13, 16, 20, 25, 30, 35, 40, 43, 46, 50)
+
+# embedded reference values (IMI, III, ISI per row), used by `--verify`
+REFERENCE_TABLE = {
+    2: ("0.666666666666667", "0.615384615384615", "0.307692307692308"),
+    5: ("0.406349206349206", "0.352704628530670", "0.022044039283167"),
+    7: ("0.340992340992341", "0.292145335107371", "0.004564770861053"),
+    10: ("0.283773192751521", "0.240691952056443", "0.000470101468860"),
+    13: ("0.248169351176485", "0.209336831746067", "0.000051107624938"),
+    16: ("0.223294138742407", "0.187699995568689", "0.000005728149279"),
+    20: ("0.199408653447441", "0.167113839554526", "0.000000318744353"),
+    25: ("0.178133771931084", "0.148920204678483", "0.000000008876336"),
+    30: ("0.162477710197415", "0.135609685643003", "0.000000000252593"),
+    35: ("0.150335628473559", "0.125328510781087", "0.000000000007295"),
+    40: ("0.140563343828096", "0.117078595772533", "0.000000000000213"),
+    43: ("0.135541774913220", "0.112847389889567", "0.000000000000026"),
+    46: ("0.131022580805197", "0.109043978938918", "0.000000000000003"),
+    50: ("0.125645129018549", "0.104523598655989", "0.000000000000000"),
+}
+
+
+@dataclass
+class ComparisonTable:
+    """Rows (n, IMI, III, ISI) formatted to a fixed number of decimals."""
+
+    rows: list  # (n, imi, iii, isi) strings
+    digits: int = 15
+
+    def to_csv(self) -> str:
+        lines = ["n,imi,iii,isi"]
+        lines += [f"{n},{imi},{iii},{isi}" for n, imi, iii, isi in self.rows]
+        return "\n".join(lines) + "\n"
+
+    def to_text(self) -> str:
+        w = self.digits + 2
+        lines = [f"{'n':>4}  {'IMI':>{w}}  {'III':>{w}}  {'ISI':>{w}}"]
+        lines += [f"{n:>4}  {imi:>{w}}  {iii:>{w}}  {isi:>{w}}"
+                  for n, imi, iii, isi in self.rows]
+        return "\n".join(lines) + "\n"
+
+    def verify(self, reference=None) -> list:
+        """Return a list of (n, column, got, expected) mismatches."""
+        reference = reference or REFERENCE_TABLE
+        bad = []
+        for n, imi, iii, isi in self.rows:
+            if n not in reference:
+                continue
+            for col, got, exp in zip(("imi", "iii", "isi"), (imi, iii, isi),
+                                     reference[n]):
+                if got != exp:
+                    bad.append((n, col, got, exp))
+        return bad
+
+
+def reproduce_table(rows=TABLE_ROWS, n_max: Optional[int] = None,
+                    mapping_name: str = "halving",
+                    schedule: Optional[Schedule] = None,
+                    cfg: Optional[InnerSolverConfig] = None,
+                    digits: int = 15) -> ComparisonTable:
+    """Run all three schemes on the benchmark configuration and format rows."""
+    schedule = schedule or default_schedule()
+    cfg = cfg or InnerSolverConfig()
+    space, t, _sampler = mappings.from_name(mapping_name)
+    x0 = default_x0(space, t)
+    p = t.fixed_point
+    horizon = n_max if n_max is not None else max(rows)
+    rows = tuple(n for n in rows if n <= horizon) or (1,)
+
+    traces = {
+        scheme: run(space, t, scheme, schedule, x0, horizon, cfg, p=p)
+        for scheme in schemes.SCHEME_IDS
+    }
+    by_n = {scheme: {r.n: r.dist_to_p for r in tr} for scheme, tr in traces.items()}
+    out = []
+    for n in rows:
+        out.append((n,
+                    format15(by_n["implicit-mann"][n], digits),
+                    format15(by_n["implicit-ishikawa"][n], digits),
+                    format15(by_n["implicit-s"][n], digits)))
+    return ComparisonTable(out, digits)
+
+
+def default_x0(space: Space, t: ContractiveLike):
+    """Starting points used by the experiment corpus."""
+    name = t.name
+    if name == "halving":
+        return np.array([1.0])
+    if name.startswith("tripod-radial"):
+        return ("A", 1.0)
+    if name.startswith("halfplane-vertical"):
+        return (0.0, 3.0)
+    if isinstance(space, Euclidean):
+        return np.ones(space.dim)
+    raise ConfigError(f"no default starting point for {name!r} on {space.name!r}")
+
+
+# ---------------------------------------------------------------------------
+# rate race
+
+
+@dataclass
+class RateRace:
+    traces: dict                 # scheme id -> IterationTrace
+    envelopes: BoundSequences
+    actual_verdicts: dict        # ("implicit-s", other) -> RateVerdict
+    envelope_verdicts: dict
+    converged_exactly: dict      # scheme id -> index of first exact zero (or None)
+
+    @property
+    def all_faster(self) -> bool:
+        return all(v.faster for v in self.actual_verdicts.values()) and \
+            all(v.faster for v in self.envelope_verdicts.values())
+
+
+def _positive_prefix(seq):
+    """Truncate at the first exact zero; returns (prefix, zero_index_or_None)."""
+    for i, v in enumerate(seq):
+        if v == 0.0:
+            return seq[:i], i
+    return seq, None
+
+
+def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
+              n_max: int = 200, cfg: Optional[InnerSolverConfig] = None,
+              horizon: Optional[int] = None,
+              threshold: float = 1e-6) -> RateRace:
+    """Run the three schemes and compare rates on actual and envelope sequences."""
+    cfg = cfg or InnerSolverConfig()
+    if x0 is None:
+        x0 = default_x0(space, t)
+    p = t.fixed_point
+    if p is None:
+        raise ConfigError("rate_race requires a mapping with a known fixed point")
+    horizon = horizon if horizon is not None else n_max
+
+    traces = {s: run(space, t, s, schedule, x0, n_max, cfg, p=p)
+              for s in schemes.SCHEME_IDS}
+    d0 = space.d(x0, p)
+    env = BoundSequences.compute(schedule, t.delta, d0, n_max)
+
+    # actual distances from n = 2 on, truncated at the first exact zero
+    actual, zero_at = {}, {}
+    for s, tr in traces.items():
+        seq, zi = _positive_prefix([r.dist_to_p for r in tr.records[1:]])
+        actual[s] = seq
+        zero_at[s] = None if zi is None else zi + 2  # back to n-indexing
+
+    aseq = actual["implicit-s"]
+    actual_verdicts = {}
+    for other in ("implicit-ishikawa", "implicit-mann"):
+        try:
+            verdict = berinde_compare(aseq[:len(actual[other])],
+                                      actual[other][:len(aseq)],
+                                      horizon=horizon, threshold=threshold)
+        except DegenerateComparisonError:
+            # a trace hit the fixed point exactly before two comparison
+            # points existed; converged_exactly records where
+            verdict = RateVerdict("degenerate", None, horizon, threshold)
+        actual_verdicts[("implicit-s", other)] = verdict
+    envelope_verdicts = {
+        ("implicit-s", "implicit-ishikawa"): berinde_compare(env.a, env.c, horizon, threshold),
+        ("implicit-s", "implicit-mann"): berinde_compare(env.a, env.b, horizon, threshold),
+    }
+    return RateRace(traces, env, actual_verdicts, envelope_verdicts, zero_at)
+
+
+# ---------------------------------------------------------------------------
+# data dependence
+
+
+@dataclass
+class DataDepReport:
+    epsilon: float
+    delta: float
+    p: object
+    q: object
+    observed: float
+    bound: float
+    margin: float
+    converged: bool
+    lemma1: Optional[Lemma1Report]
+    closed_form_q: Optional[object] = None
+
+    @property
+    def holds(self) -> bool:
+        return self.observed <= self.bound
+
+    def to_text(self, space: Space) -> str:
+        lines = [
+            f"epsilon={self.epsilon!r}",
+            f"delta={self.delta!r}",
+            f"p={space.format_point(self.p)}",
+            f"q={space.format_point(self.q)}",
+            f"observed={self.observed!r}",
+            f"bound={self.bound!r}",
+            f"margin={self.margin!r}",
+            f"converged={self.converged}",
+            f"holds={self.holds}",
+        ]
+        if self.closed_form_q is not None:
+            lines.append(f"closed_form_q={space.format_point(self.closed_form_q)}")
+        if self.lemma1 is not None:
+            lines.append(f"lemma1_hypothesis_ok={self.lemma1.hypothesis_ok}")
+            lines.append(f"lemma1_max_violation={self.lemma1.max_hypothesis_violation!r}")
+        return "\n".join(lines) + "\n"
+
+
+def _solve_u_step(space, t, s, u_prev, alpha, beta, cfg, proof_variant):
+    """Solve u = W(S u_prev, T v, alpha), v = W(u, S u, beta) for u.
+
+    With proof_variant=True the first line applies S to v instead of T.
+    """
+    su_prev = s(u_prev)
+    top = s if proof_variant else t
+
+    def v_of(u):
+        return space.w(u, s(u), 1.0 - beta)
+
+    def step_map(u):
+        return space.w(su_prev, top(v_of(u)), 1.0 - alpha)
+
+    u, stats = schemes._picard_solve(space, step_map, u_prev, cfg)
+    return u, v_of(u), stats
+
+
+def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
+                schedule: Optional[Schedule] = None, x0=None, u0=None,
+                n_max: int = 200, cfg: Optional[InnerSolverConfig] = None,
+                proof_variant: bool = False,
+                tail_tol: float = 1e-12) -> DataDepReport:
+    """Run the paired iterations for T and its approximation S.
+
+    The limit q of the u-sequence is accepted when the last ten step
+    displacements d(u_n, u_{n-1}) fall below tail_tol; otherwise the report
+    is marked inconclusive (converged=False).
+    """
+    schedule = schedule or default_schedule()
+    cfg = cfg or InnerSolverConfig()
+    if x0 is None:
+        x0 = default_x0(space, t)
+    if u0 is None:
+        u0 = x0
+    for n in range(2, n_max + 1):
+        if schedule.alpha_at(n) >= 1.0:
+            raise ConfigError("data dependence requires alpha_n < 1")
+
+    p = t.fixed_point
+    if p is None:
+        raise ConfigError("run_datadep requires T with a known fixed point")
+
+    x, u = x0, u0
+    a_seq = [space.d(x, u)]   # a_{n+1} = d(x_n, u_n), starting at n = 1
+    mu_seq, eta_seq = [], []
+    u_steps = []
+    delta, phi = t.delta, t.phi
+    eps = s.epsilon
+    for n in range(2, n_max + 1):
+        al, be = schedule.alpha_at(n), schedule.beta_at(n)
+        x_prev = x
+        x, y, _ = schemes.implicit_s_step(space, t, x, al, be, cfg)
+        u_prev = u
+        u, v, _ = _solve_u_step(space, t, s, u, al, be, cfg, proof_variant)
+        u_steps.append(space.d(u, u_prev))
+        a_seq.append(space.d(x, u))
+        mu_seq.append((1.0 - al) * (1.0 - delta))
+        eta = (al / (1.0 - al) * phi(space.d(x_prev, t(x_prev)))
+               + phi(space.d(y, t(y)))
+               + delta * (1.0 - be) * phi(space.d(x, t(x)))
+               + 2.0 * eps) / (1.0 - delta) ** 2
+        eta_seq.append(eta)
+
+    converged = len(u_steps) >= 10 and all(d < tail_tol for d in u_steps[-10:])
+    q = u
+    observed = space.d(p, q)
+    bound = datadep_bound(eps, delta)
+    lemma = check_lemma1(a_seq, mu_seq, eta_seq)
+
+    closed_q = None
+    if isinstance(space, Euclidean) and isinstance(t.apply, mappings.AffineMap):
+        # S = T + c: q solves q = A q + b + c
+        c = np.atleast_1d(s(np.zeros(space.dim))) - np.atleast_1d(t(np.zeros(space.dim)))
+        m = t.apply
+        closed_q = np.linalg.solve(np.eye(m.dim) - m.A, m.b + c)
+
+    return DataDepReport(eps, delta, p, q, observed, bound,
+                         bound - observed, converged, lemma, closed_q)

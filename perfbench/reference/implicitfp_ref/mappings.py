@@ -1,0 +1,407 @@
+"""Self-maps with contraction certificates.
+
+The central class of maps satisfies
+
+    d(Tx, Ty) <= delta * d(x, y) + phi(d(x, Tx)),   delta in [0, 1),
+
+with phi strictly increasing, continuous, phi(0) = 0.  Zamfirescu and
+Osilike-Udomene certificates induce such maps.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+import numpy as np
+
+from . import spaces
+from .errors import CertificateError, ConfigError
+from .spaces import Euclidean, HalfPlane, Space, Tripod
+
+# ---------------------------------------------------------------------------
+# phi family
+
+
+class LinearPhi:
+    """phi(t) = L*t.  L = 0 is admitted as a degenerate (constant-zero) case."""
+
+    def __init__(self, L: float):
+        if L < 0:
+            raise CertificateError(f"L must be >= 0, got {L}")
+        self.L = float(L)
+        self.degenerate = L == 0.0
+
+    def __call__(self, t):
+        return self.L * t
+
+
+class PowerPhi:
+    """phi(t) = c * t**q with c > 0, q >= 1."""
+
+    def __init__(self, c: float, q: float = 1.0):
+        if c <= 0 or q < 1:
+            raise CertificateError(f"need c > 0 and q >= 1, got c={c}, q={q}")
+        self.c, self.q = float(c), float(q)
+        self.degenerate = False
+
+    def __call__(self, t):
+        return self.c * t ** self.q
+
+
+class TabulatedPhi:
+    """Monotone piecewise-linear phi through (0,0) and given knots."""
+
+    def __init__(self, knots_t, knots_v):
+        t = np.concatenate([[0.0], np.asarray(knots_t, dtype=float)])
+        v = np.concatenate([[0.0], np.asarray(knots_v, dtype=float)])
+        if np.any(np.diff(t) <= 0) or np.any(np.diff(v) <= 0):
+            raise CertificateError("tabulated phi must be strictly increasing")
+        self.t, self.v = t, v
+        self.degenerate = False
+        # extrapolate with the last slope so monotonicity holds beyond t[-1]
+        self._slope = (v[-1] - v[-2]) / (t[-1] - t[-2])
+
+    def __call__(self, t):
+        if t > self.t[-1]:
+            return float(self.v[-1] + self._slope * (t - self.t[-1]))
+        return float(np.interp(t, self.t, self.v))
+
+
+def validate_phi(phi, upper: float = 1.0, n_grid: int = 1000) -> bool:
+    """Check phi(0) = 0 and strict monotonicity on a grid of n_grid points.
+
+    Returns False (rather than raising) for the admitted degenerate phi == 0.
+    """
+    if phi(0.0) != 0.0:
+        raise CertificateError("phi(0) must be 0")
+    grid = np.linspace(0.0, upper, n_grid + 1)
+    vals = np.array([phi(t) for t in grid])
+    if np.all(vals == 0.0):
+        return False
+    if np.any(np.diff(vals) <= 0.0):
+        raise CertificateError("phi must be strictly increasing")
+    return True
+
+
+# ---------------------------------------------------------------------------
+# certificates and the mapping type
+
+
+@dataclass
+class ContractiveLike:
+    """A self-map T with certificate (delta, phi) and optional known fixed point."""
+
+    apply: Callable
+    delta: float
+    phi: Callable = field(default_factory=lambda: LinearPhi(0.0))
+    fixed_point: Optional[object] = None
+    name: str = "anonymous"
+
+    def __post_init__(self):
+        if not (0.0 <= self.delta < 1.0):
+            raise CertificateError(f"delta must lie in [0, 1), got {self.delta}")
+        self.phi_degenerate = not validate_phi(self.phi)
+
+    def __call__(self, x):
+        return self.apply(x)
+
+
+@dataclass
+class ZamfirescuCertificate:
+    """Constants (a, b, c) with 0 < a < 1 and 0 < b, c < 1/2."""
+
+    a: float
+    b: float
+    c: float
+
+    def __post_init__(self):
+        if not (0.0 < self.a < 1.0):
+            raise CertificateError(f"need 0 < a < 1, got a={self.a}")
+        if not (0.0 < self.b < 0.5) or not (0.0 < self.c < 0.5):
+            raise CertificateError(f"need 0 < b, c < 1/2, got b={self.b}, c={self.c}")
+
+    @property
+    def delta(self) -> float:
+        return zamfirescu_delta(self)
+
+
+def zamfirescu_delta(cert: ZamfirescuCertificate) -> float:
+    """delta = max{a, b/(1-b), c/(1-c)}, always in (0, 1)."""
+    return max(cert.a, cert.b / (1.0 - cert.b), cert.c / (1.0 - cert.c))
+
+
+@dataclass
+class OsilikeUdomeneCertificate:
+    """d(Tx,Ty) <= delta d(x,y) + L d(x,Tx); induces phi(t) = L*t."""
+
+    delta: float
+    L: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.delta < 1.0):
+            raise CertificateError(f"delta must lie in [0, 1), got {self.delta}")
+        if self.L < 0:
+            raise CertificateError(f"L must be >= 0, got {self.L}")
+
+    def to_contractive_like(self, apply, fixed_point=None, name="osilike-udomene"):
+        return ContractiveLike(apply, self.delta, LinearPhi(self.L),
+                               fixed_point=fixed_point, name=name)
+
+
+@dataclass
+class ApproximateOperator:
+    """S with certified sup-distance bound d(Tx, Sx) <= epsilon."""
+
+    apply: Callable
+    epsilon: float
+    name: str = "approximate"
+
+    def __post_init__(self):
+        if self.epsilon <= 0:
+            raise CertificateError(f"epsilon must be > 0, got {self.epsilon}")
+
+    def __call__(self, x):
+        return self.apply(x)
+
+
+# ---------------------------------------------------------------------------
+# verification
+
+
+@dataclass
+class VerificationReport:
+    passed: bool
+    max_violation: float
+    argmax: object
+    n_samples: int
+    tol: float
+
+
+def verify_contractive_like(space: Space, t: ContractiveLike, sampler=None,
+                            n_samples: int = 1000, tol: float = 1e-9,
+                            seed: int = 0) -> VerificationReport:
+    """Sampled check of d(Tx,Ty) <= delta d(x,y) + phi(d(x,Tx)).
+
+    Reports the max positive violation and the pair attaining it.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    draw = sampler if sampler is not None else space.sample
+    worst, arg = 0.0, None
+    for _ in range(n_samples):
+        x, y = draw(rng), draw(rng)
+        space.check_point(x)
+        space.check_point(y)
+        tx, ty = t(x), t(y)
+        v = space.d(tx, ty) - (t.delta * space.d(x, y) + t.phi(space.d(x, tx)))
+        if v > worst:
+            worst, arg = v, (x, y)
+    return VerificationReport(worst <= tol, worst, arg, n_samples, tol)
+
+
+def verify_approximate(space: Space, t: ContractiveLike, s: ApproximateOperator,
+                       sampler=None, n_samples: int = 1000,
+                       seed: int = 0) -> VerificationReport:
+    """Sampled sup of d(Tx, Sx); passes iff it stays within s.epsilon."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    draw = sampler if sampler is not None else space.sample
+    worst, arg = 0.0, None
+    for _ in range(n_samples):
+        x = draw(rng)
+        space.check_point(x)
+        dist = space.d(t(x), s(x))
+        if dist > worst:
+            worst, arg = dist, x
+    # relative slack absorbs roundoff in d(Tx, Sx) at the certified epsilon
+    passed = worst <= s.epsilon * (1.0 + 1e-12) + 1e-15
+    return VerificationReport(passed, worst, arg, n_samples, s.epsilon)
+
+
+def check_zamfirescu(space: Space, apply, cert: ZamfirescuCertificate,
+                     sampler=None, n_samples: int = 1000, tol: float = 1e-9,
+                     seed: int = 0) -> VerificationReport:
+    """Check each sampled pair satisfies at least one of (z1)-(z3)."""
+    rng = np.random.default_rng(seed)
+    draw = sampler if sampler is not None else space.sample
+    worst, arg = 0.0, None
+    for _ in range(n_samples):
+        x, y = draw(rng), draw(rng)
+        tx, ty = apply(x), apply(y)
+        lhs = space.d(tx, ty)
+        slack = min(
+            lhs - cert.a * space.d(x, y),
+            lhs - cert.b * (space.d(x, tx) + space.d(y, ty)),
+            lhs - cert.c * (space.d(x, ty) + space.d(y, tx)),
+        )
+        if slack > worst:
+            worst, arg = slack, (x, y)
+    return VerificationReport(worst <= tol, worst, arg, n_samples, tol)
+
+
+# ---------------------------------------------------------------------------
+# built-in corpus
+
+
+@dataclass
+class AffineMap:
+    """x -> A x + b on Euclidean space; contraction certificate is ||A||_2."""
+
+    A: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.A, 2))
+
+    def fixed_point(self) -> np.ndarray:
+        return np.linalg.solve(np.eye(self.dim) - self.A, self.b)
+
+    def __call__(self, x):
+        return self.A @ np.atleast_1d(np.asarray(x, dtype=float)) + self.b
+
+
+def halving() -> tuple[Space, ContractiveLike, Callable]:
+    """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point 0."""
+    space = Euclidean(1)
+    t = ContractiveLike(lambda x: 0.5 * space.as_array(x), 0.5,
+                        LinearPhi(0.0), fixed_point=np.array([0.0]),
+                        name="halving")
+    subset = spaces.Interval(0.0, 1.0, space)
+    return space, t, subset.sample
+
+
+def affine(affmap: AffineMap, name="affine") -> tuple[Space, ContractiveLike, Callable]:
+    space = Euclidean(affmap.dim)
+    delta = affmap.norm
+    if delta >= 1.0:
+        raise CertificateError(f"affine map has ||A|| = {delta} >= 1")
+    t = ContractiveLike(affmap, delta, LinearPhi(0.0),
+                        fixed_point=affmap.fixed_point(), name=name)
+    return space, t, space.sample
+
+
+def tripod_radial(factor: float) -> tuple[Space, ContractiveLike, Callable]:
+    """(ray, r) -> (ray, factor*r); contracts toward the hub with delta = factor."""
+    if not (0.0 <= factor < 1.0):
+        raise CertificateError(f"factor must lie in [0, 1), got {factor}")
+    space = Tripod()
+    t = ContractiveLike(lambda p: (p[0], factor * p[1]), factor,
+                        LinearPhi(0.0), fixed_point=("A", 0.0),
+                        name=f"tripod-radial:{factor}")
+    return space, t, space.sample
+
+
+def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]:
+    """(0, y) -> (0, y**factor) on the vertical line x = 0; delta = factor.
+
+    Distances along the line are |ln(y1) - ln(y2)|, so the map contracts them
+    by exactly `factor`; the line is a geodesic, hence convex, and the
+    iteration stays on it.
+    """
+    if not (0.0 <= factor < 1.0):
+        raise CertificateError(f"factor must lie in [0, 1), got {factor}")
+    space = HalfPlane()
+    line = spaces.VerticalLine(0.0)
+    t = ContractiveLike(lambda z: (0.0, z[1] ** factor), factor,
+                        LinearPhi(0.0), fixed_point=(0.0, 1.0),
+                        name=f"halfplane-vertical:{factor}")
+    return space, t, line.sample
+
+
+def _parse_affine_spec(spec: str) -> AffineMap:
+    """`affine:<matrix>|<offset>`; rows split by ';', entries by ','.
+
+    A bare scalar like `affine:0.9` means the 1-D map x -> 0.9*x.
+    """
+    if "|" in spec:
+        mat_s, off_s = spec.split("|", 1)
+    else:
+        mat_s, off_s = spec, ""
+    try:
+        rows = [[float(v) for v in row.split(",")] for row in mat_s.split(";")]
+        A = np.array(rows)
+        if off_s:
+            b = np.array([float(v) for v in off_s.split(",")])
+        else:
+            b = np.zeros(A.shape[0])
+    except ValueError:
+        raise ConfigError(f"bad affine spec {spec!r}")
+    if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
+        raise ConfigError(f"affine spec {spec!r} has inconsistent shapes")
+    return AffineMap(A, b)
+
+
+def from_name(name: str):
+    """Resolve `(space, mapping, sampler)` from a CLI/config identifier.
+
+    Identifiers: `halving`, `affine:<spec>`, `tripod-radial:<factor>`,
+    `halfplane-vertical:<factor>`.
+    """
+    if name == "halving":
+        return halving()
+    if name.startswith("affine:"):
+        return affine(_parse_affine_spec(name.split(":", 1)[1]), name=name)
+    if name.startswith("tripod-radial:"):
+        try:
+            return tripod_radial(float(name.split(":", 1)[1]))
+        except ValueError:
+            raise ConfigError(f"bad factor in {name!r}")
+    if name.startswith("halfplane-vertical:"):
+        try:
+            return halfplane_vertical(float(name.split(":", 1)[1]))
+        except ValueError:
+            raise ConfigError(f"bad factor in {name!r}")
+    raise ConfigError(f"unknown mapping {name!r}")
+
+
+def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
+    """S = T + offset with certified epsilon = d(Tx, Tx + offset).
+
+    Euclidean spaces: offset is a constant vector, epsilon = ||offset||.
+    Tripod: offset is a radius shift along the same ray (clamped at the hub),
+    epsilon = |offset|.
+    """
+    if isinstance(space, Euclidean):
+        off = np.atleast_1d(np.asarray(offset, dtype=float))
+        eps = float(np.linalg.norm(off))
+        if eps == 0.0:
+            raise CertificateError("offset must be nonzero (epsilon > 0)")
+        return ApproximateOperator(lambda x: t(x) + off, eps,
+                                   name=f"perturb:{t.name}:{offset}")
+    if isinstance(space, Tripod):
+        off = float(offset)
+        if off <= 0.0:
+            raise CertificateError("tripod offset must be > 0")
+        def s(p):
+            ray, r = t(p)
+            return (ray, r + off)
+        return ApproximateOperator(s, off, name=f"perturb:{t.name}:{offset}")
+    raise ConfigError(f"perturbation not supported on space {space.name!r}")
+
+
+def from_perturb_name(name: str):
+    """Resolve `perturb:<base>:<offset>` into (space, T, S, sampler)."""
+    parts = name.split(":")
+    if parts[0] != "perturb" or len(parts) < 3:
+        raise ConfigError(f"bad perturbation name {name!r}")
+    offset_s = parts[-1]
+    base = ":".join(parts[1:-1])
+    space, t, sampler = from_name(base)
+    if isinstance(space, Euclidean):
+        offset = np.array([float(v) for v in offset_s.split(",")])
+    else:
+        offset = float(offset_s)
+    return space, t, perturbed(space, t, offset), sampler
