@@ -224,6 +224,10 @@ def cmd_axiom_check(args):
     for name, res in report.results.items():
         status = "pass" if res.passed else "FAIL"
         lines.append(f"{name}: max violation {res.max_violation!r} [{status}]")
+        if not res.passed and res.worst_tuple is not None:
+            lines.append("  worst tuple: " + " ".join(
+                f"{f}={val!r}" if f in ("lam", "mu") else f"{f}={space.format_point(val)}"
+                for f, val in zip(spaces.WORST_FIELDS[name], res.worst_tuple)))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

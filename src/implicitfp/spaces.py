@@ -24,7 +24,13 @@ TRIPOD_RAYS = ("A", "B", "C")
 
 
 class Space:
-    """Base interface: d(x, y), w(x, y, lam), domain check, sampling."""
+    """Base interface: d(x, y), w(x, y, lam), domain check, sampling.
+
+    The batched primitives work on a *batch*, the space's own array form of a
+    sequence of points built by `pack`: row k of d_many(X, Y) is d(x_k, y_k)
+    and row k of w_many(X, Y, lam) is w(x_k, y_k, lam_k) as a batch.  Only
+    `pack` validates; d_many and w_many trust their batches.
+    """
 
     name = "abstract"
 
@@ -36,6 +42,18 @@ class Space:
 
     def check_point(self, x):
         """Raise InvalidPointError if x is outside the domain."""
+        raise NotImplementedError
+
+    def pack(self, points):
+        """Batch a sequence of points; InvalidPointError as in check_point."""
+        raise NotImplementedError
+
+    def d_many(self, X, Y):
+        """Row-wise distances of two equal-length batches, as a float array."""
+        raise NotImplementedError
+
+    def w_many(self, X, Y, lam):
+        """Row-wise convexity mapping; lam is a scalar or one weight per row."""
         raise NotImplementedError
 
     def sample(self, rng):
@@ -78,6 +96,28 @@ class Euclidean(Space):
         self.check_point(y)
         _check_lambda(lam)
         return (1.0 - lam) * self.as_array(x) + lam * self.as_array(y)
+
+    def pack(self, points):
+        """An (N, dim) array of the points."""
+        try:
+            X = np.asarray(points, dtype=float)
+        except ValueError:  # ragged or non-numeric
+            X = None
+        if X is None or X.shape != (len(points), self.dim):
+            # per point: raises for the offending one, and admits scalars
+            # mixed with 1-vectors when dim == 1
+            X = np.array([self.as_array(p) for p in points]).reshape(len(points), self.dim)
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise InvalidPointError(f"non-finite coordinates: {points[int(np.argmin(finite))]}")
+        return X
+
+    def d_many(self, X, Y):
+        return np.linalg.norm(X - Y, axis=1)
+
+    def w_many(self, X, Y, lam):
+        lam = np.reshape(lam, (-1, 1))
+        return (1.0 - lam) * X + lam * Y
 
     def sample(self, rng):
         return rng.uniform(-5.0, 5.0, size=self.dim)
@@ -125,6 +165,27 @@ class Tripod(Space):
         if t <= a:
             return (rx, a - t)
         return (ry, t - a)
+
+    def pack(self, points):
+        """(ray codes, radii): index into TRIPOD_RAYS, and r, as two arrays."""
+        for p in points:
+            self.check_point(p)
+        codes = np.array([TRIPOD_RAYS.index(ray) for ray, _ in points], dtype=np.int8)
+        return codes, np.array([r for _, r in points], dtype=float)
+
+    def d_many(self, X, Y):
+        (rx, a), (ry, b) = X, Y
+        one_ray = (rx == ry) | (a == 0.0) | (b == 0.0)
+        return np.where(one_ray, np.abs(a - b), a + b)
+
+    def w_many(self, X, Y, lam):
+        (rx, a), (ry, b) = X, Y
+        one_ray = (rx == ry) | (a == 0.0) | (b == 0.0)
+        t = lam * (a + b)
+        near = t <= a  # through the hub: still on x's ray
+        ray = np.where(one_ray, np.where(a == 0.0, ry, rx), np.where(near, rx, ry))
+        r = np.where(one_ray, (1.0 - lam) * a + lam * b, np.where(near, a - t, t - a))
+        return ray, r
 
     def sample(self, rng):
         return (TRIPOD_RAYS[rng.integers(0, 3)], float(rng.uniform(0.0, 3.0)))
@@ -191,6 +252,37 @@ class HalfPlane(Space):
         back = (wim * c - s) / (wim * s + c)
         return (x1 + y1 * back.real, y1 * back.imag)
 
+    def pack(self, points):
+        """A complex array x + iy."""
+        for p in points:
+            self.check_point(p)
+        P = np.array(points, dtype=float).reshape(len(points), 2)
+        return P[:, 0] + 1j * P[:, 1]
+
+    def d_many(self, Z1, Z2):
+        q = np.abs(Z1 - Z2) / (2.0 * np.sqrt(Z1.imag * Z2.imag))
+        return 2.0 * np.arcsinh(q)
+
+    def w_many(self, Z1, Z2, lam):
+        # the conjugation of `w`, row by row
+        x1, y1 = Z1.real, Z1.imag
+        a = (Z2.real - x1) / y1
+        b = Z2.imag / y1
+        B = a * a + b * b - 1.0
+        qroot = -(B + np.copysign(np.sqrt(B * B + 4.0 * a * a), B)) / 2.0
+        t = np.where(a == 0.0, 0.0,
+                     np.where(qroot == 0.0, np.copysign(1.0, a),
+                              -a / np.where(qroot == 0.0, 1.0, qroot)))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        zr = a + 1j * b
+        height = np.abs((zr * c + s) / (-zr * s + c))
+        if np.any(height <= 0.0):
+            raise InvalidPointError("degenerate half-plane interpolation")
+        wim = 1j * np.exp(lam * np.log(height))
+        back = (wim * c - s) / (wim * s + c)
+        return (x1 + y1 * back.real) + 1j * (y1 * back.imag)
+
     def sample(self, rng):
         return (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 5.0)))
 
@@ -217,6 +309,15 @@ class BrokenDemo(Space):
         self.check_point(y)
         _check_lambda(lam)
         return self._base.as_array(y)
+
+    def pack(self, points):
+        return self._base.pack(points)
+
+    def d_many(self, X, Y):
+        return self._base.d_many(X, Y)
+
+    def w_many(self, X, Y, lam):
+        return Y
 
     def sample(self, rng):
         return self._base.sample(rng)
@@ -326,6 +427,20 @@ class VerticalLine(ConvexSubset):
 
 AXIOM_NAMES = ("metric", "axiom_i", "axiom_ii", "axiom_iii", "axiom_iv")
 
+# a sampled tuple, and the part of it that AxiomResult.worst_tuple holds per
+# axiom; lam and mu are floats, the rest points
+_TUPLE_FIELDS = ("x", "y", "z", "v", "u", "lam", "mu")
+WORST_FIELDS = {
+    "metric": ("x", "y", "z"),
+    "axiom_i": ("x", "y", "u", "lam"),
+    "axiom_ii": ("x", "y", "lam", "mu"),
+    "axiom_iii": ("x", "y", "lam"),
+    "axiom_iv": ("x", "y", "z", "v", "lam"),
+}
+
+# tuples evaluated per batched pass; bounds the arrays held at once
+AXIOM_BLOCK = 256
+
 
 @dataclass
 class AxiomResult:
@@ -350,12 +465,44 @@ class AxiomReport:
         return [r.name for r in self.results.values() if not r.passed]
 
 
+def _violations(space, x, y, z, v, u, lam, mu) -> dict:
+    """Per-tuple violation of each axiom over one block of packed tuples."""
+    d, w = space.d_many, space.w_many
+    dxy = d(x, y)
+    wl = w(x, y, lam)
+    return {
+        # identity, symmetry, triangle
+        "metric": np.maximum.reduce([np.abs(d(x, x)), np.abs(dxy - d(y, x)),
+                                     np.maximum(0.0, dxy - (d(x, z) + d(z, y)))]),
+        # (i) d(u, w(x,y,lam)) <= (1-lam) d(u,x) + lam d(u,y)
+        "axiom_i": np.maximum(0.0, d(u, wl) - ((1.0 - lam) * d(u, x) + lam * d(u, y))),
+        # (ii) d(w(x,y,lam), w(x,y,mu)) = |lam-mu| d(x,y)
+        "axiom_ii": np.abs(d(wl, w(x, y, mu)) - np.abs(lam - mu) * dxy),
+        # (iii) w(x,y,lam) = w(y,x,1-lam)
+        "axiom_iii": d(wl, w(y, x, 1.0 - lam)),
+        # (iv) d(w(x,z,lam), w(y,v,lam)) <= (1-lam) d(x,y) + lam d(z,v)
+        "axiom_iv": np.maximum(0.0, d(w(x, z, lam), w(y, v, lam))
+                               - ((1.0 - lam) * dxy + lam * d(z, v))),
+    }
+
+
+def _rank(violation):
+    """Order violations with nan as the worst value."""
+    return np.where(np.isnan(violation), np.inf, violation)
+
+
 def check_axioms(space: Space, sampler=None, n_samples: int = 1000,
                  tol: float = 1e-9, seed: int = 0) -> AxiomReport:
-    """Sample tuples (x, y, z, w, u, lam, mu) and measure axiom violations.
+    """Sample tuples (x, y, z, v, u, lam, mu) and measure axiom violations.
 
     Inequalities report the positive part of LHS-RHS; equalities report the
-    absolute deviation.  Each axiom passes iff its max violation <= tol.
+    absolute deviation.  Each axiom passes iff its max violation <= tol; a
+    non-finite violation (nan, e.g. from distances that overflow) fails.
+
+    Each tuple is drawn as five `sampler(rng)` points, then lam and mu from
+    `rng`, so a seed always yields the same tuples.  They are checked in
+    blocks of AXIOM_BLOCK with the space's `pack`, `d_many` and `w_many`;
+    worst_tuple holds the points as the sampler returned them.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -365,49 +512,25 @@ def check_axioms(space: Space, sampler=None, n_samples: int = 1000,
     draw = sampler if sampler is not None else space.sample
 
     worst = {name: (0.0, None) for name in AXIOM_NAMES}
-
-    def note(name, violation, tup):
-        if violation > worst[name][0]:
-            worst[name] = (violation, tup)
-
-    for _ in range(n_samples):
-        pts = [draw(rng) for _ in range(5)]
-        for p in pts:
-            space.check_point(p)
-        x, y, z, v, u = pts
-        lam = float(rng.uniform())
-        mu = float(rng.uniform())
-
-        dxy = space.d(x, y)
-        # metric: identity, symmetry, triangle
-        m = max(abs(space.d(x, x)),
-                abs(dxy - space.d(y, x)),
-                max(0.0, dxy - (space.d(x, z) + space.d(z, y))))
-        note("metric", m, (x, y, z))
-
-        wl = space.w(x, y, lam)
-        wm = space.w(x, y, mu)
-        # (i) d(u, w(x,y,lam)) <= (1-lam) d(u,x) + lam d(u,y)
-        vi = space.d(u, wl) - ((1.0 - lam) * space.d(u, x) + lam * space.d(u, y))
-        note("axiom_i", max(0.0, vi), (x, y, u, lam))
-        # (ii) d(w(x,y,lam), w(x,y,mu)) = |lam-mu| d(x,y)
-        vii = abs(space.d(wl, wm) - abs(lam - mu) * dxy)
-        note("axiom_ii", vii, (x, y, lam, mu))
-        # (iii) w(x,y,lam) = w(y,x,1-lam)
-        viii = space.d(wl, space.w(y, x, 1.0 - lam))
-        note("axiom_iii", viii, (x, y, lam))
-        # (iv) d(w(x,z,lam), w(y,v,lam)) <= (1-lam) d(x,y) + lam d(z,v)
-        viv = (space.d(space.w(x, z, lam), space.w(y, v, lam))
-               - ((1.0 - lam) * space.d(x, y) + lam * space.d(z, v)))
-        note("axiom_iv", max(0.0, viv), (x, y, z, v, lam))
+    for start in range(0, n_samples, AXIOM_BLOCK):
+        # one tuple at a time, in the order (x, y, z, v, u, lam, mu)
+        tuples = [(draw(rng), draw(rng), draw(rng), draw(rng), draw(rng),
+                   float(rng.uniform()), float(rng.uniform()))
+                  for _ in range(min(AXIOM_BLOCK, n_samples - start))]
+        columns = list(zip(*tuples))
+        points = [space.pack(col) for col in columns[:5]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = _violations(space, *points, np.array(columns[5]), np.array(columns[6]))
+        for name, violation in block.items():
+            rank = _rank(violation)
+            i = int(np.argmax(rank))
+            if rank[i] > _rank(worst[name][0]):
+                drawn = dict(zip(_TUPLE_FIELDS, tuples[i]))
+                worst[name] = (float(violation[i]),
+                               tuple(drawn[f] for f in WORST_FIELDS[name]))
 
     results = {
         name: AxiomResult(name, val, tup, val <= tol)
         for name, (val, tup) in worst.items()
     }
     return AxiomReport(space.name, n_samples, tol, results)
-
-
-def interpolate(space: Space, x, y, lam):
-    """Convexity-mapping evaluation; endpoint weights per axiom (i)."""
-    return space.w(x, y, lam)

@@ -103,12 +103,23 @@ class TestDatadep:
 
 class TestAxiomCheck:
     @pytest.mark.parametrize("space", ["euclidean:3", "tripod", "halfplane"])
-    def test_builtin_spaces_pass(self, space):
+    def test_builtin_spaces_pass(self, space, capsys):
         assert run_cli(["axiom-check", "--space", space]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and all(ln.endswith("[pass]") for ln in lines[1:])
 
     def test_broken_space_flagged(self, capsys):
         assert run_cli(["axiom-check", "--space", "broken-demo"]) == 1
-        assert "axiom_ii" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # each FAIL line is followed by its worst tuple
+        fails = [i for i, ln in enumerate(lines) if ln.endswith("[FAIL]")]
+        assert len(fails) >= 1 and len(lines) == 6 + len(fails)
+        for i in fails:
+            assert lines[i + 1].startswith("  worst tuple: x=")
+        ii = next(i for i, ln in enumerate(lines) if ln.startswith("axiom_ii:"))
+        fields = dict(kv.split("=") for kv in lines[ii + 1].split(": ", 1)[1].split())
+        assert list(fields) == ["x", "y", "lam", "mu"]
+        assert all(0.0 <= float(v) < 1.0 for v in (fields["lam"], fields["mu"]))
 
     def test_unknown_space(self):
         assert run_cli(["axiom-check", "--space", "nosuch"]) == 2

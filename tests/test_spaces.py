@@ -9,23 +9,23 @@ from implicitfp import spaces
 from implicitfp.errors import ConfigError, InvalidPointError
 from implicitfp.spaces import (Ball, BrokenDemo, Euclidean, HalfPlane,
                                Interval, Tripod, TripodBall, VerticalLine,
-                               check_axioms, interpolate)
+                               check_axioms)
 
 
 class TestEuclideanInterpolate:
     def test_endpoint(self):
         sp = Euclidean(1)
-        assert interpolate(sp, [0.0], [1.0], 0.0) == pytest.approx([0.0])
+        assert sp.w([0.0], [1.0], 0.0) == pytest.approx([0.0])
 
     def test_quarter(self):
         sp = Euclidean(1)
-        assert interpolate(sp, [0.0], [1.0], 0.25) == pytest.approx([0.25])
+        assert sp.w([0.0], [1.0], 0.25) == pytest.approx([0.25])
 
     def test_degenerate_x_equals_y(self):
         sp = Euclidean(2)
         x = np.array([1.0, 2.0])
         for lam in (0.0, 0.3, 1.0):
-            assert interpolate(sp, x, x, lam) == pytest.approx(x)
+            assert sp.w(x, x, lam) == pytest.approx(x)
 
     def test_rejects_nonfinite(self):
         sp = Euclidean(1)
@@ -113,6 +113,163 @@ def test_check_axioms_rejects_bad_args():
 def test_check_axioms_invalid_sampler():
     with pytest.raises(InvalidPointError):
         check_axioms(HalfPlane(), sampler=lambda rng: (0.0, -1.0), n_samples=1)
+
+
+def test_check_axioms_nonfinite_violation_fails():
+    # d overflows to inf, so the symmetry and triangle terms are nan
+    report = check_axioms(Euclidean(1), n_samples=50,
+                          sampler=lambda r: np.array([r.uniform(-1, 1) * 1.7e308]))
+    res = report.results["metric"]
+    assert not report.passed
+    assert not res.passed and math.isnan(res.max_violation)
+    assert res.worst_tuple is not None and len(res.worst_tuple) == 3
+
+
+def test_worst_tuple_holds_sampled_points():
+    seen = []
+
+    def sampler(rng):
+        seen.append(rng.uniform(-5.0, 5.0, size=1))
+        return seen[-1]
+
+    report = check_axioms(BrokenDemo(), sampler=sampler, n_samples=300)
+    x, y, lam, mu = report.results["axiom_ii"].worst_tuple
+    assert any(x is p for p in seen) and any(y is p for p in seen)
+    assert isinstance(lam, float) and isinstance(mu, float)
+
+
+# ---------------------------------------------------------------------------
+# batched primitives against the scalar ones
+
+ALL_SPACES = ["euclidean:1", "euclidean:2", "euclidean:3", "tripod", "halfplane",
+              "broken-demo"]
+
+# (x, y, lam) cases that take the less common branches of d and w
+EDGE_CASES = {
+    "tripod": [
+        (("A", 0.0), ("B", 2.0), 0.3),    # the hub
+        (("B", 2.0), ("A", 0.0), 0.3),
+        (("C", 0.0), ("C", 0.0), 0.5),
+        (("B", 1.0), ("B", 2.5), 0.4),    # same ray
+        (("B", 2.5), ("B", 1.0), 0.4),
+        (("A", 1.0), ("B", 3.0), 0.25),   # t == a: lands on the hub
+        (("A", 1.0), ("B", 3.0), 0.75),   # through the hub
+    ],
+    "halfplane": [
+        ((0.0, 1.0), (0.0, 3.0), 0.3),    # vertical pair, a == 0
+        ((1.0, 2.0), (1.0, 2.0), 0.6),    # identical points
+        ((0.0, 1.0), (0.6, 0.8), 0.5),    # B == 0
+        ((0.6, 0.8), (0.0, 1.0), 0.5),
+        ((0.0, 1.0), (1e-170, 1.0), 0.5),  # B == 0 and 4a^2 underflows: qroot == 0
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_batched_primitives_match_scalar(name):
+    space = spaces.from_name(name)
+    rng = np.random.default_rng(3)
+    cases = [(space.sample(rng), space.sample(rng), float(rng.uniform())) for _ in range(200)]
+    cases += [(x, x, lam) for x, _, lam in cases[:5]]
+    cases += EDGE_CASES.get(name, [])
+    xs, ys, lams = zip(*cases)
+    X, Y = space.pack(list(xs)), space.pack(list(ys))
+    expected = [space.d(x, y) for x, y, _ in cases]
+    assert space.d_many(X, Y) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+    # each batched w, mapped back through pack, is the scalar w's point
+    W = space.w_many(X, Y, np.array(lams))
+    Wref = space.pack([space.w(x, y, lam) for x, y, lam in cases])
+    assert np.all(space.d_many(W, Wref) <= 1e-12)
+
+
+def test_tripod_w_many_edge_values():
+    sp = Tripod()
+    xs, ys, lams = zip(*EDGE_CASES["tripod"])
+    rays, r = sp.w_many(sp.pack(list(xs)), sp.pack(list(ys)), np.array(lams))
+    got = [(spaces.TRIPOD_RAYS[c], float(v)) for c, v in zip(rays, r)]
+    assert got == [sp.w(x, y, lam) for x, y, lam in EDGE_CASES["tripod"]]
+
+
+BAD_POINTS = [
+    ("euclidean:2", np.array([0.0, math.nan])),
+    ("euclidean:2", np.array([1.0, 2.0, 3.0])),   # wrong dimension
+    ("euclidean:1", [1.0, 2.0]),
+    ("tripod", ("D", 1.0)),
+    ("tripod", ("A", math.nan)),
+    ("halfplane", (0.0, 0.0)),
+    ("halfplane", (0.0, -1.0)),
+    ("broken-demo", np.array([math.inf])),
+]
+
+
+@pytest.mark.parametrize("name,bad", BAD_POINTS)
+def test_pack_rejects_bad_point_anywhere(name, bad):
+    space = spaces.from_name(name)
+    rng = np.random.default_rng(0)
+    points = [space.sample(rng) for _ in range(300)]
+    with pytest.raises(InvalidPointError):
+        space.check_point(bad)
+    for k in (0, 137, 299):
+        with pytest.raises(InvalidPointError):
+            space.pack(points[:k] + [bad] + points[k + 1:])
+    calls = []
+
+    def sampler(r):
+        calls.append(None)
+        return bad if len(calls) == 1500 else space.sample(r)  # the 2nd block
+
+    with pytest.raises(InvalidPointError):
+        check_axioms(space, sampler=sampler, n_samples=400)
+
+
+def reference_check_axioms(space, n_samples, tol, seed):
+    """The scalar checker: one tuple at a time through d and w."""
+    rng = np.random.default_rng(seed)
+    worst = {name: (0.0, None) for name in spaces.AXIOM_NAMES}
+
+    def note(name, violation, tup):
+        old = worst[name][0]
+        if violation > old or (math.isnan(violation) and not math.isnan(old)):
+            worst[name] = (violation, tup)
+
+    def pos(v):
+        return v if math.isnan(v) else max(0.0, v)
+
+    for _ in range(n_samples):
+        pts = [space.sample(rng) for _ in range(5)]
+        for p in pts:
+            space.check_point(p)
+        x, y, z, v, u = pts
+        lam = float(rng.uniform())
+        mu = float(rng.uniform())
+        d, w = space.d, space.w
+        dxy = d(x, y)
+        note("metric", max(abs(d(x, x)), abs(dxy - d(y, x)), pos(dxy - (d(x, z) + d(z, y)))),
+             (x, y, z))
+        wl, wm = w(x, y, lam), w(x, y, mu)
+        note("axiom_i", pos(d(u, wl) - ((1.0 - lam) * d(u, x) + lam * d(u, y))),
+             (x, y, u, lam))
+        note("axiom_ii", abs(d(wl, wm) - abs(lam - mu) * dxy), (x, y, lam, mu))
+        note("axiom_iii", d(wl, w(y, x, 1.0 - lam)), (x, y, lam))
+        note("axiom_iv", pos(d(w(x, z, lam), w(y, v, lam))
+                             - ((1.0 - lam) * d(x, y) + lam * d(z, v))),
+             (x, y, z, v, lam))
+    return {name: (val, tup, val <= tol) for name, (val, tup) in worst.items()}
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_check_axioms_matches_scalar_reference(name):
+    space = spaces.from_name(name)
+    for seed in range(5):
+        report = check_axioms(space, n_samples=300, tol=1e-9, seed=seed)
+        ref = reference_check_axioms(space, 300, 1e-9, seed)
+        for axiom, (val, tup, passed) in ref.items():
+            res = report.results[axiom]
+            assert res.passed == passed, (seed, axiom)
+            assert res.max_violation == pytest.approx(val, rel=0, abs=1e-14), (seed, axiom)
+            if not passed:  # a large violation: the same sampled tuple is the worst
+                for f, p, q in zip(spaces.WORST_FIELDS[axiom], res.worst_tuple, tup):
+                    assert p == q if f in ("lam", "mu") else space.d(p, q) == 0.0
 
 
 GEODESIC_SPACES = [Euclidean(2), Tripod(), HalfPlane()]
