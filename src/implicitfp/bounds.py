@@ -1,10 +1,12 @@
 """Theoretical error envelopes, rate comparison and the averaging lemma.
 
-Per-step contraction factors (delta in [0,1), schedule entries a_k, b_k):
+The per-step contraction factors (delta in [0,1), schedule entries a_k, b_k)
+are one formula,
 
-    implicit-s:        D_k = a_k*delta / (1 - (1-a_k)*delta*[b_k + (1-b_k)*delta])
-    implicit-ishikawa: D_k = a_k       / (1 - (1-a_k)*delta*[b_k + (1-b_k)*delta])
-    implicit-mann:     D_k = a_k       / (1 - (1-a_k)*delta)
+    D_k = s * a_k / (1 - (1-a_k)*delta*[b_k + (1-b_k)*delta])
+
+with s = delta for implicit-s and s = 1 for implicit-ishikawa; implicit-mann
+is implicit-ishikawa at b_k = 1, i.e. D_k = a_k / (1 - (1-a_k)*delta).
 
 Envelopes are cumulative products prod_{k=2..n} D_k * d0, the form the
 step-by-step inequality chains actually produce; the literal (D_n)^n * d0
@@ -19,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import CertificateError, DegenerateComparisonError
 from .schemes import Schedule
 
@@ -28,62 +32,20 @@ def _require_delta(delta: float):
         raise CertificateError(f"delta must lie in [0, 1), got {delta}")
 
 
-def step_factor_s(alpha: float, beta: float, delta: float) -> float:
-    den = 1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta)
-    if den <= 0.0:
-        raise CertificateError("nonpositive denominator in implicit-s factor")
-    return alpha * delta / den
+def step_factors(schedule: Schedule, delta: float, n_max: int) -> np.ndarray:
+    """Per-step factors D_k, k = 2..n_max, as rows (implicit-s, mann, ishikawa).
 
-
-def step_factor_ishikawa(alpha: float, beta: float, delta: float) -> float:
-    den = 1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta)
-    if den <= 0.0:
-        raise CertificateError("nonpositive denominator in ishikawa factor")
-    return alpha / den
-
-
-def step_factor_mann(alpha: float, delta: float) -> float:
-    den = 1.0 - (1.0 - alpha) * delta
-    if den <= 0.0:
-        raise CertificateError("nonpositive denominator in mann factor")
-    return alpha / den
-
-
-def _envelope(factor, schedule: Schedule, delta: float, d0: float, n: int,
-              literal: bool) -> float:
+    One formula serves all three: Mann's factor is Ishikawa's at beta = 1, and
+    S's is delta times Ishikawa's, computed as (alpha*delta)/den.  With delta
+    in [0, 1) and alpha, beta in [0, 1], den >= 1 - delta > 0.
+    """
     _require_delta(delta)
-    if n < 2:
-        return d0
-    if literal:
-        return factor(n) ** n * d0
-    prod = 1.0
-    for k in range(2, n + 1):
-        prod *= factor(k)
-    return prod * d0
-
-
-def envelope_s(schedule: Schedule, delta: float, d0: float, n: int,
-               literal: bool = False) -> float:
-    """Implicit-S envelope a_n."""
-    return _envelope(
-        lambda k: step_factor_s(schedule.alpha_at(k), schedule.beta_at(k), delta),
-        schedule, delta, d0, n, literal)
-
-
-def envelope_mann(schedule: Schedule, delta: float, d0: float, n: int,
-                  literal: bool = False) -> float:
-    """Implicit-Mann envelope b_n."""
-    return _envelope(
-        lambda k: step_factor_mann(schedule.alpha_at(k), delta),
-        schedule, delta, d0, n, literal)
-
-
-def envelope_ishikawa(schedule: Schedule, delta: float, d0: float, n: int,
-                      literal: bool = False) -> float:
-    """Implicit-Ishikawa envelope c_n."""
-    return _envelope(
-        lambda k: step_factor_ishikawa(schedule.alpha_at(k), schedule.beta_at(k), delta),
-        schedule, delta, d0, n, literal)
+    ab = np.array([(schedule.alpha_at(k), schedule.beta_at(k))
+                   for k in range(2, n_max + 1)], dtype=float).reshape(-1, 2)
+    alpha, beta = ab.T
+    beta = np.array([beta, np.ones_like(beta), beta])
+    den = 1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta)
+    return alpha * np.array([[delta], [1.0], [1.0]]) / den
 
 
 def exp_envelope(schedule: Schedule, delta: float, d0: float, n: int) -> float:
@@ -107,23 +69,13 @@ class BoundSequences:
     @classmethod
     def compute(cls, schedule: Schedule, delta: float, d0: float, n_max: int,
                 literal: bool = False) -> "BoundSequences":
-        _require_delta(delta)
-        ns = range(2, n_max + 1)
+        factors = step_factors(schedule, delta, n_max)
         if literal:
-            return cls([envelope_s(schedule, delta, d0, n, True) for n in ns],
-                       [envelope_mann(schedule, delta, d0, n, True) for n in ns],
-                       [envelope_ishikawa(schedule, delta, d0, n, True) for n in ns],
-                       d0)
-        pa = pb = pc = 1.0
-        a, b, c = [], [], []
-        for n in ns:
-            al, be = schedule.alpha_at(n), schedule.beta_at(n)
-            pa *= step_factor_s(al, be, delta)
-            pb *= step_factor_mann(al, delta)
-            pc *= step_factor_ishikawa(al, be, delta)
-            a.append(pa * d0)
-            b.append(pb * d0)
-            c.append(pc * d0)
+            # Python float ** int: numpy's power differs in the last ulp
+            a, b, c = ([f ** n * d0 for n, f in enumerate(row, start=2)]
+                       for row in factors.tolist())
+        else:
+            a, b, c = (np.cumprod(factors, axis=1) * d0).tolist()
         return cls(a, b, c, d0)
 
 

@@ -10,13 +10,14 @@ Option precedence: flags > config file (flat key=value lines) > defaults.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import experiments, mappings, schemes, spaces
-from .errors import ConfigError, ImplicitFPError, NonconvergenceError
+from .errors import ConfigError, ImplicitFPError, InvalidPointError, NonconvergenceError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -25,39 +26,32 @@ EXIT_SCHEME = 3
 EXIT_INCONCLUSIVE = 4
 
 
-def _read_config_file(path):
+def _config_defaults(path, args, command):
+    """The config file's flat key = value lines as defaults for `command`.
+
+    argparse converts string defaults with each option's type; booleans
+    (store_true flags) are converted here.
+    """
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("_", "-")] = val.strip()
-    return values
-
-
-def _merge_config(args, parser_defaults):
-    """Apply config-file values for options the flags left at their default."""
-    if not getattr(args, "config", None):
-        return args
-    fileconf = _read_config_file(args.config)
-    for key, val in fileconf.items():
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            current = parser_defaults.get(attr)
-            if isinstance(current, bool):
-                val = val.lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int) and not isinstance(current, bool):
-                val = int(val)
-            elif isinstance(current, float):
-                val = float(val)
-            setattr(args, attr, val)
-    return args
+        if attr in ("command", "func") or not hasattr(args, attr):
+            raise ConfigError(f"unknown config key {attr.replace('_', '-')!r}")
+        if isinstance(command.get_default(attr), bool):
+            val = val.lower() in ("1", "true", "yes", "on")
+        values[attr] = val
+    return values
 
 
 def _resolve_schedule(args):
@@ -83,13 +77,32 @@ def _resolve_run(args):
 def _parse_x0(arg, space, t):
     if arg is None:
         return experiments.default_x0(space, t)
-    if isinstance(space, spaces.Tripod):
-        ray, r = arg.split(":")
-        return (ray, float(r))
-    vals = [float(v) for v in arg.split(",")]
-    if isinstance(space, spaces.HalfPlane):
-        return (vals[0], vals[1])
-    return np.array(vals)
+    try:
+        if isinstance(space, spaces.Tripod):
+            ray, _, r = arg.partition(":")
+            x0 = (ray, float(r))
+        else:
+            vals = [float(v) for v in arg.split(",")]
+            x0 = tuple(vals) if isinstance(space, spaces.HalfPlane) else np.array(vals)
+        space.check_point(x0)
+    except (ValueError, InvalidPointError) as exc:
+        raise ConfigError(f"bad --x0 {arg!r} on {space.name}: {exc}")
+    return x0
+
+
+def _parse_perturb(arg, space):
+    """The --perturb offset: a vector on Euclidean space, a number elsewhere."""
+    try:
+        if isinstance(space, spaces.Euclidean):
+            offset = np.array([float(v) for v in str(arg).split(",")])
+            space.check_point(offset)  # finite, one entry per coordinate
+        else:
+            offset = float(arg)
+            if not math.isfinite(offset):
+                raise ValueError("offset must be finite")
+    except (ValueError, InvalidPointError) as exc:
+        raise ConfigError(f"bad --perturb {arg!r}: {exc}")
+    return offset
 
 
 def _emit(text, path):
@@ -108,14 +121,10 @@ def cmd_table(args):
     space, t, _sampler, schedule, cfg = _resolve_run(args)
     rows = (tuple(n for n in experiments.TABLE_ROWS if n <= args.n_max)
             or (1,))
-    try:
-        table = experiments.reproduce_table(rows=rows, n_max=args.n_max,
-                                            mapping_name=args.mapping,
-                                            schedule=schedule, cfg=cfg,
-                                            digits=args.digits)
-    except NonconvergenceError as exc:
-        print(f"scheme failure: {exc}", file=sys.stderr)
-        return EXIT_SCHEME
+    table = experiments.reproduce_table(rows=rows, n_max=args.n_max,
+                                        mapping_name=args.mapping,
+                                        schedule=schedule, cfg=cfg,
+                                        digits=args.digits)
     _emit(table.to_csv() if args.format == "csv" else table.to_text(),
           args.output)
     if args.verify:
@@ -134,15 +143,10 @@ def cmd_table(args):
 def cmd_compare(args):
     space, t, _sampler, schedule, cfg = _resolve_run(args)
     x0 = _parse_x0(args.x0, space, t)
-    try:
-        race = experiments.rate_race(space, t, schedule, x0=x0,
-                                     n_max=args.n_max, cfg=cfg,
-                                     horizon=args.horizon,
-                                     threshold=args.threshold)
-    except NonconvergenceError as exc:
-        print(f"scheme failure: {exc}", file=sys.stderr)
-        return EXIT_SCHEME
-
+    race = experiments.rate_race(space, t, schedule, x0=x0,
+                                 n_max=args.n_max, cfg=cfg,
+                                 horizon=args.horizon,
+                                 threshold=args.threshold)
     lines = []
     for (left, right), verdict in race.actual_verdicts.items():
         lines.append(f"actual {left} vs {right}: {verdict.verdict}"
@@ -167,12 +171,8 @@ def cmd_bounds(args):
     d0 = space.d(x0, p)
     env = bounds_mod.BoundSequences.compute(schedule, t.delta, d0, args.n_max,
                                             literal=args.literal)
-    try:
-        traces = {s: schemes.run(space, t, s, schedule, x0, args.n_max, cfg, p=p)
-                  for s in schemes.SCHEME_IDS}
-    except NonconvergenceError as exc:
-        print(f"scheme failure: {exc}", file=sys.stderr)
-        return EXIT_SCHEME
+    traces = {s: schemes.run(space, t, s, schedule, x0, args.n_max, cfg, p=p)
+              for s in schemes.SCHEME_IDS}
     lines = ["n,a_n,b_n,c_n,dist_s,dist_mann,dist_ishikawa"]
     for i, n in enumerate(range(2, args.n_max + 1)):
         ds = traces["implicit-s"].records[i + 1].dist_to_p
@@ -189,27 +189,20 @@ def cmd_datadep(args):
     if args.perturb_spec:
         space, t, s, _sampler = mappings.from_perturb_name(args.perturb_spec)
     else:
-        if isinstance(space, spaces.Euclidean):
-            offset = np.array([float(v) for v in str(args.perturb).split(",")])
-            if not np.any(offset):
-                # zero perturbation: S = T, observed 0 by construction
-                report = experiments.DataDepReport(
-                    epsilon=0.0, delta=t.delta, p=t.fixed_point,
-                    q=t.fixed_point, observed=0.0,
-                    bound=0.0, margin=0.0, converged=True, lemma1=None)
-                _emit(report.to_text(space), args.output)
-                return EXIT_OK
-        else:
-            offset = float(args.perturb)
+        offset = _parse_perturb(args.perturb, space)
+        if isinstance(space, spaces.Euclidean) and not np.any(offset):
+            # zero perturbation: S = T, observed 0 by construction
+            report = experiments.DataDepReport(
+                epsilon=0.0, delta=t.delta, p=t.fixed_point,
+                q=t.fixed_point, observed=0.0,
+                bound=0.0, margin=0.0, converged=True, lemma1=None)
+            _emit(report.to_text(space), args.output)
+            return EXIT_OK
         s = mappings.perturbed(space, t, offset)
     x0 = _parse_x0(args.x0, space, t)
-    try:
-        report = experiments.run_datadep(space, t, s, schedule, x0=x0,
-                                         n_max=args.n_max, cfg=cfg,
-                                         proof_variant=args.proof_variant)
-    except NonconvergenceError as exc:
-        print(f"scheme failure: {exc}", file=sys.stderr)
-        return EXIT_SCHEME
+    report = experiments.run_datadep(space, t, s, schedule, x0=x0,
+                                     n_max=args.n_max, cfg=cfg,
+                                     proof_variant=args.proof_variant)
     _emit(report.to_text(space), args.output)
     if not report.converged:
         return EXIT_INCONCLUSIVE
@@ -237,6 +230,7 @@ def cmd_axiom_check(args):
 
 
 def build_parser():
+    """The argument parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="implicitfp",
         description="Implicit fixed-point iteration experiments in W-hyperbolic spaces")
@@ -304,19 +298,18 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_axiom_check)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default for a in parser._actions}
-    for sp in parser._subparsers._group_actions[0].choices.values():
-        if sp.get_default("func") is getattr(args, "func", None):
-            defaults.update({a.dest: a.default for a in sp._actions})
-            break
     try:
-        args = _merge_config(args, defaults)
+        if args.config:
+            # file values become defaults, so flags given explicitly still win
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, args, command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

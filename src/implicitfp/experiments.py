@@ -15,7 +15,7 @@ they reproduce the benchmark table exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import Optional
@@ -282,24 +282,6 @@ class DataDepReport:
         return "\n".join(lines) + "\n"
 
 
-def _solve_u_step(space, t, s, u_prev, alpha, beta, cfg, proof_variant):
-    """Solve u = W(S u_prev, T v, alpha), v = W(u, S u, beta) for u.
-
-    With proof_variant=True the first line applies S to v instead of T.
-    """
-    su_prev = s(u_prev)
-    top = s if proof_variant else t
-
-    def v_of(u):
-        return space.w(u, s(u), 1.0 - beta)
-
-    def step_map(u):
-        return space.w(su_prev, top(v_of(u)), 1.0 - alpha)
-
-    u, stats = schemes._picard_solve(space, step_map, u_prev, cfg)
-    return u, v_of(u), stats
-
-
 def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
                 schedule: Optional[Schedule] = None, x0=None, u0=None,
                 n_max: int = 200, cfg: Optional[InnerSolverConfig] = None,
@@ -325,6 +307,8 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     if p is None:
         raise ConfigError("run_datadep requires T with a known fixed point")
 
+    # the u-step pairs T with S, so it has no closed form and always uses Picard
+    u_cfg = replace(cfg, mode="picard")
     x, u = x0, u0
     a_seq = [space.d(x, u)]   # a_{n+1} = d(x_n, u_n), starting at n = 1
     mu_seq, eta_seq = [], []
@@ -334,9 +318,10 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     for n in range(2, n_max + 1):
         al, be = schedule.alpha_at(n), schedule.beta_at(n)
         x_prev = x
-        x, y, _ = schemes.implicit_s_step(space, t, x, al, be, cfg)
+        x, y, _ = schemes.implicit_step(space, t, t, t(x), x, al, be, cfg)
         u_prev = u
-        u, v, _ = _solve_u_step(space, t, s, u, al, be, cfg, proof_variant)
+        u, _, _ = schemes.implicit_step(space, s if proof_variant else t, s,
+                                        s(u), u, al, be, u_cfg)
         u_steps.append(space.d(u, u_prev))
         a_seq.append(space.d(x, u))
         mu_seq.append((1.0 - al) * (1.0 - delta))

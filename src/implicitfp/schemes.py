@@ -1,23 +1,31 @@
 """Implicit S-, Ishikawa- and Mann-type iterations with a Picard inner solver.
 
-Effective recursions (weights written the way the convergence analysis uses
-them, i.e. alpha on the first argument):
+The three schemes are one recursion (weights written the way the convergence
+analysis uses them, i.e. alpha on the first argument):
 
-    implicit-s:        x_n = W(T x_{n-1}, T y_n, alpha_n),  y_n = W(x_n, T x_n, beta_n)
-    implicit-ishikawa: x_n = W(x_{n-1},   T y_n, alpha_n),  y_n = W(x_n, T x_n, beta_n)
-    implicit-mann:     x_n = W(x_{n-1},   T x_n, alpha_n)
+    x_n = W(anchor_n, T y_n, alpha_n),  y_n = W(x_n, T x_n, beta_n)
 
-The space's convexity mapping follows the axiom-(i) convention (weight 1-lam
-on the first argument), so the steps call w(.., .., 1-alpha) / (.., 1-beta)
-to realize the recursions above.  x_n appears on both sides; each step is
-solved by Picard iteration on the step map (Lipschitz constant
-(1-alpha)*delta*[beta+(1-beta)*delta] < 1 for delta < 1), or in closed form
-for affine maps on Euclidean space.
+    implicit-s:        anchor_n = T x_{n-1}
+    implicit-ishikawa: anchor_n = x_{n-1}
+    implicit-mann:     anchor_n = x_{n-1}, beta_n = 1, so y_n = x_n
+
+`implicit_step` solves one step for any outer and inner map; the
+data-dependence u-step uses it with T and its approximation S.  The space's
+convexity mapping follows the axiom-(i) convention (weight 1-lam on the
+first argument), so the step calls w(.., .., 1-alpha) / (.., 1-beta).  x_n
+appears on both sides; the step is solved by Picard iteration on the step
+map, or in closed form for affine maps on Euclidean space.  When phi == 0,
+T is delta-Lipschitz and the step map's Lipschitz constant is
+(1-alpha)*delta*[beta+(1-beta)*delta] < 1.  For phi != 0 the
+contractive-like inequality gives no such bound, and a step that does not
+converge within the budget raises NonconvergenceError.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -100,8 +108,48 @@ def schedule_from_name(name: str) -> Schedule:
     raise ConfigError(f"unknown schedule {name!r}")
 
 
-_EXPR_GLOBALS = {"__builtins__": {}, "math": math, "sqrt": math.sqrt,
-                 "log": math.log, "exp": math.exp, "min": min, "max": max}
+_EXPR_FUNCTIONS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp,
+                   "min": min, "max": max}
+_EXPR_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.Div: operator.truediv,
+                   ast.Pow: operator.pow}
+
+
+def _expr_function(node):
+    if isinstance(node, ast.Name) and node.id in _EXPR_FUNCTIONS:
+        return _EXPR_FUNCTIONS[node.id]
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and not node.attr.startswith("_")
+            and callable(getattr(math, node.attr, None))):
+        return getattr(math, node.attr)
+    raise ConfigError(f"schedule expressions cannot call {ast.unparse(node)!r}")
+
+
+def _compile_expr(node):
+    """A function of n for an expression tree, or ConfigError.
+
+    Allowed: numbers, n, + - * / **, unary minus, and calls to sqrt, log,
+    exp, min, max and public math.<name>.  Nothing else is evaluated, so an
+    expression cannot reach attributes or builtins.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = node.value
+        return lambda n: value
+    if isinstance(node, ast.Name) and node.id == "n":
+        return lambda n: n
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        f = _compile_expr(node.operand)
+        return lambda n: -f(n)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
+        op = _EXPR_OPERATORS[type(node.op)]
+        f, g = _compile_expr(node.left), _compile_expr(node.right)
+        return lambda n: op(f(n), g(n))
+    if isinstance(node, ast.Call) and not node.keywords:
+        fn = _expr_function(node.func)
+        args = [_compile_expr(a) for a in node.args]
+        return lambda n: fn(*[a(n) for a in args])
+    raise ConfigError(f"schedule expressions allow numbers, n, + - * / ** and "
+                      f"math functions, not {ast.unparse(node)!r}")
 
 
 def expression_schedule(alpha_expr: str, beta_expr: Optional[str] = None,
@@ -114,17 +162,23 @@ def expression_schedule(alpha_expr: str, beta_expr: Optional[str] = None,
         beta_expr = alpha_expr
 
     def make(expr):
+        try:
+            g = _compile_expr(ast.parse(expr, "<string>", "eval").body)
+        except (SyntaxError, ValueError) as exc:
+            raise ConfigError(f"bad schedule expression: {exc}")
+
         def f(n):
             if n < 2:
                 return 0.0
-            return float(eval(expr, _EXPR_GLOBALS, {"n": n}))
+            return float(g(n))
         return f
 
+    alpha, beta = make(alpha_expr), make(beta_expr)
     try:
-        make(alpha_expr)(2), make(beta_expr)(2)
+        alpha(2), beta(2)
     except Exception as exc:
         raise ConfigError(f"bad schedule expression: {exc}")
-    return Schedule(make(alpha_expr), make(beta_expr),
+    return Schedule(alpha, beta,
                     name=f"expr:{alpha_expr};{beta_expr}", divergent=divergent)
 
 
@@ -180,97 +234,46 @@ def _picard_solve(space: Space, step_map, x0, cfg: InnerSolverConfig):
         residual=res)
 
 
-def _exact_affine(space, t):
-    """Return the AffineMap behind t if closed-form solving applies."""
-    if isinstance(space, Euclidean) and isinstance(t.apply, AffineMap):
-        return t.apply
-    raise ConfigError("exact-affine mode requires an affine map on Euclidean space")
-
-
 # ---------------------------------------------------------------------------
-# steps
+# the implicit step
 
 
-def implicit_s_step(space: Space, t: ContractiveLike, x_prev, alpha: float,
-                    beta: float, cfg: InnerSolverConfig = None):
-    """Solve x = W(T x_prev, T y, alpha), y = W(x, T x, beta) for x.
+def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
+                  beta: float, cfg: InnerSolverConfig = None):
+    """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
-    Returns (x, y, InnerStats).
+    The Picard iteration starts at x_prev.  beta == 1 takes y = x itself
+    rather than W(x, inner(x), 0), which is not bit-exact x on every space;
+    alpha == 1 returns the anchor without iterating.  Returns
+    (x, y, InnerStats).
     """
     cfg = cfg or InnerSolverConfig()
     space.check_point(x_prev)
-    tx_prev = t(x_prev)
-
-    def y_of(x):
-        return space.w(x, t(x), 1.0 - beta)
-
-    if cfg.mode == "exact-affine":
-        m = _exact_affine(space, t)
-        A, b, I = m.A, m.b, np.eye(m.dim)
-        # x = a*(A x_prev + b) + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
-        M = (1.0 - alpha) * (beta * A + (1.0 - beta) * (A @ A))
-        rhs = (alpha * (A @ np.atleast_1d(x_prev) + b)
-               + (1.0 - alpha) * ((1.0 - beta) * (A @ b) + b))
-        x = np.linalg.solve(I - M, rhs)
-        y = y_of(x)
-        res = space.d(x, space.w(tx_prev, t(y), 1.0 - alpha))
-        stats = InnerStats(1, res)
-    else:
-        def step_map(x):
-            return space.w(tx_prev, t(y_of(x)), 1.0 - alpha)
-        x, stats = _picard_solve(space, step_map, x_prev, cfg)
-        y = y_of(x)
-    return x, y, stats
-
-
-def implicit_ishikawa_step(space: Space, t: ContractiveLike, x_prev,
-                           alpha: float, beta: float,
-                           cfg: InnerSolverConfig = None):
-    """Solve x = W(x_prev, T y, alpha), y = W(x, T x, beta) for x."""
-    cfg = cfg or InnerSolverConfig()
-    space.check_point(x_prev)
-
-    def y_of(x):
-        return space.w(x, t(x), 1.0 - beta)
-
-    if cfg.mode == "exact-affine":
-        m = _exact_affine(space, t)
-        A, b, I = m.A, m.b, np.eye(m.dim)
-        M = (1.0 - alpha) * (beta * A + (1.0 - beta) * (A @ A))
-        rhs = (alpha * np.atleast_1d(x_prev)
-               + (1.0 - alpha) * ((1.0 - beta) * (A @ b) + b))
-        x = np.linalg.solve(I - M, rhs)
-        y = y_of(x)
-        res = space.d(x, space.w(x_prev, t(y), 1.0 - alpha))
-        stats = InnerStats(1, res)
-    else:
-        def step_map(x):
-            return space.w(x_prev, t(y_of(x)), 1.0 - alpha)
-        x, stats = _picard_solve(space, step_map, x_prev, cfg)
-        y = y_of(x)
-    return x, y, stats
-
-
-def implicit_mann_step(space: Space, t: ContractiveLike, x_prev, alpha: float,
-                       cfg: InnerSolverConfig = None):
-    """Solve x = W(x_prev, T x, alpha) for x."""
-    cfg = cfg or InnerSolverConfig()
-    space.check_point(x_prev)
+    exact = cfg.mode == "exact-affine"
+    if exact and not (outer is inner and isinstance(space, Euclidean)
+                      and isinstance(outer.apply, AffineMap)):
+        raise ConfigError("exact-affine mode requires an affine map on Euclidean space")
+    w, la, lb = space.w, 1.0 - alpha, 1.0 - beta
     if alpha == 1.0:
-        return x_prev, InnerStats(0, 0.0)
-
-    if cfg.mode == "exact-affine":
-        m = _exact_affine(space, t)
-        A, b, I = m.A, m.b, np.eye(m.dim)
-        x = np.linalg.solve(I - (1.0 - alpha) * A,
-                            alpha * np.atleast_1d(x_prev) + (1.0 - alpha) * b)
-        res = space.d(x, space.w(x_prev, t(x), 1.0 - alpha))
-        stats = InnerStats(1, res)
+        x, stats = anchor, InnerStats(0, 0.0)
+    elif exact:
+        # x = a*anchor + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
+        A, b = outer.apply.A, outer.apply.b
+        M = la * (beta * A + lb * (A @ A))
+        rhs = alpha * np.atleast_1d(anchor) + la * (lb * (A @ b) + b)
+        x, stats = np.linalg.solve(np.eye(len(b)) - M, rhs), None
     else:
-        def step_map(x):
-            return space.w(x_prev, t(x), 1.0 - alpha)
+        if beta == 1.0:
+            def step_map(x):
+                return w(anchor, outer(x), la)
+        else:
+            def step_map(x):
+                return w(anchor, outer(w(x, inner(x), lb)), la)
         x, stats = _picard_solve(space, step_map, x_prev, cfg)
-    return x, stats
+    y = x if beta == 1.0 else w(x, inner(x), lb)
+    if stats is None:
+        stats = InnerStats(1, space.d(x, w(anchor, outer(y), la)))
+    return x, y, stats
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +345,10 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     x = x0
     for n in range(2, n_max + 1):
         a = schedule.alpha_at(n)
+        b = 1.0 if scheme == "implicit-mann" else schedule.beta_at(n)
         try:
-            if scheme == "implicit-s":
-                x, y, stats = implicit_s_step(space, t, x, a, schedule.beta_at(n), cfg)
-            elif scheme == "implicit-ishikawa":
-                x, y, stats = implicit_ishikawa_step(space, t, x, a, schedule.beta_at(n), cfg)
-            else:
-                x, stats = implicit_mann_step(space, t, x, a, cfg)
-                y = None
+            anchor = t(x) if scheme == "implicit-s" else x
+            x, y, stats = implicit_step(space, t, t, anchor, x, a, b, cfg)
         except NonconvergenceError as exc:
             exc.trace = trace
             raise

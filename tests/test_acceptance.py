@@ -69,9 +69,8 @@ def test_criterion_3_convergence_envelope():
         d = trace.distances()
         d0 = d[0]
         cum = 1.0
-        for i, n in enumerate(range(2, 501)):
-            al, be = sched.alpha_at(n), sched.beta_at(n)
-            factor = bounds.step_factor_s(al, be, t.delta)
+        factors = bounds.step_factors(sched, t.delta, 500)[0].tolist()
+        for i, factor in enumerate(factors):
             cum *= factor
             per_step_slack = factor * d[i] - d[i + 1]
             cumulative_slack = cum * d0 - d[i + 1]

@@ -6,59 +6,102 @@ from hypothesis import strategies as st
 
 from implicitfp import bounds
 from implicitfp.bounds import (BoundSequences, berinde_compare, check_lemma1,
-                               datadep_bound, envelope_ishikawa, envelope_mann,
-                               envelope_s, exp_envelope)
+                               datadep_bound, exp_envelope)
 from implicitfp.errors import CertificateError, DegenerateComparisonError
-from implicitfp.schemes import constant_schedule, default_schedule
+from implicitfp.schemes import (constant_schedule, default_schedule,
+                                polynomial_schedule)
 
 
 SCHED = default_schedule()
 
 
+def envelopes_at(schedule, delta, d0, n):
+    """(a_n, b_n, c_n): the implicit-S, Mann and Ishikawa envelopes at one n."""
+    seqs = BoundSequences.compute(schedule, delta, d0, n)
+    return seqs.a[-1], seqs.b[-1], seqs.c[-1]
+
+
+# Reference: the per-step factors and the per-k product loop that
+# BoundSequences.compute replaced with one array computation.
+
+def step_factor_s(alpha, beta, delta):
+    den = 1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta)
+    return alpha * delta / den
+
+
+def step_factor_ishikawa(alpha, beta, delta):
+    den = 1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta)
+    return alpha / den
+
+
+def step_factor_mann(alpha, delta):
+    den = 1.0 - (1.0 - alpha) * delta
+    return alpha / den
+
+
+def reference_envelopes(schedule, delta, d0, n_max, literal):
+    factors = (
+        lambda k: step_factor_s(schedule.alpha_at(k), schedule.beta_at(k), delta),
+        lambda k: step_factor_mann(schedule.alpha_at(k), delta),
+        lambda k: step_factor_ishikawa(schedule.alpha_at(k), schedule.beta_at(k), delta),
+    )
+    out = []
+    for factor in factors:
+        seq, prod = [], 1.0
+        for n in range(2, n_max + 1):
+            if literal:
+                seq.append(factor(n) ** n * d0)
+            else:
+                prod *= factor(n)
+                seq.append(prod * d0)
+        out.append(seq)
+    return out
+
+
 class TestEnvelopeS:
     def test_hand_value_n2(self):
         # D2 = (1/2 * 1/2) / (1 - (1/2)(1/2)(3/4)) = 0.25/0.8125 = 4/13
-        assert envelope_s(SCHED, 0.5, 1.0, 2) == pytest.approx(4.0 / 13.0)
+        assert envelopes_at(SCHED, 0.5, 1.0, 2)[0] == pytest.approx(4.0 / 13.0)
 
     def test_delta_zero(self):
         for n in (2, 5, 10):
-            assert envelope_s(SCHED, 0.0, 1.0, n) == 0.0
+            assert envelopes_at(SCHED, 0.0, 1.0, n)[0] == 0.0
 
     def test_alpha_one_geometric(self):
         sched = constant_schedule(1.0)
         # denominator becomes 1, product is delta^(n-1)
-        assert envelope_s(sched, 0.5, 2.0, 5) == pytest.approx(0.5 ** 4 * 2.0)
+        assert envelopes_at(sched, 0.5, 2.0, 5)[0] == pytest.approx(0.5 ** 4 * 2.0)
 
     def test_rejects_delta_ge_one(self):
         with pytest.raises(CertificateError):
-            envelope_s(SCHED, 1.0, 1.0, 5)
+            BoundSequences.compute(SCHED, 1.0, 1.0, 5)
 
 
 class TestEnvelopeMann:
     def test_hand_value_n2(self):
-        assert envelope_mann(SCHED, 0.5, 1.0, 2) == pytest.approx(2.0 / 3.0)
+        assert envelopes_at(SCHED, 0.5, 1.0, 2)[1] == pytest.approx(2.0 / 3.0)
 
     def test_alpha_one_stays_at_d0(self):
         sched = constant_schedule(1.0)
-        assert envelope_mann(sched, 0.5, 3.0, 10) == pytest.approx(3.0)
+        assert envelopes_at(sched, 0.5, 3.0, 10)[1] == pytest.approx(3.0)
 
     def test_delta_zero_is_alpha_product(self):
-        val = envelope_mann(SCHED, 0.0, 1.0, 4)
+        val = envelopes_at(SCHED, 0.0, 1.0, 4)[1]
         assert val == pytest.approx((1 / 2) * (2 / 3) * (3 / 4))
 
 
 class TestEnvelopeIshikawa:
     def test_hand_value_n2(self):
-        assert envelope_ishikawa(SCHED, 0.5, 1.0, 2) == pytest.approx(8.0 / 13.0)
+        assert envelopes_at(SCHED, 0.5, 1.0, 2)[2] == pytest.approx(8.0 / 13.0)
 
     def test_beta_one_reduces_to_mann(self):
         sched = constant_schedule(0.7, 1.0)
         for n in (2, 5, 9):
-            assert envelope_ishikawa(sched, 0.4, 1.0, n) == pytest.approx(
-                envelope_mann(sched, 0.4, 1.0, n))
+            _, mann, ishikawa = envelopes_at(sched, 0.4, 1.0, n)
+            assert ishikawa == pytest.approx(mann)
 
     def test_delta_zero_is_alpha_product(self):
-        assert envelope_ishikawa(SCHED, 0.0, 1.0, 3) == pytest.approx((1 / 2) * (2 / 3))
+        assert envelopes_at(SCHED, 0.0, 1.0, 3)[2] == pytest.approx((1 / 2) * (2 / 3))
 
 
 class TestExpEnvelope:
@@ -101,6 +144,24 @@ class TestOrdering:
         prod = BoundSequences.compute(SCHED, 0.5, 1.0, 10)
         lit = BoundSequences.compute(SCHED, 0.5, 1.0, 10, literal=True)
         assert prod.b[-1] != pytest.approx(lit.b[-1])
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("sched", [default_schedule(),
+                                       constant_schedule(0.5),
+                                       constant_schedule(0.9, 0.3),
+                                       polynomial_schedule(0.5),
+                                       constant_schedule(0.7, 1.0)])
+    def test_bit_identical(self, sched, delta, literal):
+        seqs = BoundSequences.compute(sched, delta, 0.7, 200, literal)
+        assert [seqs.a, seqs.b, seqs.c] == reference_envelopes(sched, delta, 0.7, 200, literal)
+        assert all(type(v) is float for v in seqs.a + seqs.b + seqs.c)
+
+    def test_empty_below_n2(self):
+        seqs = BoundSequences.compute(SCHED, 0.5, 1.0, 1)
+        assert seqs.a == seqs.b == seqs.c == []
 
 
 class TestBerinde:

@@ -140,6 +140,15 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert "0.666666666666667" in out
 
+    def test_explicit_default_value_beats_config(self, tmp_path, capsys):
+        # --n-max 50 equals the parser default but is given, so it wins
+        conf = tmp_path / "run.conf"
+        conf.write_text("n_max = 10\nverify = yes\n")
+        assert run_cli(["table", "--config", str(conf), "--n-max", "50"]) == 0
+        out = capsys.readouterr()
+        assert len(out.out.strip().split("\n")) == 1 + 14
+        assert "all table cells match" in out.err
+
     def test_unknown_key_is_config_error(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("frobnicate = yes\n")
@@ -147,3 +156,35 @@ class TestConfigFile:
 
     def test_inline_schedule_expression(self, capsys):
         assert run_cli(["table", "--alpha", "1-1/n", "--verify"]) == 0
+
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__mro__[1].__subclasses__() and 0.5",
+        "[c for c in ().__class__.__mro__[1].__subclasses__()"
+        " if c.__name__ == '_wrap_close'][0].__init__.__globals__['getpid']() * 0 + 0.5",
+        "'0.5'",
+    ], ids=["mro-walk", "getpid", "string"])
+    def test_schedule_expression_cannot_run_code(self, expr, tmp_path, capsys):
+        assert run_cli(["table", "--alpha", expr]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"alpha = {expr}\n")
+        assert run_cli(["table", "--config", str(conf)]) == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--x0", "abc"],
+        ["compare", "--x0", "Z:1"],
+        ["compare", "--x0", "nan"],
+        ["compare", "--x0", "1,2"],
+        ["compare", "--mapping", "tripod-radial:0.5", "--x0", "A"],
+        ["compare", "--mapping", "tripod-radial:0.5", "--x0", "Z:1"],
+        ["compare", "--mapping", "halfplane-vertical:0.5", "--x0", "1"],
+        ["datadep", "--perturb", "abc"],
+        ["datadep", "--perturb", "nan"],
+        ["datadep", "--perturb", "0.01,0.0"],
+        ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "inf"],
+    ])
+    def test_config_error_exit(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: bad --")

@@ -8,7 +8,8 @@ from implicitfp.experiments import (REFERENCE_TABLE, TABLE_ROWS,
                                     RationalOracle, format15, rate_race,
                                     reproduce_table, run_datadep)
 from implicitfp.mappings import AffineMap
-from implicitfp.schemes import constant_schedule, default_schedule
+from implicitfp.schemes import (InnerSolverConfig, constant_schedule,
+                                default_schedule)
 
 
 class TestRationalOracle:
@@ -146,6 +147,19 @@ class TestDataDependence:
         assert rep.observed == pytest.approx(float(np.linalg.norm(shift)), abs=1e-10)
         assert space.d(rep.q, rep.closed_form_q) <= 1e-10
         assert rep.holds
+
+    def test_exact_affine_solver_in_both_variants(self):
+        # the x-step has a closed form; the u-step pairs T with S and keeps
+        # to Picard iteration
+        m = AffineMap([[0.3, 0.1], [0.0, 0.4]], [0.1, 0.2])
+        space, t, _ = mappings.affine(m)
+        s = mappings.perturbed(space, t, np.array([0.01, -0.005]))
+        for variant in (False, True):
+            exact = run_datadep(space, t, s, proof_variant=variant,
+                                cfg=InnerSolverConfig(mode="exact-affine"))
+            picard = run_datadep(space, t, s, proof_variant=variant)
+            assert exact.holds and exact.converged == picard.converged
+            assert exact.observed == pytest.approx(picard.observed, abs=1e-12)
 
     def test_lemma1_hypothesis_on_run(self):
         space, t, _ = mappings.halving()

@@ -9,8 +9,7 @@ from implicitfp.experiments import ORACLE_RATIOS, RationalOracle
 from implicitfp.mappings import AffineMap, ContractiveLike, LinearPhi
 from implicitfp.schemes import (InnerSolverConfig, Schedule,
                                 constant_schedule, default_schedule,
-                                expression_schedule, implicit_ishikawa_step,
-                                implicit_mann_step, implicit_s_step,
+                                expression_schedule, implicit_step,
                                 polynomial_schedule, run, schedule_from_name)
 from implicitfp.spaces import Euclidean, Tripod
 
@@ -50,6 +49,20 @@ class TestSchedules:
         assert s.alpha_at(4) == pytest.approx(0.75)
         with pytest.raises(ConfigError):
             expression_schedule("1/(")
+        s = expression_schedule("-(-1) - n**-0.5 + 0*sqrt(n)*log(n)*exp(1)"
+                                " + 0*min(n, 2)*max(n, 2)*math.cos(n)")
+        assert s.alpha_at(4) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__mro__[1].__subclasses__() and 0.5",
+        "__import__('os').getpid() * 0 + 0.5",
+        "math.__loader__", "math.pi", "n.real", "0.5 if n else 0.5", "'0.5'",
+        "True", "1j", "[0.5][0]", "abs(n)", "sqrt(x=n)", "(lambda: 0.5)()",
+        "n // 2", "+n", "n = 1",
+    ])
+    def test_expression_outside_whitelist(self, expr):
+        with pytest.raises(ConfigError):
+            expression_schedule(expr)
 
     def test_out_of_range_rejected(self):
         s = Schedule(lambda n: 1.5, lambda n: 0.5)
@@ -62,38 +75,48 @@ class TestSteps:
         # n=2 gives alpha = beta = 1/2; solving the implicit linear system
         # by hand yields x2 = 4/13
         space, t, _ = halving
-        x, y, stats = implicit_s_step(space, t, np.array([1.0]), 0.5, 0.5)
+        x1 = np.array([1.0])
+        x, y, stats = implicit_step(space, t, t, t(x1), x1, 0.5, 0.5)
         assert float(x[0]) == pytest.approx(4.0 / 13.0, abs=1e-14)
         assert stats.residual <= 1e-14
 
     def test_implicit_ishikawa_n2(self, halving):
         space, t, _ = halving
-        x, y, stats = implicit_ishikawa_step(space, t, np.array([1.0]), 0.5, 0.5)
+        x1 = np.array([1.0])
+        x, y, stats = implicit_step(space, t, t, x1, x1, 0.5, 0.5)
         assert float(x[0]) == pytest.approx(8.0 / 13.0, abs=1e-14)
 
     def test_implicit_mann_n2(self, halving):
         space, t, _ = halving
-        x, stats = implicit_mann_step(space, t, np.array([1.0]), 0.5)
+        x1 = np.array([1.0])
+        x, y, stats = implicit_step(space, t, t, x1, x1, 0.5, 1.0)
         assert float(x[0]) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert y is x
 
     def test_fixed_point_is_stationary(self, halving):
         space, t, _ = halving
         p = np.array([0.0])
-        x, y, _ = implicit_s_step(space, t, p, 0.5, 0.5)
+        x, y, _ = implicit_step(space, t, t, t(p), p, 0.5, 0.5)
         assert space.d(x, p) == pytest.approx(0.0, abs=1e-15)
         assert space.d(y, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_mann_alpha_one_no_update(self, halving):
         space, t, _ = halving
-        x, stats = implicit_mann_step(space, t, np.array([0.7]), 1.0)
+        x0 = np.array([0.7])
+        x, y, stats = implicit_step(space, t, t, x0, x0, 1.0, 1.0)
         assert float(x[0]) == 0.7
         assert stats.iterations == 0
+        # alpha = 1 returns the anchor without iterating for S and Ishikawa too
+        for anchor in (t(x0), x0):
+            x, y, stats = implicit_step(space, t, t, anchor, x0, 1.0, 0.5)
+            assert x is anchor and stats.iterations == 0
 
     def test_inner_budget_exhaustion(self, halving):
         space, t, _ = halving
         cfg = InnerSolverConfig(tolerance=1e-14, max_iterations=2)
+        x1 = np.array([1.0])
         with pytest.raises(NonconvergenceError) as err:
-            implicit_s_step(space, t, np.array([1.0]), 0.5, 0.5, cfg)
+            implicit_step(space, t, t, t(x1), x1, 0.5, 0.5, cfg)
         assert err.value.residual is not None
 
 
@@ -234,9 +257,15 @@ class TestExactAffine:
 
     def test_exact_affine_requires_affine(self, halving):
         space, t, _ = halving  # halving's apply is a lambda, not AffineMap
+        x1 = np.array([1.0])
+        cfg = InnerSolverConfig(mode="exact-affine")
         with pytest.raises(ConfigError):
-            implicit_s_step(space, t, np.array([1.0]), 0.5, 0.5,
-                            InnerSolverConfig(mode="exact-affine"))
+            implicit_step(space, t, t, t(x1), x1, 0.5, 0.5, cfg)
+        # the closed form needs one affine map in both places
+        space, t, _ = mappings.affine(AffineMap([[0.5]], [0.0]))
+        s = mappings.perturbed(space, t, np.array([0.01]))
+        with pytest.raises(ConfigError):
+            implicit_step(space, s, t, s(x1), x1, 0.5, 0.5, cfg)
 
     def test_scalar_affine_equals_halving_oracle(self):
         space, t, _ = mappings.affine(AffineMap([[0.5]], [0.0]))
