@@ -40,8 +40,7 @@ def step_factors(schedule: Schedule, delta: float, n_max: int) -> np.ndarray:
     in [0, 1) and alpha, beta in [0, 1], den >= 1 - delta > 0.
     """
     _require_delta(delta)
-    ab = np.array([(schedule.alpha_at(k), schedule.beta_at(k))
-                   for k in range(2, n_max + 1)], dtype=float).reshape(-1, 2)
+    ab = np.array(schedule.weights(n_max), dtype=float).reshape(-1, 2)
     alpha, beta = ab.T
     beta = np.array([beta, np.ones_like(beta), beta])
     den = 1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta)

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import experiments, mappings, schemes, spaces
-from .errors import ConfigError, ImplicitFPError, InvalidPointError, NonconvergenceError
+from .errors import (CertificateError, ConfigError, ImplicitFPError, InvalidPointError,
+                     NonconvergenceError)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -90,19 +91,22 @@ def _parse_x0(arg, space, t):
     return x0
 
 
-def _parse_perturb(arg, space):
-    """The --perturb offset: a vector on Euclidean space, a number elsewhere."""
+def _perturbation(arg, space, t):
+    """S = T + the --perturb offset (a vector on Euclidean space, a number
+    elsewhere); None for a zero Euclidean offset, where S = T."""
     try:
         if isinstance(space, spaces.Euclidean):
             offset = np.array([float(v) for v in str(arg).split(",")])
             space.check_point(offset)  # finite, one entry per coordinate
+            if not np.any(offset):
+                return None
         else:
             offset = float(arg)
             if not math.isfinite(offset):
                 raise ValueError("offset must be finite")
-    except (ValueError, InvalidPointError) as exc:
+        return mappings.perturbed(space, t, offset)
+    except (ValueError, InvalidPointError, CertificateError) as exc:
         raise ConfigError(f"bad --perturb {arg!r}: {exc}")
-    return offset
 
 
 def _emit(text, path):
@@ -189,8 +193,8 @@ def cmd_datadep(args):
     if args.perturb_spec:
         space, t, s, _sampler = mappings.from_perturb_name(args.perturb_spec)
     else:
-        offset = _parse_perturb(args.perturb, space)
-        if isinstance(space, spaces.Euclidean) and not np.any(offset):
+        s = _perturbation(args.perturb, space, t)
+        if s is None:
             # zero perturbation: S = T, observed 0 by construction
             report = experiments.DataDepReport(
                 epsilon=0.0, delta=t.delta, p=t.fixed_point,
@@ -198,7 +202,6 @@ def cmd_datadep(args):
                 bound=0.0, margin=0.0, converged=True, lemma1=None)
             _emit(report.to_text(space), args.output)
             return EXIT_OK
-        s = mappings.perturbed(space, t, offset)
     x0 = _parse_x0(args.x0, space, t)
     report = experiments.run_datadep(space, t, s, schedule, x0=x0,
                                      n_max=args.n_max, cfg=cfg,
@@ -314,7 +317,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonconvergenceError as exc:
+    except (NonconvergenceError, InvalidPointError) as exc:
+        # an invalid point that reaches here arose inside a run
         print(f"scheme failure: {exc}", file=sys.stderr)
         return EXIT_SCHEME
     except ImplicitFPError as exc:

@@ -14,19 +14,18 @@ they reproduce the benchmark table exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import bounds, mappings, schemes
+from . import mappings, schemes
 from .bounds import BoundSequences, Lemma1Report, RateVerdict, berinde_compare, check_lemma1, datadep_bound
-from .errors import ConfigError, DegenerateComparisonError, NonconvergenceError
+from .errors import ConfigError, DegenerateComparisonError, InvalidPointError
 from .mappings import ApproximateOperator, ContractiveLike
-from .schemes import InnerSolverConfig, IterationTrace, Schedule, default_schedule, run
+from .schemes import InnerSolverConfig, Schedule, default_schedule, run
 from .spaces import Euclidean, Space
 
 # ---------------------------------------------------------------------------
@@ -299,9 +298,9 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
         x0 = default_x0(space, t)
     if u0 is None:
         u0 = x0
-    for n in range(2, n_max + 1):
-        if schedule.alpha_at(n) >= 1.0:
-            raise ConfigError("data dependence requires alpha_n < 1")
+    weights = schedule.weights(n_max)
+    if any(al >= 1.0 for al, _ in weights):
+        raise ConfigError("data dependence requires alpha_n < 1")
 
     p = t.fixed_point
     if p is None:
@@ -315,20 +314,22 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     u_steps = []
     delta, phi = t.delta, t.phi
     eps = s.epsilon
-    for n in range(2, n_max + 1):
-        al, be = schedule.alpha_at(n), schedule.beta_at(n)
-        x_prev = x
-        x, y, _ = schemes.implicit_step(space, t, t, t(x), x, al, be, cfg)
-        u_prev = u
-        u, _, _ = schemes.implicit_step(space, s if proof_variant else t, s,
-                                        s(u), u, al, be, u_cfg)
-        u_steps.append(space.d(u, u_prev))
-        a_seq.append(space.d(x, u))
+    for n, (al, be) in enumerate(weights, start=2):
+        try:
+            x_prev = x
+            x, y, _ = schemes.implicit_step(space, t, t, t(x), x, al, be, cfg)
+            u_prev = u
+            u, _, _ = schemes.implicit_step(space, s if proof_variant else t, s,
+                                            s(u), u, al, be, u_cfg)
+            u_steps.append(space.d(u, u_prev))
+            a_seq.append(space.d(x, u))
+            eta = (al / (1.0 - al) * phi(space.d(x_prev, t(x_prev)))
+                   + phi(space.d(y, t(y)))
+                   + delta * (1.0 - be) * phi(space.d(x, t(x)))
+                   + 2.0 * eps) / (1.0 - delta) ** 2
+        except InvalidPointError as exc:
+            raise InvalidPointError(f"step n={n}: {exc}") from exc
         mu_seq.append((1.0 - al) * (1.0 - delta))
-        eta = (al / (1.0 - al) * phi(space.d(x_prev, t(x_prev)))
-               + phi(space.d(y, t(y)))
-               + delta * (1.0 - be) * phi(space.d(x, t(x)))
-               + 2.0 * eps) / (1.0 - delta) ** 2
         eta_seq.append(eta)
 
     converged = len(u_steps) >= 10 and all(d < tail_tol for d in u_steps[-10:])

@@ -288,8 +288,10 @@ def affine(affmap: AffineMap, name="affine") -> tuple[Space, ContractiveLike, Ca
     delta = affmap.norm
     if delta >= 1.0:
         raise CertificateError(f"affine map has ||A|| = {delta} >= 1")
-    t = ContractiveLike(affmap, delta, LinearPhi(0.0),
-                        fixed_point=affmap.fixed_point(), name=name)
+    p = affmap.fixed_point()
+    if not np.isfinite(p).all():
+        raise CertificateError(f"affine map's fixed point {p} is not finite")
+    t = ContractiveLike(affmap, delta, LinearPhi(0.0), fixed_point=p, name=name)
     return space, t, space.sample
 
 
@@ -400,8 +402,12 @@ def from_perturb_name(name: str):
     offset_s = parts[-1]
     base = ":".join(parts[1:-1])
     space, t, sampler = from_name(base)
-    if isinstance(space, Euclidean):
-        offset = np.array([float(v) for v in offset_s.split(",")])
-    else:
-        offset = float(offset_s)
-    return space, t, perturbed(space, t, offset), sampler
+    try:
+        if isinstance(space, Euclidean):
+            offset = np.array([float(v) for v in offset_s.split(",")])
+        else:
+            offset = float(offset_s)
+        s = perturbed(space, t, offset)
+    except (ValueError, CertificateError) as exc:
+        raise ConfigError(f"bad offset in {name!r}: {exc}")
+    return space, t, s, sampler

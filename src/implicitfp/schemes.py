@@ -31,9 +31,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NonconvergenceError
+from .errors import ConfigError, InvalidPointError, NonconvergenceError
 from .mappings import AffineMap, ContractiveLike
-from .spaces import Euclidean, Space
+from .spaces import Euclidean, Space, check_lambda
 
 SCHEME_IDS = ("implicit-s", "implicit-ishikawa", "implicit-mann")
 
@@ -66,6 +66,10 @@ class Schedule:
         if not (0.0 <= b <= 1.0):
             raise ConfigError(f"beta_{n} = {b} outside [0, 1]")
         return b
+
+    def weights(self, n_max: int) -> list:
+        """[(alpha_n, beta_n) for n = 2..n_max], each checked to lie in [0, 1]."""
+        return [(self.alpha_at(n), self.beta_at(n)) for n in range(2, n_max + 1)]
 
 
 def default_schedule() -> Schedule:
@@ -170,14 +174,14 @@ def expression_schedule(alpha_expr: str, beta_expr: Optional[str] = None,
         def f(n):
             if n < 2:
                 return 0.0
-            return float(g(n))
+            try:
+                return float(g(n))
+            except (ArithmeticError, ValueError, TypeError) as exc:
+                raise ConfigError(f"bad schedule expression {expr!r} at n={n}: {exc}")
         return f
 
     alpha, beta = make(alpha_expr), make(beta_expr)
-    try:
-        alpha(2), beta(2)
-    except Exception as exc:
-        raise ConfigError(f"bad schedule expression: {exc}")
+    alpha(2), beta(2)
     return Schedule(alpha, beta,
                     name=f"expr:{alpha_expr};{beta_expr}", divergent=divergent)
 
@@ -210,22 +214,32 @@ class InnerStats:
 def _picard_solve(space: Space, step_map, x0, cfg: InnerSolverConfig):
     """Iterate x <- step_map(x) until d(x, step_map(x)) <= tolerance.
 
-    Once within tolerance, keeps polishing while the residual strictly
-    decreases, so accepted iterates sit near the machine fixed point; the
-    reported residual is always measured at the returned point.
+    x0 must be a checked point and step_map must return the raw form of a
+    point, so the residual uses raw_d; a non-finite residual re-checks both
+    points (InvalidPointError for an invalid one).  Once within tolerance,
+    keeps polishing while the residual strictly decreases, so accepted
+    iterates sit near the machine fixed point; the reported residual is
+    always measured at the returned point.
     """
+    raw_d, check, isfinite, tol = space.raw_d, space.check_point, math.isfinite, cfg.tolerance
     x = x0
     best = None  # (residual, x, iters)
     for k in range(1, cfg.max_iterations + 1):
         fx = step_map(x)
-        res = space.d(x, fx)
-        if res <= cfg.tolerance:
+        try:
+            res = raw_d(x, fx)
+        except (ArithmeticError, ValueError):  # e.g. a half-plane point with y <= 0
+            res = math.nan
+        if res <= tol:
             if best is None or res < best[0]:
                 best = (res, x, k)
             else:
                 return best[1], InnerStats(k, best[0])
             if res == 0.0:
                 return x, InnerStats(k, 0.0)
+        elif not isfinite(res):
+            check(x)
+            check(fx)
         x = fx
     if best is not None:
         return best[1], InnerStats(cfg.max_iterations, best[0])
@@ -244,35 +258,41 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
 
     The Picard iteration starts at x_prev.  beta == 1 takes y = x itself
     rather than W(x, inner(x), 0), which is not bit-exact x on every space;
-    alpha == 1 returns the anchor without iterating.  Returns
-    (x, y, InnerStats).
+    alpha == 1 returns the anchor without iterating.  x_prev, anchor and the
+    weights are checked once, and each point outer or inner returns is
+    checked as it is produced; the Picard loop runs on the space's raw_d and
+    raw_w.  Returns (x, y, InnerStats).
     """
     cfg = cfg or InnerSolverConfig()
-    space.check_point(x_prev)
+    check, raw_w = space.check_point, space.raw_w
+    x_prev = check(x_prev)
     exact = cfg.mode == "exact-affine"
     if exact and not (outer is inner and isinstance(space, Euclidean)
                       and isinstance(outer.apply, AffineMap)):
         raise ConfigError("exact-affine mode requires an affine map on Euclidean space")
-    w, la, lb = space.w, 1.0 - alpha, 1.0 - beta
+    anchor = check(anchor)
+    la, lb = 1.0 - alpha, 1.0 - beta
+    check_lambda(la)
+    check_lambda(lb)
     if alpha == 1.0:
         x, stats = anchor, InnerStats(0, 0.0)
     elif exact:
         # x = a*anchor + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
         A, b = outer.apply.A, outer.apply.b
         M = la * (beta * A + lb * (A @ A))
-        rhs = alpha * np.atleast_1d(anchor) + la * (lb * (A @ b) + b)
+        rhs = alpha * anchor + la * (lb * (A @ b) + b)
         x, stats = np.linalg.solve(np.eye(len(b)) - M, rhs), None
     else:
         if beta == 1.0:
             def step_map(x):
-                return w(anchor, outer(x), la)
+                return raw_w(anchor, check(outer(x)), la)
         else:
             def step_map(x):
-                return w(anchor, outer(w(x, inner(x), lb)), la)
+                return raw_w(anchor, check(outer(raw_w(x, check(inner(x)), lb))), la)
         x, stats = _picard_solve(space, step_map, x_prev, cfg)
-    y = x if beta == 1.0 else w(x, inner(x), lb)
+    y = x if beta == 1.0 else raw_w(x, check(inner(x)), lb)
     if stats is None:
-        stats = InnerStats(1, space.d(x, w(anchor, outer(y), la)))
+        stats = InnerStats(1, space.d(x, raw_w(anchor, check(outer(y)), la)))
     return x, y, stats
 
 
@@ -324,8 +344,10 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     """Full iteration run; record n = 1 is the initial value x0.
 
     Steps are taken for n = 2..n_max, matching the index origin where the
-    n = 1 schedule entries are zero and unused.  If a step fails, the raised
-    NonconvergenceError carries the partial trace.
+    n = 1 schedule entries are zero and unused.  Every alpha_n and beta_n is
+    evaluated and range-checked before step 2.  If a step fails, the raised
+    NonconvergenceError carries the partial trace, and an InvalidPointError
+    names the step.
     """
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
@@ -334,24 +356,29 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     cfg = cfg or InnerSolverConfig()
     if p is None:
         p = t.fixed_point
-    space.check_point(x0)
+    x0 = space.check_point(x0)
+    if p is not None:
+        p = space.check_point(p)
+    weights = schedule.weights(n_max)
 
     trace = IterationTrace(scheme, schedule.name)
 
     def dist(x):
-        return None if p is None else space.d(x, p)
+        return None if p is None else space.raw_d(x, p)
 
     trace.records.append(StepRecord(1, x0, dist_to_p=dist(x0)))
     x = x0
-    for n in range(2, n_max + 1):
-        a = schedule.alpha_at(n)
-        b = 1.0 if scheme == "implicit-mann" else schedule.beta_at(n)
+    for n, (a, b) in enumerate(weights, start=2):
+        if scheme == "implicit-mann":
+            b = 1.0
         try:
             anchor = t(x) if scheme == "implicit-s" else x
             x, y, stats = implicit_step(space, t, t, anchor, x, a, b, cfg)
         except NonconvergenceError as exc:
             exc.trace = trace
             raise
+        except InvalidPointError as exc:
+            raise InvalidPointError(f"step n={n}: {exc}") from exc
         trace.records.append(StepRecord(n, x, y, stats.iterations,
                                         stats.residual, dist(x)))
     return trace

@@ -26,22 +26,42 @@ TRIPOD_RAYS = ("A", "B", "C")
 class Space:
     """Base interface: d(x, y), w(x, y, lam), domain check, sampling.
 
+    A space provides `check_point`, which validates a point and returns it in
+    the form its raw primitives take, and the raw primitives `raw_d(x, y)`
+    and `raw_w(x, y, lam)`, which trust their arguments.  The public `d` and
+    `w` are the validating wrappers: they check every point (and lam) and
+    then call the raw form.  Code that has already checked its points, such
+    as the inner solver of `schemes.implicit_step`, calls the raw form.
+
     The batched primitives work on a *batch*, the space's own array form of a
     sequence of points built by `pack`: row k of d_many(X, Y) is d(x_k, y_k)
     and row k of w_many(X, Y, lam) is w(x_k, y_k, lam_k) as a batch.  Only
     `pack` validates; d_many and w_many trust their batches.
+
+    A new space provides check_point, raw_d, raw_w, pack, d_many and w_many
+    (plus sample and format_point).
     """
 
     name = "abstract"
 
     def d(self, x, y):
-        raise NotImplementedError
+        return self.raw_d(self.check_point(x), self.check_point(y))
 
     def w(self, x, y, lam):
-        raise NotImplementedError
+        x, y = self.check_point(x), self.check_point(y)
+        check_lambda(lam)
+        return self.raw_w(x, y, lam)
 
     def check_point(self, x):
-        """Raise InvalidPointError if x is outside the domain."""
+        """x in the form raw_d/raw_w take; InvalidPointError outside the domain."""
+        raise NotImplementedError
+
+    def raw_d(self, x, y):
+        """d(x, y) for points already returned by check_point."""
+        raise NotImplementedError
+
+    def raw_w(self, x, y, lam):
+        """w(x, y, lam) for checked points and lam in [0, 1]."""
         raise NotImplementedError
 
     def pack(self, points):
@@ -63,7 +83,7 @@ class Space:
         raise NotImplementedError
 
 
-def _check_lambda(lam):
+def check_lambda(lam):
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"interpolation parameter {lam} outside [0, 1]")
 
@@ -76,26 +96,26 @@ class Euclidean(Space):
         self.name = f"euclidean:{dim}"
 
     def as_array(self, x):
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+        """x as a float array of shape (dim,); a scalar is admitted at dim 1."""
+        v = np.asarray(x, dtype=float)
         if v.shape != (self.dim,):
-            raise InvalidPointError(f"expected {self.dim} coordinates, got {v.shape}")
+            v = np.atleast_1d(v)
+            if v.shape != (self.dim,):
+                raise InvalidPointError(f"expected {self.dim} coordinates, got {v.shape}")
         return v
 
     def check_point(self, x):
         v = self.as_array(x)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidPointError(f"non-finite coordinates: {x}")
+        return v
 
-    def d(self, x, y):
-        self.check_point(x)
-        self.check_point(y)
-        return float(np.linalg.norm(self.as_array(x) - self.as_array(y)))
+    def raw_d(self, x, y):
+        v = x - y
+        return math.sqrt(v.dot(v))  # np.linalg.norm's formula for a 1-D float array
 
-    def w(self, x, y, lam):
-        self.check_point(x)
-        self.check_point(y)
-        _check_lambda(lam)
-        return (1.0 - lam) * self.as_array(x) + lam * self.as_array(y)
+    def raw_w(self, x, y, lam):
+        return (1.0 - lam) * x + lam * y
 
     def pack(self, points):
         """An (N, dim) array of the points."""
@@ -142,19 +162,15 @@ class Tripod(Space):
             raise InvalidPointError(f"unknown ray {ray!r}")
         if not (math.isfinite(r) and r >= 0.0):
             raise InvalidPointError(f"radius must be finite and >= 0, got {r}")
+        return x
 
-    def d(self, x, y):
-        self.check_point(x)
-        self.check_point(y)
+    def raw_d(self, x, y):
         (rx, a), (ry, b) = x, y
         if rx == ry or a == 0.0 or b == 0.0:
             return abs(a - b)
         return a + b
 
-    def w(self, x, y, lam):
-        self.check_point(x)
-        self.check_point(y)
-        _check_lambda(lam)
+    def raw_w(self, x, y, lam):
         (rx, a), (ry, b) = x, y
         if rx == ry or a == 0.0 or b == 0.0:
             # single ray (the hub belongs to every ray)
@@ -211,18 +227,14 @@ class HalfPlane(Space):
         x, y = z
         if not (math.isfinite(x) and math.isfinite(y) and y > 0.0):
             raise InvalidPointError(f"half-plane requires finite coords with y > 0, got {z}")
+        return z
 
-    def d(self, z1, z2):
-        self.check_point(z1)
-        self.check_point(z2)
+    def raw_d(self, z1, z2):
         (x1, y1), (x2, y2) = z1, z2
         q = math.hypot(x1 - x2, y1 - y2) / (2.0 * math.sqrt(y1 * y2))
         return 2.0 * math.asinh(q)
 
-    def w(self, z1, z2, lam):
-        self.check_point(z1)
-        self.check_point(z2)
-        _check_lambda(lam)
+    def raw_w(self, z1, z2, lam):
         (x1, y1), (x2, y2) = z1, z2
         # normalize: z1 -> i
         a = (x2 - x1) / y1
@@ -299,16 +311,13 @@ class BrokenDemo(Space):
         self._base = Euclidean(1)
 
     def check_point(self, x):
-        self._base.check_point(x)
+        return self._base.check_point(x)
 
-    def d(self, x, y):
-        return self._base.d(x, y)
+    def raw_d(self, x, y):
+        return self._base.raw_d(x, y)
 
-    def w(self, x, y, lam):
-        self.check_point(x)
-        self.check_point(y)
-        _check_lambda(lam)
-        return self._base.as_array(y)
+    def raw_w(self, x, y, lam):
+        return y
 
     def pack(self, points):
         return self._base.pack(points)

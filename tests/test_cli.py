@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from implicitfp import cli
@@ -184,7 +187,39 @@ class TestMalformedInput:
         ["datadep", "--perturb", "nan"],
         ["datadep", "--perturb", "0.01,0.0"],
         ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "inf"],
+        ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "0"],
+        ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "-0.5"],
     ])
     def test_config_error_exit(self, argv, capsys):
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith("config error: bad --")
+
+    @pytest.mark.parametrize("spec", ["perturb:tripod-radial:0.5:0",
+                                      "perturb:tripod-radial:0.5:abc",
+                                      "perturb:halving:0", "perturb:halving:1,x"])
+    def test_bad_perturb_spec_offset(self, spec, capsys):
+        assert run_cli(["datadep", "--perturb-spec", spec]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad offset in {spec!r}")
+
+    @pytest.mark.parametrize("command", ["table", "compare", "bounds", "datadep"])
+    def test_schedule_error_at_a_later_index(self, command, capsys):
+        argv = [command, "--alpha", "1-1/(n-3)**2", "--n-max", "5"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad schedule expression") and "at n=3" in err
+
+
+class TestSchemeFailure:
+    def test_invalid_point_mid_run_exits_3(self, monkeypatch, capsys):
+        from implicitfp import mappings
+        from implicitfp.mappings import ContractiveLike
+        from implicitfp.spaces import Euclidean
+
+        # the halving map, except that it leaves the domain near its fixed point
+        t = ContractiveLike(lambda x: 0.5 * x if x[0] > 0.01 else np.array([np.nan]),
+                            0.5, fixed_point=np.array([0.0]), name="halving")
+        monkeypatch.setattr(mappings, "from_name",
+                            lambda name: (Euclidean(1), t, None))
+        assert run_cli(["compare"]) == 3
+        err = capsys.readouterr().err
+        assert re.match(r"scheme failure: step n=\d+: non-finite coordinates", err)

@@ -169,6 +169,11 @@ class TestCorpus:
         with pytest.raises(CertificateError):
             mappings.affine(AffineMap([[1.2]], [0.0]))
 
+    def test_affine_nonfinite_fixed_point_rejected(self):
+        # ||A|| < 1, but (I - A)^{-1} b overflows
+        with pytest.raises(CertificateError, match="fixed point"):
+            mappings.affine(AffineMap([[0.9]], [1e308]))
+
     def test_tripod_radial(self):
         space, t, sampler = mappings.tripod_radial(0.5)
         rep = verify_contractive_like(space, t, sampler, n_samples=400)
@@ -194,6 +199,10 @@ class TestCorpus:
         space, t, s, sampler = mappings.from_perturb_name("perturb:halving:0.01")
         assert s.epsilon == pytest.approx(0.01)
         assert verify_approximate(space, t, s, sampler, n_samples=200).passed
+        for bad in ("perturb:halving:0", "perturb:halving:x",
+                    "perturb:tripod-radial:0.5:-1", "perturb:tripod-radial:0.5:"):
+            with pytest.raises(ConfigError):
+                mappings.from_perturb_name(bad)
 
     def test_perturb_tripod(self):
         space, t, _ = mappings.tripod_radial(0.5)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from implicitfp import mappings, schemes
-from implicitfp.errors import ConfigError, NonconvergenceError
+from implicitfp.errors import ConfigError, InvalidPointError, NonconvergenceError
 from implicitfp.experiments import ORACLE_RATIOS, RationalOracle
 from implicitfp.mappings import AffineMap, ContractiveLike, LinearPhi
 from implicitfp.schemes import (InnerSolverConfig, Schedule,
                                 constant_schedule, default_schedule,
                                 expression_schedule, implicit_step,
                                 polynomial_schedule, run, schedule_from_name)
-from implicitfp.spaces import Euclidean, Tripod
+from implicitfp.spaces import Euclidean, HalfPlane, Tripod
 
 
 @pytest.fixture
@@ -68,6 +68,33 @@ class TestSchedules:
         s = Schedule(lambda n: 1.5, lambda n: 0.5)
         with pytest.raises(ConfigError):
             s.alpha_at(3)
+
+    def test_expression_error_at_any_index(self):
+        s = expression_schedule("1-1/(n-3)**2")  # fine at n = 2
+        assert s.alpha_at(2) == 0.0
+        with pytest.raises(ConfigError, match="at n=3"):
+            s.alpha_at(3)
+        for expr in ("sqrt(5-n)", "1/(7-n)", "exp(exp(n))", "min()", "(-1)**(1/n)"):
+            with pytest.raises(ConfigError):
+                expression_schedule(expr).weights(10)
+
+    def test_weights(self):
+        s = Schedule(lambda n: 1 - 1 / n, lambda n: 1 / n)
+        assert s.weights(4) == [(0.5, 0.5), (1 - 1 / 3, 1 / 3), (0.75, 0.25)]
+        assert s.weights(1) == []
+
+    @pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
+    def test_run_checks_schedule_before_step_two(self, scheme):
+        space = Euclidean(1)
+        calls = []
+        t = ContractiveLike(lambda x: calls.append(None) or 0.5 * x, 0.5,
+                            fixed_point=np.array([0.0]))
+        for sched in (Schedule(lambda n: 0.5 if n < 7 else 1.5, lambda n: 0.5),
+                      Schedule(lambda n: 0.5, lambda n: 0.5 if n < 7 else -0.5),
+                      expression_schedule("1-1/(n-5)**2")):
+            with pytest.raises(ConfigError):
+                run(space, t, scheme, sched, np.array([1.0]), 10)
+            assert calls == []
 
 
 class TestSteps:
@@ -274,6 +301,149 @@ class TestExactAffine:
         oracle = RationalOracle("implicit-s").sequence(20)
         for rec, exact in zip(tr.records, oracle):
             assert abs(rec.dist_to_p - float(exact)) <= 5e-14
+
+
+# ---------------------------------------------------------------------------
+# points are checked where they enter the solver
+
+
+def bad_on(good, bad, calls):
+    """A map that returns bad on the given call numbers (from 1), else good(x)."""
+    count = []
+
+    def f(x):
+        count.append(None)
+        return bad if len(count) in calls else good(x)
+    return f
+
+
+BAD_MAP_OUTPUTS = [
+    (Euclidean(1), np.array([1.0]), lambda x: 0.5 * x, np.array([np.nan])),
+    (Euclidean(1), np.array([1.0]), lambda x: 0.5 * x, np.array([0.1, 0.2])),
+    (Euclidean(2), np.array([1.0, 2.0]), lambda x: 0.5 * x, np.array([0.1])),
+    (Euclidean(2), np.array([1.0, 2.0]), lambda x: 0.5 * x, np.array([np.inf, 0.0])),
+    (Tripod(), ("A", 1.0), lambda p: (p[0], 0.5 * p[1]), ("A", -0.5)),
+    (Tripod(), ("A", 1.0), lambda p: (p[0], 0.5 * p[1]), ("D", 0.5)),
+    (HalfPlane(), (0.0, 3.0), lambda z: (0.0, z[1] ** 0.5), (0.0, 0.0)),
+    (HalfPlane(), (0.0, 3.0), lambda z: (0.0, z[1] ** 0.5), (0.0, -1.0)),
+]
+BAD_MAP_IDS = ["euclidean-nan", "euclidean-long", "euclidean-short", "euclidean-inf",
+               "tripod-negative-radius", "tripod-unknown-ray", "halfplane-y-zero",
+               "halfplane-y-negative"]
+
+
+class TestCheckedAtTheBoundary:
+    @pytest.mark.parametrize("space,x0,good,bad", BAD_MAP_OUTPUTS, ids=BAD_MAP_IDS)
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_bad_map_output_in_picard_loop(self, space, x0, good, bad, beta):
+        t = bad_on(good, bad, range(4, 100))  # the first three calls are fine
+        with pytest.raises(InvalidPointError):
+            implicit_step(space, t, t, x0, x0, 0.5, beta)
+
+    @pytest.mark.parametrize("space,x0,good,bad", BAD_MAP_OUTPUTS, ids=BAD_MAP_IDS)
+    def test_bad_inner_behind_constant_outer(self, space, x0, good, bad):
+        # the step map ignores inner's output, which is still checked; the
+        # second call is inside the Picard loop, the third computes y
+        c = good(x0)
+        outer = lambda x: c  # noqa: E731
+        inner = bad_on(good, bad, {2})
+        with pytest.raises(InvalidPointError):
+            implicit_step(space, outer, inner, x0, x0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("space,x0,bad", [
+        (Euclidean(1), np.array([1.0]), np.array([np.nan])),
+        (Euclidean(1), np.array([1.0]), np.array([-np.inf])),
+        (Tripod(), ("A", 1.0), ("A", np.inf)),
+        (HalfPlane(), (0.0, 1.0), (0.0, 0.0)),
+        (HalfPlane(), (0.0, 1.0), (0.0, -1.0)),
+        (HalfPlane(), (0.0, 1.0), (np.nan, 1.0)),
+    ], ids=["euclidean-nan", "euclidean-inf", "tripod-inf", "halfplane-y-zero",
+            "halfplane-y-negative", "halfplane-nan"])
+    def test_invalid_step_output_raises(self, space, x0, bad):
+        # raw_w can overflow or underflow; a non-finite residual re-checks
+        step_map = bad_on(lambda x: x0, bad, range(1, 100))
+        with pytest.raises(InvalidPointError):
+            schemes._picard_solve(space, step_map, x0, InnerSolverConfig())
+
+    def test_infinite_residual_between_valid_points(self):
+        # d(-1.7e308, 1.7e308) overflows to inf; both points are valid, so the
+        # solver goes on, as it did when every d call checked its points
+        space, big = Euclidean(1), np.array([1.7e308])
+        t = lambda x: big  # noqa: E731
+        with np.errstate(over="ignore"):
+            x, y, stats = implicit_step(space, t, t, big, -big, 0.5, 1.0)
+        assert x[0] == 1.7e308 and stats.iterations == 2 and stats.residual == 0.0
+
+    def test_bad_anchor_or_start_rejected(self, halving):
+        space, t, _ = halving
+        for anchor, x_prev in ((np.array([np.nan]), np.array([1.0])),
+                               (np.array([1.0]), np.array([np.inf])),
+                               (np.array([1.0, 2.0]), np.array([1.0]))):
+            with pytest.raises(InvalidPointError):
+                implicit_step(space, t, t, anchor, x_prev, 0.5, 0.5)
+
+    def test_weights_checked(self, halving):
+        space, t, _ = halving
+        x1 = np.array([1.0])
+        for alpha, beta in ((1.5, 0.5), (-0.1, 0.5), (0.5, 1.5), (1.0, -0.5)):
+            with pytest.raises(ValueError):
+                implicit_step(space, t, t, x1, x1, alpha, beta)
+
+    def test_run_names_the_step(self):
+        space = Euclidean(1)
+        t = ContractiveLike(lambda x: 0.5 * x if x[0] > 0.01 else np.array([np.nan]),
+                            0.5, fixed_point=np.array([0.0]))
+        with pytest.raises(InvalidPointError, match=r"^step n=\d+: non-finite"):
+            run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 20)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_solver_uses_raw_primitives(self, monkeypatch, beta):
+        class Counting(Euclidean):
+            def __init__(self, dim):
+                super().__init__(dim)
+                self.calls = {"d": 0, "w": 0, "check_point": 0, "map": 0}
+
+            def d(self, x, y):
+                self.calls["d"] += 1
+                return super().d(x, y)
+
+            def w(self, x, y, lam):
+                self.calls["w"] += 1
+                return super().w(x, y, lam)
+
+            def check_point(self, x):
+                self.calls["check_point"] += 1
+                return super().check_point(x)
+
+        space = Counting(2)
+        A = np.array([[0.3, 0.1], [0.0, 0.4]])
+
+        def t(x):
+            space.calls["map"] += 1
+            return A @ x + 0.1
+
+        inside = []
+        solve = schemes._picard_solve
+
+        def counted(*args):
+            before = dict(space.calls)
+            out = solve(*args)
+            inside.append({k: space.calls[k] - before[k] for k in before})
+            return out
+
+        monkeypatch.setattr(schemes, "_picard_solve", counted)
+        steps = 20
+        tr = run(space, t, "implicit-ishikawa",
+                 Schedule(lambda n: 0.5, lambda n: beta), np.array([1.0, -1.0]), steps + 1,
+                 p=np.array([0.0, 0.0]))
+        assert len(tr) == steps + 1 and len(inside) == steps
+        for c in inside:
+            assert c["d"] == c["w"] == 0
+            assert 0 < c["check_point"] <= c["map"]
+        # per step, beyond one check per map call: x_prev and anchor
+        total = space.calls
+        assert total["d"] == total["w"] == 0
+        assert total["check_point"] <= total["map"] + 2 * steps + 2
 
 
 def test_oracle_ratios_match_hand_derivation():

@@ -190,6 +190,72 @@ def test_tripod_w_many_edge_values():
     assert got == [sp.w(x, y, lam) for x, y, lam in EDGE_CASES["tripod"]]
 
 
+# ---------------------------------------------------------------------------
+# raw primitives against the validating ones
+
+def exact(value):
+    """A value's exact form: dtype, shape and bytes of an array, else its repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_raw_primitives_match_public_bit_for_bit(name):
+    space = spaces.from_name(name)
+    rng = np.random.default_rng(5)
+    cases = [(space.sample(rng), space.sample(rng), float(rng.uniform())) for _ in range(300)]
+    cases += [(x, x, lam) for x, _, lam in cases[:5]]
+    cases += EDGE_CASES.get(name, [])
+    if isinstance(space, Euclidean):  # wide scales, up to overflow in the distance
+        cases += [(x * 10.0 ** rng.uniform(-300, 300), y * 10.0 ** rng.uniform(-300, 300), lam)
+                  for x, y, lam in cases[:50]]
+    for x, y, lam in cases:
+        cx, cy = space.check_point(x), space.check_point(y)
+        with np.errstate(over="ignore"):
+            assert exact(space.raw_d(cx, cy)) == exact(space.d(x, y))
+            assert exact(space.raw_w(cx, cy, lam)) == exact(space.w(x, y, lam))
+            if name.startswith("euclidean"):
+                # the distance before raw_d existed
+                assert repr(space.raw_d(cx, cy)) == repr(float(np.linalg.norm(cx - cy)))
+
+
+def previous_euclidean_check(dim, x):
+    """Euclidean.check_point before its shape fast path: the accept/reject reference."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.shape != (dim,):
+        raise InvalidPointError(f"expected {dim} coordinates, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidPointError(f"non-finite coordinates: {x}")
+    return v
+
+
+CHECK_INPUTS = [
+    0.5, -3, np.float64(2.0), np.array(0.5), [0.5], (0.5,), np.array([0.5]),
+    [1.0, 2.0], (1, 2), np.array([1.0, 2.0]), np.array([1, 2], dtype=np.int64),
+    [0.1, 0.2, 0.3], [[1.0]], [[1.0, 2.0]], np.zeros((2, 1)), np.zeros((1, 3)), [],
+    math.inf, -math.inf, math.nan, [1.0, math.inf], [-math.inf, 0.0], [math.nan, 1.0],
+    np.array([0.0, 1.0, math.nan]), [True, False], "1.5", "abc", [1.0, "x"],
+]
+
+
+def outcome(check, x):
+    try:
+        return "ok", exact(check(x))
+    except Exception as exc:  # the exception type is part of the contract
+        return "raises", type(exc)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_euclidean_check_point_accepts_as_before(dim):
+    space = Euclidean(dim)
+    for x in CHECK_INPUTS:
+        got = outcome(space.check_point, x)
+        assert got == outcome(lambda v: previous_euclidean_check(dim, v), x), x
+        if got[0] == "ok":
+            assert got[1][:2] == ("<f8", (dim,))
+
+
 BAD_POINTS = [
     ("euclidean:2", np.array([0.0, math.nan])),
     ("euclidean:2", np.array([1.0, 2.0, 3.0])),   # wrong dimension
