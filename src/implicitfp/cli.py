@@ -63,7 +63,10 @@ def _resolve_schedule(args):
 
 
 def _resolve_run(args):
-    space, t, sampler = mappings.from_name(args.mapping)
+    try:
+        space, t, sampler = mappings.from_name(args.mapping)
+    except CertificateError as exc:  # an out-of-range --mapping parameter
+        raise ConfigError(f"bad --mapping {args.mapping!r}: {exc}")
     if args.space is not None:
         requested = spaces.from_name(args.space)
         if requested.name != space.name:

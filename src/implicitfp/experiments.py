@@ -208,6 +208,9 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
     if p is None:
         raise ConfigError("rate_race requires a mapping with a known fixed point")
     horizon = horizon if horizon is not None else n_max
+    if min(horizon, n_max - 1) < 2:
+        raise ConfigError("a rate race needs at least two comparison points, "
+                          f"min(horizon, n_max - 1); got horizon {horizon}, n_max {n_max}")
 
     traces = {s: run(space, t, s, schedule, x0, n_max, cfg, p=p)
               for s in schemes.SCHEME_IDS}
@@ -308,24 +311,29 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
 
     # the u-step pairs T with S, so it has no closed form and always uses Picard
     u_cfg = replace(cfg, mode="picard")
-    x, u = x0, u0
-    a_seq = [space.d(x, u)]   # a_{n+1} = d(x_n, u_n), starting at n = 1
+    check, raw_d = space.check_point, space.raw_d
+    x, u = check(x0), check(u0)
+    a_seq = [raw_d(x, u)]   # a_{n+1} = d(x_n, u_n), starting at n = 1
     mu_seq, eta_seq = [], []
     u_steps = []
     delta, phi = t.delta, t.phi
     eps = s.epsilon
     for n, (al, be) in enumerate(weights, start=2):
         try:
-            x_prev = x
-            x, y, _ = schemes.implicit_step(space, t, t, t(x), x, al, be, cfg)
-            u_prev = u
-            u, _, _ = schemes.implicit_step(space, s if proof_variant else t, s,
-                                            s(u), u, al, be, u_cfg)
-            u_steps.append(space.d(u, u_prev))
-            a_seq.append(space.d(x, u))
-            eta = (al / (1.0 - al) * phi(space.d(x_prev, t(x_prev)))
-                   + phi(space.d(y, t(y)))
-                   + delta * (1.0 - be) * phi(space.d(x, t(x)))
+            if n == 2:
+                tx, su = check(t(x)), check(s(u))
+            # each step hands back T x_n, T y_n and S u_n, checked
+            x_prev, tx_prev, u_prev = x, tx, u
+            x, y, stats = schemes.implicit_step(space, t, t, tx, x, al, be, cfg)
+            tx, ty = stats.inner_x, stats.outer_y
+            u, _, stats = schemes.implicit_step(space, s if proof_variant else t, s,
+                                                su, u, al, be, u_cfg)
+            su = stats.inner_x
+            u_steps.append(raw_d(u, u_prev))
+            a_seq.append(raw_d(x, u))
+            eta = (al / (1.0 - al) * phi(raw_d(x_prev, tx_prev))
+                   + phi(raw_d(y, ty))
+                   + delta * (1.0 - be) * phi(raw_d(x, tx))
                    + 2.0 * eps) / (1.0 - delta) ** 2
         except InvalidPointError as exc:
             raise InvalidPointError(f"step n={n}: {exc}") from exc

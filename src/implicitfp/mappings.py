@@ -247,6 +247,9 @@ def check_zamfirescu(space: Space, apply, cert: ZamfirescuCertificate,
 # built-in corpus
 
 
+_FLOAT64 = np.dtype(float)
+
+
 @dataclass
 class AffineMap:
     """x -> A x + b on Euclidean space; contraction certificate is ||A||_2."""
@@ -270,7 +273,10 @@ class AffineMap:
         return np.linalg.solve(np.eye(self.dim) - self.A, self.b)
 
     def __call__(self, x):
-        return self.A @ np.atleast_1d(np.asarray(x, dtype=float)) + self.b
+        # a 1-D float64 array, as the solver passes, is used as it is
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64 or x.ndim != 1:
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self.A @ x + self.b
 
 
 def halving() -> tuple[Space, ContractiveLike, Callable]:
@@ -401,7 +407,10 @@ def from_perturb_name(name: str):
         raise ConfigError(f"bad perturbation name {name!r}")
     offset_s = parts[-1]
     base = ":".join(parts[1:-1])
-    space, t, sampler = from_name(base)
+    try:
+        space, t, sampler = from_name(base)
+    except CertificateError as exc:
+        raise ConfigError(f"bad mapping in {name!r}: {exc}")
     try:
         if isinstance(space, Euclidean):
             offset = np.array([float(v) for v in offset_s.split(",")])

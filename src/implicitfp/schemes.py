@@ -10,7 +10,10 @@ analysis uses them, i.e. alpha on the first argument):
     implicit-mann:     anchor_n = x_{n-1}, beta_n = 1, so y_n = x_n
 
 `implicit_step` solves one step for any outer and inner map; the
-data-dependence u-step uses it with T and its approximation S.  The space's
+data-dependence u-step uses it with T and its approximation S.  Maps are
+treated as pure functions and evaluated once per point per step: the step
+hands back y_n and T x_n from the Picard iteration that produced x_n, and
+T x_n carries over as the next implicit-S anchor.  The space's
 convexity mapping follows the axiom-(i) convention (weight 1-lam on the
 first argument), so the step calls w(.., .., 1-alpha) / (.., 1-beta).  x_n
 appears on both sides; the step is solved by Picard iteration on the step
@@ -209,9 +212,18 @@ class InnerSolverConfig:
 class InnerStats:
     iterations: int
     residual: float
+    # y, inner(x) and outer(y) at the returned x, as the step map computed them
+    y: object = None
+    inner_x: object = None
+    outer_y: object = None
 
 
-def _picard_solve(space: Space, step_map, x0, cfg: InnerSolverConfig):
+def _nothing_recorded():
+    return None, None, None
+
+
+def _picard_solve(space: Space, step_map, x0, cfg: InnerSolverConfig,
+                  last=_nothing_recorded):
     """Iterate x <- step_map(x) until d(x, step_map(x)) <= tolerance.
 
     x0 must be a checked point and step_map must return the raw form of a
@@ -219,11 +231,13 @@ def _picard_solve(space: Space, step_map, x0, cfg: InnerSolverConfig):
     points (InvalidPointError for an invalid one).  Once within tolerance,
     keeps polishing while the residual strictly decreases, so accepted
     iterates sit near the machine fixed point; the reported residual is
-    always measured at the returned point.
+    always measured at the returned point.  `last()`, when given, returns
+    the points (y, inner(x), outer(y)) the step map computed in its latest
+    call; the stats carry those it gave at the returned point.
     """
     raw_d, check, isfinite, tol = space.raw_d, space.check_point, math.isfinite, cfg.tolerance
     x = x0
-    best = None  # (residual, x, iters)
+    best = None  # (residual, x, what the step map recorded at x)
     for k in range(1, cfg.max_iterations + 1):
         fx = step_map(x)
         try:
@@ -232,17 +246,17 @@ def _picard_solve(space: Space, step_map, x0, cfg: InnerSolverConfig):
             res = math.nan
         if res <= tol:
             if best is None or res < best[0]:
-                best = (res, x, k)
+                best = (res, x, last())
             else:
-                return best[1], InnerStats(k, best[0])
+                return best[1], InnerStats(k, best[0], *best[2])
             if res == 0.0:
-                return x, InnerStats(k, 0.0)
+                return x, InnerStats(k, 0.0, *best[2])
         elif not isfinite(res):
             check(x)
             check(fx)
         x = fx
     if best is not None:
-        return best[1], InnerStats(cfg.max_iterations, best[0])
+        return best[1], InnerStats(cfg.max_iterations, best[0], *best[2])
     raise NonconvergenceError(
         f"inner solver exceeded {cfg.max_iterations} iterations",
         residual=res)
@@ -261,39 +275,63 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     alpha == 1 returns the anchor without iterating.  x_prev, anchor and the
     weights are checked once, and each point outer or inner returns is
     checked as it is produced; the Picard loop runs on the space's raw_d and
-    raw_w.  Returns (x, y, InnerStats).
+    raw_w.  The maps are treated as pure functions and evaluated once per
+    point: y, inner(x) and outer(y) at the solution come from the step map
+    evaluation at it (the Picard iteration that produced it).  Returns
+    (x, y, InnerStats); stats.inner_x is inner(x) and stats.outer_y is
+    outer(y), both checked, so a caller reuses them: T x_n is the next
+    implicit-S anchor.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w
+    # Ishikawa and Mann pass x_prev itself as the anchor: one check covers both
+    anchor_is_x_prev = anchor is x_prev
     x_prev = check(x_prev)
     exact = cfg.mode == "exact-affine"
     if exact and not (outer is inner and isinstance(space, Euclidean)
                       and isinstance(outer.apply, AffineMap)):
         raise ConfigError("exact-affine mode requires an affine map on Euclidean space")
-    anchor = check(anchor)
+    anchor = x_prev if anchor_is_x_prev else check(anchor)
     la, lb = 1.0 - alpha, 1.0 - beta
     check_lambda(la)
     check_lambda(lb)
+    # the step map keeps y, inner(x) and outer(y) of its latest call in
+    # closure cells (cheaper per iteration than building a record)
+    y = ix = oy = None
+    if beta == 1.0:
+        def step_map(x):
+            nonlocal y, oy
+            y = x
+            oy = check(outer(x))
+            return raw_w(anchor, oy, la)
+    else:
+        def step_map(x):
+            nonlocal y, ix, oy
+            ix = check(inner(x))
+            y = raw_w(x, ix, lb)
+            oy = check(outer(y))
+            return raw_w(anchor, oy, la)
+    # at beta == 1, inner(x) = outer(y) when outer is inner
+    same = beta == 1.0 and outer is inner
+
+    def last():
+        return y, (oy if same else ix), oy
+
     if alpha == 1.0:
-        x, stats = anchor, InnerStats(0, 0.0)
+        step_map(anchor)
+        x, stats = anchor, InnerStats(0, 0.0, *last())
     elif exact:
         # x = a*anchor + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
         A, b = outer.apply.A, outer.apply.b
         M = la * (beta * A + lb * (A @ A))
         rhs = alpha * anchor + la * (lb * (A @ b) + b)
-        x, stats = np.linalg.solve(np.eye(len(b)) - M, rhs), None
+        x = np.linalg.solve(np.eye(len(b)) - M, rhs)
+        stats = InnerStats(1, space.d(x, step_map(x)), *last())
     else:
-        if beta == 1.0:
-            def step_map(x):
-                return raw_w(anchor, check(outer(x)), la)
-        else:
-            def step_map(x):
-                return raw_w(anchor, check(outer(raw_w(x, check(inner(x)), lb))), la)
-        x, stats = _picard_solve(space, step_map, x_prev, cfg)
-    y = x if beta == 1.0 else raw_w(x, check(inner(x)), lb)
-    if stats is None:
-        stats = InnerStats(1, space.d(x, raw_w(anchor, check(outer(y)), la)))
-    return x, y, stats
+        x, stats = _picard_solve(space, step_map, x_prev, cfg, last)
+    if stats.inner_x is None:  # beta == 1 and outer is not inner
+        stats.inner_x = check(inner(x))
+    return x, stats.y, stats
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +410,11 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
         if scheme == "implicit-mann":
             b = 1.0
         try:
-            anchor = t(x) if scheme == "implicit-s" else x
+            if scheme == "implicit-s":
+                # T x_{n-1}: the previous step hands it back
+                anchor = t(x0) if n == 2 else stats.inner_x
+            else:
+                anchor = x
             x, y, stats = implicit_step(space, t, t, anchor, x, a, b, cfg)
         except NonconvergenceError as exc:
             exc.trace = trace

@@ -201,6 +201,34 @@ class TestMalformedInput:
         assert run_cli(["datadep", "--perturb-spec", spec]) == 2
         assert capsys.readouterr().err.startswith(f"config error: bad offset in {spec!r}")
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--mapping", "affine:1.5"],
+        ["table", "--mapping", "tripod-radial:1.5"],
+        ["table", "--mapping", "halfplane-vertical:-0.2"],
+        ["datadep", "--mapping", "affine:1.5", "--perturb", "0.01"],
+        ["compare", "--mapping", "affine:0.9|1e308"],
+        ["bounds", "--mapping", "tripod-radial:-1"],
+    ])
+    def test_out_of_range_mapping_parameter(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad --mapping {argv[2]!r}")
+
+    def test_out_of_range_mapping_in_perturb_spec(self, capsys):
+        spec = "perturb:affine:1.5:0.01"
+        assert run_cli(["datadep", "--perturb-spec", spec]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad mapping in {spec!r}")
+
+    @pytest.mark.parametrize("flags", [["--horizon", "0"], ["--horizon", "1"],
+                                       ["--n-max", "1"], ["--n-max", "2"],
+                                       ["--horizon", "-3"]])
+    def test_too_few_comparison_points(self, flags, capsys):
+        assert run_cli(["compare"] + flags) == 2
+        assert "at least two comparison points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--horizon", "2"], ["--n-max", "3"]])
+    def test_two_comparison_points_suffice(self, flags):
+        assert run_cli(["compare"] + flags) == 0
+
     @pytest.mark.parametrize("command", ["table", "compare", "bounds", "datadep"])
     def test_schedule_error_at_a_later_index(self, command, capsys):
         argv = [command, "--alpha", "1-1/(n-3)**2", "--n-max", "5"]

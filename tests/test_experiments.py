@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from implicitfp import experiments, mappings, schemes
+from implicitfp.errors import ConfigError
 from implicitfp.experiments import (REFERENCE_TABLE, TABLE_ROWS,
                                     RationalOracle, format15, rate_race,
                                     reproduce_table, run_datadep)
@@ -104,6 +105,17 @@ class TestRateRace:
         space, t, _ = mappings.tripod_radial(0.5)
         race = rate_race(space, t, default_schedule(), n_max=60, horizon=50)
         assert race.all_faster
+
+
+    @pytest.mark.parametrize("n_max,horizon", [(200, 0), (200, 1), (1, 50), (2, 50), (2, None)])
+    def test_too_few_comparison_points_rejected_before_running(self, n_max, horizon):
+        calls = []
+        t = mappings.ContractiveLike(lambda x: calls.append(None) or 0.5 * x, 0.5,
+                                     fixed_point=np.array([0.0]))
+        with pytest.raises(ConfigError, match="at least two comparison points"):
+            rate_race(mappings.Euclidean(1), t, default_schedule(), x0=np.array([1.0]),
+                      n_max=n_max, horizon=horizon)
+        assert calls == []
 
 
 class TestDataDependence:

@@ -174,6 +174,23 @@ class TestCorpus:
         with pytest.raises(CertificateError, match="fixed point"):
             mappings.affine(AffineMap([[0.9]], [1e308]))
 
+    @pytest.mark.parametrize("x", [
+        np.array([0.3, -1.2]), np.array([3, -1]), np.array([0.3, -1.2], dtype=np.float32),
+        [0.3, -1.2], (3, -1), np.array([[0.3], [-1.2]]), np.arange(4.0)[::2],
+        np.array([0.3, -1.2], dtype=object), np.array(["0.3", "-1.2"]),
+        np.array([0.5]), np.array([2]), np.array(0.5), np.array(2), [0.5], 0.5, 2,
+        np.float64(0.5), np.float32(0.1),
+    ])
+    def test_affine_call_matches_rewrapped_input(self, x):
+        if np.size(x) == 1:
+            m = AffineMap([[0.3]], [0.1])
+        else:
+            m = AffineMap([[0.3, 0.1], [0.2, 0.4]], [0.1, -0.2])
+        got = m(x)
+        want = m.A @ np.atleast_1d(np.asarray(x, dtype=float)) + m.b
+        assert type(got) is type(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_tripod_radial(self):
         space, t, sampler = mappings.tripod_radial(0.5)
         rep = verify_contractive_like(space, t, sampler, n_samples=400)

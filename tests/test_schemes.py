@@ -1,11 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from implicitfp import mappings, schemes
+from implicitfp.bounds import check_lemma1
 from implicitfp.errors import ConfigError, InvalidPointError, NonconvergenceError
-from implicitfp.experiments import ORACLE_RATIOS, RationalOracle
+from implicitfp.experiments import ORACLE_RATIOS, RationalOracle, run_datadep
 from implicitfp.mappings import AffineMap, ContractiveLike, LinearPhi
 from implicitfp.schemes import (InnerSolverConfig, Schedule,
                                 constant_schedule, default_schedule,
@@ -343,7 +345,7 @@ class TestCheckedAtTheBoundary:
     @pytest.mark.parametrize("space,x0,good,bad", BAD_MAP_OUTPUTS, ids=BAD_MAP_IDS)
     def test_bad_inner_behind_constant_outer(self, space, x0, good, bad):
         # the step map ignores inner's output, which is still checked; the
-        # second call is inside the Picard loop, the third computes y
+        # second call is inside the Picard loop
         c = good(x0)
         outer = lambda x: c  # noqa: E731
         inner = bad_on(good, bad, {2})
@@ -451,3 +453,200 @@ def test_oracle_ratios_match_hand_derivation():
     assert ORACLE_RATIOS["implicit-mann"](2) == Fraction(2, 3)
     assert ORACLE_RATIOS["implicit-ishikawa"](2) == Fraction(8, 13)
     assert ORACLE_RATIOS["implicit-s"](2) == Fraction(4, 13)
+
+
+# ---------------------------------------------------------------------------
+# outputs match a transcription of the solver that evaluates T afresh at
+# every use, through the public d and w
+
+
+def reference_step(space, outer, inner, anchor, x_prev, alpha, beta, cfg):
+    """One implicit step as first written: (x, y, iterations, residual)."""
+    d, w = space.d, space.w
+    if alpha == 1.0:
+        x, stats = anchor, (0, 0.0)
+    elif cfg.mode == "exact-affine":
+        A, b = outer.apply.A, outer.apply.b
+        la, lb = 1.0 - alpha, 1.0 - beta
+        M = la * (beta * A + lb * (A @ A))
+        rhs = alpha * space.check_point(anchor) + la * (lb * (A @ b) + b)
+        x, stats = np.linalg.solve(np.eye(len(b)) - M, rhs), None
+    else:
+        if beta == 1.0:
+            def step_map(x):
+                return w(anchor, outer(x), 1.0 - alpha)
+        else:
+            def step_map(x):
+                return w(anchor, outer(w(x, inner(x), 1.0 - beta)), 1.0 - alpha)
+        x, best = x_prev, None
+        for k in range(1, cfg.max_iterations + 1):
+            fx = step_map(x)
+            res = d(x, fx)
+            if res <= cfg.tolerance:
+                if best is None or res < best[0]:
+                    best = (res, x)
+                else:
+                    x, stats = best[1], (k, best[0])
+                    break
+                if res == 0.0:
+                    stats = (k, 0.0)
+                    break
+            x = fx
+        else:
+            x, stats = best[1], (cfg.max_iterations, best[0])
+    y = x if beta == 1.0 else w(x, inner(x), 1.0 - beta)
+    if stats is None:
+        stats = (1, d(x, w(anchor, outer(y), 1.0 - alpha)))
+    return (x, y) + stats
+
+
+def reference_run(space, t, scheme, schedule, x0, n_max, cfg):
+    p = t.fixed_point
+    records = [(1, space.check_point(x0), None, 0, 0.0, space.d(x0, p))]
+    x = x0
+    for n in range(2, n_max + 1):
+        a, b = schedule.alpha_at(n), schedule.beta_at(n)
+        if scheme == "implicit-mann":
+            b = 1.0
+        anchor = t(x) if scheme == "implicit-s" else x
+        x, y, iters, res = reference_step(space, t, t, anchor, x, a, b, cfg)
+        records.append((n, x, y, iters, res, space.d(x, p)))
+    return records
+
+
+def reference_datadep(space, t, s, schedule, x0, n_max, cfg, proof_variant):
+    d, phi, delta, eps = space.d, t.phi, t.delta, s.epsilon
+    x = u = x0
+    a_seq, mu_seq, eta_seq, u_steps = [d(x, u)], [], [], []
+    for n in range(2, n_max + 1):
+        al, be = schedule.alpha_at(n), schedule.beta_at(n)
+        x_prev = x
+        x, y, _, _ = reference_step(space, t, t, t(x), x, al, be, cfg)
+        u_prev = u
+        u = reference_step(space, s if proof_variant else t, s, s(u), u, al, be,
+                           replace(cfg, mode="picard"))[0]
+        u_steps.append(d(u, u_prev))
+        a_seq.append(d(x, u))
+        eta_seq.append((al / (1.0 - al) * phi(d(x_prev, t(x_prev))) + phi(d(y, t(y)))
+                        + delta * (1.0 - be) * phi(d(x, t(x))) + 2.0 * eps) / (1.0 - delta) ** 2)
+        mu_seq.append((1.0 - al) * (1.0 - delta))
+    converged = len(u_steps) >= 10 and all(v < 1e-12 for v in u_steps[-10:])
+    return u, d(t.fixed_point, u), converged, check_lemma1(a_seq, mu_seq, eta_seq)
+
+
+def exact_form(value):
+    """Arrays by dtype, shape and bytes; anything else by repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+REFERENCE_MAPS = {
+    "halving": lambda: mappings.halving()[:2] + (np.array([1.0]), np.array([0.01])),
+    "affine-1": lambda: mappings.affine(AffineMap([[0.7]], [0.3]))[:2]
+    + (np.array([-2.0]), np.array([0.02])),
+    "affine-2": lambda: mappings.affine(AffineMap([[0.3, 0.1], [0.0, 0.4]], [0.1, 0.2]))[:2]
+    + (np.array([1.0, -1.0]), np.array([0.01, -0.005])),
+    "affine-3": lambda: mappings.affine(AffineMap([[0.5, 0.2, 0.0], [-0.1, 0.3, 0.1],
+                                                  [0.0, 0.2, 0.6]], [1.0, 0.0, -1.0]))[:2]
+    + (np.array([2.0, 1.0, 0.5]), np.array([0.003, 0.0, 0.004])),
+    "tripod": lambda: mappings.tripod_radial(0.7)[:2] + (("B", 2.0), 0.05),
+    "halfplane": lambda: mappings.halfplane_vertical(0.6)[:2] + ((0.0, 5.0), None),
+}
+REFERENCE_SCHEDULES = ["default", "constant:0.5", "polynomial:0.5"]
+BETA_ONE, ALPHA_ONE = "constant:0.7,1.0", "constant:1.0"
+
+
+class TestAgainstReferenceSolver:
+    @pytest.mark.parametrize("sched", REFERENCE_SCHEDULES + [BETA_ONE, ALPHA_ONE])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+    def test_run_traces_equal(self, name, sched):
+        space, t, x0, _ = REFERENCE_MAPS[name]()
+        schedule = schedule_from_name(sched)
+        modes = ["picard", "exact-affine"] if name.startswith("affine") else ["picard"]
+        for mode, scheme in [(m, s) for m in modes for s in schemes.SCHEME_IDS]:
+            cfg = InnerSolverConfig(mode=mode)
+            trace = run(space, t, scheme, schedule, x0, 40, cfg)
+            ref = reference_run(space, t, scheme, schedule, x0, 40, cfg)
+            got = [(r.n, exact_form(r.x), exact_form(r.y), r.inner_iterations,
+                    repr(r.inner_residual), repr(r.dist_to_p)) for r in trace]
+            want = [(n, exact_form(x), exact_form(y if n > 1 else None), it,
+                     repr(res), repr(dist)) for n, x, y, it, res, dist in ref]
+            assert got == want, (mode, scheme)
+
+    @pytest.mark.parametrize("sched", REFERENCE_SCHEDULES + [BETA_ONE])
+    @pytest.mark.parametrize("name", sorted(set(REFERENCE_MAPS) - {"halfplane"}))
+    def test_datadep_reports_equal(self, name, sched):
+        space, t, x0, offset = REFERENCE_MAPS[name]()
+        s = mappings.perturbed(space, t, offset)
+        schedule = schedule_from_name(sched)
+        for proof_variant in (False, True):
+            cfg = InnerSolverConfig()
+            rep = run_datadep(space, t, s, schedule, x0=x0, n_max=40, cfg=cfg,
+                              proof_variant=proof_variant)
+            q, observed, converged, lemma = reference_datadep(
+                space, t, s, schedule, x0, 40, cfg, proof_variant)
+            assert exact_form(rep.q) == exact_form(q)
+            assert repr(rep.observed) == repr(observed)
+            assert rep.converged == converged
+            assert repr(rep.lemma1) == repr(lemma)
+
+
+# ---------------------------------------------------------------------------
+# maps are evaluated inside Picard iterations only
+
+
+def counting_map(space_and_map):
+    """The corpus map, with a count of its calls."""
+    space, t = space_and_map[:2]
+    calls = []
+    apply = t.apply
+
+    def counted(x):
+        calls.append(None)
+        return apply(x)
+
+    t.apply = counted
+    return space, t, calls
+
+
+def count_inside_solver(monkeypatch, calls):
+    """Record how many map calls each _picard_solve makes, and its iterations."""
+    inside = []
+    solve = schemes._picard_solve
+
+    def counted(*args):
+        before = len(calls)
+        x, stats = solve(*args)
+        inside.append((len(calls) - before, stats.iterations))
+        return x, stats
+
+    monkeypatch.setattr(schemes, "_picard_solve", counted)
+    return inside
+
+
+class TestEvaluatedOnce:
+    @pytest.mark.parametrize("sched", REFERENCE_SCHEDULES)
+    @pytest.mark.parametrize("name", ["halving", "affine-2", "tripod", "halfplane"])
+    @pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
+    def test_run_calls_t_only_in_picard_iterations(self, monkeypatch, scheme, name, sched):
+        space, t, calls = counting_map(REFERENCE_MAPS[name]())
+        x0 = REFERENCE_MAPS[name]()[2]
+        inside = count_inside_solver(monkeypatch, calls)
+        trace = run(space, t, scheme, schedule_from_name(sched), x0, 30)
+        per_iteration = 1 if scheme == "implicit-mann" else 2  # outer, and inner
+        assert len(inside) == 29
+        assert all(c == per_iteration * k for c, k in inside)
+        assert [r.inner_iterations for r in trace.records[1:]] == [k for _, k in inside]
+        assert len(calls) == sum(c for c, _ in inside) + (scheme == "implicit-s")
+
+    @pytest.mark.parametrize("proof_variant", [False, True])
+    def test_datadep_calls_maps_only_in_picard_iterations(self, monkeypatch, proof_variant):
+        space, t, calls = counting_map(mappings.halving())
+        s = mappings.perturbed(space, t, np.array([0.01]))  # each S call calls T once
+        inside = count_inside_solver(monkeypatch, calls)
+        run_datadep(space, t, s, default_schedule(), n_max=30, proof_variant=proof_variant)
+        assert len(inside) == 2 * 29
+        assert all(c == 2 * k for c, k in inside)
+        # outside: T x_1 and S u_1, the first anchors
+        assert len(calls) == sum(c for c, _ in inside) + 2

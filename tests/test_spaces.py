@@ -256,6 +256,56 @@ def test_euclidean_check_point_accepts_as_before(dim):
             assert got[1][:2] == ("<f8", (dim,))
 
 
+def isfinite_euclidean_check(dim, x):
+    """Euclidean.check_point with np.isfinite(v).all(): the reference for its finite test."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (dim,):
+        v = np.atleast_1d(v)
+        if v.shape != (dim,):
+            raise InvalidPointError(f"expected {dim} coordinates, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise InvalidPointError(f"non-finite coordinates: {x}")
+    return v
+
+
+SPECIAL_COORDINATES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1e308,
+                       1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def finite_test_inputs(dim):
+    base = np.linspace(-1.0, 1.0, dim)
+    out = [base, base.tolist(), np.array(SPECIAL_COORDINATES[:8] * dim)[:dim]]
+    for c in SPECIAL_COORDINATES:
+        for k in {0, dim // 2, dim - 1}:
+            v = base.copy()
+            v[k] = c
+            out += [v, v.tolist()]
+        out.append(np.full(dim, c))
+    if dim == 1:
+        out += SPECIAL_COORDINATES + [np.float64(c) for c in SPECIAL_COORDINATES]
+        out += [np.array(c) for c in SPECIAL_COORDINATES] + [[c] for c in SPECIAL_COORDINATES]
+    return out
+
+
+def outcome_with_message(check, x):
+    try:
+        return "ok", exact(check(x))
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 64])
+def test_euclidean_finite_test_matches_isfinite(dim):
+    space = Euclidean(dim)
+    inputs = finite_test_inputs(dim)
+    rejected = 0
+    for x in inputs:
+        got = outcome_with_message(space.check_point, x)
+        assert got == outcome_with_message(lambda v: isfinite_euclidean_check(dim, v), x), x
+        rejected += got[0] == "raises"
+    assert 0 < rejected < len(inputs)
+
+
 BAD_POINTS = [
     ("euclidean:2", np.array([0.0, math.nan])),
     ("euclidean:2", np.array([1.0, 2.0, 3.0])),   # wrong dimension
