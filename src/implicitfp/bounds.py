@@ -63,7 +63,6 @@ class BoundSequences:
     b: list
     c: list
     d0: float
-    n_start: int = 2
 
     @classmethod
     def compute(cls, schedule: Schedule, delta: float, d0: float, n_max: int,

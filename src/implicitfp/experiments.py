@@ -293,8 +293,11 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
 
     The limit q of the u-sequence is accepted when the last ten step
     displacements d(u_n, u_{n-1}) fall below tail_tol; otherwise the report
-    is marked inconclusive (converged=False).
+    is marked inconclusive (converged=False).  n_max must be at least 2, so
+    that the averaging lemma has an index to check.
     """
+    if n_max < 2:
+        raise ConfigError(f"data dependence needs n_max >= 2, got {n_max}")
     schedule = schedule or default_schedule()
     cfg = cfg or InnerSolverConfig()
     if x0 is None:
@@ -318,15 +321,16 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     u_steps = []
     delta, phi = t.delta, t.phi
     eps = s.epsilon
+    T, S = t.apply, s.apply
     for n, (al, be) in enumerate(weights, start=2):
         try:
             if n == 2:
-                tx, su = check(t(x)), check(s(u))
+                tx, su = check(T(x)), check(S(u))
             # each step hands back T x_n, T y_n and S u_n, checked
             x_prev, tx_prev, u_prev = x, tx, u
-            x, y, stats = schemes.implicit_step(space, t, t, tx, x, al, be, cfg)
+            x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg)
             tx, ty = stats.inner_x, stats.outer_y
-            u, _, stats = schemes.implicit_step(space, s if proof_variant else t, s,
+            u, _, stats = schemes.implicit_step(space, S if proof_variant else T, S,
                                                 su, u, al, be, u_cfg)
             su = stats.inner_x
             u_steps.append(raw_d(u, u_prev))
@@ -347,10 +351,10 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     lemma = check_lemma1(a_seq, mu_seq, eta_seq)
 
     closed_q = None
-    if isinstance(space, Euclidean) and isinstance(t.apply, mappings.AffineMap):
+    if isinstance(space, Euclidean) and isinstance(T, mappings.AffineMap):
         # S = T + c: q solves q = A q + b + c
-        c = np.atleast_1d(s(np.zeros(space.dim))) - np.atleast_1d(t(np.zeros(space.dim)))
-        m = t.apply
+        c = np.atleast_1d(S(np.zeros(space.dim))) - np.atleast_1d(T(np.zeros(space.dim)))
+        m = T
         closed_q = np.linalg.solve(np.eye(m.dim) - m.A, m.b + c)
 
     return DataDepReport(eps, delta, p, q, observed, bound,

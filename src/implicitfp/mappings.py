@@ -31,52 +31,19 @@ class LinearPhi:
         if L < 0:
             raise CertificateError(f"L must be >= 0, got {L}")
         self.L = float(L)
-        self.degenerate = L == 0.0
 
     def __call__(self, t):
         return self.L * t
 
 
-class PowerPhi:
-    """phi(t) = c * t**q with c > 0, q >= 1."""
-
-    def __init__(self, c: float, q: float = 1.0):
-        if c <= 0 or q < 1:
-            raise CertificateError(f"need c > 0 and q >= 1, got c={c}, q={q}")
-        self.c, self.q = float(c), float(q)
-        self.degenerate = False
-
-    def __call__(self, t):
-        return self.c * t ** self.q
-
-
-class TabulatedPhi:
-    """Monotone piecewise-linear phi through (0,0) and given knots."""
-
-    def __init__(self, knots_t, knots_v):
-        t = np.concatenate([[0.0], np.asarray(knots_t, dtype=float)])
-        v = np.concatenate([[0.0], np.asarray(knots_v, dtype=float)])
-        if np.any(np.diff(t) <= 0) or np.any(np.diff(v) <= 0):
-            raise CertificateError("tabulated phi must be strictly increasing")
-        self.t, self.v = t, v
-        self.degenerate = False
-        # extrapolate with the last slope so monotonicity holds beyond t[-1]
-        self._slope = (v[-1] - v[-2]) / (t[-1] - t[-2])
-
-    def __call__(self, t):
-        if t > self.t[-1]:
-            return float(self.v[-1] + self._slope * (t - self.t[-1]))
-        return float(np.interp(t, self.t, self.v))
-
-
-def validate_phi(phi, upper: float = 1.0, n_grid: int = 1000) -> bool:
-    """Check phi(0) = 0 and strict monotonicity on a grid of n_grid points.
+def validate_phi(phi) -> bool:
+    """Check phi(0) = 0 and strict monotonicity on a grid of 1000 steps over [0, 1].
 
     Returns False (rather than raising) for the admitted degenerate phi == 0.
     """
     if phi(0.0) != 0.0:
         raise CertificateError("phi(0) must be 0")
-    grid = np.linspace(0.0, upper, n_grid + 1)
+    grid = np.linspace(0.0, 1.0, 1001)
     vals = np.array([phi(t) for t in grid])
     if np.all(vals == 0.0):
         return False
@@ -103,9 +70,6 @@ class ContractiveLike:
         if not (0.0 <= self.delta < 1.0):
             raise CertificateError(f"delta must lie in [0, 1), got {self.delta}")
         self.phi_degenerate = not validate_phi(self.phi)
-
-    def __call__(self, x):
-        return self.apply(x)
 
 
 @dataclass
@@ -162,9 +126,6 @@ class ApproximateOperator:
         if self.epsilon <= 0:
             raise CertificateError(f"epsilon must be > 0, got {self.epsilon}")
 
-    def __call__(self, x):
-        return self.apply(x)
-
 
 # ---------------------------------------------------------------------------
 # verification
@@ -179,12 +140,14 @@ class VerificationReport:
     tol: float
 
 
-def verify_contractive_like(space: Space, t: ContractiveLike, sampler=None,
-                            n_samples: int = 1000, tol: float = 1e-9,
-                            seed: int = 0) -> VerificationReport:
-    """Sampled check of d(Tx,Ty) <= delta d(x,y) + phi(d(x,Tx)).
+def _worst_sample(space: Space, violation, k: int, sampler, n_samples: int,
+                  seed: int):
+    """The largest positive violation(*points) over n_samples samples.
 
-    Reports the max positive violation and the pair attaining it.
+    Each sample draws k points from one seeded stream, in order, and passes
+    each through space.check_point before violation sees them as drawn.
+    Returns (worst, argmax): argmax is the sample that attained worst (the
+    point itself when k == 1), or None when no violation is positive.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -192,13 +155,29 @@ def verify_contractive_like(space: Space, t: ContractiveLike, sampler=None,
     draw = sampler if sampler is not None else space.sample
     worst, arg = 0.0, None
     for _ in range(n_samples):
-        x, y = draw(rng), draw(rng)
-        space.check_point(x)
-        space.check_point(y)
-        tx, ty = t(x), t(y)
-        v = space.d(tx, ty) - (t.delta * space.d(x, y) + t.phi(space.d(x, tx)))
+        points = tuple(draw(rng) for _ in range(k))
+        for x in points:
+            space.check_point(x)
+        v = violation(*points)
         if v > worst:
-            worst, arg = v, (x, y)
+            worst, arg = v, (points if k > 1 else points[0])
+    return worst, arg
+
+
+def verify_contractive_like(space: Space, t: ContractiveLike, sampler=None,
+                            n_samples: int = 1000, tol: float = 1e-9,
+                            seed: int = 0) -> VerificationReport:
+    """Sampled check of d(Tx,Ty) <= delta d(x,y) + phi(d(x,Tx)).
+
+    Reports the max positive violation and the pair attaining it.
+    """
+    d, T = space.d, t.apply
+
+    def violation(x, y):
+        tx, ty = T(x), T(y)
+        return d(tx, ty) - (t.delta * d(x, y) + t.phi(d(x, tx)))
+
+    worst, arg = _worst_sample(space, violation, 2, sampler, n_samples, seed)
     return VerificationReport(worst <= tol, worst, arg, n_samples, tol)
 
 
@@ -206,17 +185,9 @@ def verify_approximate(space: Space, t: ContractiveLike, s: ApproximateOperator,
                        sampler=None, n_samples: int = 1000,
                        seed: int = 0) -> VerificationReport:
     """Sampled sup of d(Tx, Sx); passes iff it stays within s.epsilon."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    draw = sampler if sampler is not None else space.sample
-    worst, arg = 0.0, None
-    for _ in range(n_samples):
-        x = draw(rng)
-        space.check_point(x)
-        dist = space.d(t(x), s(x))
-        if dist > worst:
-            worst, arg = dist, x
+    T, S = t.apply, s.apply
+    worst, arg = _worst_sample(space, lambda x: space.d(T(x), S(x)), 1,
+                               sampler, n_samples, seed)
     # relative slack absorbs roundoff in d(Tx, Sx) at the certified epsilon
     passed = worst <= s.epsilon * (1.0 + 1e-12) + 1e-15
     return VerificationReport(passed, worst, arg, n_samples, s.epsilon)
@@ -226,20 +197,16 @@ def check_zamfirescu(space: Space, apply, cert: ZamfirescuCertificate,
                      sampler=None, n_samples: int = 1000, tol: float = 1e-9,
                      seed: int = 0) -> VerificationReport:
     """Check each sampled pair satisfies at least one of (z1)-(z3)."""
-    rng = np.random.default_rng(seed)
-    draw = sampler if sampler is not None else space.sample
-    worst, arg = 0.0, None
-    for _ in range(n_samples):
-        x, y = draw(rng), draw(rng)
+    d = space.d
+
+    def violation(x, y):
         tx, ty = apply(x), apply(y)
-        lhs = space.d(tx, ty)
-        slack = min(
-            lhs - cert.a * space.d(x, y),
-            lhs - cert.b * (space.d(x, tx) + space.d(y, ty)),
-            lhs - cert.c * (space.d(x, ty) + space.d(y, tx)),
-        )
-        if slack > worst:
-            worst, arg = slack, (x, y)
+        lhs = d(tx, ty)
+        return min(lhs - cert.a * d(x, y),
+                   lhs - cert.b * (d(x, tx) + d(y, ty)),
+                   lhs - cert.c * (d(x, ty) + d(y, tx)))
+
+    worst, arg = _worst_sample(space, violation, 2, sampler, n_samples, seed)
     return VerificationReport(worst <= tol, worst, arg, n_samples, tol)
 
 
@@ -285,7 +252,7 @@ def halving() -> tuple[Space, ContractiveLike, Callable]:
     t = ContractiveLike(lambda x: 0.5 * space.as_array(x), 0.5,
                         LinearPhi(0.0), fixed_point=np.array([0.0]),
                         name="halving")
-    subset = spaces.Interval(0.0, 1.0, space)
+    subset = spaces.Interval(0.0, 1.0)
     return space, t, subset.sample
 
 
@@ -378,45 +345,26 @@ def from_name(name: str):
 def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     """S = T + offset with certified epsilon = d(Tx, Tx + offset).
 
-    Euclidean spaces: offset is a constant vector, epsilon = ||offset||.
-    Tripod: offset is a radius shift along the same ray (clamped at the hub),
-    epsilon = |offset|.
+    Euclidean spaces: offset is a constant vector, one finite entry per
+    coordinate, not all zero; epsilon = ||offset||.
+    Tripod: offset is a finite radius shift > 0 along the same ray,
+    epsilon = offset.  Any other offset raises CertificateError.
     """
     if isinstance(space, Euclidean):
         off = np.atleast_1d(np.asarray(offset, dtype=float))
+        if off.shape != (space.dim,) or not np.isfinite(off).all():
+            raise CertificateError(f"offset must have {space.dim} finite entries, got {offset}")
         eps = float(np.linalg.norm(off))
         if eps == 0.0:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
-        return ApproximateOperator(lambda x: t(x) + off, eps,
+        return ApproximateOperator(lambda x: t.apply(x) + off, eps,
                                    name=f"perturb:{t.name}:{offset}")
     if isinstance(space, Tripod):
         off = float(offset)
-        if off <= 0.0:
-            raise CertificateError("tripod offset must be > 0")
+        if not (math.isfinite(off) and off > 0.0):
+            raise CertificateError("tripod offset must be finite and > 0")
         def s(p):
-            ray, r = t(p)
+            ray, r = t.apply(p)
             return (ray, r + off)
         return ApproximateOperator(s, off, name=f"perturb:{t.name}:{offset}")
     raise ConfigError(f"perturbation not supported on space {space.name!r}")
-
-
-def from_perturb_name(name: str):
-    """Resolve `perturb:<base>:<offset>` into (space, T, S, sampler)."""
-    parts = name.split(":")
-    if parts[0] != "perturb" or len(parts) < 3:
-        raise ConfigError(f"bad perturbation name {name!r}")
-    offset_s = parts[-1]
-    base = ":".join(parts[1:-1])
-    try:
-        space, t, sampler = from_name(base)
-    except CertificateError as exc:
-        raise ConfigError(f"bad mapping in {name!r}: {exc}")
-    try:
-        if isinstance(space, Euclidean):
-            offset = np.array([float(v) for v in offset_s.split(",")])
-        else:
-            offset = float(offset_s)
-        s = perturbed(space, t, offset)
-    except (ValueError, CertificateError) as exc:
-        raise ConfigError(f"bad offset in {name!r}: {exc}")
-    return space, t, s, sampler

@@ -47,16 +47,11 @@ SCHEME_IDS = ("implicit-s", "implicit-ishikawa", "implicit-mann")
 
 @dataclass
 class Schedule:
-    """Parameter sequences alpha_n, beta_n in [0, 1], indexed from n = 1.
-
-    `divergent` records whether sum(1 - alpha_n) = infinity (known
-    symbolically for presets; asserted by the caller for custom schedules).
-    """
+    """Parameter sequences alpha_n, beta_n in [0, 1], indexed from n = 1."""
 
     alpha: Callable[[int], float]
     beta: Callable[[int], float]
     name: str = "custom"
-    divergent: Optional[bool] = None
 
     def alpha_at(self, n: int) -> float:
         a = float(self.alpha(n))
@@ -78,14 +73,13 @@ class Schedule:
 def default_schedule() -> Schedule:
     """alpha_n = beta_n = 1 - 1/n for n >= 2, zero at n = 1."""
     f = lambda n: 0.0 if n < 2 else 1.0 - 1.0 / n
-    return Schedule(f, f, name="default", divergent=True)
+    return Schedule(f, f, name="default")
 
 
 def constant_schedule(a: float, b: Optional[float] = None) -> Schedule:
     if b is None:
         b = a
-    div = a < 1.0
-    return Schedule(lambda n: a, lambda n: b, name=f"constant:{a},{b}", divergent=div)
+    return Schedule(lambda n: a, lambda n: b, name=f"constant:{a},{b}")
 
 
 def polynomial_schedule(q: float) -> Schedule:
@@ -93,7 +87,7 @@ def polynomial_schedule(q: float) -> Schedule:
     if q <= 0:
         raise ConfigError(f"polynomial exponent must be > 0, got {q}")
     f = lambda n: 0.0 if n < 2 else 1.0 - float(n) ** (-q)
-    return Schedule(f, f, name=f"polynomial:{q}", divergent=q <= 1.0)
+    return Schedule(f, f, name=f"polynomial:{q}")
 
 
 def schedule_from_name(name: str) -> Schedule:
@@ -159,8 +153,7 @@ def _compile_expr(node):
                       f"math functions, not {ast.unparse(node)!r}")
 
 
-def expression_schedule(alpha_expr: str, beta_expr: Optional[str] = None,
-                        divergent: Optional[bool] = None) -> Schedule:
+def expression_schedule(alpha_expr: str, beta_expr: Optional[str] = None) -> Schedule:
     """Schedule from inline expressions in the variable n, e.g. '1-1/n'.
 
     n = 1 always yields 0 (the initial index carries no update).
@@ -185,8 +178,7 @@ def expression_schedule(alpha_expr: str, beta_expr: Optional[str] = None,
 
     alpha, beta = make(alpha_expr), make(beta_expr)
     alpha(2), beta(2)
-    return Schedule(alpha, beta,
-                    name=f"expr:{alpha_expr};{beta_expr}", divergent=divergent)
+    return Schedule(alpha, beta, name=f"expr:{alpha_expr};{beta_expr}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +262,13 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
                   beta: float, cfg: InnerSolverConfig = None):
     """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
-    The Picard iteration starts at x_prev.  beta == 1 takes y = x itself
-    rather than W(x, inner(x), 0), which is not bit-exact x on every space;
-    alpha == 1 returns the anchor without iterating.  x_prev, anchor and the
-    weights are checked once, and each point outer or inner returns is
-    checked as it is produced; the Picard loop runs on the space's raw_d and
-    raw_w.  The maps are treated as pure functions and evaluated once per
+    outer and inner are plain callables on points, such as a map's `apply`
+    (`run` passes T.apply for both).  The Picard iteration starts at
+    x_prev.  beta == 1 takes y = x itself rather than W(x, inner(x), 0),
+    which is not bit-exact x on every space; alpha == 1 returns the anchor
+    without iterating.  x_prev, anchor and the weights are checked once, and
+    each point outer or inner returns is checked as it is produced; the
+    Picard loop runs on the space's raw_d and raw_w.  The maps are treated as pure functions and evaluated once per
     point: y, inner(x) and outer(y) at the solution come from the step map
     evaluation at it (the Picard iteration that produced it).  Returns
     (x, y, InnerStats); stats.inner_x is inner(x) and stats.outer_y is
@@ -289,7 +282,7 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     x_prev = check(x_prev)
     exact = cfg.mode == "exact-affine"
     if exact and not (outer is inner and isinstance(space, Euclidean)
-                      and isinstance(outer.apply, AffineMap)):
+                      and isinstance(outer, AffineMap)):
         raise ConfigError("exact-affine mode requires an affine map on Euclidean space")
     anchor = x_prev if anchor_is_x_prev else check(anchor)
     la, lb = 1.0 - alpha, 1.0 - beta
@@ -322,7 +315,7 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
         x, stats = anchor, InnerStats(0, 0.0, *last())
     elif exact:
         # x = a*anchor + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
-        A, b = outer.apply.A, outer.apply.b
+        A, b = outer.A, outer.b
         M = la * (beta * A + lb * (A @ A))
         rhs = alpha * anchor + la * (lb * (A @ b) + b)
         x = np.linalg.solve(np.eye(len(b)) - M, rhs)
@@ -364,9 +357,6 @@ class IterationTrace:
         """dist_to_p sequence, skipping records where p was unknown."""
         return [r.dist_to_p for r in self.records if r.dist_to_p is not None]
 
-    def final(self):
-        return self.records[-1]
-
     def to_csv(self, space: Space) -> str:
         lines = ["n,x,inner_iters,residual,dist_to_p"]
         for r in self.records:
@@ -405,6 +395,7 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
         return None if p is None else space.raw_d(x, p)
 
     trace.records.append(StepRecord(1, x0, dist_to_p=dist(x0)))
+    T = t.apply
     x = x0
     for n, (a, b) in enumerate(weights, start=2):
         if scheme == "implicit-mann":
@@ -412,10 +403,10 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
         try:
             if scheme == "implicit-s":
                 # T x_{n-1}: the previous step hands it back
-                anchor = t(x0) if n == 2 else stats.inner_x
+                anchor = T(x0) if n == 2 else stats.inner_x
             else:
                 anchor = x
-            x, y, stats = implicit_step(space, t, t, anchor, x, a, b, cfg)
+            x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg)
         except NonconvergenceError as exc:
             exc.trace = trace
             raise

@@ -14,7 +14,7 @@ Built-in instances:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,37 +303,18 @@ class HalfPlane(Space):
         return f"{z[0]!r};{z[1]!r}"
 
 
-class BrokenDemo(Space):
+class BrokenDemo(Euclidean):
     """Euclidean line with w(x, y, lam) := y; violates axiom (ii)."""
 
-    name = "broken-demo"
-
     def __init__(self):
-        self._base = Euclidean(1)
-
-    def check_point(self, x):
-        return self._base.check_point(x)
-
-    def raw_d(self, x, y):
-        return self._base.raw_d(x, y)
+        super().__init__(1)
+        self.name = "broken-demo"
 
     def raw_w(self, x, y, lam):
         return y
 
-    def pack(self, points):
-        return self._base.pack(points)
-
-    def d_many(self, X, Y):
-        return self._base.d_many(X, Y)
-
     def w_many(self, X, Y, lam):
         return Y
-
-    def sample(self, rng):
-        return self._base.sample(rng)
-
-    def format_point(self, x) -> str:
-        return self._base.format_point(x)
 
 
 def from_name(name: str) -> Space:
@@ -356,77 +337,26 @@ def from_name(name: str) -> Space:
 
 
 # ---------------------------------------------------------------------------
-# convex subsets
-
-class ConvexSubset:
-    def contains(self, point) -> bool:
-        raise NotImplementedError
-
-    def sample(self, rng):
-        raise NotImplementedError
-
+# convex subsets, as samplers of their points
 
 @dataclass
-class Interval(ConvexSubset):
+class Interval:
     """[lo, hi] on the Euclidean line."""
 
     lo: float
     hi: float
-    space: Euclidean = field(default_factory=lambda: Euclidean(1), repr=False)
-
-    def contains(self, point) -> bool:
-        v = float(self.space.as_array(point)[0])
-        return self.lo <= v <= self.hi
 
     def sample(self, rng):
         return np.array([rng.uniform(self.lo, self.hi)])
 
 
 @dataclass
-class Ball(ConvexSubset):
-    """Closed Euclidean ball."""
-
-    center: object
-    radius: float
-    space: Euclidean = field(default_factory=lambda: Euclidean(1), repr=False)
-
-    def contains(self, point) -> bool:
-        return self.space.d(point, self.center) <= self.radius
-
-    def sample(self, rng):
-        c = self.space.as_array(self.center)
-        v = rng.normal(size=self.space.dim)
-        v /= np.linalg.norm(v)
-        return c + v * self.radius * rng.uniform() ** (1.0 / self.space.dim)
-
-
-@dataclass
-class TripodBall(ConvexSubset):
-    """Points of the tripod within distance R of the hub (convex in R-trees)."""
-
-    radius: float
-    space: Tripod = field(default_factory=Tripod, repr=False)
-
-    def contains(self, point) -> bool:
-        self.space.check_point(point)
-        return point[1] <= self.radius
-
-    def sample(self, rng):
-        return (TRIPOD_RAYS[rng.integers(0, 3)], float(rng.uniform(0.0, self.radius)))
-
-
-@dataclass
-class VerticalLine(ConvexSubset):
+class VerticalLine:
     """A vertical geodesic {x = x0} of the half-plane."""
 
     x0: float
     y_lo: float = 0.05
     y_hi: float = 20.0
-    space: HalfPlane = field(default_factory=HalfPlane, repr=False)
-
-    def contains(self, point) -> bool:
-        self.space.check_point(point)
-        return abs(point[0] - self.x0) <= 1e-9
 
     def sample(self, rng):
         return (self.x0, float(math.exp(rng.uniform(math.log(self.y_lo), math.log(self.y_hi)))))

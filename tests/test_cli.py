@@ -99,9 +99,19 @@ class TestDatadep:
                         "--perturb", "0.01,0.0", "--proof-variant"]) == 0
         assert "closed_form_q=" in capsys.readouterr().out
 
-    def test_perturb_spec(self, capsys):
-        assert run_cli(["datadep", "--perturb-spec", "perturb:halving:0.01",
-                        "--proof-variant"]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["datadep", "--n-max", "1"], ["datadep", "--n-max", "0"],
+        ["datadep", "--n-max", "1", "--perturb", "0"],
+        ["datadep", "--n-max", "0", "--perturb", "0"],
+    ])
+    def test_too_few_steps_is_config_error(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: data dependence needs n_max >= 2")
+
+    @pytest.mark.parametrize("x0", ["abc", "nan", "1,2"])
+    def test_zero_perturbation_checks_x0(self, x0, capsys):
+        assert run_cli(["datadep", "--perturb", "0", "--x0", x0]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad --x0")
 
 
 class TestAxiomCheck:
@@ -186,20 +196,17 @@ class TestMalformedInput:
         ["datadep", "--perturb", "abc"],
         ["datadep", "--perturb", "nan"],
         ["datadep", "--perturb", "0.01,0.0"],
+        ["datadep", "--perturb", "0,0"],
+        ["datadep", "--perturb", "1,x"],
         ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "inf"],
+        ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "nan"],
+        ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "abc"],
         ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "0"],
         ["datadep", "--mapping", "tripod-radial:0.5", "--perturb", "-0.5"],
     ])
     def test_config_error_exit(self, argv, capsys):
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith("config error: bad --")
-
-    @pytest.mark.parametrize("spec", ["perturb:tripod-radial:0.5:0",
-                                      "perturb:tripod-radial:0.5:abc",
-                                      "perturb:halving:0", "perturb:halving:1,x"])
-    def test_bad_perturb_spec_offset(self, spec, capsys):
-        assert run_cli(["datadep", "--perturb-spec", spec]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: bad offset in {spec!r}")
 
     @pytest.mark.parametrize("argv", [
         ["table", "--mapping", "affine:1.5"],
@@ -213,10 +220,24 @@ class TestMalformedInput:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: bad --mapping {argv[2]!r}")
 
-    def test_out_of_range_mapping_in_perturb_spec(self, capsys):
-        spec = "perturb:affine:1.5:0.01"
-        assert run_cli(["datadep", "--perturb-spec", spec]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: bad mapping in {spec!r}")
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--seed", "3"], ["table", "--seed", "3"],
+        ["bounds", "--digits", "3"], ["datadep", "--format", "csv"],
+        ["compare", "--format", "table"], ["datadep", "--perturb-spec", "perturb:halving:0.01"],
+    ])
+    def test_flags_a_subcommand_would_ignore_are_rejected(self, argv, capsys):
+        # --seed belongs to axiom-check, --digits and --format to table
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["seed", "digits", "format"])
+    def test_config_key_a_subcommand_would_ignore_is_rejected(self, key, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = 3\n")
+        assert run_cli(["compare", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown config key")
 
     @pytest.mark.parametrize("flags", [["--horizon", "0"], ["--horizon", "1"],
                                        ["--n-max", "1"], ["--n-max", "2"],

@@ -196,3 +196,12 @@ class TestDataDependence:
         text = rep.to_text(space)
         assert "bound=0.08" in text
         assert "holds=True" in text
+
+    @pytest.mark.parametrize("n_max", [1, 0, -3])
+    def test_too_few_steps_rejected(self, n_max):
+        # the averaging lemma needs at least one index, so n_max >= 2
+        space, t, _ = mappings.halving()
+        s = mappings.perturbed(space, t, np.array([0.01]))
+        with pytest.raises(ConfigError, match="n_max >= 2"):
+            run_datadep(space, t, s, n_max=n_max)
+        assert run_datadep(space, t, s, n_max=2).lemma1 is not None

@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicitfp import mappings
-from implicitfp.errors import CertificateError, ConfigError
+from implicitfp.errors import CertificateError, ConfigError, InvalidPointError
 from implicitfp.mappings import (AffineMap, ApproximateOperator,
                                  ContractiveLike, LinearPhi,
-                                 OsilikeUdomeneCertificate, PowerPhi,
-                                 TabulatedPhi, ZamfirescuCertificate,
+                                 OsilikeUdomeneCertificate,
+                                 VerificationReport, ZamfirescuCertificate,
                                  check_zamfirescu, validate_phi,
                                  verify_approximate, verify_contractive_like,
                                  zamfirescu_delta)
-from implicitfp.spaces import Euclidean
+from implicitfp.spaces import Euclidean, HalfPlane
 
 
 class TestZamfirescuDelta:
@@ -44,29 +44,18 @@ class TestZamfirescuDelta:
 
 
 class TestPhiFamily:
-    def test_linear_phi_degenerate_flag(self):
-        assert LinearPhi(0.0).degenerate
-        assert not LinearPhi(0.5).degenerate
-
     def test_validate_phi(self):
         assert validate_phi(LinearPhi(1.0))
         assert not validate_phi(LinearPhi(0.0))
-        assert validate_phi(PowerPhi(0.5, 2.0))
-        assert validate_phi(TabulatedPhi([0.5, 1.0], [0.2, 0.6]))
+        assert validate_phi(lambda t: 0.5 * t ** 2)
 
-    def test_nonmonotone_tabulated_rejected(self):
-        with pytest.raises(CertificateError):
-            TabulatedPhi([0.5, 1.0], [0.6, 0.2])
+    def test_nonmonotone_phi_rejected(self):
+        with pytest.raises(CertificateError, match="strictly increasing"):
+            validate_phi(lambda t: t * (0.5 - t))
 
     def test_nonzero_at_origin_rejected(self):
         with pytest.raises(CertificateError):
             validate_phi(lambda t: t + 1.0)
-
-    def test_power_phi_invalid(self):
-        with pytest.raises(CertificateError):
-            PowerPhi(0.0)
-        with pytest.raises(CertificateError):
-            PowerPhi(1.0, 0.5)
 
 
 class TestContractiveLike:
@@ -124,14 +113,14 @@ class TestOsilikeUdomene:
 class TestApproximateOperator:
     def test_constant_offset_passes_at_epsilon(self):
         space, t, sampler = mappings.halving()
-        s = ApproximateOperator(lambda x: t(x) + 0.01, 0.01)
+        s = ApproximateOperator(lambda x: t.apply(x) + 0.01, 0.01)
         rep = verify_approximate(space, t, s, sampler, n_samples=300)
         assert rep.passed
         assert rep.max_violation == pytest.approx(0.01)
 
     def test_offset_exceeding_epsilon_fails(self):
         space, t, sampler = mappings.halving()
-        s = ApproximateOperator(lambda x: t(x) + 0.02, 0.01)
+        s = ApproximateOperator(lambda x: t.apply(x) + 0.02, 0.01)
         assert not verify_approximate(space, t, s, sampler, n_samples=300).passed
 
     def test_identical_operator(self):
@@ -163,7 +152,7 @@ class TestCorpus:
         m = AffineMap([[0.3, 0.1], [0.0, 0.4]], [0.1, 0.2])
         space, t, _ = mappings.affine(m)
         assert t.delta == pytest.approx(np.linalg.norm(m.A, 2))
-        assert t(t.fixed_point) == pytest.approx(t.fixed_point)
+        assert t.apply(t.fixed_point) == pytest.approx(t.fixed_point)
 
     def test_affine_expanding_rejected(self):
         with pytest.raises(CertificateError):
@@ -200,7 +189,7 @@ class TestCorpus:
         space, t, sampler = mappings.halfplane_vertical(0.5)
         rep = verify_contractive_like(space, t, sampler, n_samples=400)
         assert rep.passed
-        assert space.d(t.fixed_point, t(t.fixed_point)) == 0.0
+        assert space.d(t.fixed_point, t.apply(t.fixed_point)) == 0.0
 
     def test_from_name(self):
         for name in ("halving", "affine:0.9", "affine:0.3,0.1;0.0,0.4|0.1,0.2",
@@ -212,17 +201,168 @@ class TestCorpus:
         with pytest.raises(ConfigError):
             mappings.from_name("affine:1,0;0,1|1")  # inconsistent shapes
 
-    def test_perturb_name(self):
-        space, t, s, sampler = mappings.from_perturb_name("perturb:halving:0.01")
+    def test_perturb_halving(self):
+        space, t, sampler = mappings.halving()
+        s = mappings.perturbed(space, t, np.array([0.01]))
         assert s.epsilon == pytest.approx(0.01)
         assert verify_approximate(space, t, s, sampler, n_samples=200).passed
-        for bad in ("perturb:halving:0", "perturb:halving:x",
-                    "perturb:tripod-radial:0.5:-1", "perturb:tripod-radial:0.5:"):
-            with pytest.raises(ConfigError):
-                mappings.from_perturb_name(bad)
 
     def test_perturb_tripod(self):
         space, t, _ = mappings.tripod_radial(0.5)
         s = mappings.perturbed(space, t, 0.05)
         assert s.epsilon == pytest.approx(0.05)
-        assert space.d(t(("A", 1.0)), s(("A", 1.0))) == pytest.approx(0.05)
+        assert space.d(t.apply(("A", 1.0)), s.apply(("A", 1.0))) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("name,offset", [
+        ("halving", np.array([0.0])), ("halving", np.array([np.nan])),
+        ("halving", np.array([np.inf])), ("halving", np.array([0.01, 0.0])),
+        ("halving", np.array([])), ("affine:0.3,0.1;0.0,0.4|0.1,0.2", np.array([0.01])),
+        ("affine:0.3,0.1;0.0,0.4|0.1,0.2", np.array([0.01, -np.inf])),
+        ("affine:0.3,0.1;0.0,0.4|0.1,0.2", np.array([0.0, -0.0])),
+        ("tripod-radial:0.5", 0.0), ("tripod-radial:0.5", -0.5),
+        ("tripod-radial:0.5", np.nan), ("tripod-radial:0.5", np.inf),
+    ])
+    def test_perturbed_rejects_bad_offset(self, name, offset):
+        space, t, _ = mappings.from_name(name)
+        with pytest.raises(CertificateError):
+            mappings.perturbed(space, t, offset)
+
+    def test_perturbed_needs_a_supported_space(self):
+        space, t, _ = mappings.halfplane_vertical(0.5)
+        with pytest.raises(ConfigError):
+            mappings.perturbed(space, t, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# the three verifiers share one sampled loop; their reports equal those of
+# the loops as each verifier first wrote it
+
+
+def loop_contractive_like(space, t, sampler, n_samples, tol, seed):
+    rng = np.random.default_rng(seed)
+    draw = sampler if sampler is not None else space.sample
+    worst, arg = 0.0, None
+    for _ in range(n_samples):
+        x, y = draw(rng), draw(rng)
+        space.check_point(x)
+        space.check_point(y)
+        tx, ty = t.apply(x), t.apply(y)
+        v = space.d(tx, ty) - (t.delta * space.d(x, y) + t.phi(space.d(x, tx)))
+        if v > worst:
+            worst, arg = v, (x, y)
+    return VerificationReport(worst <= tol, worst, arg, n_samples, tol)
+
+
+def loop_approximate(space, t, s, sampler, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    draw = sampler if sampler is not None else space.sample
+    worst, arg = 0.0, None
+    for _ in range(n_samples):
+        x = draw(rng)
+        space.check_point(x)
+        dist = space.d(t.apply(x), s.apply(x))
+        if dist > worst:
+            worst, arg = dist, x
+    passed = worst <= s.epsilon * (1.0 + 1e-12) + 1e-15
+    return VerificationReport(passed, worst, arg, n_samples, s.epsilon)
+
+
+def loop_zamfirescu(space, apply, cert, sampler, n_samples, tol, seed):
+    rng = np.random.default_rng(seed)
+    draw = sampler if sampler is not None else space.sample
+    worst, arg = 0.0, None
+    for _ in range(n_samples):
+        x, y = draw(rng), draw(rng)
+        tx, ty = apply(x), apply(y)
+        lhs = space.d(tx, ty)
+        slack = min(
+            lhs - cert.a * space.d(x, y),
+            lhs - cert.b * (space.d(x, tx) + space.d(y, ty)),
+            lhs - cert.c * (space.d(x, ty) + space.d(y, tx)),
+        )
+        if slack > worst:
+            worst, arg = slack, (x, y)
+    return VerificationReport(worst <= tol, worst, arg, n_samples, tol)
+
+
+def exact_form(value):
+    """Arrays by dtype, shape and bytes, tuples item by item, the rest by repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(exact_form(v) for v in value)
+    return type(value).__name__, repr(value)
+
+
+def report_form(rep):
+    return (rep.passed, repr(rep.max_violation), exact_form(rep.argmax),
+            rep.n_samples, repr(rep.tol))
+
+
+VERIFIER_MAPS = {
+    "halving": lambda: mappings.halving() + (np.array([0.01]),),
+    "affine": lambda: mappings.from_name("affine:0.3,0.1;0.0,0.4|0.1,0.2")
+    + (np.array([0.01, -0.005]),),
+    "tripod": lambda: mappings.tripod_radial(0.5) + (0.05,),
+    "halfplane": lambda: mappings.halfplane_vertical(0.5) + (None,),
+}
+
+
+def approximation(space, t, offset):
+    if offset is not None:
+        return mappings.perturbed(space, t, offset)
+    # the half-plane has no perturbed(): a horizontal shift with a loose epsilon
+    return ApproximateOperator(lambda z: (t.apply(z)[0] + 0.01, t.apply(z)[1]), 0.004)
+
+
+class TestSharedVerifierLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("name", sorted(VERIFIER_MAPS))
+    def test_reports_equal_the_separate_loops(self, name, seed):
+        space, t, sampler, offset = VERIFIER_MAPS[name]()
+        s = approximation(space, t, offset)
+        # a passing and a failing certificate of each kind, so argmax is set
+        for delta in (t.delta, 0.6 * t.delta):
+            tight = ContractiveLike(t.apply, delta, t.phi, t.fixed_point)
+            for draw in (sampler, None):
+                got = verify_contractive_like(space, tight, draw, n_samples=150, seed=seed)
+                want = loop_contractive_like(space, tight, draw, 150, 1e-9, seed)
+                assert report_form(got) == report_form(want)
+        for draw in (sampler, None):
+            got = verify_approximate(space, t, s, draw, n_samples=150, seed=seed)
+            want = loop_approximate(space, t, s, draw, 150, seed)
+            assert report_form(got) == report_form(want)
+            for cert in (ZamfirescuCertificate(0.6, 0.3, 0.3),
+                         ZamfirescuCertificate(0.1, 0.05, 0.05)):
+                got = check_zamfirescu(space, t.apply, cert, draw, n_samples=150, seed=seed)
+                want = loop_zamfirescu(space, t.apply, cert, draw, 150, 1e-9, seed)
+                assert report_form(got) == report_form(want)
+
+    def test_every_verifier_needs_a_sample(self):
+        space, t, sampler, offset = VERIFIER_MAPS["halving"]()
+        s = approximation(space, t, offset)
+        cert = ZamfirescuCertificate(0.6, 0.3, 0.3)
+        for verify in (lambda: verify_contractive_like(space, t, sampler, n_samples=0),
+                       lambda: verify_approximate(space, t, s, sampler, n_samples=0),
+                       lambda: check_zamfirescu(space, t.apply, cert, sampler, n_samples=0)):
+            with pytest.raises(ValueError, match="n_samples"):
+                verify()
+
+    @pytest.mark.parametrize("space,bad", [
+        (Euclidean(1), np.array([np.nan])),
+        (Euclidean(1), np.array([np.inf])),
+        (HalfPlane(), (0.0, np.nan)),
+    ], ids=["euclidean-nan", "euclidean-inf", "halfplane-nan"])
+    def test_non_finite_points_rejected(self, space, bad):
+        good = space.sample(np.random.default_rng(0))
+        cert = ZamfirescuCertificate(0.6, 0.3, 0.3)
+        # a sampler that gives a non-finite point, and a map that does
+        for sampler, apply in ((lambda rng: bad, lambda x: x),
+                               (lambda rng: good, lambda x: bad)):
+            t = ContractiveLike(apply, 0.5)
+            s = ApproximateOperator(apply, 0.01)
+            for verify in (lambda: verify_contractive_like(space, t, sampler, n_samples=3),
+                           lambda: verify_approximate(space, t, s, sampler, n_samples=3),
+                           lambda: check_zamfirescu(space, apply, cert, sampler, n_samples=3)):
+                with pytest.raises(InvalidPointError):
+                    verify()

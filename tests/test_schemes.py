@@ -9,10 +9,9 @@ from implicitfp.bounds import check_lemma1
 from implicitfp.errors import ConfigError, InvalidPointError, NonconvergenceError
 from implicitfp.experiments import ORACLE_RATIOS, RationalOracle, run_datadep
 from implicitfp.mappings import AffineMap, ContractiveLike, LinearPhi
-from implicitfp.schemes import (InnerSolverConfig, Schedule,
-                                constant_schedule, default_schedule,
-                                expression_schedule, implicit_step,
-                                polynomial_schedule, run, schedule_from_name)
+from implicitfp.schemes import (InnerSolverConfig, Schedule, default_schedule,
+                                expression_schedule, implicit_step, run,
+                                schedule_from_name)
 from implicitfp.spaces import Euclidean, HalfPlane, Tripod
 
 
@@ -27,15 +26,6 @@ class TestSchedules:
         assert s.alpha_at(1) == 0.0
         assert s.alpha_at(2) == pytest.approx(0.5)
         assert s.beta_at(10) == pytest.approx(0.9)
-        assert s.divergent
-
-    def test_constant_divergence_flag(self):
-        assert constant_schedule(0.5).divergent
-        assert not constant_schedule(1.0).divergent
-
-    def test_polynomial_divergence_flag(self):
-        assert polynomial_schedule(0.7).divergent
-        assert not polynomial_schedule(1.5).divergent
 
     def test_from_name(self):
         assert schedule_from_name("default").name == "default"
@@ -104,48 +94,48 @@ class TestSteps:
         # n=2 gives alpha = beta = 1/2; solving the implicit linear system
         # by hand yields x2 = 4/13
         space, t, _ = halving
-        x1 = np.array([1.0])
-        x, y, stats = implicit_step(space, t, t, t(x1), x1, 0.5, 0.5)
+        T, x1 = t.apply, np.array([1.0])
+        x, y, stats = implicit_step(space, T, T, T(x1), x1, 0.5, 0.5)
         assert float(x[0]) == pytest.approx(4.0 / 13.0, abs=1e-14)
         assert stats.residual <= 1e-14
 
     def test_implicit_ishikawa_n2(self, halving):
         space, t, _ = halving
         x1 = np.array([1.0])
-        x, y, stats = implicit_step(space, t, t, x1, x1, 0.5, 0.5)
+        x, y, stats = implicit_step(space, t.apply, t.apply, x1, x1, 0.5, 0.5)
         assert float(x[0]) == pytest.approx(8.0 / 13.0, abs=1e-14)
 
     def test_implicit_mann_n2(self, halving):
         space, t, _ = halving
         x1 = np.array([1.0])
-        x, y, stats = implicit_step(space, t, t, x1, x1, 0.5, 1.0)
+        x, y, stats = implicit_step(space, t.apply, t.apply, x1, x1, 0.5, 1.0)
         assert float(x[0]) == pytest.approx(2.0 / 3.0, abs=1e-14)
         assert y is x
 
     def test_fixed_point_is_stationary(self, halving):
         space, t, _ = halving
-        p = np.array([0.0])
-        x, y, _ = implicit_step(space, t, t, t(p), p, 0.5, 0.5)
+        T, p = t.apply, np.array([0.0])
+        x, y, _ = implicit_step(space, T, T, T(p), p, 0.5, 0.5)
         assert space.d(x, p) == pytest.approx(0.0, abs=1e-15)
         assert space.d(y, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_mann_alpha_one_no_update(self, halving):
         space, t, _ = halving
-        x0 = np.array([0.7])
-        x, y, stats = implicit_step(space, t, t, x0, x0, 1.0, 1.0)
+        T, x0 = t.apply, np.array([0.7])
+        x, y, stats = implicit_step(space, T, T, x0, x0, 1.0, 1.0)
         assert float(x[0]) == 0.7
         assert stats.iterations == 0
         # alpha = 1 returns the anchor without iterating for S and Ishikawa too
-        for anchor in (t(x0), x0):
-            x, y, stats = implicit_step(space, t, t, anchor, x0, 1.0, 0.5)
+        for anchor in (T(x0), x0):
+            x, y, stats = implicit_step(space, T, T, anchor, x0, 1.0, 0.5)
             assert x is anchor and stats.iterations == 0
 
     def test_inner_budget_exhaustion(self, halving):
         space, t, _ = halving
         cfg = InnerSolverConfig(tolerance=1e-14, max_iterations=2)
-        x1 = np.array([1.0])
+        T, x1 = t.apply, np.array([1.0])
         with pytest.raises(NonconvergenceError) as err:
-            implicit_step(space, t, t, t(x1), x1, 0.5, 0.5, cfg)
+            implicit_step(space, T, T, T(x1), x1, 0.5, 0.5, cfg)
         assert err.value.residual is not None
 
 
@@ -260,13 +250,12 @@ class TestBoundsOnTraces:
     def test_beta_one_reduces_s_scheme(self, halving):
         # with beta == 1: y_n = x_n, so x_n = W(T x_{n-1}, T x_n, alpha)
         space, t, _ = halving
-        sched = Schedule(lambda n: 0.0 if n < 2 else 1 - 1 / n, lambda n: 1.0,
-                         divergent=True)
+        sched = Schedule(lambda n: 0.0 if n < 2 else 1 - 1 / n, lambda n: 1.0)
         tr = run(space, t, "implicit-s", sched, np.array([1.0]), 20)
         for i, n in enumerate(range(2, 21)):
             a = sched.alpha_at(n)
             x_prev, rec = tr.records[i].x, tr.records[i + 1]
-            direct = space.w(t(x_prev), t(rec.x), 1.0 - a)
+            direct = space.w(t.apply(x_prev), t.apply(rec.x), 1.0 - a)
             assert space.d(rec.x, direct) <= 1e-13
             assert space.d(rec.y, rec.x) <= 1e-15
 
@@ -286,15 +275,15 @@ class TestExactAffine:
 
     def test_exact_affine_requires_affine(self, halving):
         space, t, _ = halving  # halving's apply is a lambda, not AffineMap
-        x1 = np.array([1.0])
+        T, x1 = t.apply, np.array([1.0])
         cfg = InnerSolverConfig(mode="exact-affine")
         with pytest.raises(ConfigError):
-            implicit_step(space, t, t, t(x1), x1, 0.5, 0.5, cfg)
+            implicit_step(space, T, T, T(x1), x1, 0.5, 0.5, cfg)
         # the closed form needs one affine map in both places
         space, t, _ = mappings.affine(AffineMap([[0.5]], [0.0]))
-        s = mappings.perturbed(space, t, np.array([0.01]))
+        S = mappings.perturbed(space, t, np.array([0.01])).apply
         with pytest.raises(ConfigError):
-            implicit_step(space, s, t, s(x1), x1, 0.5, 0.5, cfg)
+            implicit_step(space, S, t.apply, S(x1), x1, 0.5, 0.5, cfg)
 
     def test_scalar_affine_equals_halving_oracle(self):
         space, t, _ = mappings.affine(AffineMap([[0.5]], [0.0]))
@@ -420,9 +409,11 @@ class TestCheckedAtTheBoundary:
         space = Counting(2)
         A = np.array([[0.3, 0.1], [0.0, 0.4]])
 
-        def t(x):
+        def apply(x):
             space.calls["map"] += 1
             return A @ x + 0.1
+
+        t = ContractiveLike(apply, 0.5)
 
         inside = []
         solve = schemes._picard_solve
@@ -466,7 +457,7 @@ def reference_step(space, outer, inner, anchor, x_prev, alpha, beta, cfg):
     if alpha == 1.0:
         x, stats = anchor, (0, 0.0)
     elif cfg.mode == "exact-affine":
-        A, b = outer.apply.A, outer.apply.b
+        A, b = outer.A, outer.b
         la, lb = 1.0 - alpha, 1.0 - beta
         M = la * (beta * A + lb * (A @ A))
         rhs = alpha * space.check_point(anchor) + la * (lb * (A @ b) + b)
@@ -508,27 +499,28 @@ def reference_run(space, t, scheme, schedule, x0, n_max, cfg):
         a, b = schedule.alpha_at(n), schedule.beta_at(n)
         if scheme == "implicit-mann":
             b = 1.0
-        anchor = t(x) if scheme == "implicit-s" else x
-        x, y, iters, res = reference_step(space, t, t, anchor, x, a, b, cfg)
+        anchor = t.apply(x) if scheme == "implicit-s" else x
+        x, y, iters, res = reference_step(space, t.apply, t.apply, anchor, x, a, b, cfg)
         records.append((n, x, y, iters, res, space.d(x, p)))
     return records
 
 
 def reference_datadep(space, t, s, schedule, x0, n_max, cfg, proof_variant):
     d, phi, delta, eps = space.d, t.phi, t.delta, s.epsilon
+    T, S = t.apply, s.apply
     x = u = x0
     a_seq, mu_seq, eta_seq, u_steps = [d(x, u)], [], [], []
     for n in range(2, n_max + 1):
         al, be = schedule.alpha_at(n), schedule.beta_at(n)
         x_prev = x
-        x, y, _, _ = reference_step(space, t, t, t(x), x, al, be, cfg)
+        x, y, _, _ = reference_step(space, T, T, T(x), x, al, be, cfg)
         u_prev = u
-        u = reference_step(space, s if proof_variant else t, s, s(u), u, al, be,
+        u = reference_step(space, S if proof_variant else T, S, S(u), u, al, be,
                            replace(cfg, mode="picard"))[0]
         u_steps.append(d(u, u_prev))
         a_seq.append(d(x, u))
-        eta_seq.append((al / (1.0 - al) * phi(d(x_prev, t(x_prev))) + phi(d(y, t(y)))
-                        + delta * (1.0 - be) * phi(d(x, t(x))) + 2.0 * eps) / (1.0 - delta) ** 2)
+        eta_seq.append((al / (1.0 - al) * phi(d(x_prev, T(x_prev))) + phi(d(y, T(y)))
+                        + delta * (1.0 - be) * phi(d(x, T(x))) + 2.0 * eps) / (1.0 - delta) ** 2)
         mu_seq.append((1.0 - al) * (1.0 - delta))
     converged = len(u_steps) >= 10 and all(v < 1e-12 for v in u_steps[-10:])
     return u, d(t.fixed_point, u), converged, check_lemma1(a_seq, mu_seq, eta_seq)

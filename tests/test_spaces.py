@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from implicitfp import spaces
 from implicitfp.errors import ConfigError, InvalidPointError
-from implicitfp.spaces import (Ball, BrokenDemo, Euclidean, HalfPlane,
-                               Interval, Tripod, TripodBall, VerticalLine,
-                               check_axioms)
+from implicitfp.spaces import (BrokenDemo, Euclidean, HalfPlane, Interval,
+                               Tripod, VerticalLine, check_axioms)
 
 
 class TestEuclideanInterpolate:
@@ -421,18 +420,24 @@ def test_axiom_i_property(lam, seed):
         assert slack >= -1e-9
 
 
+def in_subset(subset, space, point):
+    """Membership of a checked point in an Interval or a VerticalLine."""
+    point = space.check_point(point)
+    if isinstance(subset, Interval):
+        return subset.lo <= float(point[0]) <= subset.hi
+    return abs(point[0] - subset.x0) <= 1e-9
+
+
 @pytest.mark.parametrize("subset,space", [
     (Interval(0.0, 1.0), Euclidean(1)),
-    (Ball(np.array([1.0, -1.0]), 2.0, Euclidean(2)), Euclidean(2)),
-    (TripodBall(3.0), Tripod()),
     (VerticalLine(0.0), HalfPlane()),
-])
+], ids=["interval", "vertical-line"])
 def test_convex_subset_closure(subset, space):
     rng = np.random.default_rng(7)
     for _ in range(10_000):
         x, y = subset.sample(rng), subset.sample(rng)
         lam = rng.uniform()
-        assert subset.contains(space.w(x, y, lam))
+        assert in_subset(subset, space, space.w(x, y, lam))
 
 
 def test_from_name():
