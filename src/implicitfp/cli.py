@@ -191,9 +191,9 @@ def cmd_datadep(args):
     s = _perturbation(args.perturb, space, t)
     x0 = _parse_x0(args.x0, space, t)
     if s is None:
-        # zero perturbation: S = T, observed 0 by construction
-        if args.n_max < 2:
-            raise ConfigError(f"data dependence needs n_max >= 2, got {args.n_max}")
+        # zero perturbation: S = T, observed 0 by construction; the schedule
+        # is still checked as run_datadep checks it
+        experiments.datadep_weights(schedule, args.n_max)
         report = experiments.DataDepReport(
             epsilon=0.0, delta=t.delta, p=t.fixed_point,
             q=t.fixed_point, observed=0.0,

@@ -284,6 +284,20 @@ class DataDepReport:
         return "\n".join(lines) + "\n"
 
 
+def datadep_weights(schedule: Schedule, n_max: int) -> list:
+    """The checked (alpha_n, beta_n), n = 2..n_max, of a data-dependence run.
+
+    ConfigError unless n_max >= 2 (the averaging lemma needs an index to
+    check) and every alpha_n < 1 (mu_n = (1-alpha_n)(1-delta) > 0).
+    """
+    if n_max < 2:
+        raise ConfigError(f"data dependence needs n_max >= 2, got {n_max}")
+    weights = schedule.weights(n_max)
+    if any(al >= 1.0 for al, _ in weights):
+        raise ConfigError("data dependence requires alpha_n < 1")
+    return weights
+
+
 def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
                 schedule: Optional[Schedule] = None, x0=None, u0=None,
                 n_max: int = 200, cfg: Optional[InnerSolverConfig] = None,
@@ -293,20 +307,15 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
 
     The limit q of the u-sequence is accepted when the last ten step
     displacements d(u_n, u_{n-1}) fall below tail_tol; otherwise the report
-    is marked inconclusive (converged=False).  n_max must be at least 2, so
-    that the averaging lemma has an index to check.
+    is marked inconclusive (converged=False).  The schedule and n_max are
+    checked by datadep_weights before any step.
     """
-    if n_max < 2:
-        raise ConfigError(f"data dependence needs n_max >= 2, got {n_max}")
-    schedule = schedule or default_schedule()
+    weights = datadep_weights(schedule or default_schedule(), n_max)
     cfg = cfg or InnerSolverConfig()
     if x0 is None:
         x0 = default_x0(space, t)
     if u0 is None:
         u0 = x0
-    weights = schedule.weights(n_max)
-    if any(al >= 1.0 for al, _ in weights):
-        raise ConfigError("data dependence requires alpha_n < 1")
 
     p = t.fixed_point
     if p is None:
@@ -328,10 +337,10 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
                 tx, su = check(T(x)), check(S(u))
             # each step hands back T x_n, T y_n and S u_n, checked
             x_prev, tx_prev, u_prev = x, tx, u
-            x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg)
+            x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx)
             tx, ty = stats.inner_x, stats.outer_y
             u, _, stats = schemes.implicit_step(space, S if proof_variant else T, S,
-                                                su, u, al, be, u_cfg)
+                                                su, u, al, be, u_cfg, su)
             su = stats.inner_x
             u_steps.append(raw_d(u, u_prev))
             a_seq.append(raw_d(x, u))

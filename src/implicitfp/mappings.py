@@ -346,7 +346,7 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     """S = T + offset with certified epsilon = d(Tx, Tx + offset).
 
     Euclidean spaces: offset is a constant vector, one finite entry per
-    coordinate, not all zero; epsilon = ||offset||.
+    coordinate, not all zero, with a finite epsilon = ||offset||.
     Tripod: offset is a finite radius shift > 0 along the same ray,
     epsilon = offset.  Any other offset raises CertificateError.
     """
@@ -354,9 +354,12 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
         off = np.atleast_1d(np.asarray(offset, dtype=float))
         if off.shape != (space.dim,) or not np.isfinite(off).all():
             raise CertificateError(f"offset must have {space.dim} finite entries, got {offset}")
-        eps = float(np.linalg.norm(off))
+        with np.errstate(over="ignore"):
+            eps = float(np.linalg.norm(off))
         if eps == 0.0:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
+        if not math.isfinite(eps):
+            raise CertificateError(f"epsilon = ||offset|| overflows for offset {offset}")
         return ApproximateOperator(lambda x: t.apply(x) + off, eps,
                                    name=f"perturb:{t.name}:{offset}")
     if isinstance(space, Tripod):

@@ -11,9 +11,10 @@ analysis uses them, i.e. alpha on the first argument):
 
 `implicit_step` solves one step for any outer and inner map; the
 data-dependence u-step uses it with T and its approximation S.  Maps are
-treated as pure functions and evaluated once per point per step: the step
-hands back y_n and T x_n from the Picard iteration that produced x_n, and
-T x_n carries over as the next implicit-S anchor.  The space's
+treated as pure functions and evaluated once per point, across steps too:
+the step hands back y_n and T x_n from the Picard iteration that produced
+x_n, and T x_n carries over as the next implicit-S anchor and into the next
+step's first Picard iteration.  The space's
 convexity mapping follows the axiom-(i) convention (weight 1-lam on the
 first argument), so the step calls w(.., .., 1-alpha) / (.., 1-beta).  x_n
 appears on both sides; the step is solved by Picard iteration on the step
@@ -259,7 +260,7 @@ def _picard_solve(space: Space, step_map, x0, cfg: InnerSolverConfig,
 
 
 def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
-                  beta: float, cfg: InnerSolverConfig = None):
+                  beta: float, cfg: InnerSolverConfig = None, inner_x_prev=None):
     """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
     outer and inner are plain callables on points, such as a map's `apply`
@@ -268,12 +269,15 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     which is not bit-exact x on every space; alpha == 1 returns the anchor
     without iterating.  x_prev, anchor and the weights are checked once, and
     each point outer or inner returns is checked as it is produced; the
-    Picard loop runs on the space's raw_d and raw_w.  The maps are treated as pure functions and evaluated once per
-    point: y, inner(x) and outer(y) at the solution come from the step map
-    evaluation at it (the Picard iteration that produced it).  Returns
-    (x, y, InnerStats); stats.inner_x is inner(x) and stats.outer_y is
-    outer(y), both checked, so a caller reuses them: T x_n is the next
-    implicit-S anchor.
+    Picard loop runs on the space's raw_d and raw_w.  The maps are treated
+    as pure functions and evaluated once per point: y, inner(x) and
+    outer(y) at the solution come from the step map evaluation at it (the
+    Picard iteration that produced it).  Returns (x, y, InnerStats);
+    stats.inner_x is inner(x) and stats.outer_y is outer(y), both checked,
+    so a caller reuses them: T x_n is the next implicit-S anchor and the
+    next step's inner_x_prev.  inner_x_prev, when given, is the checked
+    inner(x_prev), and the first Picard iteration uses it instead of
+    evaluating inner (at beta == 1, outer when outer is inner) there again.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w
@@ -288,6 +292,10 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     la, lb = 1.0 - alpha, 1.0 - beta
     check_lambda(la)
     check_lambda(lb)
+    # at beta == 1, inner(x) = outer(y) when outer is inner
+    same = beta == 1.0 and outer is inner
+    # the point whose inner(x) the caller gave (None never is one)
+    given_at = x_prev if inner_x_prev is not None and (beta != 1.0 or same) else None
     # the step map keeps y, inner(x) and outer(y) of its latest call in
     # closure cells (cheaper per iteration than building a record)
     y = ix = oy = None
@@ -295,17 +303,15 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
         def step_map(x):
             nonlocal y, oy
             y = x
-            oy = check(outer(x))
+            oy = inner_x_prev if x is given_at else check(outer(x))
             return raw_w(anchor, oy, la)
     else:
         def step_map(x):
             nonlocal y, ix, oy
-            ix = check(inner(x))
+            ix = inner_x_prev if x is given_at else check(inner(x))
             y = raw_w(x, ix, lb)
             oy = check(outer(y))
             return raw_w(anchor, oy, la)
-    # at beta == 1, inner(x) = outer(y) when outer is inner
-    same = beta == 1.0 and outer is inner
 
     def last():
         return y, (oy if same else ix), oy
@@ -401,12 +407,10 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
         if scheme == "implicit-mann":
             b = 1.0
         try:
-            if scheme == "implicit-s":
-                # T x_{n-1}: the previous step hands it back
-                anchor = T(x0) if n == 2 else stats.inner_x
-            else:
-                anchor = x
-            x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg)
+            # T x_{n-1}: the previous step hands it back
+            tx = space.check_point(T(x0)) if n == 2 else stats.inner_x
+            anchor = tx if scheme == "implicit-s" else x
+            x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg, tx)
         except NonconvergenceError as exc:
             exc.trace = trace
             raise

@@ -36,10 +36,17 @@ class Space:
     The batched primitives work on a *batch*, the space's own array form of a
     sequence of points built by `pack`: row k of d_many(X, Y) is d(x_k, y_k)
     and row k of w_many(X, Y, lam) is w(x_k, y_k, lam_k) as a batch.  Only
-    `pack` validates; d_many and w_many trust their batches.
+    `pack` and `from_coords` validate; d_many and w_many trust their batches.
 
-    A new space provides check_point, raw_d, raw_w, pack, d_many and w_many
-    (plus sample and format_point).
+    Sampling is described once per space: `sample_box()` gives the box
+    [lo, hi) of k uniform coordinates, `from_coords(C)` maps an (m, k) array
+    of them to a validated batch (the batch `pack` would return), and
+    `point_from_coords(c)` maps one row to a point.  `sample(rng)` draws one
+    point as `point_from_coords(rng.uniform(lo, hi))`, and `check_axioms`
+    draws whole blocks of coordinates through `from_coords`.
+
+    A new space provides check_point, raw_d, raw_w, pack, d_many, w_many,
+    sample_box, from_coords, point_from_coords and format_point.
     """
 
     name = "abstract"
@@ -76,8 +83,22 @@ class Space:
         """Row-wise convexity mapping; lam is a scalar or one weight per row."""
         raise NotImplementedError
 
-    def sample(self, rng):
+    def sample_box(self):
+        """(lo, hi): float arrays of the k coordinates a sample draws uniformly."""
         raise NotImplementedError
+
+    def from_coords(self, C):
+        """The batch of the points of an (m, k) coordinate array; InvalidPointError
+        as in pack when a row maps outside the domain."""
+        raise NotImplementedError
+
+    def point_from_coords(self, c):
+        """The point of one row of k coordinates drawn from the sampling box."""
+        raise NotImplementedError
+
+    def sample(self, rng):
+        lo, hi = self.sample_box()
+        return self.point_from_coords(rng.uniform(lo, hi))
 
     def format_point(self, x) -> str:
         raise NotImplementedError
@@ -128,10 +149,7 @@ class Euclidean(Space):
             # per point: raises for the offending one, and admits scalars
             # mixed with 1-vectors when dim == 1
             X = np.array([self.as_array(p) for p in points]).reshape(len(points), self.dim)
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise InvalidPointError(f"non-finite coordinates: {points[int(np.argmin(finite))]}")
-        return X
+        return self.from_coords(X)
 
     def d_many(self, X, Y):
         return np.linalg.norm(X - Y, axis=1)
@@ -140,8 +158,17 @@ class Euclidean(Space):
         lam = np.reshape(lam, (-1, 1))
         return (1.0 - lam) * X + lam * Y
 
-    def sample(self, rng):
-        return rng.uniform(-5.0, 5.0, size=self.dim)
+    def sample_box(self):
+        return np.full(self.dim, -5.0), np.full(self.dim, 5.0)
+
+    def from_coords(self, C):
+        finite = np.isfinite(C).all(axis=1)
+        if not finite.all():
+            raise InvalidPointError(f"non-finite coordinates: {C[np.argmin(finite)]}")
+        return np.ascontiguousarray(C)
+
+    def point_from_coords(self, c):
+        return c
 
     def format_point(self, x) -> str:
         return ";".join(repr(float(c)) for c in self.as_array(x))
@@ -204,8 +231,21 @@ class Tripod(Space):
         r = np.where(one_ray, (1.0 - lam) * a + lam * b, np.where(near, a - t, t - a))
         return ray, r
 
-    def sample(self, rng):
-        return (TRIPOD_RAYS[rng.integers(0, 3)], float(rng.uniform(0.0, 3.0)))
+    def sample_box(self):
+        # (ray, r): ray code int(c) of a uniform c in [0, 3), radius in [0, 3)
+        return np.zeros(2), np.full(2, 3.0)
+
+    def from_coords(self, C):
+        codes, r = np.floor(C[:, 0]), C[:, 1]
+        ok = (codes >= 0.0) & (codes <= 2.0) & np.isfinite(r) & (r >= 0.0)
+        if not ok.all():
+            raise InvalidPointError(f"coordinates {C[np.argmin(ok)]} are no tripod point")
+        return codes.astype(np.int8), np.ascontiguousarray(r)
+
+    def point_from_coords(self, c):
+        if not 0.0 <= c[0] < 3.0:  # no ray code; int() would still index one
+            raise InvalidPointError(f"ray coordinate {c[0]} outside [0, 3)")
+        return (TRIPOD_RAYS[int(c[0])], float(c[1]))
 
     def format_point(self, x) -> str:
         return f"{x[0]}:{x[1]!r}"
@@ -296,8 +336,18 @@ class HalfPlane(Space):
         back = (wim * c - s) / (wim * s + c)
         return (x1 + y1 * back.real) + 1j * (y1 * back.imag)
 
-    def sample(self, rng):
-        return (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 5.0)))
+    def sample_box(self):
+        return np.array([-3.0, 0.1]), np.array([3.0, 5.0])
+
+    def from_coords(self, C):
+        ok = np.isfinite(C).all(axis=1) & (C[:, 1] > 0.0)
+        if not ok.all():
+            raise InvalidPointError(f"half-plane requires finite coords with y > 0, "
+                                    f"got {C[np.argmin(ok)]}")
+        return C[:, 0] + 1j * C[:, 1]
+
+    def point_from_coords(self, c):
+        return (float(c[0]), float(c[1]))
 
     def format_point(self, z) -> str:
         return f"{z[0]!r};{z[1]!r}"
@@ -439,35 +489,60 @@ def check_axioms(space: Space, sampler=None, n_samples: int = 1000,
     absolute deviation.  Each axiom passes iff its max violation <= tol; a
     non-finite violation (nan, e.g. from distances that overflow) fails.
 
-    Each tuple is drawn as five `sampler(rng)` points, then lam and mu from
-    `rng`, so a seed always yields the same tuples.  They are checked in
-    blocks of AXIOM_BLOCK with the space's `pack`, `d_many` and `w_many`;
-    worst_tuple holds the points as the sampler returned them.
+    Tuples are checked in blocks of AXIOM_BLOCK with the space's d_many and
+    w_many.  Without a sampler, each block is one `rng.random((m, 5k + 2))`:
+    row i holds tuple i's coordinates in the order x, y, z, v, u (k each,
+    scaled into `space.sample_box()`), then lam and mu.  That is the stream
+    of five `space.sample(rng)` calls and two `rng.uniform()` per tuple, so
+    the reports equal those of `sampler=space.sample`; only the worst tuple
+    of each axiom is turned into point objects.  A custom sampler is called
+    five times per tuple, then lam and mu are drawn, and each column goes
+    through `pack`; worst_tuple holds the points as the sampler returned
+    them.  Either way a seed always yields the same tuples.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be > 0")
     rng = np.random.default_rng(seed)
-    draw = sampler if sampler is not None else space.sample
+    if sampler is None:
+        lo, hi = space.sample_box()
+        k = len(lo)
+        lo5, span5 = np.tile(lo, 5), np.tile(hi - lo, 5)
 
     worst = {name: (0.0, None) for name in AXIOM_NAMES}
     for start in range(0, n_samples, AXIOM_BLOCK):
-        # one tuple at a time, in the order (x, y, z, v, u, lam, mu)
-        tuples = [(draw(rng), draw(rng), draw(rng), draw(rng), draw(rng),
-                   float(rng.uniform()), float(rng.uniform()))
-                  for _ in range(min(AXIOM_BLOCK, n_samples - start))]
-        columns = list(zip(*tuples))
-        points = [space.pack(col) for col in columns[:5]]
+        m = min(AXIOM_BLOCK, n_samples - start)
+        if sampler is None:
+            R = rng.random((m, 5 * k + 2))
+            C = lo5 + span5 * R[:, :5 * k]
+            coords = [C[:, j * k:(j + 1) * k] for j in range(5)]
+            points = [space.from_coords(c) for c in coords]
+            # contiguous, like the per-tuple path's arrays, so numpy runs the
+            # same kernels and the reports agree bit for bit
+            lam, mu = np.ascontiguousarray(R[:, 5 * k:].T)
+
+            def drawn(i):
+                return ([space.point_from_coords(c[i].copy()) for c in coords]
+                        + [float(lam[i]), float(mu[i])])
+        else:
+            # one tuple at a time, in the order (x, y, z, v, u, lam, mu)
+            tuples = [(sampler(rng), sampler(rng), sampler(rng), sampler(rng), sampler(rng),
+                       float(rng.uniform()), float(rng.uniform()))
+                      for _ in range(m)]
+            columns = list(zip(*tuples))
+            points = [space.pack(col) for col in columns[:5]]
+            lam, mu = np.array(columns[5]), np.array(columns[6])
+            drawn = tuples.__getitem__
         with np.errstate(over="ignore", invalid="ignore"):
-            block = _violations(space, *points, np.array(columns[5]), np.array(columns[6]))
+            block = _violations(space, *points, lam, mu)
         for name, violation in block.items():
             rank = _rank(violation)
             i = int(np.argmax(rank))
             if rank[i] > _rank(worst[name][0]):
-                drawn = dict(zip(_TUPLE_FIELDS, tuples[i]))
+                fields = dict(zip(_TUPLE_FIELDS, drawn(i)))
                 worst[name] = (float(violation[i]),
-                               tuple(drawn[f] for f in WORST_FIELDS[name]))
+                               tuple(fields[f] for f in WORST_FIELDS[name]))
 
     results = {
         name: AxiomResult(name, val, tup, val <= tol)

@@ -108,6 +108,24 @@ class TestDatadep:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith("config error: data dependence needs n_max >= 2")
 
+    @pytest.mark.parametrize("perturb", ["0", "0.01"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--schedule", "constant:1.0"], "data dependence requires alpha_n < 1"),
+        (["--alpha", "1-1/(n-3)**2", "--n-max", "5"], "bad schedule expression"),
+    ])
+    def test_schedule_checked_with_or_without_offset(self, perturb, flags, message, capsys):
+        assert run_cli(["datadep", "--perturb", perturb] + flags) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["--perturb", "1e308"], ["--perturb", "1e200"],
+        ["--mapping", "affine:0.5,0;0,0.5", "--perturb", "1e308,1e308"],
+    ])
+    def test_offset_whose_epsilon_overflows(self, argv, capsys, recwarn):
+        assert run_cli(["datadep"] + argv) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("x0", ["abc", "nan", "1,2"])
     def test_zero_perturbation_checks_x0(self, x0, capsys):
         assert run_cli(["datadep", "--perturb", "0", "--x0", x0]) == 2

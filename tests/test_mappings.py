@@ -221,6 +221,9 @@ class TestCorpus:
         ("affine:0.3,0.1;0.0,0.4|0.1,0.2", np.array([0.0, -0.0])),
         ("tripod-radial:0.5", 0.0), ("tripod-radial:0.5", -0.5),
         ("tripod-radial:0.5", np.nan), ("tripod-radial:0.5", np.inf),
+        # finite entries whose norm overflows to inf
+        ("halving", np.array([1e308])), ("halving", np.array([1e200])),
+        ("affine:0.3,0.1;0.0,0.4|0.1,0.2", np.array([1e308, 1e308])),
     ])
     def test_perturbed_rejects_bad_offset(self, name, offset):
         space, t, _ = mappings.from_name(name)

@@ -628,9 +628,11 @@ class TestEvaluatedOnce:
         trace = run(space, t, scheme, schedule_from_name(sched), x0, 30)
         per_iteration = 1 if scheme == "implicit-mann" else 2  # outer, and inner
         assert len(inside) == 29
-        assert all(c == per_iteration * k for c, k in inside)
+        # the first iteration takes T x_{n-1} from the caller
+        assert all(c == per_iteration * k - 1 for c, k in inside)
         assert [r.inner_iterations for r in trace.records[1:]] == [k for _, k in inside]
-        assert len(calls) == sum(c for c, _ in inside) + (scheme == "implicit-s")
+        # outside: T x_1 only
+        assert len(calls) == sum(c for c, _ in inside) + 1
 
     @pytest.mark.parametrize("proof_variant", [False, True])
     def test_datadep_calls_maps_only_in_picard_iterations(self, monkeypatch, proof_variant):
@@ -639,6 +641,7 @@ class TestEvaluatedOnce:
         inside = count_inside_solver(monkeypatch, calls)
         run_datadep(space, t, s, default_schedule(), n_max=30, proof_variant=proof_variant)
         assert len(inside) == 2 * 29
-        assert all(c == 2 * k for c, k in inside)
+        # the first iteration takes T x_{n-1} (S u_{n-1}) from the caller
+        assert all(c == 2 * k - 1 for c, k in inside)
         # outside: T x_1 and S u_1, the first anchors
         assert len(calls) == sum(c for c, _ in inside) + 2

@@ -387,6 +387,104 @@ def test_check_axioms_matches_scalar_reference(name):
                     assert p == q if f in ("lam", "mu") else space.d(p, q) == 0.0
 
 
+def report_bytes(report):
+    """passed, repr(max_violation) and the exact worst tuple of each axiom."""
+    return report.passed, {
+        name: (res.passed, repr(res.max_violation),
+               None if res.worst_tuple is None else tuple(map(exact, res.worst_tuple)))
+        for name, res in report.results.items()}
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+@pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 1000])
+def test_block_draws_equal_per_tuple_sampling(name, n_samples):
+    space = spaces.from_name(name)
+    for seed in (0, 11):
+        block = check_axioms(space, n_samples=n_samples, seed=seed)
+        per_tuple = check_axioms(space, sampler=space.sample, n_samples=n_samples, seed=seed)
+        assert report_bytes(block) == report_bytes(per_tuple), seed
+
+
+# the samplers of Euclidean and the half-plane before their sampling boxes
+REFERENCE_SAMPLERS = {
+    "euclidean:1": lambda rng: rng.uniform(-5.0, 5.0, size=1),
+    "euclidean:2": lambda rng: rng.uniform(-5.0, 5.0, size=2),
+    "euclidean:3": lambda rng: rng.uniform(-5.0, 5.0, size=3),
+    "broken-demo": lambda rng: rng.uniform(-5.0, 5.0, size=1),
+    "halfplane": lambda rng: (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 5.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLERS))
+def test_sampling_box_keeps_the_reference_stream(name):
+    space, reference = spaces.from_name(name), REFERENCE_SAMPLERS[name]
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(2000):
+        got, want = space.sample(rng), reference(ref_rng)
+        assert type(got) is type(want)
+        assert (exact(got) == exact(want) if isinstance(want, np.ndarray)
+                else tuple(map(exact, got)) == tuple(map(exact, want)))
+    for seed in (0, 19):
+        block = check_axioms(space, n_samples=1000, seed=seed)
+        ref = check_axioms(space, sampler=reference, n_samples=1000, seed=seed)
+        assert report_bytes(block) == report_bytes(ref), seed
+
+
+def test_tripod_sampler_distribution():
+    space, rng = Tripod(), np.random.default_rng(8)
+    points = [space.sample(rng) for _ in range(30_000)]
+    for ray in spaces.TRIPOD_RAYS:
+        share = sum(p[0] == ray for p in points) / len(points)
+        assert abs(share - 1 / 3) <= 0.02 / 3, ray
+    radii = np.array([p[1] for p in points])
+    assert radii.min() >= 0.0 and radii.max() < 3.0
+
+
+BAD_COORDS = [
+    ("euclidean:2", [[0.0, 1.0], [math.nan, 0.0]]),
+    ("euclidean:1", [[math.inf]]),
+    ("tripod", [[1.5, 1.0], [3.0, 1.0]]),     # ray code 3
+    ("tripod", [[-0.5, 1.0]]),                # ray code -1
+    ("tripod", [[0.5, -1.0]]),                # negative radius
+    ("tripod", [[math.nan, 1.0]]),
+    ("tripod", [[0.5, math.inf]]),
+    ("halfplane", [[0.0, 1.0], [0.0, 0.0]]),
+    ("halfplane", [[math.nan, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("name,coords", BAD_COORDS)
+def test_from_coords_rejects_points_outside_the_domain(name, coords):
+    with pytest.raises(InvalidPointError):
+        spaces.from_name(name).from_coords(np.array(coords))
+
+
+@pytest.mark.parametrize("c", [[-0.5, 1.0], [3.0, 1.0], [math.nan, 1.0]])
+def test_tripod_point_from_coords_rejects_ray_outside_box(c):
+    with pytest.raises(InvalidPointError):
+        Tripod().point_from_coords(np.array(c))
+
+
+class LowHalfPlane(HalfPlane):
+    """A sampling box that reaches below the real axis."""
+
+    def sample_box(self):
+        return np.array([-3.0, -1.0]), np.array([3.0, 5.0])
+
+
+class WideTripod(Tripod):
+    """A sampling box whose ray coordinate runs past the last ray."""
+
+    def sample_box(self):
+        return np.zeros(2), np.array([4.0, 3.0])
+
+
+@pytest.mark.parametrize("space", [LowHalfPlane(), WideTripod()])
+def test_box_leaving_the_domain_raises(space):
+    with pytest.raises(InvalidPointError):
+        check_axioms(space, n_samples=300)
+
+
 GEODESIC_SPACES = [Euclidean(2), Tripod(), HalfPlane()]
 
 
