@@ -14,6 +14,7 @@ Built-in instances:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, InvalidPointError
 
 TRIPOD_RAYS = ("A", "B", "C")
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 class Space:
@@ -255,11 +257,16 @@ class HalfPlane(Space):
     """Poincare upper half-plane {(x, y) : y > 0} with its hyperbolic metric.
 
     Distance: d = 2*asinh(|z1-z2| / (2*sqrt(y1*y2))), the stable form of
-    arccosh(1 + |z1-z2|^2/(2*y1*y2)).
+    arccosh(1 + |z1-z2|^2/(2*y1*y2)).  When y1*y2 over- or underflows the
+    root is taken as sqrt(y1)*sqrt(y2), so d holds for all finite heights
+    y > 0 as long as |z1-z2| and the asinh argument stay finite floats.
 
-    Interpolation conjugates the pair by an isometry taking the geodesic to
-    the imaginary axis (translate/scale sending x to i, then a rotation about
-    i), interpolates i*s^lam there, and maps back.
+    Points on one vertical geodesic (x2 == x1) interpolate in closed form,
+    w = (x1, y1*(y2/y1)^lam), whenever y2/y1 is a positive finite float.
+    Other pairs are conjugated by an isometry taking the geodesic to the
+    imaginary axis (translate/scale sending z1 to i, then a rotation about
+    i), interpolated as i*s^lam there, and mapped back; on a vertical pair
+    that conjugation gives the closed form's bits.
     """
 
     name = "halfplane"
@@ -272,7 +279,12 @@ class HalfPlane(Space):
 
     def raw_d(self, z1, z2):
         (x1, y1), (x2, y2) = z1, z2
-        q = math.hypot(x1 - x2, y1 - y2) / (2.0 * math.sqrt(y1 * y2))
+        yy = y1 * y2
+        if _FLOAT_MIN <= yy < math.inf:
+            root = math.sqrt(yy)
+        else:  # the product over- or underflowed
+            root = math.sqrt(y1) * math.sqrt(y2)
+        q = math.hypot(x1 - x2, y1 - y2) / (2.0 * root)
         return 2.0 * math.asinh(q)
 
     def raw_w(self, z1, z2, lam):
@@ -284,6 +296,11 @@ class HalfPlane(Space):
         # rotations are z -> (z cos + sin)/(-z sin + cos), t = tan(theta)
         # solves a*t^2 + (|z|^2 - 1)*t - a = 0 (roots t and -1/t)
         if a == 0.0:
+            if 0.0 < b < math.inf:
+                # z2 lies on z1's vertical geodesic, so the rotation is the
+                # identity; this is the conjugation's result bit for bit
+                # (it too turns x1 = -0.0 into 0.0)
+                return (x1 + 0.0, y1 * math.exp(lam * math.log(b)))
             t = 0.0
         else:
             B = a * a + b * b - 1.0

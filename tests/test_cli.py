@@ -57,6 +57,14 @@ class TestCompare:
         assert run_cli(["compare", "--mapping", "tripod-radial:0.5",
                         "--assert-faster", "--n-max", "60", "--horizon", "50"]) == 0
 
+    @pytest.mark.parametrize("x0", ["0,1e300", "0,1e-320"])
+    def test_halfplane_from_a_wide_scale(self, x0, capsys):
+        # y1*y2 overflows (1e300) or underflows (1e-320) along these runs
+        assert run_cli(["compare", "--mapping", "halfplane-vertical:0.5",
+                        "--x0", x0, "--assert-faster"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": faster") == 4
+
     def test_space_mismatch_is_config_error(self):
         assert run_cli(["compare", "--mapping", "halving",
                         "--space", "tripod"]) == 2

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -87,6 +88,95 @@ class TestHalfPlane:
             HalfPlane().d((0.0, -1.0), (0.0, 1.0))
         with pytest.raises(InvalidPointError):
             HalfPlane().w((0.0, 1.0), (1.0, 0.0), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# half-plane primitives at wide scales, against the formulas they replaced
+
+def conjugation_w(z1, z2, lam):
+    """HalfPlane.raw_w before vertical pairs had a closed form, verbatim."""
+    (x1, y1), (x2, y2) = z1, z2
+    a = (x2 - x1) / y1
+    b = y2 / y1
+    if a == 0.0:
+        t = 0.0
+    else:
+        B = a * a + b * b - 1.0
+        qroot = -(B + math.copysign(math.sqrt(B * B + 4.0 * a * a), B)) / 2.0
+        if qroot == 0.0:
+            t = math.copysign(1.0, a)
+        else:
+            t = -a / qroot
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    zr = complex(a, b)
+    img = (zr * c + s) / (-zr * s + c)
+    height = abs(img)
+    if height <= 0.0:
+        raise InvalidPointError("degenerate half-plane interpolation")
+    wim = complex(0.0, math.exp(lam * math.log(height)))
+    back = (wim * c - s) / (wim * s + c)
+    return (x1 + y1 * back.real, y1 * back.imag)
+
+
+def product_d(z1, z2):
+    """HalfPlane.raw_d before it guarded the product y1*y2, verbatim."""
+    (x1, y1), (x2, y2) = z1, z2
+    q = math.hypot(x1 - x2, y1 - y2) / (2.0 * math.sqrt(y1 * y2))
+    return 2.0 * math.asinh(q)
+
+
+def w_outcome(w, z1, z2, lam):
+    """The bits of w's point (so the sign of zero counts), or the error it raised."""
+    try:
+        return struct.pack("<2d", *w(z1, z2, lam))
+    except InvalidPointError as exc:
+        return type(exc), str(exc)
+
+
+WIDE_Y = st.floats(-300, 300).map(lambda e: 10.0 ** e)
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+class TestHalfPlaneWideScales:
+    @settings(max_examples=400, deadline=None)
+    @given(x1=SIGNED_ZERO, x2=SIGNED_ZERO, y1=WIDE_Y, y2=WIDE_Y,
+           lam=st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    def test_vertical_closed_form_is_the_conjugation_at_zero(self, x1, x2, y1, y2, lam):
+        z1, z2 = (x1, y1), (x2, y2)
+        assert (w_outcome(HalfPlane().raw_w, z1, z2, lam)
+                == w_outcome(conjugation_w, z1, z2, lam))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-1e300, 1e300) | st.sampled_from([5e-324, -5e-324]),
+           y1=WIDE_Y, y2=WIDE_Y, lam=st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    def test_vertical_closed_form_is_the_conjugation(self, x, y1, y2, lam):
+        z1, z2 = (x, y1), (x, y2)
+        assert (w_outcome(HalfPlane().raw_w, z1, z2, lam)
+                == w_outcome(conjugation_w, z1, z2, lam))
+
+    def test_vertical_ratio_underflow_still_raises(self):
+        assert 1e-300 / 1e300 == 0.0
+        with pytest.raises(InvalidPointError, match="degenerate"):
+            HalfPlane().raw_w((0.0, 1e300), (0.0, 1e-300), 0.5)
+
+    @pytest.mark.parametrize("y", [1e-200, 1e200, 5e-324, 1e308])
+    def test_distance_to_itself_is_zero(self, y):
+        assert HalfPlane().d((0.0, y), (0.0, y)) == 0.0
+        assert HalfPlane().d((3.0, y), (3.0, y)) == 0.0
+
+    @pytest.mark.parametrize("y", [1e200, 1e-200])
+    def test_distance_is_scale_invariant(self, y):
+        # (x, y) -> (k x, k y) is an isometry; the product y1*y2 leaves the floats
+        assert HalfPlane().d((0.0, y), (y, y)) == pytest.approx(2.0 * math.asinh(0.5),
+                                                              rel=1e-15)
+
+    def test_distance_on_the_default_box_keeps_its_bits(self):
+        sp = HalfPlane()
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            z1, z2 = sp.sample(rng), sp.sample(rng)
+            assert repr(sp.raw_d(z1, z2)) == repr(product_d(z1, z2))
 
 
 @pytest.mark.parametrize("name", ["euclidean:1", "euclidean:2", "euclidean:3",
