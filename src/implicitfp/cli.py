@@ -84,12 +84,10 @@ def _parse_x0(arg, space, t):
             ray, _, r = arg.partition(":")
             x0 = (ray, float(r))
         else:
-            vals = [float(v) for v in arg.split(",")]
-            x0 = tuple(vals) if isinstance(space, spaces.HalfPlane) else np.array(vals)
-        space.check_point(x0)
+            x0 = tuple(float(v) for v in arg.split(","))
+        return space.check_point(x0)
     except (ValueError, InvalidPointError) as exc:
         raise ConfigError(f"bad --x0 {arg!r} on {space.name}: {exc}")
-    return x0
 
 
 def _perturbation(arg, space, t):

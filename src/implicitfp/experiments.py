@@ -308,7 +308,8 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     The limit q of the u-sequence is accepted when the last ten step
     displacements d(u_n, u_{n-1}) fall below tail_tol; otherwise the report
     is marked inconclusive (converged=False).  The schedule and n_max are
-    checked by datadep_weights before any step.
+    checked by datadep_weights before any step.  The report holds p and q
+    in the space's public form.
     """
     weights = datadep_weights(schedule or default_schedule(), n_max)
     cfg = cfg or InnerSolverConfig()
@@ -362,9 +363,10 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     closed_q = None
     if isinstance(space, Euclidean) and isinstance(T, mappings.AffineMap):
         # S = T + c: q solves q = A q + b + c
-        c = np.atleast_1d(S(np.zeros(space.dim))) - np.atleast_1d(T(np.zeros(space.dim)))
-        m = T
-        closed_q = np.linalg.solve(np.eye(m.dim) - m.A, m.b + c)
+        zero = (0.0,) * space.dim
+        c = np.subtract(S(zero), T(zero))
+        closed_q = np.linalg.solve(np.eye(T.dim) - T.A, T.b + c)
 
-    return DataDepReport(eps, delta, p, q, observed, bound,
+    public = space.public
+    return DataDepReport(eps, delta, public(check(p)), public(q), observed, bound,
                          bound - observed, converged, lemma, closed_q)

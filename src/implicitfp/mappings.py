@@ -11,6 +11,7 @@ Osilike-Udomene certificates induce such maps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -144,23 +145,26 @@ def _worst_sample(space: Space, violation, k: int, sampler, n_samples: int,
                   seed: int):
     """The largest positive violation(*points) over n_samples samples.
 
-    Each sample draws k points from one seeded stream, in order, and passes
-    each through space.check_point before violation sees them as drawn.
-    Returns (worst, argmax): argmax is the sample that attained worst (the
-    point itself when k == 1), or None when no violation is positive.
+    Each sample draws k points from one seeded stream, in order, and
+    violation sees them as space.check_point returns them.  Returns (worst,
+    argmax): argmax is the sample that attained worst, its points in the
+    space's public form (the point itself when k == 1), or None when no
+    violation is positive.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     draw = sampler if sampler is not None else space.sample
+    check = space.check_point
     worst, arg = 0.0, None
     for _ in range(n_samples):
-        points = tuple(draw(rng) for _ in range(k))
-        for x in points:
-            space.check_point(x)
+        points = tuple(check(draw(rng)) for _ in range(k))
         v = violation(*points)
         if v > worst:
-            worst, arg = v, (points if k > 1 else points[0])
+            worst, arg = v, points
+    if arg is not None:
+        arg = tuple(map(space.public, arg))
+        arg = arg if k > 1 else arg[0]
     return worst, arg
 
 
@@ -214,12 +218,14 @@ def check_zamfirescu(space: Space, apply, cert: ZamfirescuCertificate,
 # built-in corpus
 
 
-_FLOAT64 = np.dtype(float)
-
-
 @dataclass
 class AffineMap:
-    """x -> A x + b on Euclidean space; contraction certificate is ||A||_2."""
+    """x -> A x + b on Euclidean space; contraction certificate is ||A||_2.
+
+    A and b are float arrays.  A call takes any sequence of dim reals and
+    returns a tuple of floats: coordinate i is fsum(A[i, j] * x[j]) + b[i],
+    over rows cached at construction (at dim 1, a*x + b).
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -227,6 +233,7 @@ class AffineMap:
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        self._rows = tuple(zip(map(tuple, self.A.tolist()), self.b.tolist()))
 
     @property
     def dim(self) -> int:
@@ -240,16 +247,14 @@ class AffineMap:
         return np.linalg.solve(np.eye(self.dim) - self.A, self.b)
 
     def __call__(self, x):
-        # a 1-D float64 array, as the solver passes, is used as it is
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT64 or x.ndim != 1:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.A @ x + self.b
+        fsum, mul = math.fsum, operator.mul
+        return tuple([fsum(map(mul, row, x)) + bi for row, bi in self._rows])
 
 
 def halving() -> tuple[Space, ContractiveLike, Callable]:
     """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point 0."""
     space = Euclidean(1)
-    t = ContractiveLike(lambda x: 0.5 * space.as_array(x), 0.5,
+    t = ContractiveLike(lambda x: (0.5 * x[0],), 0.5,
                         LinearPhi(0.0), fixed_point=np.array([0.0]),
                         name="halving")
     subset = spaces.Interval(0.0, 1.0)
@@ -360,8 +365,9 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
         if not math.isfinite(eps):
             raise CertificateError(f"epsilon = ||offset|| overflows for offset {offset}")
-        return ApproximateOperator(lambda x: t.apply(x) + off, eps,
-                                   name=f"perturb:{t.name}:{offset}")
+        off = off.tolist()
+        return ApproximateOperator(lambda x: tuple([a + c for a, c in zip(t.apply(x), off)]),
+                                   eps, name=f"perturb:{t.name}:{offset}")
     if isinstance(space, Tripod):
         off = float(offset)
         if not (math.isfinite(off) and off > 0.0):

@@ -278,6 +278,8 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     next step's inner_x_prev.  inner_x_prev, when given, is the checked
     inner(x_prev), and the first Picard iteration uses it instead of
     evaluating inner (at beta == 1, outer when outer is inner) there again.
+    Points are passed and returned in the form check_point gives (tuples
+    of floats on Euclidean space), so no array is built in the iteration.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w
@@ -323,8 +325,8 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
         # x = a*anchor + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
         A, b = outer.A, outer.b
         M = la * (beta * A + lb * (A @ A))
-        rhs = alpha * anchor + la * (lb * (A @ b) + b)
-        x = np.linalg.solve(np.eye(len(b)) - M, rhs)
+        rhs = alpha * np.array(anchor) + la * (lb * (A @ b) + b)
+        x = check(np.linalg.solve(np.eye(len(b)) - M, rhs))
         stats = InnerStats(1, space.d(x, step_map(x)), *last())
     else:
         x, stats = _picard_solve(space, step_map, x_prev, cfg, last)
@@ -381,7 +383,8 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     n = 1 schedule entries are zero and unused.  Every alpha_n and beta_n is
     evaluated and range-checked before step 2.  If a step fails, the raised
     NonconvergenceError carries the partial trace, and an InvalidPointError
-    names the step.
+    names the step.  The steps run on checked points; records hold them in
+    the space's public form (float arrays on Euclidean space).
     """
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
@@ -400,7 +403,8 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     def dist(x):
         return None if p is None else space.raw_d(x, p)
 
-    trace.records.append(StepRecord(1, x0, dist_to_p=dist(x0)))
+    public = space.public
+    trace.records.append(StepRecord(1, public(x0), dist_to_p=dist(x0)))
     T = t.apply
     x = x0
     for n, (a, b) in enumerate(weights, start=2):
@@ -416,6 +420,6 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
             raise
         except InvalidPointError as exc:
             raise InvalidPointError(f"step n={n}: {exc}") from exc
-        trace.records.append(StepRecord(n, x, y, stats.iterations,
+        trace.records.append(StepRecord(n, public(x), public(y), stats.iterations,
                                         stats.residual, dist(x)))
     return trace

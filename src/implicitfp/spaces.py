@@ -14,6 +14,7 @@ Built-in instances:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .errors import ConfigError, InvalidPointError
 
 TRIPOD_RAYS = ("A", "B", "C")
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
+_INF = math.inf
 
 
 class Space:
@@ -34,6 +36,8 @@ class Space:
     `w` are the validating wrappers: they check every point (and lam) and
     then call the raw form.  Code that has already checked its points, such
     as the inner solver of `schemes.implicit_step`, calls the raw form.
+    `public(x)` turns a raw point into the form results are reported in; it
+    is the identity unless the space overrides it.
 
     The batched primitives work on a *batch*, the space's own array form of a
     sequence of points built by `pack`: row k of d_many(X, Y) is d(x_k, y_k)
@@ -48,7 +52,8 @@ class Space:
     draws whole blocks of coordinates through `from_coords`.
 
     A new space provides check_point, raw_d, raw_w, pack, d_many, w_many,
-    sample_box, from_coords, point_from_coords and format_point.
+    sample_box, from_coords, point_from_coords and format_point, and may
+    override public.
     """
 
     name = "abstract"
@@ -72,6 +77,10 @@ class Space:
     def raw_w(self, x, y, lam):
         """w(x, y, lam) for checked points and lam in [0, 1]."""
         raise NotImplementedError
+
+    def public(self, x):
+        """A checked point in the form traces and reports hold."""
+        return x
 
     def pack(self, points):
         """Batch a sequence of points; InvalidPointError as in check_point."""
@@ -112,6 +121,13 @@ def check_lambda(lam):
 
 
 class Euclidean(Space):
+    """R^dim with the Euclidean metric and w = linear interpolation.
+
+    A checked point is a tuple of dim Python floats: the solver and the maps
+    run on it.  `public` turns it into a float64 array of shape (dim,), the
+    form of trace and report points.
+    """
+
     def __init__(self, dim=1):
         if dim < 1:
             raise ConfigError(f"euclidean dimension must be >= 1, got {dim}")
@@ -128,18 +144,31 @@ class Euclidean(Space):
         return v
 
     def check_point(self, x):
-        v = self.as_array(x)
-        # exact, and a fraction of np.isfinite(v).all()'s cost on a few coordinates
-        if not all(map(math.isfinite, v.tolist())):
+        if type(x) is tuple and len(x) == self.dim:
+            # already a checked point: dim finite Python floats
+            for c in x:
+                if type(c) is not float or not math.isfinite(c):
+                    break
+            else:
+                return x
+        v = self.as_array(x).tolist()
+        if not all(map(math.isfinite, v)):
             raise InvalidPointError(f"non-finite coordinates: {x}")
-        return v
+        return tuple(v)
 
     def raw_d(self, x, y):
-        v = x - y
-        return math.sqrt(v.dot(v))  # np.linalg.norm's formula for a 1-D float array
+        if self.dim == 1:
+            return abs(x[0] - y[0])  # hypot's value, without the call
+        return math.hypot(*map(operator.sub, x, y))
 
     def raw_w(self, x, y, lam):
-        return (1.0 - lam) * x + lam * y
+        m = 1.0 - lam
+        if self.dim == 1:
+            return (m * x[0] + lam * y[0],)
+        return tuple([m * a + lam * b for a, b in zip(x, y)])
+
+    def public(self, x):
+        return np.array(x)
 
     def pack(self, points):
         """An (N, dim) array of the points."""
@@ -258,8 +287,9 @@ class HalfPlane(Space):
 
     Distance: d = 2*asinh(|z1-z2| / (2*sqrt(y1*y2))), the stable form of
     arccosh(1 + |z1-z2|^2/(2*y1*y2)).  When y1*y2 over- or underflows the
-    root is taken as sqrt(y1)*sqrt(y2), so d holds for all finite heights
-    y > 0 as long as |z1-z2| and the asinh argument stay finite floats.
+    root is taken as sqrt(y1)*sqrt(y2), and when |z1-z2| overflows it is
+    taken from the halved coordinates, so d holds for all finite points as
+    long as the asinh argument stays a finite float.
 
     Points on one vertical geodesic (x2 == x1) interpolate in closed form,
     w = (x1, y1*(y2/y1)^lam), whenever y2/y1 is a positive finite float.
@@ -284,7 +314,11 @@ class HalfPlane(Space):
             root = math.sqrt(yy)
         else:  # the product over- or underflowed
             root = math.sqrt(y1) * math.sqrt(y2)
-        q = math.hypot(x1 - x2, y1 - y2) / (2.0 * root)
+        h = math.hypot(x1 - x2, y1 - y2)
+        if h == _INF:  # a difference overflowed: halve the coordinates
+            q = math.hypot(0.5 * x1 - 0.5 * x2, 0.5 * y1 - 0.5 * y2) / root
+        else:
+            q = h / (2.0 * root)
         return 2.0 * math.asinh(q)
 
     def raw_w(self, z1, z2, lam):

@@ -65,6 +65,17 @@ class TestCompare:
         out = capsys.readouterr().out
         assert out.count(": faster") == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--x0", "1e200"],
+        ["--x0", "1e-200"],
+        ["--mapping", "affine:0.5,0.1;0,0.4|1,2", "--x0", "1e200,1e200"],
+    ], ids=["halving-1e200", "halving-1e-200", "affine-2-1e200"])
+    def test_euclidean_from_a_wide_scale(self, argv, capsys):
+        # d(x0, p) would overflow (1e200) or underflow (1e-200) if squared
+        assert run_cli(["compare", *argv, "--assert-faster"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": faster") == 4 and len(out.splitlines()) == 4
+
     def test_space_mismatch_is_config_error(self):
         assert run_cli(["compare", "--mapping", "halving",
                         "--space", "tripod"]) == 2
@@ -291,7 +302,7 @@ class TestSchemeFailure:
         from implicitfp.spaces import Euclidean
 
         # the halving map, except that it leaves the domain near its fixed point
-        t = ContractiveLike(lambda x: 0.5 * x if x[0] > 0.01 else np.array([np.nan]),
+        t = ContractiveLike(lambda x: (0.5 * x[0],) if x[0] > 0.01 else np.array([np.nan]),
                             0.5, fixed_point=np.array([0.0]), name="halving")
         monkeypatch.setattr(mappings, "from_name",
                             lambda name: (Euclidean(1), t, None))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,14 +115,14 @@ class TestOsilikeUdomene:
 class TestApproximateOperator:
     def test_constant_offset_passes_at_epsilon(self):
         space, t, sampler = mappings.halving()
-        s = ApproximateOperator(lambda x: t.apply(x) + 0.01, 0.01)
+        s = ApproximateOperator(lambda x: (t.apply(x)[0] + 0.01,), 0.01)
         rep = verify_approximate(space, t, s, sampler, n_samples=300)
         assert rep.passed
         assert rep.max_violation == pytest.approx(0.01)
 
     def test_offset_exceeding_epsilon_fails(self):
         space, t, sampler = mappings.halving()
-        s = ApproximateOperator(lambda x: t.apply(x) + 0.02, 0.01)
+        s = ApproximateOperator(lambda x: (t.apply(x)[0] + 0.02,), 0.01)
         assert not verify_approximate(space, t, s, sampler, n_samples=300).passed
 
     def test_identical_operator(self):
@@ -164,21 +166,24 @@ class TestCorpus:
             mappings.affine(AffineMap([[0.9]], [1e308]))
 
     @pytest.mark.parametrize("x", [
-        np.array([0.3, -1.2]), np.array([3, -1]), np.array([0.3, -1.2], dtype=np.float32),
-        [0.3, -1.2], (3, -1), np.array([[0.3], [-1.2]]), np.arange(4.0)[::2],
-        np.array([0.3, -1.2], dtype=object), np.array(["0.3", "-1.2"]),
-        np.array([0.5]), np.array([2]), np.array(0.5), np.array(2), [0.5], 0.5, 2,
-        np.float64(0.5), np.float32(0.1),
+        np.array([0.3, -1.2]), np.array([3, -1]), [0.3, -1.2], (3, -1), (0.3, -1.2),
+        np.arange(4.0)[::2], np.array([0.3, -1.2], dtype=object), np.array([0.5]),
+        np.array([2]), [0.5], (0.5,), (-0.0,), (2,), (1e308,), (-2e-320,),
     ])
-    def test_affine_call_matches_rewrapped_input(self, x):
-        if np.size(x) == 1:
+    def test_affine_call_is_the_fsum_formula(self, x):
+        if len(x) == 1:
             m = AffineMap([[0.3]], [0.1])
         else:
             m = AffineMap([[0.3, 0.1], [0.2, 0.4]], [0.1, -0.2])
         got = m(x)
-        want = m.A @ np.atleast_1d(np.asarray(x, dtype=float)) + m.b
-        assert type(got) is type(want)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        coords = [float(c) for c in x]
+        want = tuple(math.fsum(a * c for a, c in zip(row, coords)) + bi
+                     for row, bi in zip(m.A.tolist(), m.b.tolist()))
+        assert type(got) is tuple and all(type(c) is float for c in got)
+        assert repr(got) == repr(want)
+        if len(x) == 1:  # a*x + b, the bits of A @ x + b
+            assert repr(got) == repr((0.3 * coords[0] + 0.1,))
+            assert repr(got) == repr(tuple((m.A @ np.array(coords) + m.b).tolist()))
 
     def test_tripod_radial(self):
         space, t, sampler = mappings.tripod_radial(0.5)
@@ -369,3 +374,28 @@ class TestSharedVerifierLoop:
                            lambda: check_zamfirescu(space, apply, cert, sampler, n_samples=3)):
                 with pytest.raises(InvalidPointError):
                     verify()
+
+
+@pytest.mark.parametrize("name", ["halving", "affine"])
+@pytest.mark.parametrize("draw", ["own-sampler", "space-sample"])
+def test_verifiers_pass_tuples_to_euclidean_maps(name, draw):
+    space, t, sampler, offset = VERIFIER_MAPS[name]()
+    sampler = sampler if draw == "own-sampler" else None
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return t.apply(x)
+
+    s = ApproximateOperator(recorded, 1.0)
+    looser = ContractiveLike(recorded, 0.6 * t.delta)  # fails, so argmax is set
+    reports = [verify_contractive_like(space, looser, sampler, n_samples=50),
+               verify_approximate(space, t, s, sampler, n_samples=50),
+               check_zamfirescu(space, recorded, ZamfirescuCertificate(0.1, 0.05, 0.05),
+                                sampler, n_samples=50)]
+    assert len(seen) >= 3 * 50
+    assert all(type(x) is tuple and len(x) == space.dim and all(type(c) is float for c in x)
+               for x in seen)
+    # argmax holds the sampled points in the public form, float arrays
+    for x in reports[0].argmax + reports[2].argmax:
+        assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (space.dim,)

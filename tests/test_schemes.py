@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -121,7 +122,7 @@ class TestSteps:
 
     def test_mann_alpha_one_no_update(self, halving):
         space, t, _ = halving
-        T, x0 = t.apply, np.array([0.7])
+        T, x0 = t.apply, (0.7,)  # a checked point, so the anchor is returned as given
         x, y, stats = implicit_step(space, T, T, x0, x0, 1.0, 1.0)
         assert float(x[0]) == 0.7
         assert stats.iterations == 0
@@ -308,11 +309,15 @@ def bad_on(good, bad, calls):
     return f
 
 
+def halve(x):
+    return tuple(0.5 * c for c in x)
+
+
 BAD_MAP_OUTPUTS = [
-    (Euclidean(1), np.array([1.0]), lambda x: 0.5 * x, np.array([np.nan])),
-    (Euclidean(1), np.array([1.0]), lambda x: 0.5 * x, np.array([0.1, 0.2])),
-    (Euclidean(2), np.array([1.0, 2.0]), lambda x: 0.5 * x, np.array([0.1])),
-    (Euclidean(2), np.array([1.0, 2.0]), lambda x: 0.5 * x, np.array([np.inf, 0.0])),
+    (Euclidean(1), np.array([1.0]), halve, np.array([np.nan])),
+    (Euclidean(1), np.array([1.0]), halve, np.array([0.1, 0.2])),
+    (Euclidean(2), np.array([1.0, 2.0]), halve, (0.1,)),
+    (Euclidean(2), np.array([1.0, 2.0]), halve, (np.inf, 0.0)),
     (Tripod(), ("A", 1.0), lambda p: (p[0], 0.5 * p[1]), ("A", -0.5)),
     (Tripod(), ("A", 1.0), lambda p: (p[0], 0.5 * p[1]), ("D", 0.5)),
     (HalfPlane(), (0.0, 3.0), lambda z: (0.0, z[1] ** 0.5), (0.0, 0.0)),
@@ -382,7 +387,7 @@ class TestCheckedAtTheBoundary:
 
     def test_run_names_the_step(self):
         space = Euclidean(1)
-        t = ContractiveLike(lambda x: 0.5 * x if x[0] > 0.01 else np.array([np.nan]),
+        t = ContractiveLike(lambda x: (0.5 * x[0],) if x[0] > 0.01 else np.array([np.nan]),
                             0.5, fixed_point=np.array([0.0]))
         with pytest.raises(InvalidPointError, match=r"^step n=\d+: non-finite"):
             run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 20)
@@ -460,7 +465,7 @@ def reference_step(space, outer, inner, anchor, x_prev, alpha, beta, cfg):
         A, b = outer.A, outer.b
         la, lb = 1.0 - alpha, 1.0 - beta
         M = la * (beta * A + lb * (A @ A))
-        rhs = alpha * space.check_point(anchor) + la * (lb * (A @ b) + b)
+        rhs = alpha * np.array(space.check_point(anchor)) + la * (lb * (A @ b) + b)
         x, stats = np.linalg.solve(np.eye(len(b)) - M, rhs), None
     else:
         if beta == 1.0:
@@ -527,9 +532,15 @@ def reference_datadep(space, t, s, schedule, x0, n_max, cfg, proof_variant):
 
 
 def exact_form(value):
-    """Arrays by dtype, shape and bytes; anything else by repr."""
+    """A point's coordinates as the repr of a tuple of Python floats, which
+    is exact (repr round-trips every float, the sign of zero included).  A
+    float64 array of shape (n,) and a tuple of reals give the tuple of their
+    elements, whatever the container; any other value gives its repr."""
     if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
+        assert value.dtype == np.float64 and value.ndim == 1
+        value = tuple(value.tolist())
+    elif isinstance(value, tuple) and all(isinstance(c, (float, np.floating)) for c in value):
+        value = tuple(map(float, value))
     return repr(value)
 
 
@@ -645,3 +656,123 @@ class TestEvaluatedOnce:
         assert all(c == 2 * k - 1 for c, k in inside)
         # outside: T x_1 and S u_1, the first anchors
         assert len(calls) == sum(c for c, _ in inside) + 2
+
+
+# ---------------------------------------------------------------------------
+# Euclidean points: tuples of floats inside the solver and the maps, float
+# arrays in traces and reports
+
+
+EUCLIDEAN_MAPS = ["halving", "affine-1", "affine-2", "affine-3"]
+
+
+def is_raw_point(x, dim):
+    return type(x) is tuple and len(x) == dim and all(type(c) is float for c in x)
+
+
+def is_public_point(x, dim):
+    return isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (dim,)
+
+
+def recording(apply, seen):
+    """apply, noting every point it is called on."""
+    def f(x):
+        seen.append(x)
+        return apply(x)
+    return f
+
+
+class TestPointForms:
+    @pytest.mark.parametrize("name", EUCLIDEAN_MAPS)
+    @pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
+    def test_run_passes_tuples_and_records_arrays(self, name, scheme):
+        space, t, x0, _ = REFERENCE_MAPS[name]()
+        seen = []
+        t.apply = recording(t.apply, seen)
+        trace = run(space, t, scheme, default_schedule(), x0, 20)
+        assert len(seen) > 20 and all(is_raw_point(x, space.dim) for x in seen)
+        assert all(is_public_point(r.x, space.dim) for r in trace)
+        assert all(is_public_point(r.y, space.dim) for r in trace.records[1:])
+
+    @pytest.mark.parametrize("name", EUCLIDEAN_MAPS)
+    @pytest.mark.parametrize("proof_variant", [False, True])
+    def test_datadep_passes_tuples_and_reports_arrays(self, name, proof_variant):
+        space, t, x0, offset = REFERENCE_MAPS[name]()
+        seen = []
+        t.apply = recording(t.apply, seen)  # S = T + offset calls it too
+        s = mappings.perturbed(space, t, offset)
+        rep = run_datadep(space, t, s, default_schedule(), x0=x0, n_max=20,
+                          proof_variant=proof_variant)
+        assert len(seen) > 20 and all(is_raw_point(x, space.dim) for x in seen)
+        assert is_public_point(rep.p, space.dim) and is_public_point(rep.q, space.dim)
+        # the closed form needs T itself to be the AffineMap, so without the recorder
+        space, t, x0, offset = REFERENCE_MAPS[name]()
+        rep = run_datadep(space, t, mappings.perturbed(space, t, offset), default_schedule(),
+                          x0=x0, n_max=20, proof_variant=proof_variant)
+        if name.startswith("affine"):
+            assert is_public_point(rep.closed_form_q, space.dim)
+        else:
+            assert rep.closed_form_q is None
+
+    def test_exact_affine_step_returns_a_checked_point(self):
+        space, t, x0, _ = REFERENCE_MAPS["affine-3"]()
+        cfg = InnerSolverConfig(mode="exact-affine")
+        x, y, stats = implicit_step(space, t.apply, t.apply, x0, x0, 0.5, 0.5, cfg)
+        assert is_raw_point(x, 3) and is_raw_point(y, 3)
+        assert is_raw_point(stats.inner_x, 3) and is_raw_point(stats.outer_y, 3)
+
+
+def numpy_calls_in(fn):
+    """fn wrapped so that every function called while it runs that belongs
+    to numpy (a numpy Python function, a numpy builtin or an ndarray
+    method) is appended to the returned list."""
+    found = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__") or ""
+            if module.split(".")[0] == "numpy":
+                found.append(f"{module}.{frame.f_code.co_name}")
+        elif event == "c_call":
+            module = getattr(arg, "__module__", None) or ""
+            owner = type(getattr(arg, "__self__", None))
+            if module.split(".")[0] == "numpy" or owner.__module__.split(".")[0] == "numpy":
+                found.append(getattr(arg, "__qualname__", repr(arg)))
+
+    def wrapped(*args):
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            return fn(*args)
+        finally:
+            sys.setprofile(previous)
+
+    return wrapped, found
+
+
+def test_profile_hook_sees_numpy_calls():
+    def uses_numpy(x):
+        v = np.atleast_1d(np.asarray(x))
+        return v.tolist()
+
+    wrapped, found = numpy_calls_in(uses_numpy)
+    assert wrapped((1.0,)) == [1.0]
+    assert "asarray" in found and "ndarray.tolist" in found
+    assert any(f.startswith("numpy.") and f.endswith(".atleast_1d") for f in found)
+
+
+@pytest.mark.parametrize("name", EUCLIDEAN_MAPS)
+def test_picard_iteration_calls_no_numpy(monkeypatch, name):
+    space, t, x0, offset = REFERENCE_MAPS[name]()
+    solve, found = numpy_calls_in(schemes._picard_solve)
+    monkeypatch.setattr(schemes, "_picard_solve", solve)
+    seen = []
+    t.apply = recording(t.apply, seen)
+    for sched in REFERENCE_SCHEDULES:
+        for scheme in schemes.SCHEME_IDS:
+            run(space, t, scheme, schedule_from_name(sched), x0, 30)
+        run_datadep(space, t, mappings.perturbed(space, t, offset), schedule_from_name(sched),
+                    x0=x0, n_max=30, proof_variant=True)
+    # every point the map saw is a tuple of floats, so no ndarray operator ran
+    assert seen and all(is_raw_point(x, space.dim) for x in seen)
+    assert found == []

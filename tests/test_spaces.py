@@ -33,6 +33,34 @@ class TestEuclideanInterpolate:
             sp.d([math.inf], [0.0])
 
 
+class TestEuclideanWideScales:
+    @pytest.mark.parametrize("dim,x,y,expected", [
+        (2, (1e200, 0), (0, 0), 1e200),             # the square overflows
+        (2, (3e-200, 0), (0, 4e-200), 5e-200),      # the squares underflow
+        (1, (1e-170,), (0.0,), 1e-170),
+        (3, (1e308, -1e308, 0.0), (0.0, 0.0, 0.0), math.hypot(1e308, 1e308)),
+    ])
+    def test_distance_at_every_finite_scale(self, dim, x, y, expected):
+        assert Euclidean(dim).d(x, y) == expected
+        assert Euclidean(dim).d(y, x) == expected
+
+    def test_points_and_results(self):
+        sp = Euclidean(2)
+        p = sp.check_point(np.array([1.0, 2.0]))
+        assert type(p) is tuple and p == (1.0, 2.0) and all(type(c) is float for c in p)
+        assert sp.check_point(p) is p  # a checked point is returned as it is
+        assert type(sp.w(p, p, 0.5)) is tuple
+        pub = sp.public(p)
+        assert isinstance(pub, np.ndarray) and pub.dtype == np.float64 and pub.shape == (2,)
+        assert pub.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("space,point", [(Tripod(), ("B", 1.5)), (HalfPlane(), (0.5, 2.0))])
+def test_public_is_the_identity_off_euclidean_space(space, point):
+    assert space.public(point) is point
+    assert space.public(space.check_point(point)) is point
+
+
 class TestTripod:
     def test_same_ray_distance(self):
         sp = Tripod()
@@ -171,6 +199,12 @@ class TestHalfPlaneWideScales:
         assert HalfPlane().d((0.0, y), (y, y)) == pytest.approx(2.0 * math.asinh(0.5),
                                                               rel=1e-15)
 
+    @pytest.mark.parametrize("z1,z2", [((-1e308, 1.0), (1e308, 1.0)),
+                                       ((1e308, 1.0), (-1e308, 1.0))])
+    def test_distance_when_the_difference_overflows(self, z1, z2):
+        assert math.isinf(z1[0] - z2[0])
+        assert HalfPlane().d(z1, z2) == 2.0 * math.asinh(1e308) == 1419.778711645452
+
     def test_distance_on_the_default_box_keeps_its_bits(self):
         sp = HalfPlane()
         rng = np.random.default_rng(11)
@@ -283,10 +317,12 @@ def test_tripod_w_many_edge_values():
 # raw primitives against the validating ones
 
 def exact(value):
-    """A value's exact form: dtype, shape and bytes of an array, else its repr."""
+    """A value's exact form: dtype, shape and bytes of an array, else its type
+    and repr (a tuple's repr is exact for Python floats, the sign of zero
+    included)."""
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
-    return repr(value)
+    return type(value).__name__, repr(value)
 
 
 @pytest.mark.parametrize("name", ALL_SPACES)
@@ -304,9 +340,15 @@ def test_raw_primitives_match_public_bit_for_bit(name):
         with np.errstate(over="ignore"):
             assert exact(space.raw_d(cx, cy)) == exact(space.d(x, y))
             assert exact(space.raw_w(cx, cy, lam)) == exact(space.w(x, y, lam))
-            if name.startswith("euclidean"):
-                # the distance before raw_d existed
-                assert repr(space.raw_d(cx, cy)) == repr(float(np.linalg.norm(cx - cy)))
+        if isinstance(space, Euclidean):
+            # the written formulas: hypot of the differences, and numpy's
+            # (1 - lam) x + lam y coordinate by coordinate
+            X, Y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                D, W = X - Y, (1.0 - lam) * X + lam * Y
+            assert repr(space.raw_d(cx, cy)) == repr(math.hypot(*D.tolist()))
+            if name != "broken-demo":
+                assert exact(space.raw_w(cx, cy, lam)) == exact(tuple(W.tolist()))
 
 
 def previous_euclidean_check(dim, x):
@@ -335,14 +377,21 @@ def outcome(check, x):
         return "raises", type(exc)
 
 
+def as_point(check):
+    """A reference check whose accepted array is given as the tuple of its
+    elements, the form Euclidean.check_point returns."""
+    return lambda x: tuple(check(x).tolist())
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_euclidean_check_point_accepts_as_before(dim):
     space = Euclidean(dim)
     for x in CHECK_INPUTS:
         got = outcome(space.check_point, x)
-        assert got == outcome(lambda v: previous_euclidean_check(dim, v), x), x
+        assert got == outcome(as_point(lambda v: previous_euclidean_check(dim, v)), x), x
         if got[0] == "ok":
-            assert got[1][:2] == ("<f8", (dim,))
+            point = space.check_point(x)
+            assert len(point) == dim and all(type(c) is float for c in point)
 
 
 def isfinite_euclidean_check(dim, x):
@@ -388,9 +437,10 @@ def test_euclidean_finite_test_matches_isfinite(dim):
     space = Euclidean(dim)
     inputs = finite_test_inputs(dim)
     rejected = 0
-    for x in inputs:
+    for x in inputs + [tuple(v) for v in inputs if isinstance(v, list)]:
         got = outcome_with_message(space.check_point, x)
-        assert got == outcome_with_message(lambda v: isfinite_euclidean_check(dim, v), x), x
+        assert got == outcome_with_message(as_point(lambda v: isfinite_euclidean_check(dim, v)),
+                                           x), x
         rejected += got[0] == "raises"
     assert 0 < rejected < len(inputs)
 
