@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import spaces
-from .errors import CertificateError, ConfigError
+from .errors import CertificateError, ConfigError, InvalidPointError
 from .spaces import Euclidean, HalfPlane, Space, Tripod
 
 # ---------------------------------------------------------------------------
@@ -218,13 +218,34 @@ def check_zamfirescu(space: Space, apply, cert: ZamfirescuCertificate,
 # built-in corpus
 
 
+def _coords(x, dim: int):
+    """x as dim Python floats, for the corpus maps on Euclidean space.
+
+    A tuple of dim Python floats, the solver's form, is returned as it is.
+    Anything else goes through a float64 array, as Euclidean.as_array takes
+    it (a scalar is admitted at dim 1); a shape other than (dim,) raises
+    InvalidPointError.
+    """
+    if type(x) is tuple and len(x) == dim:
+        for c in x:
+            if type(c) is not float:
+                break
+        else:
+            return x
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.shape != (dim,):
+        raise InvalidPointError(f"expected {dim} coordinates, got shape {v.shape}")
+    return v.tolist()
+
+
 @dataclass
 class AffineMap:
     """x -> A x + b on Euclidean space; contraction certificate is ||A||_2.
 
-    A and b are float arrays.  A call takes any sequence of dim reals and
-    returns a tuple of floats: coordinate i is fsum(A[i, j] * x[j]) + b[i],
-    over rows cached at construction (at dim 1, a*x + b).
+    A and b are float arrays.  A call takes any sequence of dim reals (a
+    scalar at dim 1), read as float64 values, and returns a tuple of floats:
+    coordinate i is fsum(A[i, j] * x[j]) + b[i], over rows cached at
+    construction (at dim 1, a*x + b).
     """
 
     A: np.ndarray
@@ -247,6 +268,7 @@ class AffineMap:
         return np.linalg.solve(np.eye(self.dim) - self.A, self.b)
 
     def __call__(self, x):
+        x = _coords(x, len(self._rows))
         fsum, mul = math.fsum, operator.mul
         return tuple([fsum(map(mul, row, x)) + bi for row, bi in self._rows])
 
@@ -254,7 +276,7 @@ class AffineMap:
 def halving() -> tuple[Space, ContractiveLike, Callable]:
     """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point 0."""
     space = Euclidean(1)
-    t = ContractiveLike(lambda x: (0.5 * x[0],), 0.5,
+    t = ContractiveLike(lambda x: (0.5 * _coords(x, 1)[0],), 0.5,
                         LinearPhi(0.0), fixed_point=np.array([0.0]),
                         name="halving")
     subset = spaces.Interval(0.0, 1.0)
@@ -366,7 +388,8 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
         if not math.isfinite(eps):
             raise CertificateError(f"epsilon = ||offset|| overflows for offset {offset}")
         off = off.tolist()
-        return ApproximateOperator(lambda x: tuple([a + c for a, c in zip(t.apply(x), off)]),
+        check = space.check_point
+        return ApproximateOperator(lambda x: tuple([a + c for a, c in zip(check(t.apply(x)), off)]),
                                    eps, name=f"perturb:{t.name}:{offset}")
     if isinstance(space, Tripod):
         off = float(offset)

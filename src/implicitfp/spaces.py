@@ -157,14 +157,10 @@ class Euclidean(Space):
         return tuple(v)
 
     def raw_d(self, x, y):
-        if self.dim == 1:
-            return abs(x[0] - y[0])  # hypot's value, without the call
         return math.hypot(*map(operator.sub, x, y))
 
     def raw_w(self, x, y, lam):
         m = 1.0 - lam
-        if self.dim == 1:
-            return (m * x[0] + lam * y[0],)
         return tuple([m * a + lam * b for a, b in zip(x, y)])
 
     def public(self, x):

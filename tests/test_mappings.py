@@ -166,24 +166,47 @@ class TestCorpus:
             mappings.affine(AffineMap([[0.9]], [1e308]))
 
     @pytest.mark.parametrize("x", [
-        np.array([0.3, -1.2]), np.array([3, -1]), [0.3, -1.2], (3, -1), (0.3, -1.2),
-        np.arange(4.0)[::2], np.array([0.3, -1.2], dtype=object), np.array([0.5]),
-        np.array([2]), [0.5], (0.5,), (-0.0,), (2,), (1e308,), (-2e-320,),
+        np.array([0.3, -1.2]), np.array([3, -1]), np.array([0.3, -1.2], dtype=np.float32),
+        [0.3, -1.2], (3, -1), (0.3, -1.2), (np.float32(0.3), np.float32(-1.2)),
+        np.arange(4.0)[::2], np.array([0.3, -1.2], dtype=object), np.array(["0.3", "-1.2"]),
+        np.array([0.5]), np.array([2]), np.array(0.5), np.array(2), [0.5], 0.5, 2,
+        np.float64(0.5), np.float32(0.1), (0.5,), (-0.0,), (2,), (1e308,), (-2e-320,),
     ])
     def test_affine_call_is_the_fsum_formula(self, x):
-        if len(x) == 1:
+        coords = np.atleast_1d(np.asarray(x, dtype=float)).tolist()  # float64 values
+        if len(coords) == 1:
             m = AffineMap([[0.3]], [0.1])
         else:
             m = AffineMap([[0.3, 0.1], [0.2, 0.4]], [0.1, -0.2])
         got = m(x)
-        coords = [float(c) for c in x]
         want = tuple(math.fsum(a * c for a, c in zip(row, coords)) + bi
                      for row, bi in zip(m.A.tolist(), m.b.tolist()))
         assert type(got) is tuple and all(type(c) is float for c in got)
         assert repr(got) == repr(want)
-        if len(x) == 1:  # a*x + b, the bits of A @ x + b
+        if len(coords) == 1:  # a*x + b, the bits of A @ x + b
             assert repr(got) == repr((0.3 * coords[0] + 0.1,))
             assert repr(got) == repr(tuple((m.A @ np.array(coords) + m.b).tolist()))
+
+    @pytest.mark.parametrize("x", [np.array([[0.3], [-1.2]]), [0.3, -1.2, 0.0], (0.3,), 0.5])
+    def test_affine_call_rejects_wrong_shape(self, x):
+        with pytest.raises(InvalidPointError, match="coordinates"):
+            AffineMap([[0.3, 0.1], [0.2, 0.4]], [0.1, -0.2])(x)
+
+    @pytest.mark.parametrize("x", [
+        (0.5,), (-0.0,), (1e-320,), (3,), [0.5], np.array([0.5]), np.array(0.5), 0.5, 2,
+        np.float64(0.5), np.float32(0.1), (np.float32(0.1),), np.array([0.1], dtype=np.float32),
+    ])
+    def test_halving_call_halves_the_float64_value(self, x):
+        _, t, _ = mappings.halving()
+        got = t.apply(x)
+        assert type(got) is tuple and type(got[0]) is float
+        assert repr(got) == repr((0.5 * float(np.asarray(x, dtype=float).reshape(())),))
+
+    @pytest.mark.parametrize("x", [(0.5, 0.25), [0.5, 0.25], np.array([0.5, 0.25]), ()])
+    def test_halving_call_rejects_more_coordinates(self, x):
+        _, t, _ = mappings.halving()
+        with pytest.raises(InvalidPointError, match="coordinates"):
+            t.apply(x)
 
     def test_tripod_radial(self):
         space, t, sampler = mappings.tripod_radial(0.5)
@@ -211,6 +234,23 @@ class TestCorpus:
         s = mappings.perturbed(space, t, np.array([0.01]))
         assert s.epsilon == pytest.approx(0.01)
         assert verify_approximate(space, t, s, sampler, n_samples=200).passed
+
+    @pytest.mark.parametrize("dim,apply", [
+        (1, lambda x: 0.5 * x[0]),  # a scalar at dim 1
+        (1, lambda x: np.asarray(x, dtype=np.float32) / 2),
+        (2, lambda x: np.asarray(x, dtype=np.float32) / 2),
+        (2, lambda x: [np.float32(c / 2) for c in x]),
+    ])
+    def test_perturbed_adds_offset_to_any_point_form(self, dim, apply):
+        # S x is T x read as check_point reads it, plus the offset, in float64
+        space = Euclidean(dim)
+        offset = [0.01, -0.02][:dim]
+        s = mappings.perturbed(space, ContractiveLike(apply, 0.5), offset)
+        x = (0.3, -1.2)[:dim]
+        got = s.apply(x)
+        assert type(got) is tuple and all(type(c) is float for c in got)
+        want = tuple(a + c for a, c in zip(space.check_point(apply(x)), offset))
+        assert repr(got) == repr(want)
 
     def test_perturb_tripod(self):
         space, t, _ = mappings.tripod_radial(0.5)
