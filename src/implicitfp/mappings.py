@@ -245,7 +245,8 @@ class AffineMap:
     A and b are float arrays.  A call takes any sequence of dim reals (a
     scalar at dim 1), read as float64 values, and returns a tuple of floats:
     coordinate i is fsum(A[i, j] * x[j]) + b[i], over rows cached at
-    construction (at dim 1, a*x + b).
+    construction (at dim 1, a*x + b).  Any other shape raises
+    InvalidPointError.
     """
 
     A: np.ndarray
