@@ -211,48 +211,53 @@ class InnerStats:
     outer_y: object = None
 
 
-def _nothing_recorded():
-    return None, None, None
+def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
+                  cfg: InnerSolverConfig, ix0=None):
+    """Solve x = W(anchor, outer(y), 1-la), y = W(x, inner(x), 1-lb) by Picard iteration.
 
-
-def _picard_solve(space: Space, step_map, x0, cfg: InnerSolverConfig,
-                  last=_nothing_recorded):
-    """Iterate x <- step_map(x) until d(x, step_map(x)) <= tolerance.
-
-    x0 must be a checked point and step_map must return the raw form of a
-    point, so the residual uses raw_d; a non-finite residual re-checks both
-    points (InvalidPointError for an invalid one).  Once within tolerance,
-    keeps polishing while the residual strictly decreases, so accepted
-    iterates sit near the machine fixed point; the reported residual is
-    always measured at the returned point.  `last()`, when given, returns
-    the points (y, inner(x), outer(y)) the step map computed in its latest
-    call; the stats carry those it gave at the returned point.
+    Each iteration evaluates the step map at x inline: ix = inner(x), then
+    y = raw_w(x, ix, lb), oy = outer(y) and fx = raw_w(anchor, oy, la).
+    lb None marks a Mann step: y = x and oy = ix, so inner, which the caller
+    passes as outer, is the only map called.  ix0, when given, is inner(x0)
+    and stands in for the first call.  anchor, x0 and ix0 must be checked;
+    each map output is checked as it is produced, and a non-finite residual
+    d(x, fx) re-checks both points (InvalidPointError for an invalid one).
+    Once within tolerance, keeps polishing while the residual strictly
+    decreases, so accepted iterates sit near the machine fixed point.
+    Returns (x, InnerStats) with the residual, y, ix and oy at that x.
     """
-    raw_d, check, isfinite, tol = space.raw_d, space.check_point, math.isfinite, cfg.tolerance
-    x = x0
-    best = None  # (residual, x, what the step map recorded at x)
+    raw_d, raw_w, check = space.raw_d, space.raw_w, space.check_point
+    isfinite, tol = math.isfinite, cfg.tolerance
+    x, ix, best = x0, ix0, None  # best: (residual, x, y, ix, oy)
     for k in range(1, cfg.max_iterations + 1):
-        fx = step_map(x)
+        if ix is None:
+            ix = check(inner(x))
+        if lb is None:
+            y, oy = x, ix
+        else:
+            y = raw_w(x, ix, lb)
+            oy = check(outer(y))
+        fx = raw_w(anchor, oy, la)
         try:
             res = raw_d(x, fx)
         except (ArithmeticError, ValueError):  # e.g. a half-plane point with y <= 0
             res = math.nan
         if res <= tol:
-            if best is None or res < best[0]:
-                best = (res, x, last())
-            else:
-                return best[1], InnerStats(k, best[0], *best[2])
+            if best is not None and res >= best[0]:
+                break
+            best = (res, x, y, ix, oy)
             if res == 0.0:
-                return x, InnerStats(k, 0.0, *best[2])
+                break
         elif not isfinite(res):
             check(x)
             check(fx)
-        x = fx
-    if best is not None:
-        return best[1], InnerStats(cfg.max_iterations, best[0], *best[2])
-    raise NonconvergenceError(
-        f"inner solver exceeded {cfg.max_iterations} iterations",
-        residual=res)
+        x, ix = fx, None
+    if best is None:
+        raise NonconvergenceError(
+            f"inner solver exceeded {cfg.max_iterations} iterations",
+            residual=res)
+    res, x, y, ix, oy = best
+    return x, InnerStats(k, res, y, ix, oy)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +269,19 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
     outer and inner are plain callables on points, such as a map's `apply`
-    (`run` passes T.apply for both).  The Picard iteration starts at
-    x_prev.  beta == 1 takes y = x itself rather than W(x, inner(x), 0),
-    which is not bit-exact x on every space; alpha == 1 returns the anchor
-    without iterating.  x_prev, anchor and the weights are checked once, and
-    each point outer or inner returns is checked as it is produced; the
-    Picard loop runs on the space's raw_d and raw_w.  The maps are treated
-    as pure functions and evaluated once per point: y, inner(x) and
-    outer(y) at the solution come from the step map evaluation at it (the
-    Picard iteration that produced it).  Returns (x, y, InnerStats);
-    stats.inner_x is inner(x) and stats.outer_y is outer(y), both checked,
-    so a caller reuses them: T x_n is the next implicit-S anchor and the
-    next step's inner_x_prev.  inner_x_prev, when given, is the checked
-    inner(x_prev), and the first Picard iteration uses it instead of
-    evaluating inner (at beta == 1, outer when outer is inner) there again.
-    Points are passed and returned in the form check_point gives (tuples
-    of floats on Euclidean space), so no array is built in the iteration.
+    (`run` passes T.apply for both).  Checks x_prev, anchor and the weights
+    once, then hands the solve to `_picard_solve`, started at x_prev with
+    inner_x_prev (the caller's checked inner(x_prev), if given) for its
+    first inner call.  alpha == 1 returns the anchor without iterating, and
+    mode "exact-affine" solves an affine map on Euclidean space in closed
+    form.  beta == 1 takes y = x itself rather than W(x, inner(x), 0),
+    which is not bit-exact x on every space.  The maps are treated as pure
+    functions and evaluated once per point, each output checked.  Returns
+    (x, y, InnerStats); y, stats.inner_x = inner(x) and stats.outer_y =
+    outer(y) come from the step map evaluation at x, so a caller reuses
+    them: T x_n is the next implicit-S anchor and the next inner_x_prev.
+    Points are passed and returned in the form check_point gives (tuples of
+    floats on Euclidean space), so no array is built in the iteration.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w
@@ -294,43 +296,29 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     la, lb = 1.0 - alpha, 1.0 - beta
     check_lambda(la)
     check_lambda(lb)
-    # at beta == 1, inner(x) = outer(y) when outer is inner
-    same = beta == 1.0 and outer is inner
-    # the point whose inner(x) the caller gave (None never is one)
-    given_at = x_prev if inner_x_prev is not None and (beta != 1.0 or same) else None
-    # the step map keeps y, inner(x) and outer(y) of its latest call in
-    # closure cells (cheaper per iteration than building a record)
-    y = ix = oy = None
-    if beta == 1.0:
-        def step_map(x):
-            nonlocal y, oy
-            y = x
-            oy = inner_x_prev if x is given_at else check(outer(x))
-            return raw_w(anchor, oy, la)
-    else:
-        def step_map(x):
-            nonlocal y, ix, oy
-            ix = inner_x_prev if x is given_at else check(inner(x))
-            y = raw_w(x, ix, lb)
-            oy = check(outer(y))
-            return raw_w(anchor, oy, la)
-
-    def last():
-        return y, (oy if same else ix), oy
-
-    if alpha == 1.0:
-        step_map(anchor)
-        x, stats = anchor, InnerStats(0, 0.0, *last())
-    elif exact:
-        # x = a*anchor + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
-        A, b = outer.A, outer.b
-        M = la * (beta * A + lb * (A @ A))
-        rhs = alpha * np.array(anchor) + la * (lb * (A @ b) + b)
-        x = check(np.linalg.solve(np.eye(len(b)) - M, rhs))
-        stats = InnerStats(1, space.d(x, step_map(x)), *last())
-    else:
-        x, stats = _picard_solve(space, step_map, x_prev, cfg, last)
-    if stats.inner_x is None:  # beta == 1 and outer is not inner
+    # at beta == 1, y = x and only outer is called, giving inner(x) if outer is inner
+    mann = beta == 1.0
+    if mann and outer is not inner:
+        inner_x_prev = None
+    step_inner = outer if mann else inner
+    if alpha != 1.0 and not exact:
+        x, stats = _picard_solve(space, outer, step_inner, anchor, x_prev, la,
+                                 None if mann else lb, cfg, inner_x_prev)
+    else:  # x is known: evaluate the step map there once
+        x = anchor
+        if alpha != 1.0:
+            # x = a*anchor + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
+            A, b = outer.A, outer.b
+            M = la * (beta * A + lb * (A @ A))
+            rhs = alpha * np.array(anchor) + la * (lb * (A @ b) + b)
+            x = check(np.linalg.solve(np.eye(len(b)) - M, rhs))
+        given = x is x_prev and inner_x_prev is not None
+        ix = inner_x_prev if given else check(step_inner(x))
+        y = x if mann else raw_w(x, ix, lb)
+        oy = ix if mann else check(outer(y))
+        stats = (InnerStats(0, 0.0, y, ix, oy) if alpha == 1.0 else
+                 InnerStats(1, space.d(x, raw_w(anchor, oy, la)), y, ix, oy))
+    if mann and outer is not inner:
         stats.inner_x = check(inner(x))
     return x, stats.y, stats
 

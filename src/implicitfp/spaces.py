@@ -25,6 +25,7 @@ from .errors import ConfigError, InvalidPointError
 TRIPOD_RAYS = ("A", "B", "C")
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 _INF = math.inf
+_LOG2 = math.log(2.0)
 
 
 class Space:
@@ -283,9 +284,10 @@ class HalfPlane(Space):
 
     Distance: d = 2*asinh(|z1-z2| / (2*sqrt(y1*y2))), the stable form of
     arccosh(1 + |z1-z2|^2/(2*y1*y2)).  When y1*y2 over- or underflows the
-    root is taken as sqrt(y1)*sqrt(y2), and when |z1-z2| overflows it is
-    taken from the halved coordinates, so d holds for all finite points as
-    long as the asinh argument stays a finite float.
+    root is taken as sqrt(y1)*sqrt(y2) (in d_many too), when |z1-z2|
+    overflows it is taken from the halved coordinates, and when the asinh
+    argument q leaves the floats, asinh(q) is log(2q) from the logs of its
+    numerator and denominator.
 
     Points on one vertical geodesic (x2 == x1) interpolate in closed form,
     w = (x1, y1*(y2/y1)^lam), whenever y2/y1 is a positive finite float.
@@ -310,11 +312,12 @@ class HalfPlane(Space):
             root = math.sqrt(yy)
         else:  # the product over- or underflowed
             root = math.sqrt(y1) * math.sqrt(y2)
-        h = math.hypot(x1 - x2, y1 - y2)
+        h, den = math.hypot(x1 - x2, y1 - y2), 2.0 * root
         if h == _INF:  # a difference overflowed: halve the coordinates
-            q = math.hypot(0.5 * x1 - 0.5 * x2, 0.5 * y1 - 0.5 * y2) / root
-        else:
-            q = h / (2.0 * root)
+            h, den = math.hypot(0.5 * x1 - 0.5 * x2, 0.5 * y1 - 0.5 * y2), root
+        q = h / den
+        if q == _INF:  # q left the floats; asinh(q) = log(2q) to double precision there
+            return 2.0 * (math.log(h) + (_LOG2 - math.log(den)))
         return 2.0 * math.asinh(q)
 
     def raw_w(self, z1, z2, lam):
@@ -360,8 +363,14 @@ class HalfPlane(Space):
         return P[:, 0] + 1j * P[:, 1]
 
     def d_many(self, Z1, Z2):
-        q = np.abs(Z1 - Z2) / (2.0 * np.sqrt(Z1.imag * Z2.imag))
-        return 2.0 * np.arcsinh(q)
+        y1, y2 = Z1.imag, Z2.imag
+        with np.errstate(over="ignore"):
+            yy = y1 * y2
+        root = np.sqrt(yy)
+        if not (_FLOAT_MIN <= yy.min() and yy.max() < _INF):  # rows as in raw_d
+            wide = (yy < _FLOAT_MIN) | (yy == _INF)
+            root[wide] = np.sqrt(y1[wide]) * np.sqrt(y2[wide])
+        return 2.0 * np.arcsinh(np.abs(Z1 - Z2) / (2.0 * root))
 
     def w_many(self, Z1, Z2, lam):
         # the conjugation of `w`, row by row

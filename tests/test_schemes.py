@@ -1,3 +1,4 @@
+import copy
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -357,9 +358,27 @@ class TestCheckedAtTheBoundary:
             "halfplane-y-negative", "halfplane-nan"])
     def test_invalid_step_output_raises(self, space, x0, bad):
         # raw_w can overflow or underflow; a non-finite residual re-checks
-        step_map = bad_on(lambda x: x0, bad, range(1, 100))
-        with pytest.raises(InvalidPointError):
-            schemes._picard_solve(space, step_map, x0, InnerSolverConfig())
+        calls = []
+
+        class BadW(type(space)):
+            def raw_w(self, x, y, lam):
+                calls.append("w")
+                return bad
+
+            def raw_d(self, x, y):
+                calls.append("d")
+                return super().raw_d(x, y)
+
+        bad_space = copy.copy(space)
+        bad_space.__class__ = BadW
+        t = lambda x: x0  # noqa: E731  (valid, so only raw_w gives a bad point)
+        for beta, w_calls in ((1.0, ["w"]), (0.5, ["w", "w"])):
+            calls.clear()
+            with pytest.raises(InvalidPointError) as info:
+                implicit_step(bad_space, t, t, x0, x0, 0.5, beta)
+            # raised after the first residual, d(x0, bad), inside the Picard loop
+            assert calls == w_calls + ["d"]
+            assert "_picard_solve" in [entry.name for entry in info.traceback]
 
     def test_infinite_residual_between_valid_points(self):
         # d(-1.7e308, 1.7e308) overflows to inf; both points are valid, so the

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,33 @@ class TestHalfPlaneWideScales:
         for _ in range(2000):
             z1, z2 = sp.sample(rng), sp.sample(rng)
             assert repr(sp.raw_d(z1, z2)) == repr(product_d(z1, z2))
+
+    # 2*asinh(|z1-z2| / (2*sqrt(y1*y2))) to 40 digits (mpmath), rounded to a float
+    @pytest.mark.parametrize("z1,z2,want", [
+        ((-1e308, 0.5), (1e308, 0.5), 1421.165006006572),
+        ((-1e307, 1e-10), (1e307, 1e-10), pytest.approx(1461.2252433193448, rel=1e-15)),
+    ])
+    def test_distance_when_the_quotient_overflows(self, z1, z2, want):
+        # asinh's argument (2e308, 1e317) is past the largest float
+        assert HalfPlane().d(z1, z2) == want
+        assert HalfPlane().d(z2, z1) == want
+
+    def test_batched_distance_at_wide_scales(self):
+        sp = HalfPlane()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sp.d_many(sp.pack([(0.0, 1e200), (0.0, 1e-200)]),
+                            sp.pack([(1e200, 1e200), (0.0, 1e-200)]))
+        assert got.tolist() == [2.0 * math.asinh(0.5), 0.0]
+
+    def test_batched_distance_on_the_default_box_keeps_its_bits(self):
+        sp = HalfPlane()
+        lo, hi = sp.sample_box()
+        rng = np.random.default_rng(12)
+        Z1, Z2 = (sp.from_coords(rng.uniform(lo, hi, (2000, 2))) for _ in range(2))
+        # d_many before it guarded the product y1*y2, verbatim
+        old = 2.0 * np.arcsinh(np.abs(Z1 - Z2) / (2.0 * np.sqrt(Z1.imag * Z2.imag)))
+        assert list(map(repr, sp.d_many(Z1, Z2))) == list(map(repr, old))
 
 
 @pytest.mark.parametrize("name", ["euclidean:1", "euclidean:2", "euclidean:3",
