@@ -367,8 +367,8 @@ class HalfPlane(Space):
         with np.errstate(over="ignore"):
             yy = y1 * y2
         root = np.sqrt(yy)
-        if not (_FLOAT_MIN <= yy.min() and yy.max() < _INF):  # rows as in raw_d
-            wide = (yy < _FLOAT_MIN) | (yy == _INF)
+        wide = (yy < _FLOAT_MIN) | (yy == _INF)  # as in raw_d
+        if wide.any():
             root[wide] = np.sqrt(y1[wide]) * np.sqrt(y2[wide])
         return 2.0 * np.arcsinh(np.abs(Z1 - Z2) / (2.0 * root))
 
