@@ -212,13 +212,13 @@ class InnerStats:
 
 
 def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
-                  cfg: InnerSolverConfig, ix0=None):
+                  cfg: InnerSolverConfig, ix0):
     """Solve x = W(anchor, outer(y), 1-la), y = W(x, inner(x), 1-lb) by Picard iteration.
 
     Each iteration evaluates the step map at x inline: ix = inner(x), then
     y = raw_w(x, ix, lb), oy = outer(y) and fx = raw_w(anchor, oy, la).
     lb None marks a Mann step: y = x and oy = ix, so inner, which the caller
-    passes as outer, is the only map called.  ix0, when given, is inner(x0)
+    passes as outer, is the only map called.  ix0, unless None, is inner(x0)
     and stands in for the first call.  anchor, x0 and ix0 must be checked;
     each map output is checked as it is produced, and a non-finite residual
     d(x, fx) re-checks both points (InvalidPointError for an invalid one).
