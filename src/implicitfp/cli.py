@@ -209,6 +209,10 @@ def cmd_datadep(args):
 
 def cmd_axiom_check(args):
     space = spaces.from_name(args.space or "euclidean:1")
+    if args.samples < 1:
+        raise ConfigError(f"bad --samples {args.samples}: must be >= 1")
+    if not 0.0 < args.tol < np.inf:  # nan fails too
+        raise ConfigError(f"bad --tol {args.tol!r}: must be finite and > 0")
     report = spaces.check_axioms(space, n_samples=args.samples,
                                  tol=args.tol, seed=args.seed)
     lines = [f"space={report.space} samples={report.n_samples} tol={report.tol!r}"]

@@ -24,6 +24,7 @@ from .errors import ConfigError, InvalidPointError
 
 TRIPOD_RAYS = ("A", "B", "C")
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
+_HALF_MAX = sys.float_info.max / 2.0  # 2*x overflows above it
 _INF = math.inf
 _LOG2 = math.log(2.0)
 
@@ -180,7 +181,15 @@ class Euclidean(Space):
         return self.from_coords(X)
 
     def d_many(self, X, Y):
-        return np.linalg.norm(X - Y, axis=1)
+        D = X - Y
+        if self.dim >= 8:  # numpy sums 8 or more columns pairwise
+            return np.linalg.norm(D, axis=1)
+        # below that, norm's own left-to-right sum of squares, without its
+        # wrapper and its axis=1 reduce
+        s = D[:, 0] * D[:, 0]
+        for j in range(1, self.dim):
+            s += D[:, j] * D[:, j]
+        return np.sqrt(s)
 
     def w_many(self, X, Y, lam):
         lam = np.reshape(lam, (-1, 1))
@@ -190,8 +199,8 @@ class Euclidean(Space):
         return np.full(self.dim, -5.0), np.full(self.dim, 5.0)
 
     def from_coords(self, C):
-        finite = np.isfinite(C).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(C).all():
+            finite = np.isfinite(C).all(axis=1)
             raise InvalidPointError(f"non-finite coordinates: {C[np.argmin(finite)]}")
         return np.ascontiguousarray(C)
 
@@ -284,8 +293,9 @@ class HalfPlane(Space):
 
     Distance: d = 2*asinh(|z1-z2| / (2*sqrt(y1*y2))), the stable form of
     arccosh(1 + |z1-z2|^2/(2*y1*y2)).  When y1*y2 over- or underflows the
-    root is taken as sqrt(y1)*sqrt(y2) (in d_many too), when |z1-z2|
-    overflows it is taken from the halved coordinates, and when the asinh
+    root is taken as sqrt(y1)*sqrt(y2) (in d_many too), and when 2*root
+    then overflows q is 0.5*(|z1-z2|/root); when |z1-z2| overflows it is
+    taken from the halved coordinates, and when the asinh
     argument q leaves the floats, asinh(q) is log(2q) from the logs of its
     numerator and denominator.
 
@@ -312,6 +322,11 @@ class HalfPlane(Space):
             root = math.sqrt(yy)
         else:  # the product over- or underflowed
             root = math.sqrt(y1) * math.sqrt(y2)
+            if root > _HALF_MAX:  # 2*root overflows: q = 0.5*(h/root) instead
+                # both y exceed a quarter of the float range; h from the halved
+                # coordinates stays finite and q stays small
+                return 2.0 * math.asinh(
+                    math.hypot(0.5 * x1 - 0.5 * x2, 0.5 * y1 - 0.5 * y2) / root)
         h, den = math.hypot(x1 - x2, y1 - y2), 2.0 * root
         if h == _INF:  # a difference overflowed: halve the coordinates
             h, den = math.hypot(0.5 * x1 - 0.5 * x2, 0.5 * y1 - 0.5 * y2), root
@@ -367,10 +382,14 @@ class HalfPlane(Space):
         with np.errstate(over="ignore"):
             yy = y1 * y2
         root = np.sqrt(yy)
+        h = np.abs(Z1 - Z2)
         wide = (yy < _FLOAT_MIN) | (yy == _INF)  # as in raw_d
         if wide.any():
             root[wide] = np.sqrt(y1[wide]) * np.sqrt(y2[wide])
-        return 2.0 * np.arcsinh(np.abs(Z1 - Z2) / (2.0 * root))
+            half = root > _HALF_MAX  # 2*root would overflow: q = 0.5*(h/root) there
+            h[half] *= 0.5
+            root[half] *= 0.5
+        return 2.0 * np.arcsinh(h / (2.0 * root))
 
     def w_many(self, Z1, Z2, lam):
         # the conjugation of `w`, row by row
@@ -484,8 +503,9 @@ WORST_FIELDS = {
     "axiom_iv": ("x", "y", "z", "v", "lam"),
 }
 
-# tuples evaluated per batched pass; bounds the arrays held at once
-AXIOM_BLOCK = 256
+# tuples evaluated per batched pass: a default check (1000 tuples) is one
+# block, and larger checks hold at most this many tuples' arrays at once
+AXIOM_BLOCK = 4096
 
 
 @dataclass
@@ -545,8 +565,12 @@ def check_axioms(space: Space, sampler=None, n_samples: int = 1000,
     absolute deviation.  Each axiom passes iff its max violation <= tol; a
     non-finite violation (nan, e.g. from distances that overflow) fails.
 
-    Tuples are checked in blocks of AXIOM_BLOCK with the space's d_many and
-    w_many.  Without a sampler, each block is one `rng.random((m, 5k + 2))`:
+    Tuples are checked in blocks of AXIOM_BLOCK (4096) with the space's
+    d_many and w_many, so a default check of 1000 tuples is one batched pass,
+    and a larger one holds the arrays of at most one block at a time.  Rows
+    are drawn in stream order and a later block replaces an axiom's worst
+    tuple only when strictly worse, so the block size never changes a report.
+    Without a sampler, each block is one `rng.random((m, 5k + 2))`:
     row i holds tuple i's coordinates in the order x, y, z, v, u (k each,
     scaled into `space.sample_box()`), then lam and mu.  That is the stream
     of five `space.sample(rng)` calls and two `rng.uniform()` per tuple, so
@@ -558,7 +582,7 @@ def check_axioms(space: Space, sampler=None, n_samples: int = 1000,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if tol <= 0:
+    if not tol > 0:  # nan too
         raise ValueError("tol must be > 0")
     rng = np.random.default_rng(seed)
     if sampler is None:

@@ -174,6 +174,14 @@ class TestAxiomCheck:
     def test_unknown_space(self):
         assert run_cli(["axiom-check", "--space", "nosuch"]) == 2
 
+    # exit 1 means a failed axiom, so a bad flag value must not end there
+    @pytest.mark.parametrize("flag", ["--samples=0", "--samples=-3", "--tol=0",
+                                      "--tol=-1e-9", "--tol=nan", "--tol=inf"])
+    def test_bad_argument_is_config_error(self, flag, capsys):
+        assert run_cli(["axiom-check", flag]) == 2
+        name = flag.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"config error: bad {name} ")
+
 
 class TestConfigFile:
     def test_config_file_applies(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
+import decimal
 import math
+import re
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -240,6 +243,38 @@ class TestHalfPlaneWideScales:
         old = 2.0 * np.arcsinh(np.abs(Z1 - Z2) / (2.0 * np.sqrt(Z1.imag * Z2.imag)))
         assert list(map(repr, sp.d_many(Z1, Z2))) == list(map(repr, old))
 
+    # both y near the float limit, so sqrt(y1)*sqrt(y2) is above half of it
+    # and 2*root would overflow
+    @pytest.mark.parametrize("z1,z2", [
+        ((0.0, 1e308), (1e307, 1.7e308)),
+        ((1e307, 1.7e308), (0.0, 1e308)),
+        ((-3.0, 1.7e308), (5.0, 1.79e308)),
+    ])
+    def test_distance_when_twice_the_root_overflows(self, z1, z2):
+        sp = HalfPlane()
+        assert math.sqrt(z1[1]) * math.sqrt(z2[1]) > sys.float_info.max / 2
+        want = decimal_halfplane_d(z1, z2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sp.d(z1, z2) == pytest.approx(want, rel=1e-15)
+            got = sp.d_many(sp.pack([z1, (0.0, 1.0)]), sp.pack([z2, (0.0, 1.0)]))
+        assert got[0] == pytest.approx(want, rel=1e-15) and got[1] == 0.0
+
+    def test_distance_when_twice_the_root_and_the_difference_overflow(self):
+        z1, z2 = (-1e308, 1e308), (1e308, 1.7e308)
+        assert math.isinf(z1[0] - z2[0])
+        assert HalfPlane().d(z1, z2) == pytest.approx(decimal_halfplane_d(z1, z2), rel=1e-15)
+
+
+def decimal_halfplane_d(z1, z2):
+    """2*asinh(|z1-z2| / (2*sqrt(y1*y2))) in 50-digit decimal arithmetic."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        (x1, y1), (x2, y2) = [(D(x), D(y)) for x, y in (z1, z2)]
+        q = ((x1 - x2) ** 2 + (y1 - y2) ** 2).sqrt() / (2 * (y1 * y2).sqrt())
+        return float(2 * (q + (q * q + 1).sqrt()).ln())
+
 
 @pytest.mark.parametrize("name", ["euclidean:1", "euclidean:2", "euclidean:3",
                                   "tripod", "halfplane"])
@@ -259,6 +294,8 @@ def test_check_axioms_rejects_bad_args():
         check_axioms(Euclidean(1), n_samples=0)
     with pytest.raises(ValueError):
         check_axioms(Euclidean(1), tol=0.0)
+    with pytest.raises(ValueError):
+        check_axioms(Euclidean(1), tol=math.nan)
 
 
 def test_check_axioms_invalid_sampler():
@@ -486,7 +523,7 @@ BAD_POINTS = [
 
 
 @pytest.mark.parametrize("name,bad", BAD_POINTS)
-def test_pack_rejects_bad_point_anywhere(name, bad):
+def test_pack_rejects_bad_point_anywhere(name, bad, monkeypatch):
     space = spaces.from_name(name)
     rng = np.random.default_rng(0)
     points = [space.sample(rng) for _ in range(300)]
@@ -501,6 +538,7 @@ def test_pack_rejects_bad_point_anywhere(name, bad):
         calls.append(None)
         return bad if len(calls) == 1500 else space.sample(r)  # the 2nd block
 
+    monkeypatch.setattr(spaces, "AXIOM_BLOCK", 256)
     with pytest.raises(InvalidPointError):
         check_axioms(space, sampler=sampler, n_samples=400)
 
@@ -564,13 +602,32 @@ def report_bytes(report):
 
 
 @pytest.mark.parametrize("name", ALL_SPACES)
-@pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 1000, 4097])
 def test_block_draws_equal_per_tuple_sampling(name, n_samples):
     space = spaces.from_name(name)
     for seed in (0, 11):
         block = check_axioms(space, n_samples=n_samples, seed=seed)
         per_tuple = check_axioms(space, sampler=space.sample, n_samples=n_samples, seed=seed)
         assert report_bytes(block) == report_bytes(per_tuple), seed
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_block_size_never_changes_a_report(name, monkeypatch):
+    space = spaces.from_name(name)
+    small, large = (1, 7, 8, 300), (4095, 4096, 4097)
+    # the reference checks every tuple in one block
+    monkeypatch.setattr(spaces, "AXIOM_BLOCK", 10_000)
+    want = {n: report_bytes(check_axioms(space, n_samples=n, seed=3)) for n in small + large}
+    # blocks of 1 and 7 take one pass per few tuples, so only on small checks
+    for block, sizes in [(1, small), (7, small), (256, small + large),
+                         (4096, small + large)]:
+        monkeypatch.setattr(spaces, "AXIOM_BLOCK", block)
+        for n in sizes:
+            assert report_bytes(check_axioms(space, n_samples=n, seed=3)) == want[n], (block, n)
+
+
+def test_default_check_is_one_block():
+    assert spaces.AXIOM_BLOCK >= 1000
 
 
 # the samplers of Euclidean and the half-plane before their sampling boxes
@@ -625,6 +682,22 @@ BAD_COORDS = [
 def test_from_coords_rejects_points_outside_the_domain(name, coords):
     with pytest.raises(InvalidPointError):
         spaces.from_name(name).from_coords(np.array(coords))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_euclidean_from_coords_names_the_first_bad_row(bad):
+    C = np.array([[0.0, 1.0], [2.0, bad], [bad, 3.0]])
+    with pytest.raises(InvalidPointError, match=re.escape(f"non-finite coordinates: {C[1]}")):
+        Euclidean(2).from_coords(C)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_euclidean_d_many_is_norm_bit_for_bit(dim):
+    space = Euclidean(dim)
+    lo, hi = space.sample_box()
+    rng = np.random.default_rng(dim)
+    X, Y = (space.from_coords(rng.uniform(lo, hi, (10_000, dim))) for _ in range(2))
+    assert space.d_many(X, Y).tobytes() == np.linalg.norm(X - Y, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("c", [[-0.5, 1.0], [3.0, 1.0], [math.nan, 1.0]])
