@@ -61,19 +61,14 @@ def _resolve_schedule(args):
 
 
 def _resolve_run(args):
+    """(space, T, schedule, solver config, x0); --mapping decides the space."""
     try:
-        space, t, sampler = mappings.from_name(args.mapping)
+        space, t, _sampler = mappings.from_name(args.mapping)
     except CertificateError as exc:  # an out-of-range --mapping parameter
         raise ConfigError(f"bad --mapping {args.mapping!r}: {exc}")
-    if args.space is not None:
-        requested = spaces.from_name(args.space)
-        if requested.name != space.name:
-            raise ConfigError(
-                f"mapping {args.mapping!r} lives on {space.name!r}, not {args.space!r}")
-        space = requested
     schedule = _resolve_schedule(args)
     cfg = schemes.InnerSolverConfig(tolerance=args.tol, mode=args.solver)
-    return space, t, sampler, schedule, cfg
+    return space, t, schedule, cfg, _parse_x0(args.x0, space, t)
 
 
 def _parse_x0(arg, space, t):
@@ -118,13 +113,9 @@ def _emit(text, path):
 
 
 def cmd_table(args):
-    space, t, _sampler, schedule, cfg = _resolve_run(args)
-    rows = (tuple(n for n in experiments.TABLE_ROWS if n <= args.n_max)
-            or (1,))
-    table = experiments.reproduce_table(rows=rows, n_max=args.n_max,
-                                        mapping_name=args.mapping,
-                                        schedule=schedule, cfg=cfg,
-                                        digits=args.digits)
+    space, t, schedule, cfg, x0 = _resolve_run(args)
+    traces = experiments.run_schemes(space, t, schedule, x0, args.n_max, cfg)
+    table = experiments.reproduce_table(traces, digits=args.digits)
     _emit(table.to_csv() if args.format == "csv" else table.to_text(),
           args.output)
     if args.verify:
@@ -141,8 +132,7 @@ def cmd_table(args):
 
 
 def cmd_compare(args):
-    space, t, _sampler, schedule, cfg = _resolve_run(args)
-    x0 = _parse_x0(args.x0, space, t)
+    space, t, schedule, cfg, x0 = _resolve_run(args)
     race = experiments.rate_race(space, t, schedule, x0=x0,
                                  n_max=args.n_max, cfg=cfg,
                                  horizon=args.horizon,
@@ -165,14 +155,11 @@ def cmd_compare(args):
 
 
 def cmd_bounds(args):
-    space, t, _sampler, schedule, cfg = _resolve_run(args)
-    x0 = _parse_x0(args.x0, space, t)
-    p = t.fixed_point
-    d0 = space.d(x0, p)
+    space, t, schedule, cfg, x0 = _resolve_run(args)
+    d0 = space.d(x0, t.fixed_point)
     env = bounds_mod.BoundSequences.compute(schedule, t.delta, d0, args.n_max,
                                             literal=args.literal)
-    traces = {s: schemes.run(space, t, s, schedule, x0, args.n_max, cfg, p=p)
-              for s in schemes.SCHEME_IDS}
+    traces = experiments.run_schemes(space, t, schedule, x0, args.n_max, cfg)
     lines = ["n,a_n,b_n,c_n,dist_s,dist_mann,dist_ishikawa"]
     for i, n in enumerate(range(2, args.n_max + 1)):
         ds = traces["implicit-s"].records[i + 1].dist_to_p
@@ -185,9 +172,8 @@ def cmd_bounds(args):
 
 
 def cmd_datadep(args):
-    space, t, _sampler, schedule, cfg = _resolve_run(args)
+    space, t, schedule, cfg, x0 = _resolve_run(args)
     s = _perturbation(args.perturb, space, t)
-    x0 = _parse_x0(args.x0, space, t)
     if s is None:
         # zero perturbation: S = T, observed 0 by construction; the schedule
         # is still checked as run_datadep checks it
@@ -239,11 +225,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, n_max_default=50):
-        p.add_argument("--space", default=None,
-                       help="space name (euclidean:<dim>, tripod, halfplane)")
         p.add_argument("--mapping", default="halving",
-                       help="mapping name (halving, affine:<spec>, "
-                            "tripod-radial:<f>, halfplane-vertical:<f>)")
+                       help="mapping name, which also decides the space (halving, "
+                            "affine:<spec>, tripod-radial:<f>, halfplane-vertical:<f>)")
         p.add_argument("--schedule", default="default",
                        help="schedule preset (default, constant:<a>[,<b>], polynomial:<q>)")
         p.add_argument("--alpha", default=None,

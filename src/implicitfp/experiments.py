@@ -128,32 +128,27 @@ class ComparisonTable:
         return bad
 
 
-def reproduce_table(rows=TABLE_ROWS, n_max: Optional[int] = None,
-                    mapping_name: str = "halving",
-                    schedule: Optional[Schedule] = None,
-                    cfg: Optional[InnerSolverConfig] = None,
-                    digits: int = 15) -> ComparisonTable:
-    """Run all three schemes on the benchmark configuration and format rows."""
-    schedule = schedule or default_schedule()
-    cfg = cfg or InnerSolverConfig()
-    space, t, _sampler = mappings.from_name(mapping_name)
-    x0 = default_x0(space, t)
-    p = t.fixed_point
-    horizon = n_max if n_max is not None else max(rows)
-    rows = tuple(n for n in rows if n <= horizon) or (1,)
+def run_schemes(space: Space, t: ContractiveLike, schedule: Schedule, x0,
+                n_max: int, cfg: Optional[InnerSolverConfig] = None) -> dict:
+    """The three schemes' traces from x0 to n_max, by scheme id."""
+    return {s: run(space, t, s, schedule, x0, n_max, cfg) for s in schemes.SCHEME_IDS}
 
-    traces = {
-        scheme: run(space, t, scheme, schedule, x0, horizon, cfg, p=p)
-        for scheme in schemes.SCHEME_IDS
-    }
-    by_n = {scheme: {r.n: r.dist_to_p for r in tr} for scheme, tr in traces.items()}
-    out = []
-    for n in rows:
-        out.append((n,
-                    format15(by_n["implicit-mann"][n], digits),
-                    format15(by_n["implicit-ishikawa"][n], digits),
-                    format15(by_n["implicit-s"][n], digits)))
-    return ComparisonTable(out, digits)
+
+def reproduce_table(traces: Optional[dict] = None, rows=TABLE_ROWS,
+                    digits: int = 15) -> ComparisonTable:
+    """The traces' distances to p at the rows they reach (n = 1 if none).
+
+    Without traces the schemes run on the reference configuration: the
+    halving map from x0 = 1 under the default schedule, up to the last row.
+    """
+    if traces is None:
+        space, t, _sampler = mappings.halving()
+        traces = run_schemes(space, t, default_schedule(), default_x0(space, t), max(rows))
+    cols = [[r.dist_to_p for r in traces[s]]  # records are n = 1..n_max
+            for s in ("implicit-mann", "implicit-ishikawa", "implicit-s")]
+    rows = tuple(n for n in rows if n <= len(cols[0])) or (1,)
+    return ComparisonTable([(n, *(format15(c[n - 1], digits) for c in cols)) for n in rows],
+                           digits)
 
 
 def default_x0(space: Space, t: ContractiveLike):
@@ -201,7 +196,6 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
               horizon: Optional[int] = None,
               threshold: float = 1e-6) -> RateRace:
     """Run the three schemes and compare rates on actual and envelope sequences."""
-    cfg = cfg or InnerSolverConfig()
     if x0 is None:
         x0 = default_x0(space, t)
     p = t.fixed_point
@@ -212,8 +206,7 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
         raise ConfigError("a rate race needs at least two comparison points, "
                           f"min(horizon, n_max - 1); got horizon {horizon}, n_max {n_max}")
 
-    traces = {s: run(space, t, s, schedule, x0, n_max, cfg, p=p)
-              for s in schemes.SCHEME_IDS}
+    traces = run_schemes(space, t, schedule, x0, n_max, cfg)
     d0 = space.d(x0, p)
     env = BoundSequences.compute(schedule, t.delta, d0, n_max)
 
@@ -299,14 +292,13 @@ def datadep_weights(schedule: Schedule, n_max: int) -> list:
 
 
 def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
-                schedule: Optional[Schedule] = None, x0=None, u0=None,
+                schedule: Optional[Schedule] = None, x0=None,
                 n_max: int = 200, cfg: Optional[InnerSolverConfig] = None,
-                proof_variant: bool = False,
-                tail_tol: float = 1e-12) -> DataDepReport:
-    """Run the paired iterations for T and its approximation S.
+                proof_variant: bool = False) -> DataDepReport:
+    """Run the paired iterations for T and its approximation S, both from x0.
 
     The limit q of the u-sequence is accepted when the last ten step
-    displacements d(u_n, u_{n-1}) fall below tail_tol; otherwise the report
+    displacements d(u_n, u_{n-1}) fall below 1e-12; otherwise the report
     is marked inconclusive (converged=False).  The schedule and n_max are
     checked by datadep_weights before any step.  The report holds p and q
     in the space's public form.
@@ -315,8 +307,6 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     cfg = cfg or InnerSolverConfig()
     if x0 is None:
         x0 = default_x0(space, t)
-    if u0 is None:
-        u0 = x0
 
     p = t.fixed_point
     if p is None:
@@ -325,7 +315,7 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     # the u-step pairs T with S, so it has no closed form and always uses Picard
     u_cfg = replace(cfg, mode="picard")
     check, raw_d = space.check_point, space.raw_d
-    x, u = check(x0), check(u0)
+    x = u = check(x0)
     a_seq = [raw_d(x, u)]   # a_{n+1} = d(x_n, u_n), starting at n = 1
     mu_seq, eta_seq = [], []
     u_steps = []
@@ -354,7 +344,7 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
         mu_seq.append((1.0 - al) * (1.0 - delta))
         eta_seq.append(eta)
 
-    converged = len(u_steps) >= 10 and all(d < tail_tol for d in u_steps[-10:])
+    converged = len(u_steps) >= 10 and all(d < 1e-12 for d in u_steps[-10:])
     q = u
     observed = space.d(p, q)
     bound = datadep_bound(eps, delta)

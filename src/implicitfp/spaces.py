@@ -293,18 +293,19 @@ class HalfPlane(Space):
 
     Distance: d = 2*asinh(|z1-z2| / (2*sqrt(y1*y2))), the stable form of
     arccosh(1 + |z1-z2|^2/(2*y1*y2)).  When y1*y2 over- or underflows the
-    root is taken as sqrt(y1)*sqrt(y2) (in d_many too), and when 2*root
-    then overflows q is 0.5*(|z1-z2|/root); when |z1-z2| overflows it is
-    taken from the halved coordinates, and when the asinh
-    argument q leaves the floats, asinh(q) is log(2q) from the logs of its
-    numerator and denominator.
+    root is taken as sqrt(y1)*sqrt(y2), and when 2*root then overflows q is
+    0.5*(|z1-z2|/root); when |z1-z2| overflows it is taken from the halved
+    coordinates, and when the asinh argument q leaves the floats, asinh(q)
+    is log(2q) from the logs of its numerator and denominator.  d_many
+    takes each of these branches on the rows that need it.
 
     Points on one vertical geodesic (x2 == x1) interpolate in closed form,
-    w = (x1, y1*(y2/y1)^lam), whenever y2/y1 is a positive finite float.
-    Other pairs are conjugated by an isometry taking the geodesic to the
-    imaginary axis (translate/scale sending z1 to i, then a rotation about
-    i), interpolated as i*s^lam there, and mapped back; on a vertical pair
-    that conjugation gives the closed form's bits.
+    w = (x1, y1*(y2/y1)^lam), whenever y2/y1 is a positive finite float,
+    and as (x1, y1^(1-lam) * y2^lam) when it is not.  Other pairs are
+    conjugated by an isometry taking the geodesic to the imaginary axis
+    (translate/scale sending z1 to i, then a rotation about i), interpolated
+    as i*s^lam there, and mapped back; on a vertical pair that conjugation
+    gives the closed form's bits.
     """
 
     name = "halfplane"
@@ -344,19 +345,19 @@ class HalfPlane(Space):
         # rotations are z -> (z cos + sin)/(-z sin + cos), t = tan(theta)
         # solves a*t^2 + (|z|^2 - 1)*t - a = 0 (roots t and -1/t)
         if a == 0.0:
+            # z2 lies on z1's vertical geodesic, so the rotation is the
+            # identity; this is the conjugation's result bit for bit (it too
+            # turns x1 = -0.0 into 0.0).  Where y2/y1 leaves the floats the
+            # conjugation gives no point; each power below stays inside them
             if 0.0 < b < math.inf:
-                # z2 lies on z1's vertical geodesic, so the rotation is the
-                # identity; this is the conjugation's result bit for bit
-                # (it too turns x1 = -0.0 into 0.0)
                 return (x1 + 0.0, y1 * math.exp(lam * math.log(b)))
-            t = 0.0
+            return (x1 + 0.0, y1 ** (1.0 - lam) * y2 ** lam)
+        B = a * a + b * b - 1.0
+        qroot = -(B + math.copysign(math.sqrt(B * B + 4.0 * a * a), B)) / 2.0
+        if qroot == 0.0:  # B == 0 and a == 0 handled above
+            t = math.copysign(1.0, a)
         else:
-            B = a * a + b * b - 1.0
-            qroot = -(B + math.copysign(math.sqrt(B * B + 4.0 * a * a), B)) / 2.0
-            if qroot == 0.0:  # B == 0 and a == 0 handled above
-                t = math.copysign(1.0, a)
-            else:
-                t = -a / qroot
+            t = -a / qroot
         c = 1.0 / math.sqrt(1.0 + t * t)
         s = t * c
         # image of z2 under the rotation (z1 maps to i, which is fixed)
@@ -378,18 +379,27 @@ class HalfPlane(Space):
         return P[:, 0] + 1j * P[:, 1]
 
     def d_many(self, Z1, Z2):
+        # raw_d's branches, each on the mask of its rows
         y1, y2 = Z1.imag, Z2.imag
         with np.errstate(over="ignore"):
             yy = y1 * y2
-        root = np.sqrt(yy)
-        h = np.abs(Z1 - Z2)
-        wide = (yy < _FLOAT_MIN) | (yy == _INF)  # as in raw_d
-        if wide.any():
-            root[wide] = np.sqrt(y1[wide]) * np.sqrt(y2[wide])
-            half = root > _HALF_MAX  # 2*root would overflow: q = 0.5*(h/root) there
-            h[half] *= 0.5
-            root[half] *= 0.5
-        return 2.0 * np.arcsinh(h / (2.0 * root))
+            h = np.abs(Z1 - Z2)
+            root = np.sqrt(yy)
+            halve = h == _INF  # |z1 - z2| overflowed
+            wide = (yy < _FLOAT_MIN) | (yy == _INF)
+            if wide.any():
+                root[wide] = np.sqrt(y1[wide]) * np.sqrt(y2[wide])
+                halve |= root > _HALF_MAX  # 2*root overflows
+            den = 2.0 * root
+            if halve.any():  # h from the halved coordinates, over root
+                h[halve] = np.abs(0.5 * Z1[halve] - 0.5 * Z2[halve])
+                den[halve] = root[halve]
+            q = h / den
+        out = 2.0 * np.arcsinh(q)
+        big = q == _INF
+        if big.any():  # asinh(q) = log(2q), from the logs of h and den
+            out[big] = 2.0 * (np.log(h[big]) + (_LOG2 - np.log(den[big])))
+        return out
 
     def w_many(self, Z1, Z2, lam):
         # the conjugation of `w`, row by row

@@ -36,6 +36,18 @@ class TestTable:
         assert p1.read_bytes().endswith(b"\n")
         assert b"\r" not in p1.read_bytes()
 
+    def test_verify_checks_the_start_point(self, capsys):
+        # the table runs from --x0; only x0 = 1 gives the reference cells
+        assert run_cli(["table", "--x0", "1", "--verify"]) == 0
+        assert run_cli(["table", "--x0", "2", "--verify"]) == 1
+        out = capsys.readouterr()
+        assert "1.333333333333333" in out.out
+        assert "verify mismatch at n=2 imi" in out.err
+
+    def test_bad_start_point_is_config_error(self, capsys):
+        assert run_cli(["table", "--x0", "nonsense"]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad --x0 'nonsense'")
+
     def test_scheme_failure_exit_code(self, monkeypatch):
         from implicitfp.errors import NonconvergenceError
 
@@ -65,6 +77,13 @@ class TestCompare:
         out = capsys.readouterr().out
         assert out.count(": faster") == 4
 
+    def test_halfplane_step_whose_height_ratio_overflows(self, capsys):
+        # from y = 1e-320 the first Ishikawa step interpolates toward T x at
+        # about 5.2e-10, a ratio past the largest float
+        assert run_cli(["compare", "--mapping", "halfplane-vertical:0.1",
+                        "--x0", "0,1e-320", "--assert-faster"]) == 0
+        assert capsys.readouterr().out.count(": faster") == 4
+
     @pytest.mark.parametrize("argv", [
         ["--x0", "1e200"],
         ["--x0", "1e-200"],
@@ -76,9 +95,13 @@ class TestCompare:
         out = capsys.readouterr().out
         assert out.count(": faster") == 4 and len(out.splitlines()) == 4
 
-    def test_space_mismatch_is_config_error(self):
-        assert run_cli(["compare", "--mapping", "halving",
-                        "--space", "tripod"]) == 2
+    @pytest.mark.parametrize("command", ["table", "compare", "bounds", "datadep"])
+    def test_space_flag_is_an_argument_error(self, command, capsys):
+        # the space is the one --mapping lives on; --space belongs to axiom-check
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--mapping", "halving", "--space", "tripod"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --space tripod" in capsys.readouterr().err
 
 
 class TestBounds:

@@ -7,7 +7,7 @@ from implicitfp import experiments, mappings, schemes
 from implicitfp.errors import ConfigError
 from implicitfp.experiments import (REFERENCE_TABLE, TABLE_ROWS,
                                     RationalOracle, format15, rate_race,
-                                    reproduce_table, run_datadep)
+                                    reproduce_table, run_datadep, run_schemes)
 from implicitfp.mappings import AffineMap
 from implicitfp.schemes import (InnerSolverConfig, constant_schedule,
                                 default_schedule)
@@ -62,6 +62,19 @@ class TestTable:
         lines = table.to_csv().strip().split("\n")
         assert lines[0] == "n,imi,iii,isi"
         assert lines[1].startswith("2,0.666666666666667,")
+
+    def test_formats_the_traces_it_is_given(self):
+        space, t, _ = mappings.halving()
+        traces = run_schemes(space, t, default_schedule(), np.array([1.0]), 50)
+        assert list(traces) == list(schemes.SCHEME_IDS)
+        assert reproduce_table(traces) == reproduce_table()
+
+    def test_rows_past_the_traces_are_dropped(self):
+        space, t, _ = mappings.halving()
+        traces = run_schemes(space, t, default_schedule(), np.array([1.0]), 12)
+        assert [row[0] for row in reproduce_table(traces).rows] == [2, 5, 7, 10]
+        short = run_schemes(space, t, default_schedule(), np.array([1.0]), 1)
+        assert reproduce_table(short).rows == [(1,) + ("1.000000000000000",) * 3]
 
     def test_verify_reports_drift(self):
         table = reproduce_table(rows=(2,))

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from implicitfp import spaces
@@ -175,6 +175,7 @@ class TestHalfPlaneWideScales:
     @given(x1=SIGNED_ZERO, x2=SIGNED_ZERO, y1=WIDE_Y, y2=WIDE_Y,
            lam=st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
     def test_vertical_closed_form_is_the_conjugation_at_zero(self, x1, x2, y1, y2, lam):
+        assume(0.0 < y2 / y1 < math.inf)  # the conjugation's domain
         z1, z2 = (x1, y1), (x2, y2)
         assert (w_outcome(HalfPlane().raw_w, z1, z2, lam)
                 == w_outcome(conjugation_w, z1, z2, lam))
@@ -183,14 +184,22 @@ class TestHalfPlaneWideScales:
     @given(x=st.floats(-1e300, 1e300) | st.sampled_from([5e-324, -5e-324]),
            y1=WIDE_Y, y2=WIDE_Y, lam=st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
     def test_vertical_closed_form_is_the_conjugation(self, x, y1, y2, lam):
+        assume(0.0 < y2 / y1 < math.inf)  # the conjugation's domain
         z1, z2 = (x, y1), (x, y2)
         assert (w_outcome(HalfPlane().raw_w, z1, z2, lam)
                 == w_outcome(conjugation_w, z1, z2, lam))
 
-    def test_vertical_ratio_underflow_still_raises(self):
-        assert 1e-300 / 1e300 == 0.0
-        with pytest.raises(InvalidPointError, match="degenerate"):
-            HalfPlane().raw_w((0.0, 1e300), (0.0, 1e-300), 0.5)
+    # y2/y1 under- or overflows; the conjugation gives no point there
+    @pytest.mark.parametrize("y1,y2", [(1e300, 1e-300), (1e-300, 1e300),
+                                       (1e-320, 5.2e-10), (1.7e308, 5e-324)])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.9, 1.0])
+    def test_vertical_w_when_the_ratio_leaves_the_floats(self, y1, y2, lam):
+        assert not 0.0 < y2 / y1 < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, y = HalfPlane().w((-0.0, y1), (0.0, y2), lam)
+        assert struct.pack("<d", x) == struct.pack("<d", 0.0)
+        assert y == pytest.approx(decimal_vertical_w(y1, y2, lam), rel=1e-13)
 
     @pytest.mark.parametrize("y", [1e-200, 1e200, 5e-324, 1e308])
     def test_distance_to_itself_is_zero(self, y):
@@ -207,7 +216,12 @@ class TestHalfPlaneWideScales:
                                        ((1e308, 1.0), (-1e308, 1.0))])
     def test_distance_when_the_difference_overflows(self, z1, z2):
         assert math.isinf(z1[0] - z2[0])
-        assert HalfPlane().d(z1, z2) == 2.0 * math.asinh(1e308) == 1419.778711645452
+        sp = HalfPlane()
+        assert sp.d(z1, z2) == 2.0 * math.asinh(1e308) == 1419.778711645452
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sp.d_many(sp.pack([z1, (0.0, 1.0)]), sp.pack([z2, (0.0, 1.0)]))
+        assert got[0] == pytest.approx(1419.778711645452, rel=1e-15) and got[1] == 0.0
 
     def test_distance_on_the_default_box_keeps_its_bits(self):
         sp = HalfPlane()
@@ -223,8 +237,14 @@ class TestHalfPlaneWideScales:
     ])
     def test_distance_when_the_quotient_overflows(self, z1, z2, want):
         # asinh's argument (2e308, 1e317) is past the largest float
-        assert HalfPlane().d(z1, z2) == want
-        assert HalfPlane().d(z2, z1) == want
+        sp = HalfPlane()
+        assert sp.d(z1, z2) == want
+        assert sp.d(z2, z1) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sp.d_many(sp.pack([z1, z2, (0.0, 1.0)]), sp.pack([z2, z1, (0.0, 1.0)]))
+        assert got[:2].tolist() == pytest.approx([sp.d(z1, z2)] * 2, rel=1e-15)
+        assert got[2] == 0.0
 
     def test_batched_distance_at_wide_scales(self):
         sp = HalfPlane()
@@ -264,6 +284,15 @@ class TestHalfPlaneWideScales:
         z1, z2 = (-1e308, 1e308), (1e308, 1.7e308)
         assert math.isinf(z1[0] - z2[0])
         assert HalfPlane().d(z1, z2) == pytest.approx(decimal_halfplane_d(z1, z2), rel=1e-15)
+
+
+def decimal_vertical_w(y1, y2, lam):
+    """y1**(1 - lam) * y2**lam, the height of w on a vertical geodesic, in
+    50-digit decimal arithmetic."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float((D(y1).ln() * (1 - D(lam)) + D(y2).ln() * D(lam)).exp())
 
 
 def decimal_halfplane_d(z1, z2):
