@@ -10,7 +10,9 @@ is implicit-ishikawa at b_k = 1, i.e. D_k = a_k / (1 - (1-a_k)*delta).
 
 Envelopes are cumulative products prod_{k=2..n} D_k * d0, the form the
 step-by-step inequality chains actually produce; the literal (D_n)^n * d0
-variant is kept behind `literal=True` for comparison.  The exponential
+variant is kept behind `literal=True` for comparison.  Both are computed in
+Python floats: the running product multiplies in order, so it has the bits
+of numpy's cumprod.  The exponential
 envelope uses exp{-sum (1-a_i)(1-delta)} (the sign required for decay;
 the printed positive exponent is an erratum, see README).
 """
@@ -18,13 +20,16 @@ the printed positive exponent is an erratum, see README).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING, Optional
 
 from .errors import CertificateError, DegenerateComparisonError
 from .schemes import Schedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _require_delta(delta: float):
@@ -32,19 +37,29 @@ def _require_delta(delta: float):
         raise CertificateError(f"delta must lie in [0, 1), got {delta}")
 
 
-def step_factors(schedule: Schedule, delta: float, n_max: int) -> np.ndarray:
-    """Per-step factors D_k, k = 2..n_max, as rows (implicit-s, mann, ishikawa).
+def _factor_rows(schedule: Schedule, delta: float, n_max: int) -> tuple:
+    """Per-step factors D_k, k = 2..n_max, as three lists (implicit-s, mann, ishikawa).
 
     One formula serves all three: Mann's factor is Ishikawa's at beta = 1, and
     S's is delta times Ishikawa's, computed as (alpha*delta)/den.  With delta
     in [0, 1) and alpha, beta in [0, 1], den >= 1 - delta > 0.
     """
     _require_delta(delta)
-    ab = np.array(schedule.weights(n_max), dtype=float).reshape(-1, 2)
-    alpha, beta = ab.T
-    beta = np.array([beta, np.ones_like(beta), beta])
-    den = 1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta)
-    return alpha * np.array([[delta], [1.0], [1.0]]) / den
+    weights = schedule.weights(n_max)
+
+    def factor(alpha, beta, scale):
+        return alpha * scale / (1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta))
+
+    return ([factor(a, b, delta) for a, b in weights],
+            [factor(a, 1.0, 1.0) for a, _ in weights],
+            [factor(a, b, 1.0) for a, b in weights])
+
+
+def step_factors(schedule: Schedule, delta: float, n_max: int) -> np.ndarray:
+    """The factors of _factor_rows as a (3, n_max - 1) float array."""
+    import numpy as np
+
+    return np.array(_factor_rows(schedule, delta, n_max))
 
 
 def exp_envelope(schedule: Schedule, delta: float, d0: float, n: int) -> float:
@@ -67,13 +82,11 @@ class BoundSequences:
     @classmethod
     def compute(cls, schedule: Schedule, delta: float, d0: float, n_max: int,
                 literal: bool = False) -> "BoundSequences":
-        factors = step_factors(schedule, delta, n_max)
+        rows = _factor_rows(schedule, delta, n_max)
         if literal:
-            # Python float ** int: numpy's power differs in the last ulp
-            a, b, c = ([f ** n * d0 for n, f in enumerate(row, start=2)]
-                       for row in factors.tolist())
+            a, b, c = ([f ** n * d0 for n, f in enumerate(row, start=2)] for row in rows)
         else:
-            a, b, c = (np.cumprod(factors, axis=1) * d0).tolist()
+            a, b, c = ([f * d0 for f in accumulate(row, operator.mul)] for row in rows)
         return cls(a, b, c, d0)
 
 

@@ -10,9 +10,8 @@ Option precedence: flags > config file (flat key=value lines) > defaults.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import experiments, mappings, schemes, spaces
@@ -92,6 +91,8 @@ def _perturbation(arg, space, t):
     try:
         if not isinstance(space, spaces.Euclidean):
             return mappings.perturbed(space, t, float(arg))
+        import numpy as np
+
         offset = np.array([float(v) for v in str(arg).split(",")])
         if offset.shape == (space.dim,) and not offset.any():
             return None
@@ -160,13 +161,12 @@ def cmd_bounds(args):
     env = bounds_mod.BoundSequences.compute(schedule, t.delta, d0, args.n_max,
                                             literal=args.literal)
     traces = experiments.run_schemes(space, t, schedule, x0, args.n_max, cfg)
+    ds, dm, di = (traces[s].distances()[1:]
+                  for s in ("implicit-s", "implicit-mann", "implicit-ishikawa"))
     lines = ["n,a_n,b_n,c_n,dist_s,dist_mann,dist_ishikawa"]
     for i, n in enumerate(range(2, args.n_max + 1)):
-        ds = traces["implicit-s"].records[i + 1].dist_to_p
-        dm = traces["implicit-mann"].records[i + 1].dist_to_p
-        di = traces["implicit-ishikawa"].records[i + 1].dist_to_p
         lines.append(f"{n},{env.a[i]!r},{env.b[i]!r},{env.c[i]!r},"
-                     f"{ds!r},{dm!r},{di!r}")
+                     f"{ds[i]!r},{dm[i]!r},{di[i]!r}")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -178,9 +178,9 @@ def cmd_datadep(args):
         # zero perturbation: S = T, observed 0 by construction; the schedule
         # is still checked as run_datadep checks it
         experiments.datadep_weights(schedule, args.n_max)
+        p = space.public(space.check_point(t.fixed_point))
         report = experiments.DataDepReport(
-            epsilon=0.0, delta=t.delta, p=t.fixed_point,
-            q=t.fixed_point, observed=0.0,
+            epsilon=0.0, delta=t.delta, p=p, q=p, observed=0.0,
             bound=0.0, margin=0.0, converged=True, lemma1=None)
         _emit(report.to_text(space), args.output)
         return EXIT_OK
@@ -197,7 +197,7 @@ def cmd_axiom_check(args):
     space = spaces.from_name(args.space or "euclidean:1")
     if args.samples < 1:
         raise ConfigError(f"bad --samples {args.samples}: must be >= 1")
-    if not 0.0 < args.tol < np.inf:  # nan fails too
+    if not 0.0 < args.tol < math.inf:  # nan fails too
         raise ConfigError(f"bad --tol {args.tol!r}: must be finite and > 0")
     report = spaces.check_axioms(space, n_samples=args.samples,
                                  tol=args.tol, seed=args.seed)

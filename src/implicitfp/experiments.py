@@ -14,12 +14,10 @@ they reproduce the benchmark table exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import mappings, schemes
 from .bounds import BoundSequences, Lemma1Report, RateVerdict, berinde_compare, check_lemma1, datadep_bound
@@ -62,19 +60,25 @@ class RationalOracle:
 
 
 def format15(value, digits: int = 15) -> str:
-    """Fixed-point formatting with round-half-even, 15 decimals by default."""
-    if isinstance(value, Fraction):
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(value)
-    q = Decimal(1).scaleb(-digits)
-    return format(dec.quantize(q, rounding=ROUND_HALF_EVEN), "f")
+    """Fixed-point formatting with round-half-even, 15 decimals by default.
+
+    The rounding is exact: a float or Fraction of any size keeps all its
+    integer digits and gets `digits` correctly rounded decimals.
+    """
+    units = round(Fraction(value) * 10 ** digits)  # an exact tie goes to even
+    text = str(abs(units)).rjust(digits + 1, "0")
+    if digits:
+        text = f"{text[:-digits]}.{text[-digits:]}"
+    return "-" + text if units < 0 else text
 
 
 # ---------------------------------------------------------------------------
 # benchmark table
 
 TABLE_ROWS = (2, 5, 7, 10, 13, 16, 20, 25, 30, 35, 40, 43, 46, 50)
+# a float's exact decimal expansion ends within 1074 decimals, so more
+# digits would only pad zeros, and a huge count would fill the memory
+MAX_DIGITS = 1074
 
 # embedded reference values (IMI, III, ISI per row), used by `--verify`
 REFERENCE_TABLE = {
@@ -140,11 +144,14 @@ def reproduce_table(traces: Optional[dict] = None, rows=TABLE_ROWS,
 
     Without traces the schemes run on the reference configuration: the
     halving map from x0 = 1 under the default schedule, up to the last row.
+    digits outside [0, MAX_DIGITS] is a ConfigError.
     """
+    if not 0 <= digits <= MAX_DIGITS:
+        raise ConfigError(f"digits must lie in [0, {MAX_DIGITS}], got {digits}")
     if traces is None:
         space, t, _sampler = mappings.halving()
         traces = run_schemes(space, t, default_schedule(), default_x0(space, t), max(rows))
-    cols = [[r.dist_to_p for r in traces[s]]  # records are n = 1..n_max
+    cols = [traces[s].distances()  # n = 1..n_max
             for s in ("implicit-mann", "implicit-ishikawa", "implicit-s")]
     rows = tuple(n for n in rows if n <= len(cols[0])) or (1,)
     return ComparisonTable([(n, *(format15(c[n - 1], digits) for c in cols)) for n in rows],
@@ -152,16 +159,16 @@ def reproduce_table(traces: Optional[dict] = None, rows=TABLE_ROWS,
 
 
 def default_x0(space: Space, t: ContractiveLike):
-    """Starting points used by the experiment corpus."""
+    """Starting points used by the experiment corpus, as checked points."""
     name = t.name
     if name == "halving":
-        return np.array([1.0])
+        return (1.0,)
     if name.startswith("tripod-radial"):
         return ("A", 1.0)
     if name.startswith("halfplane-vertical"):
         return (0.0, 3.0)
     if isinstance(space, Euclidean):
-        return np.ones(space.dim)
+        return (1.0,) * space.dim
     raise ConfigError(f"no default starting point for {name!r} on {space.name!r}")
 
 
@@ -195,7 +202,12 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
               n_max: int = 200, cfg: Optional[InnerSolverConfig] = None,
               horizon: Optional[int] = None,
               threshold: float = 1e-6) -> RateRace:
-    """Run the three schemes and compare rates on actual and envelope sequences."""
+    """Run the three schemes and compare rates on actual and envelope sequences.
+
+    A threshold that is not finite and > 0 is a ConfigError.
+    """
+    if not 0.0 < threshold < math.inf:  # nan fails too
+        raise ConfigError(f"threshold must be finite and > 0, got {threshold!r}")
     if x0 is None:
         x0 = default_x0(space, t)
     p = t.fixed_point
@@ -213,7 +225,7 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
     # actual distances from n = 2 on, truncated at the first exact zero
     actual, zero_at = {}, {}
     for s, tr in traces.items():
-        seq, zi = _positive_prefix([r.dist_to_p for r in tr.records[1:]])
+        seq, zi = _positive_prefix(tr.distances()[1:])
         actual[s] = seq
         zero_at[s] = None if zi is None else zi + 2  # back to n-indexing
 
@@ -353,6 +365,8 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     closed_q = None
     if isinstance(space, Euclidean) and isinstance(T, mappings.AffineMap):
         # S = T + c: q solves q = A q + b + c
+        import numpy as np
+
         zero = (0.0,) * space.dim
         c = np.subtract(S(zero), T(zero))
         closed_q = np.linalg.solve(np.eye(T.dim) - T.A, T.b + c)

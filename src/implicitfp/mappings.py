@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import spaces
 from .errors import CertificateError, ConfigError, InvalidPointError
 from .spaces import Euclidean, HalfPlane, Space, Tripod
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # phi family
@@ -38,17 +39,16 @@ class LinearPhi:
 
 
 def validate_phi(phi) -> bool:
-    """Check phi(0) = 0 and strict monotonicity on a grid of 1000 steps over [0, 1].
+    """Check phi(0) = 0 and strict monotonicity on the grid i/1000, i = 0..1000.
 
     Returns False (rather than raising) for the admitted degenerate phi == 0.
     """
     if phi(0.0) != 0.0:
         raise CertificateError("phi(0) must be 0")
-    grid = np.linspace(0.0, 1.0, 1001)
-    vals = np.array([phi(t) for t in grid])
-    if np.all(vals == 0.0):
+    vals = [phi(i / 1000) for i in range(1001)]
+    if all(v == 0.0 for v in vals):
         return False
-    if np.any(np.diff(vals) <= 0.0):
+    if any(b <= a for a, b in zip(vals, vals[1:])):
         raise CertificateError("phi must be strictly increasing")
     return True
 
@@ -153,6 +153,8 @@ def _worst_sample(space: Space, violation, k: int, sampler, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     draw = sampler if sampler is not None else space.sample
     check = space.check_point
@@ -232,6 +234,8 @@ def _coords(x, dim: int):
                 break
         else:
             return x
+    import numpy as np
+
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (dim,):
         raise InvalidPointError(f"expected {dim} coordinates, got shape {v.shape}")
@@ -253,6 +257,8 @@ class AffineMap:
     b: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
         self._rows = tuple(zip(map(tuple, self.A.tolist()), self.b.tolist()))
@@ -263,9 +269,13 @@ class AffineMap:
 
     @property
     def norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.A, 2))
 
     def fixed_point(self) -> np.ndarray:
+        import numpy as np
+
         return np.linalg.solve(np.eye(self.dim) - self.A, self.b)
 
     def __call__(self, x):
@@ -275,10 +285,10 @@ class AffineMap:
 
 
 def halving() -> tuple[Space, ContractiveLike, Callable]:
-    """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point 0."""
+    """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point (0.0,)."""
     space = Euclidean(1)
     t = ContractiveLike(lambda x: (0.5 * _coords(x, 1)[0],), 0.5,
-                        LinearPhi(0.0), fixed_point=np.array([0.0]),
+                        LinearPhi(0.0), fixed_point=(0.0,),
                         name="halving")
     subset = spaces.Interval(0.0, 1.0)
     return space, t, subset.sample
@@ -290,7 +300,7 @@ def affine(affmap: AffineMap, name="affine") -> tuple[Space, ContractiveLike, Ca
     if delta >= 1.0:
         raise CertificateError(f"affine map has ||A|| = {delta} >= 1")
     p = affmap.fixed_point()
-    if not np.isfinite(p).all():
+    if not all(map(math.isfinite, p.tolist())):
         raise CertificateError(f"affine map's fixed point {p} is not finite")
     t = ContractiveLike(affmap, delta, LinearPhi(0.0), fixed_point=p, name=name)
     return space, t, space.sample
@@ -329,6 +339,8 @@ def _parse_affine_spec(spec: str) -> AffineMap:
 
     A bare scalar like `affine:0.9` means the 1-D map x -> 0.9*x.
     """
+    import numpy as np
+
     if "|" in spec:
         mat_s, off_s = spec.split("|", 1)
     else:
@@ -379,6 +391,8 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     epsilon = offset.  Any other offset raises CertificateError.
     """
     if isinstance(space, Euclidean):
+        import numpy as np
+
         off = np.atleast_1d(np.asarray(offset, dtype=float))
         if off.shape != (space.dim,) or not np.isfinite(off).all():
             raise CertificateError(f"offset must have {space.dim} finite entries, got {offset}")

@@ -30,10 +30,8 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import ConfigError, InvalidPointError, NonconvergenceError
 from .mappings import AffineMap, ContractiveLike
@@ -193,8 +191,8 @@ class InnerSolverConfig:
     mode: str = "picard"  # picard | exact-affine
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:  # nan fails too
+            raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mode not in ("picard", "exact-affine"):
@@ -308,6 +306,8 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
         x = anchor
         if alpha != 1.0:
             # x = a*anchor + (1-a)*(A y + b), y = be*x + (1-be)*(A x + b)
+            import numpy as np
+
             A, b = outer.A, outer.b
             M = la * (beta * A + lb * (A @ A))
             rhs = alpha * np.array(anchor) + la * (lb * (A @ b) + b)
@@ -337,21 +337,40 @@ class StepRecord:
     dist_to_p: Optional[float] = None
 
 
-@dataclass
 class IterationTrace:
-    scheme: str
-    schedule: str
-    records: list = field(default_factory=list)
+    """The iterates of one run, record n = 1 being x0.
+
+    The run keeps one row per record: n, the checked points x and y (None at
+    n = 1), the inner iterations and residual, and the distance to p.
+    `records` builds the StepRecords from the rows when first read, points
+    in the space's public form (float arrays on Euclidean space), and keeps
+    them, so a change to a record persists.  `distances()` and `len` read
+    the rows and build no record.
+    """
+
+    def __init__(self, scheme: str, schedule: str, space: Space, rows: list):
+        self.scheme, self.schedule = scheme, schedule
+        self._public, self._rows, self._records = space.public, rows, None
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            public = self._public
+            self._records = [StepRecord(n, public(x), None if y is None else public(y),
+                                        iters, res, dist)
+                             for n, x, y, iters, res, dist in self._rows]
+        return self._records
 
     def __len__(self):
-        return len(self.records)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.records)
 
     def distances(self):
-        """dist_to_p sequence, skipping records where p was unknown."""
-        return [r.dist_to_p for r in self.records if r.dist_to_p is not None]
+        """dist_to_p sequence as the run computed it, skipping rows where p
+        was unknown."""
+        return [dist for *_, dist in self._rows if dist is not None]
 
     def to_csv(self, space: Space) -> str:
         lines = ["n,x,inner_iters,residual,dist_to_p"]
@@ -371,8 +390,9 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     n = 1 schedule entries are zero and unused.  Every alpha_n and beta_n is
     evaluated and range-checked before step 2.  If a step fails, the raised
     NonconvergenceError carries the partial trace, and an InvalidPointError
-    names the step.  The steps run on checked points; records hold them in
-    the space's public form (float arrays on Euclidean space).
+    names the step.  The steps run on checked points, and the trace keeps
+    them as they are; its records turn them into the space's public form
+    when first read.
     """
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
@@ -386,13 +406,11 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
         p = space.check_point(p)
     weights = schedule.weights(n_max)
 
-    trace = IterationTrace(scheme, schedule.name)
-
     def dist(x):
         return None if p is None else space.raw_d(x, p)
 
-    public = space.public
-    trace.records.append(StepRecord(1, public(x0), dist_to_p=dist(x0)))
+    rows = [(1, x0, None, 0, 0.0, dist(x0))]
+    trace = IterationTrace(scheme, schedule.name, space, rows)
     T = t.apply
     x = x0
     for n, (a, b) in enumerate(weights, start=2):
@@ -408,6 +426,5 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
             raise
         except InvalidPointError as exc:
             raise InvalidPointError(f"step n={n}: {exc}") from exc
-        trace.records.append(StepRecord(n, public(x), public(y), stats.iterations,
-                                        stats.residual, dist(x)))
+        rows.append((n, x, y, stats.iterations, stats.residual, dist(x)))
     return trace

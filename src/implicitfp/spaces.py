@@ -18,8 +18,6 @@ import operator
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, InvalidPointError
 
 TRIPOD_RAYS = ("A", "B", "C")
@@ -138,6 +136,8 @@ class Euclidean(Space):
 
     def as_array(self, x):
         """x as a float array of shape (dim,); a scalar is admitted at dim 1."""
+        import numpy as np
+
         v = np.asarray(x, dtype=float)
         if v.shape != (self.dim,):
             v = np.atleast_1d(v)
@@ -166,10 +166,14 @@ class Euclidean(Space):
         return tuple([m * a + lam * b for a, b in zip(x, y)])
 
     def public(self, x):
+        import numpy as np
+
         return np.array(x)
 
     def pack(self, points):
         """An (N, dim) array of the points."""
+        import numpy as np
+
         try:
             X = np.asarray(points, dtype=float)
         except ValueError:  # ragged or non-numeric
@@ -181,6 +185,8 @@ class Euclidean(Space):
         return self.from_coords(X)
 
     def d_many(self, X, Y):
+        import numpy as np
+
         D = X - Y
         if self.dim >= 8:  # numpy sums 8 or more columns pairwise
             return np.linalg.norm(D, axis=1)
@@ -192,13 +198,19 @@ class Euclidean(Space):
         return np.sqrt(s)
 
     def w_many(self, X, Y, lam):
+        import numpy as np
+
         lam = np.reshape(lam, (-1, 1))
         return (1.0 - lam) * X + lam * Y
 
     def sample_box(self):
+        import numpy as np
+
         return np.full(self.dim, -5.0), np.full(self.dim, 5.0)
 
     def from_coords(self, C):
+        import numpy as np
+
         if not np.isfinite(C).all():
             finite = np.isfinite(C).all(axis=1)
             raise InvalidPointError(f"non-finite coordinates: {C[np.argmin(finite)]}")
@@ -249,17 +261,23 @@ class Tripod(Space):
 
     def pack(self, points):
         """(ray codes, radii): index into TRIPOD_RAYS, and r, as two arrays."""
+        import numpy as np
+
         for p in points:
             self.check_point(p)
         codes = np.array([TRIPOD_RAYS.index(ray) for ray, _ in points], dtype=np.int8)
         return codes, np.array([r for _, r in points], dtype=float)
 
     def d_many(self, X, Y):
+        import numpy as np
+
         (rx, a), (ry, b) = X, Y
         one_ray = (rx == ry) | (a == 0.0) | (b == 0.0)
         return np.where(one_ray, np.abs(a - b), a + b)
 
     def w_many(self, X, Y, lam):
+        import numpy as np
+
         (rx, a), (ry, b) = X, Y
         one_ray = (rx == ry) | (a == 0.0) | (b == 0.0)
         t = lam * (a + b)
@@ -269,10 +287,14 @@ class Tripod(Space):
         return ray, r
 
     def sample_box(self):
+        import numpy as np
+
         # (ray, r): ray code int(c) of a uniform c in [0, 3), radius in [0, 3)
         return np.zeros(2), np.full(2, 3.0)
 
     def from_coords(self, C):
+        import numpy as np
+
         codes, r = np.floor(C[:, 0]), C[:, 1]
         ok = (codes >= 0.0) & (codes <= 2.0) & np.isfinite(r) & (r >= 0.0)
         if not ok.all():
@@ -305,7 +327,8 @@ class HalfPlane(Space):
     conjugated by an isometry taking the geodesic to the imaginary axis
     (translate/scale sending z1 to i, then a rotation about i), interpolated
     as i*s^lam there, and mapped back; on a vertical pair that conjugation
-    gives the closed form's bits.
+    gives the closed form's bits.  w_many conjugates every row but the
+    vertical ones whose y2/y1 leaves the floats, which take w's own branch.
     """
 
     name = "halfplane"
@@ -373,12 +396,16 @@ class HalfPlane(Space):
 
     def pack(self, points):
         """A complex array x + iy."""
+        import numpy as np
+
         for p in points:
             self.check_point(p)
         P = np.array(points, dtype=float).reshape(len(points), 2)
         return P[:, 0] + 1j * P[:, 1]
 
     def d_many(self, Z1, Z2):
+        import numpy as np
+
         # raw_d's branches, each on the mask of its rows
         y1, y2 = Z1.imag, Z2.imag
         with np.errstate(over="ignore"):
@@ -402,10 +429,19 @@ class HalfPlane(Space):
         return out
 
     def w_many(self, Z1, Z2, lam):
+        import numpy as np
+
         # the conjugation of `w`, row by row
         x1, y1 = Z1.real, Z1.imag
-        a = (Z2.real - x1) / y1
-        b = Z2.imag / y1
+        with np.errstate(over="ignore"):
+            a = (Z2.real - x1) / y1
+            b = Z2.imag / y1
+        odd = ()
+        if not a.all():
+            # vertical rows whose y2/y1 leaves the floats, where the conjugation
+            # gives no point: conjugate 1 in their place, then take raw_w's branch
+            odd = np.flatnonzero((a == 0.0) & ((b == 0.0) | (b == _INF)))
+            b[odd] = 1.0
         B = a * a + b * b - 1.0
         qroot = -(B + np.copysign(np.sqrt(B * B + 4.0 * a * a), B)) / 2.0
         t = np.where(a == 0.0, 0.0,
@@ -419,12 +455,23 @@ class HalfPlane(Space):
             raise InvalidPointError("degenerate half-plane interpolation")
         wim = 1j * np.exp(lam * np.log(height))
         back = (wim * c - s) / (wim * s + c)
-        return (x1 + y1 * back.real) + 1j * (y1 * back.imag)
+        out = (x1 + y1 * back.real) + 1j * (y1 * back.imag)
+        if len(odd):
+            lam = np.broadcast_to(lam, out.shape)
+            for i in odd.tolist():
+                out[i] = complex(*self.raw_w((float(x1[i]), float(y1[i])),
+                                             (float(Z2.real[i]), float(Z2.imag[i])),
+                                             float(lam[i])))
+        return out
 
     def sample_box(self):
+        import numpy as np
+
         return np.array([-3.0, 0.1]), np.array([3.0, 5.0])
 
     def from_coords(self, C):
+        import numpy as np
+
         ok = np.isfinite(C).all(axis=1) & (C[:, 1] > 0.0)
         if not ok.all():
             raise InvalidPointError(f"half-plane requires finite coords with y > 0, "
@@ -482,6 +529,8 @@ class Interval:
     hi: float
 
     def sample(self, rng):
+        import numpy as np
+
         return np.array([rng.uniform(self.lo, self.hi)])
 
 
@@ -543,6 +592,8 @@ class AxiomReport:
 
 def _violations(space, x, y, z, v, u, lam, mu) -> dict:
     """Per-tuple violation of each axiom over one block of packed tuples."""
+    import numpy as np
+
     d, w = space.d_many, space.w_many
     dxy = d(x, y)
     wl = w(x, y, lam)
@@ -564,6 +615,8 @@ def _violations(space, x, y, z, v, u, lam, mu) -> dict:
 
 def _rank(violation):
     """Order violations with nan as the worst value."""
+    import numpy as np
+
     return np.where(np.isnan(violation), np.inf, violation)
 
 
@@ -590,6 +643,8 @@ def check_axioms(space: Space, sampler=None, n_samples: int = 1000,
     through `pack`; worst_tuple holds the points as the sampler returned
     them.  Either way a seed always yields the same tuples.
     """
+    import numpy as np
+
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not tol > 0:  # nan too

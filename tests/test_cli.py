@@ -1,9 +1,15 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from implicitfp import cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(args):
@@ -340,3 +346,49 @@ class TestSchemeFailure:
         assert run_cli(["compare"]) == 3
         err = capsys.readouterr().err
         assert re.match(r"scheme failure: step n=\d+: non-finite coordinates", err)
+
+
+class TestNumpyFreeStart:
+    def test_table_compare_and_bounds_never_import_numpy(self):
+        # a fresh interpreter: this one has numpy loaded already
+        code = """if True:
+            import contextlib, io, sys
+            from implicitfp import cli
+            assert "numpy" not in sys.modules, "import"
+            codes = []
+            for mapping in ("halving", "tripod-radial:0.5", "halfplane-vertical:0.5"):
+                for argv in (["table", "--verify"], ["compare", "--assert-faster"],
+                             ["bounds"]):
+                    with contextlib.redirect_stdout(io.StringIO()), \\
+                            contextlib.redirect_stderr(io.StringIO()):
+                        codes.append(cli.main(argv + ["--mapping", mapping]))
+            print(codes, "numpy" in sys.modules)
+        """
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+        # off the halving map, table --verify reports a non-reference table
+        assert out.split() == ["[0,", "0,", "0,", "1,", "0,", "0,", "1,", "0,", "0]", "False"]
+
+
+class TestRejectedSettings:
+    @pytest.mark.parametrize("argv,message", [
+        (["table", "--digits", "-1"], "digits must lie in [0, 1074]"),
+        (["table", "--digits", "1075"], "digits must lie in [0, 1074]"),
+        (["compare", "--tol", "nan"], "tolerance must be finite and > 0"),
+        (["table", "--tol", "inf"], "tolerance must be finite and > 0"),
+        (["bounds", "--tol=-1e-14"], "tolerance must be finite and > 0"),
+        (["compare", "--threshold", "nan"], "threshold must be finite and > 0"),
+        (["compare", "--threshold", "-1"], "threshold must be finite and > 0"),
+        (["compare", "--threshold", "inf"], "threshold must be finite and > 0"),
+        (["compare", "--threshold", "0", "--assert-faster"], "threshold must be finite and > 0"),
+    ])
+    def test_config_error(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_table_of_large_distances(self, capsys):
+        # a cell of 1e13 or more has more than 28 digits at 15 decimals
+        assert run_cli(["table", "--x0", "1e14", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("2,66666666666666.671875000000000,"
+                            "61538461538461.539062500000000,30769230769230.769531250000000")

@@ -11,6 +11,7 @@ from implicitfp.experiments import (REFERENCE_TABLE, TABLE_ROWS,
 from implicitfp.mappings import AffineMap
 from implicitfp.schemes import (InnerSolverConfig, constant_schedule,
                                 default_schedule)
+from implicitfp.spaces import Euclidean
 
 
 class TestRationalOracle:
@@ -36,6 +37,31 @@ class TestFormatting:
         assert format15(Fraction(1, 2) * Fraction(1, 10) ** 15 * 3) == "0.000000000000002"
         assert format15(Fraction(25, 10 ** 16)) == "0.000000000000002"
         assert format15(Fraction(35, 10 ** 16)) == "0.000000000000004"
+
+    @pytest.mark.parametrize("value,digits,text", [
+        (1e14, 15, "100000000000000.000000000000000"),
+        (2.0 ** 70, 2, "1180591620717411303424.00"),
+        (0.1, 30, "0.100000000000000005551115123126"),
+        (9.9999999999999999e13, 15, "100000000000000.000000000000000"),
+        (1.7976931348623157e308, 0, str(int(1.7976931348623157e308))),
+        (0.5, 0, "0"),
+        (Fraction(10 ** 20, 3), 15, "33333333333333333333.333333333333333"),
+        (Fraction(1, 3), 40, "0." + "3" * 40),
+        (Fraction(-5, 2), 0, "-2"),
+    ])
+    def test_rounds_exactly_at_any_size(self, value, digits, text):
+        # each of these needs more than 28 significant digits
+        assert format15(value, digits) == text
+
+    @pytest.mark.parametrize("digits", [-1, experiments.MAX_DIGITS + 1])
+    def test_digits_out_of_range_rejected(self, digits):
+        with pytest.raises(ConfigError, match=r"digits must lie in \[0, 1074\]"):
+            reproduce_table(digits=digits)
+
+    def test_the_smallest_float_at_the_most_digits(self):
+        text = format15(5e-324, experiments.MAX_DIGITS)
+        assert text.startswith("0.000") and text.endswith("5") and len(text) == 1076
+
 
 
 class TestTable:
@@ -83,6 +109,14 @@ class TestTable:
         bad = table.verify()
         assert bad and bad[0][:2] == (2, "isi")
 
+    def test_default_starts_are_checked_points(self):
+        space, t, _ = mappings.halving()
+        assert t.fixed_point == (0.0,) and experiments.default_x0(space, t) == (1.0,)
+        space, t, _ = mappings.affine(AffineMap([[0.5, 0.1], [0.0, 0.4]], [1.0, 2.0]))
+        assert experiments.default_x0(space, t) == (1.0, 1.0)
+        for x in (mappings.halving()[1].fixed_point, experiments.default_x0(space, t)):
+            assert Euclidean(len(x)).check_point(x) is x
+
 
 class TestEnvelopeDominance:
     def test_traces_below_envelopes(self):
@@ -119,6 +153,12 @@ class TestRateRace:
         race = rate_race(space, t, default_schedule(), n_max=60, horizon=50)
         assert race.all_faster
 
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        space, t, _ = mappings.halving()
+        with pytest.raises(ConfigError, match="threshold must be finite and > 0"):
+            rate_race(space, t, default_schedule(), n_max=10, threshold=threshold)
 
     @pytest.mark.parametrize("n_max,horizon", [(200, 0), (200, 1), (1, 50), (2, 50), (2, None)])
     def test_too_few_comparison_points_rejected_before_running(self, n_max, horizon):

@@ -204,6 +204,11 @@ class TestRuns:
             d = [r.dist_to_p for r in tr]
             assert all(d[i + 1] <= d[i] + 1e-15 for i in range(len(d) - 1))
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-14, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            InnerSolverConfig(tolerance=tolerance)
+
     def test_partial_trace_on_failure(self, halving):
         space, t, _ = halving
         cfg = InnerSolverConfig(max_iterations=2)
@@ -732,6 +737,29 @@ class TestPointForms:
             assert is_public_point(rep.closed_form_q, space.dim)
         else:
             assert rep.closed_form_q is None
+
+    @pytest.mark.parametrize("name", EUCLIDEAN_MAPS)
+    def test_records_are_built_once_when_first_read(self, name):
+        space, t, x0, _ = REFERENCE_MAPS[name]()
+        made = []
+        public = space.public
+        space.public = lambda x: made.append(x) or public(x)
+        trace = run(space, t, "implicit-s", default_schedule(), x0, 20)
+        assert len(trace) == 20 and len(trace.distances()) == 20
+        assert made == []  # neither len nor distances() builds a record
+        records = trace.records
+        assert len(made) == 2 * 20 - 1  # x of every record, y from n = 2
+        assert trace.records is records and len(made) == 39
+        assert all(is_public_point(r.x, space.dim) for r in records)
+        assert trace.distances() == [r.dist_to_p for r in records]
+
+    def test_a_reassigned_record_point_persists(self):
+        space, t, x0, _ = REFERENCE_MAPS["affine-2"]()
+        trace = run(space, t, "implicit-ishikawa", default_schedule(), x0, 20)
+        moved = trace.records[10].x + 1e-6
+        trace.records[10].x = moved
+        assert trace.records[10].x is moved
+        assert [r.x for r in trace][10] is moved
 
     def test_exact_affine_step_returns_a_checked_point(self):
         space, t, x0, _ = REFERENCE_MAPS["affine-3"]()

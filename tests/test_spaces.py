@@ -201,6 +201,25 @@ class TestHalfPlaneWideScales:
         assert struct.pack("<d", x) == struct.pack("<d", 0.0)
         assert y == pytest.approx(decimal_vertical_w(y1, y2, lam), rel=1e-13)
 
+    @pytest.mark.parametrize("y1,y2", [(1e300, 1e-300), (1e-300, 1e300),
+                                       (1e-320, 5.2e-10), (1.7e308, 5e-324)])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.9, 1.0])
+    def test_w_many_when_the_ratio_leaves_the_floats(self, y1, y2, lam):
+        sp = HalfPlane()
+        # the vertical pair between two rows that take the conjugation
+        xs = [(0.3, 0.7), (-0.0, y1), (0.0, 1.0)]
+        ys = [(1.1, 2.5), (0.0, y2), (0.0, 3.0)]
+        lams = np.array([0.4, lam, 0.6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = sp.w_many(sp.pack(xs), sp.pack(ys), lams)
+        got = [(z.real, z.imag) for z in W.tolist()]
+        assert got[1] == sp.raw_w(xs[1], ys[1], lam)
+        assert struct.pack("<d", got[1][0]) == struct.pack("<d", 0.0)
+        for i in (0, 2):  # the other rows keep the bits they have on their own
+            alone = sp.w_many(sp.pack([xs[i]]), sp.pack([ys[i]]), lams[i:i + 1])
+            assert W[i] == alone[0]
+
     @pytest.mark.parametrize("y", [1e-200, 1e200, 5e-324, 1e308])
     def test_distance_to_itself_is_zero(self, y):
         assert HalfPlane().d((0.0, y), (0.0, y)) == 0.0
