@@ -91,10 +91,8 @@ def _perturbation(arg, space, t):
     try:
         if not isinstance(space, spaces.Euclidean):
             return mappings.perturbed(space, t, float(arg))
-        import numpy as np
-
-        offset = np.array([float(v) for v in str(arg).split(",")])
-        if offset.shape == (space.dim,) and not offset.any():
+        offset = tuple(float(v) for v in str(arg).split(","))
+        if len(offset) == space.dim and not any(offset):
             return None
         return mappings.perturbed(space, t, offset)
     except (ValueError, CertificateError) as exc:
@@ -178,10 +176,11 @@ def cmd_datadep(args):
         # zero perturbation: S = T, observed 0 by construction; the schedule
         # is still checked as run_datadep checks it
         experiments.datadep_weights(schedule, args.n_max)
-        p = space.public(space.check_point(t.fixed_point))
+        p = space.check_point(t.fixed_point)
         report = experiments.DataDepReport(
             epsilon=0.0, delta=t.delta, p=p, q=p, observed=0.0,
-            bound=0.0, margin=0.0, converged=True, lemma1=None)
+            bound=0.0, margin=0.0, converged=True, lemma1=None,
+            public=space.public)
         _emit(report.to_text(space), args.output)
         return EXIT_OK
     report = experiments.run_datadep(space, t, s, schedule, x0=x0,

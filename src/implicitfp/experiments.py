@@ -15,13 +15,13 @@ they reproduce the benchmark table exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import mappings, schemes
 from .bounds import BoundSequences, Lemma1Report, RateVerdict, berinde_compare, check_lemma1, datadep_bound
-from .errors import ConfigError, DegenerateComparisonError, InvalidPointError
+from .errors import ConfigError, DegenerateComparisonError, InvalidPointError, NonconvergenceError
 from .mappings import ApproximateOperator, ContractiveLike
 from .schemes import InnerSolverConfig, Schedule, default_schedule, run
 from .spaces import Euclidean, Space
@@ -252,18 +252,47 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
 # data dependence
 
 
+class _PublicPoint:
+    """A DataDepReport point field.
+
+    The report keeps the point it is given under `_<name>` (run_datadep
+    gives checked points) and reads it back in the space's public form, made
+    by the report's `public` when first read and then kept, as
+    IterationTrace.records does.  Without `public` the point reads back as
+    given.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name, self.given = name, "_" + name
+
+    def __get__(self, report, owner=None):
+        if report is None:  # no class-level default: the field is required
+            raise AttributeError(self.name)
+        fields = vars(report)
+        if self.name not in fields:
+            x, public = fields[self.given], report.public
+            fields[self.name] = x if public is None else public(x)
+        return fields[self.name]
+
+    def __set__(self, report, x):
+        fields = vars(report)
+        fields[self.given] = x
+        fields.pop(self.name, None)
+
+
 @dataclass
 class DataDepReport:
     epsilon: float
     delta: float
-    p: object
-    q: object
+    p: object = _PublicPoint()
+    q: object = _PublicPoint()
     observed: float
     bound: float
     margin: float
     converged: bool
     lemma1: Optional[Lemma1Report]
     closed_form_q: Optional[object] = None
+    public: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -273,8 +302,8 @@ class DataDepReport:
         lines = [
             f"epsilon={self.epsilon!r}",
             f"delta={self.delta!r}",
-            f"p={space.format_point(self.p)}",
-            f"q={space.format_point(self.q)}",
+            f"p={space.format_point(self._p)}",
+            f"q={space.format_point(self._q)}",
             f"observed={self.observed!r}",
             f"bound={self.bound!r}",
             f"margin={self.margin!r}",
@@ -312,8 +341,10 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     The limit q of the u-sequence is accepted when the last ten step
     displacements d(u_n, u_{n-1}) fall below 1e-12; otherwise the report
     is marked inconclusive (converged=False).  The schedule and n_max are
-    checked by datadep_weights before any step.  The report holds p and q
-    in the space's public form.
+    checked by datadep_weights before any step.  The report keeps the
+    checked p and q and gives them in the space's public form when first
+    read.  A step that does not converge raises NonconvergenceError naming
+    the step, n and whether the x-step (T) or the u-step (S) failed.
     """
     weights = datadep_weights(schedule or default_schedule(), n_max)
     cfg = cfg or InnerSolverConfig()
@@ -340,8 +371,10 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
                 tx, su = check(T(x)), check(S(u))
             # each step hands back T x_n, T y_n and S u_n, checked
             x_prev, tx_prev, u_prev = x, tx, u
+            step = "x-step"
             x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx)
             tx, ty = stats.inner_x, stats.outer_y
+            step = "u-step"
             u, _, stats = schemes.implicit_step(space, S if proof_variant else T, S,
                                                 su, u, al, be, u_cfg, su)
             su = stats.inner_x
@@ -351,6 +384,8 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
                    + phi(raw_d(y, ty))
                    + delta * (1.0 - be) * phi(raw_d(x, tx))
                    + 2.0 * eps) / (1.0 - delta) ** 2
+        except NonconvergenceError as exc:
+            raise NonconvergenceError(f"{step} n={n}: {exc}", residual=exc.residual) from exc
         except InvalidPointError as exc:
             raise InvalidPointError(f"step n={n}: {exc}") from exc
         mu_seq.append((1.0 - al) * (1.0 - delta))
@@ -371,6 +406,5 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
         c = np.subtract(S(zero), T(zero))
         closed_q = np.linalg.solve(np.eye(T.dim) - T.A, T.b + c)
 
-    public = space.public
-    return DataDepReport(eps, delta, public(check(p)), public(q), observed, bound,
-                         bound - observed, converged, lemma, closed_q)
+    return DataDepReport(eps, delta, check(p), q, observed, bound, bound - observed,
+                         converged, lemma, closed_q, space.public)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -21,6 +22,8 @@ from .spaces import Euclidean, HalfPlane, Space, Tripod
 
 if TYPE_CHECKING:
     import numpy as np
+
+_SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)  # 2**-511: a smaller norm's square underflows
 
 # ---------------------------------------------------------------------------
 # phi family
@@ -382,27 +385,50 @@ def from_name(name: str):
     raise ConfigError(f"unknown mapping {name!r}")
 
 
+def _offset_norm(off) -> float:
+    """||off|| for a sequence of floats, in np.linalg.norm's arithmetic.
+
+    At dim 1 that is sqrt(x*x), also where x*x overflows to inf; at dim >= 2
+    it is np.linalg.norm, whose BLAS dot a Python sum of squares would not
+    match bit for bit.  Where the squared norm of a non-zero offset falls
+    below the smallest normal float (the norm below its square root,
+    2**-511), the norm is taken from the offset scaled by its largest
+    |entry|, so dim 1 gives |x| exactly.
+    """
+    if len(off) == 1:
+        eps = math.sqrt(off[0] * off[0])
+    else:
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            eps = float(np.linalg.norm(off))
+    if eps < _SQRT_FLOAT_MIN and any(off):
+        scale = max(map(abs, off))
+        return scale * _offset_norm([c / scale for c in off])
+    return eps
+
+
 def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     """S = T + offset with certified epsilon = d(Tx, Tx + offset).
 
-    Euclidean spaces: offset is a constant vector, one finite entry per
+    Euclidean spaces: offset is a constant vector in any form the maps read
+    (a tuple, list or array; a scalar at dim 1), one finite entry per
     coordinate, not all zero, with a finite epsilon = ||offset||.
     Tripod: offset is a finite radius shift > 0 along the same ray,
     epsilon = offset.  Any other offset raises CertificateError.
     """
     if isinstance(space, Euclidean):
-        import numpy as np
-
-        off = np.atleast_1d(np.asarray(offset, dtype=float))
-        if off.shape != (space.dim,) or not np.isfinite(off).all():
+        try:
+            off = _coords(offset, space.dim)
+        except InvalidPointError:
+            off = None
+        if off is None or not all(map(math.isfinite, off)):
             raise CertificateError(f"offset must have {space.dim} finite entries, got {offset}")
-        with np.errstate(over="ignore"):
-            eps = float(np.linalg.norm(off))
+        eps = _offset_norm(off)
         if eps == 0.0:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
         if not math.isfinite(eps):
             raise CertificateError(f"epsilon = ||offset|| overflows for offset {offset}")
-        off = off.tolist()
         check = space.check_point
         return ApproximateOperator(lambda x: tuple([a + c for a, c in zip(check(t.apply(x)), off)]),
                                    eps, name=f"perturb:{t.name}:{offset}")

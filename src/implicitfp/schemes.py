@@ -389,8 +389,9 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     Steps are taken for n = 2..n_max, matching the index origin where the
     n = 1 schedule entries are zero and unused.  Every alpha_n and beta_n is
     evaluated and range-checked before step 2.  If a step fails, the raised
-    NonconvergenceError carries the partial trace, and an InvalidPointError
-    names the step.  The steps run on checked points, and the trace keeps
+    NonconvergenceError names the scheme and the step and carries the inner
+    solver's residual and the partial trace, and an InvalidPointError names
+    the step.  The steps run on checked points, and the trace keeps
     them as they are; its records turn them into the space's public form
     when first read.
     """
@@ -422,8 +423,8 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
             anchor = tx if scheme == "implicit-s" else x
             x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg, tx)
         except NonconvergenceError as exc:
-            exc.trace = trace
-            raise
+            raise NonconvergenceError(f"{scheme} step n={n}: {exc}", residual=exc.residual,
+                                      trace=trace) from exc
         except InvalidPointError as exc:
             raise InvalidPointError(f"step n={n}: {exc}") from exc
         rows.append((n, x, y, stats.iterations, stats.residual, dist(x)))

@@ -23,6 +23,7 @@ from .errors import ConfigError, InvalidPointError
 TRIPOD_RAYS = ("A", "B", "C")
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 _HALF_MAX = sys.float_info.max / 2.0  # 2*x overflows above it
+_HALF_ULP = sys.float_info.epsilon / 2.0  # 2**-53
 _INF = math.inf
 _LOG2 = math.log(2.0)
 
@@ -220,7 +221,9 @@ class Euclidean(Space):
         return c
 
     def format_point(self, x) -> str:
-        return ";".join(repr(float(c)) for c in self.as_array(x))
+        if not (type(x) is tuple and len(x) == self.dim):  # a tuple needs no array
+            x = self.as_array(x)
+        return ";".join(repr(float(c)) for c in x)
 
 
 class Tripod(Space):
@@ -327,8 +330,12 @@ class HalfPlane(Space):
     conjugated by an isometry taking the geodesic to the imaginary axis
     (translate/scale sending z1 to i, then a rotation about i), interpolated
     as i*s^lam there, and mapped back; on a vertical pair that conjugation
-    gives the closed form's bits.  w_many conjugates every row but the
-    vertical ones whose y2/y1 leaves the floats, which take w's own branch.
+    gives the closed form's bits.  Where the conjugation of a pair off the
+    vertical leaves the floats (y2/y1, (x2 - x1)/y1, the rotation's
+    discriminant or the image's height), w raises InvalidPointError naming
+    the pair rather than give a wrong point.  w_many conjugates every row
+    but the vertical ones whose y2/y1 leaves the floats, which take w's own
+    branch, and gives nan on the rows w refuses.
     """
 
     name = "halfplane"
@@ -376,7 +383,16 @@ class HalfPlane(Space):
                 return (x1 + 0.0, y1 * math.exp(lam * math.log(b)))
             return (x1 + 0.0, y1 ** (1.0 - lam) * y2 ** lam)
         B = a * a + b * b - 1.0
-        qroot = -(B + math.copysign(math.sqrt(B * B + 4.0 * a * a), B)) / 2.0
+        disc = B * B + 4.0 * a * a
+        # the conjugation gives no point where b, the discriminant or the
+        # image's height h (h + 1/h = (B + 2)/b) leaves the floats, unless
+        # the discriminant alone overflowed at |a| <= 2**-53 * b, where the
+        # rotation is the identity to double precision
+        if not (b > 0.0 and disc < _INF and (B + 2.0) / b < _INF) and not (
+                abs(a) <= b * _HALF_ULP and b < _INF):
+            raise InvalidPointError(f"half-plane interpolation of {z1} and {z2} "
+                                    "leaves the floats")
+        qroot = -(B + math.copysign(math.sqrt(disc), B)) / 2.0
         if qroot == 0.0:  # B == 0 and a == 0 handled above
             t = math.copysign(1.0, a)
         else:
@@ -385,10 +401,7 @@ class HalfPlane(Space):
         s = t * c
         # image of z2 under the rotation (z1 maps to i, which is fixed)
         zr = complex(a, b)
-        img = (zr * c + s) / (-zr * s + c)
-        height = abs(img)  # img is (numerically) i*height
-        if height <= 0.0:
-            raise InvalidPointError("degenerate half-plane interpolation")
+        height = abs((zr * c + s) / (-zr * s + c))  # the image is (numerically) i*height
         wim = complex(0.0, math.exp(lam * math.log(height)))
         # undo the rotation, then the translate/scale
         back = (wim * c - s) / (wim * s + c)
@@ -433,17 +446,24 @@ class HalfPlane(Space):
 
         # the conjugation of `w`, row by row
         x1, y1 = Z1.real, Z1.imag
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             a = (Z2.real - x1) / y1
             b = Z2.imag / y1
-        odd = ()
-        if not a.all():
-            # vertical rows whose y2/y1 leaves the floats, where the conjugation
-            # gives no point: conjugate 1 in their place, then take raw_w's branch
-            odd = np.flatnonzero((a == 0.0) & ((b == 0.0) | (b == _INF)))
-            b[odd] = 1.0
-        B = a * a + b * b - 1.0
-        qroot = -(B + np.copysign(np.sqrt(B * B + 4.0 * a * a), B)) / 2.0
+            B = a * a + b * b - 1.0
+            disc = B * B + 4.0 * a * a
+            inside = (disc < _INF) & ((B + 2.0) / b < _INF)
+        odd = lost = ()
+        if not inside.all():
+            # raw_w's test in full.  Vertical rows whose y2/y1 leaves the
+            # floats take raw_w's branch, and other rows that fail it give
+            # nan; both conjugate 1 in their place first
+            inside |= (np.abs(a) <= b * _HALF_ULP) & (b < _INF)
+            vertical = a == 0.0
+            odd = np.flatnonzero(vertical & ((b == 0.0) | (b == _INF)))
+            lost = np.flatnonzero(~inside & ~vertical)
+            gone = np.concatenate([odd, lost])
+            a[gone], b[gone], B[gone], disc[gone] = 0.0, 1.0, 0.0, 0.0
+        qroot = -(B + np.copysign(np.sqrt(disc), B)) / 2.0
         t = np.where(a == 0.0, 0.0,
                      np.where(qroot == 0.0, np.copysign(1.0, a),
                               -a / np.where(qroot == 0.0, 1.0, qroot)))
@@ -451,11 +471,11 @@ class HalfPlane(Space):
         s = t * c
         zr = a + 1j * b
         height = np.abs((zr * c + s) / (-zr * s + c))
-        if np.any(height <= 0.0):
-            raise InvalidPointError("degenerate half-plane interpolation")
         wim = 1j * np.exp(lam * np.log(height))
         back = (wim * c - s) / (wim * s + c)
         out = (x1 + y1 * back.real) + 1j * (y1 * back.imag)
+        if len(lost):
+            out[lost] = complex(math.nan, math.nan)
         if len(odd):
             lam = np.broadcast_to(lam, out.shape)
             for i in odd.tolist():

@@ -174,6 +174,18 @@ class TestDatadep:
         assert "overflows" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("argv,epsilon", [
+        (["--perturb", "1e-170", "--n-max", "1000"], "1e-170"),
+        (["--perturb", "5e-324", "--n-max", "1000", "--schedule", "constant:0.5"], "5e-324"),
+        (["--mapping", "affine:0.5,0;0,0.5", "--perturb", "0,-1e-170", "--n-max", "1000"],
+         "1e-170"),
+    ])
+    def test_offset_whose_square_underflows(self, argv, epsilon, capsys):
+        # once the u-sequence reaches q = S's fixed point the bound holds
+        assert run_cli(["datadep", "--proof-variant"] + argv) == 0
+        out = capsys.readouterr().out
+        assert f"epsilon={epsilon}\n" in out and "holds=True" in out
+
     @pytest.mark.parametrize("x0", ["abc", "nan", "1,2"])
     def test_zero_perturbation_checks_x0(self, x0, capsys):
         assert run_cli(["datadep", "--perturb", "0", "--x0", x0]) == 2
@@ -348,26 +360,39 @@ class TestSchemeFailure:
         assert re.match(r"scheme failure: step n=\d+: non-finite coordinates", err)
 
 
+def codes_in_a_fresh_interpreter(argvs):
+    """Exit codes of cli.main on each argv, run in turn by a fresh interpreter
+    (this one has numpy loaded already), and whether numpy was imported."""
+    code = f"""if True:
+        import contextlib, io, sys
+        from implicitfp import cli
+        assert "numpy" not in sys.modules, "import"
+        codes = []
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main(argv))
+        print(codes, "numpy" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+    codes, loaded = out.rsplit(maxsplit=1)
+    return codes, loaded
+
+
 class TestNumpyFreeStart:
     def test_table_compare_and_bounds_never_import_numpy(self):
-        # a fresh interpreter: this one has numpy loaded already
-        code = """if True:
-            import contextlib, io, sys
-            from implicitfp import cli
-            assert "numpy" not in sys.modules, "import"
-            codes = []
-            for mapping in ("halving", "tripod-radial:0.5", "halfplane-vertical:0.5"):
-                for argv in (["table", "--verify"], ["compare", "--assert-faster"],
-                             ["bounds"]):
-                    with contextlib.redirect_stdout(io.StringIO()), \\
-                            contextlib.redirect_stderr(io.StringIO()):
-                        codes.append(cli.main(argv + ["--mapping", mapping]))
-            print(codes, "numpy" in sys.modules)
-        """
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+        argvs = [argv + ["--mapping", mapping]
+                 for mapping in ("halving", "tripod-radial:0.5", "halfplane-vertical:0.5")
+                 for argv in (["table", "--verify"], ["compare", "--assert-faster"], ["bounds"])]
         # off the halving map, table --verify reports a non-reference table
-        assert out.split() == ["[0,", "0,", "0,", "1,", "0,", "0,", "1,", "0,", "0]", "False"]
+        assert codes_in_a_fresh_interpreter(argvs) == ("[0, 0, 0, 1, 0, 0, 1, 0, 0]", "False")
+
+    def test_datadep_never_imports_numpy(self):
+        argvs = [["datadep"], ["datadep", "--proof-variant"], ["datadep", "--perturb", "0"],
+                 ["datadep", "--mapping", "tripod-radial:0.5", "--proof-variant"]]
+        # the default variant is inconclusive at n_max = 200 (exit 4)
+        assert codes_in_a_fresh_interpreter(argvs) == ("[4, 0, 0, 0]", "False")
 
 
 class TestRejectedSettings:

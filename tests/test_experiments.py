@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from implicitfp import experiments, mappings, schemes
-from implicitfp.errors import ConfigError
+from implicitfp.errors import ConfigError, NonconvergenceError
 from implicitfp.experiments import (REFERENCE_TABLE, TABLE_ROWS,
                                     RationalOracle, format15, rate_race,
                                     reproduce_table, run_datadep, run_schemes)
-from implicitfp.mappings import AffineMap
+from implicitfp.mappings import AffineMap, ContractiveLike, LinearPhi
 from implicitfp.schemes import (InnerSolverConfig, constant_schedule,
                                 default_schedule)
 from implicitfp.spaces import Euclidean
@@ -249,6 +249,25 @@ class TestDataDependence:
         text = rep.to_text(space)
         assert "bound=0.08" in text
         assert "holds=True" in text
+
+    def test_failed_step_names_the_x_or_u_step(self):
+        # the x-step (T) cannot finish within one Picard iteration
+        space, t, _ = mappings.halving()
+        s = mappings.perturbed(space, t, (0.01,))
+        with pytest.raises(NonconvergenceError) as err:
+            run_datadep(space, t, s, cfg=InnerSolverConfig(max_iterations=1))
+        assert str(err.value) == "x-step n=2: inner solver exceeded 1 iterations"
+        assert err.value.residual > 0.0
+        # Tx = x/4 on [0, 1/2), x/5 on [1/2, 1] and S = T + 0.71: from 0.88 at
+        # alpha = 1/2, beta = 1 the x-step x = (T(0.88) + Tx)/2 is solvable, the
+        # u-step u = (S(0.88) + Tu)/2 is not (0.506 and 0.492 on the two pieces)
+        t = ContractiveLike(lambda x: (x[0] / 4 if x[0] < 0.5 else x[0] / 5,), 3 / 7,
+                            LinearPhi(6 / 7), fixed_point=(0.0,))
+        s = mappings.perturbed(space, t, (0.71,))
+        with pytest.raises(NonconvergenceError) as err:
+            run_datadep(space, t, s, constant_schedule(0.5, 1.0), x0=(0.88,), n_max=5)
+        assert str(err.value) == "u-step n=2: inner solver exceeded 10000 iterations"
+        assert err.value.residual == pytest.approx(0.012, abs=1e-3)
 
     @pytest.mark.parametrize("n_max", [1, 0, -3])
     def test_too_few_steps_rejected(self, n_max):

@@ -275,6 +275,28 @@ class TestCorpus:
         with pytest.raises(CertificateError):
             mappings.perturbed(space, t, offset)
 
+    def test_epsilon_is_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for dim, count in ((1, 10 ** 5), (2, 10 ** 4), (3, 10 ** 4)):
+            space, t = Euclidean(dim), ContractiveLike(lambda x: x, 0.5)
+            offsets = (rng.choice([-1.0, 1.0], (count, dim))
+                       * 10.0 ** rng.uniform(-150, 150, (count, dim)))
+            got = [mappings.perturbed(space, t, tuple(c)).epsilon for c in offsets.tolist()]
+            want = [float(np.linalg.norm(c)) for c in offsets]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("offset,epsilon", [
+        ((1e-170,), 1e-170), ((5e-324,), 5e-324), ((-5e-324,), 5e-324),
+        ((3e-170, -4e-170), 5e-170), ((5e-324, 0.0), 5e-324),
+    ])
+    def test_tiny_offsets_are_not_zero(self, offset, epsilon):
+        # the squared norm underflows; epsilon comes from the scaled offset
+        space, t = Euclidean(len(offset)), ContractiveLike(lambda x: x, 0.5)
+        eps = mappings.perturbed(space, t, offset).epsilon
+        if len(offset) == 1:
+            assert eps == abs(offset[0])
+        assert eps == pytest.approx(epsilon, rel=1e-15)
+
     def test_perturbed_needs_a_supported_space(self):
         space, t, _ = mappings.halfplane_vertical(0.5)
         with pytest.raises(ConfigError):

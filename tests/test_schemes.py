@@ -141,6 +141,13 @@ class TestSteps:
         assert err.value.residual is not None
 
 
+def piecewise_map():
+    """Tx = x/4 on [0, 1/2) and x/5 on [1/2, 1]: contractive-like with
+    delta = 3/7 and phi(t) = 6t/7, and discontinuous at 1/2."""
+    return ContractiveLike(lambda x: (x[0] / 4 if x[0] < 0.5 else x[0] / 5,), 3 / 7,
+                           LinearPhi(6 / 7), fixed_point=(0.0,), name="piecewise")
+
+
 class TestRuns:
     def test_cumulative_s_at_n5(self, halving):
         # exact-rational recursion: x5 = 15360/696787
@@ -216,6 +223,19 @@ class TestRuns:
             run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 10, cfg)
         assert err.value.trace is not None
         assert len(err.value.trace) >= 1
+
+    def test_failed_step_names_the_scheme_and_step(self):
+        # Tx = x/4 on [0, 1/2), x/5 on [1/2, 1]: from 0.88 at alpha = 1/2 the Mann
+        # step, and Ishikawa's at beta = 1, x = (0.88 + Tx)/2 has no solution
+        # (0.503 on the left piece, 0.489 on the right), so Picard runs out of
+        # iterations at n = 2
+        space, t = Euclidean(1), piecewise_map()
+        for scheme in ("implicit-mann", "implicit-ishikawa"):
+            with pytest.raises(NonconvergenceError) as err:
+                run(space, t, scheme, schedule_from_name("constant:0.5,1.0"), (0.88,), 10)
+            assert str(err.value) == f"{scheme} step n=2: inner solver exceeded 10000 iterations"
+            assert err.value.residual == pytest.approx(0.0111, abs=1e-4)
+            assert len(err.value.trace) == 1 and err.value.trace.records[0].x[0] == 0.88
 
     def test_unknown_scheme(self, halving):
         space, t, _ = halving
@@ -752,6 +772,27 @@ class TestPointForms:
         assert trace.records is records and len(made) == 39
         assert all(is_public_point(r.x, space.dim) for r in records)
         assert trace.distances() == [r.dist_to_p for r in records]
+
+    @pytest.mark.parametrize("name", EUCLIDEAN_MAPS)
+    def test_report_points_are_built_once_when_first_read(self, name):
+        space, t, x0, offset = REFERENCE_MAPS[name]()
+        s = mappings.perturbed(space, t, offset)
+        made = []
+        public = space.public
+        space.public = lambda x: made.append(x) or public(x)
+        rep = run_datadep(space, t, s, default_schedule(), x0=x0, n_max=20,
+                          proof_variant=True)
+        text = rep.to_text(space)  # formats the checked points
+        assert made == []
+        p, q = rep.p, rep.q
+        assert len(made) == 2 and rep.p is p and rep.q is q and len(made) == 2
+        assert all(type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (space.dim,)
+                   for v in (p, q))
+        assert f"p={space.format_point(p)}\nq={space.format_point(q)}\n" in text
+        # perfbench's tampered report: replace takes the public points as given
+        moved = replace(rep, q=rep.q + 1.0)
+        assert np.array_equal(moved.q, q + 1.0) and np.array_equal(moved.p, p)
+        assert rep.q is q and f"q={space.format_point(q + 1.0)}\n" in moved.to_text(space)
 
     def test_a_reassigned_record_point_persists(self):
         space, t, x0, _ = REFERENCE_MAPS["affine-2"]()

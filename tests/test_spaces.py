@@ -220,6 +220,59 @@ class TestHalfPlaneWideScales:
             alone = sp.w_many(sp.pack([xs[i]]), sp.pack([ys[i]]), lams[i:i + 1])
             assert W[i] == alone[0]
 
+    # off the vertical: a*a overflows, y2/y1 underflows, (x2 - x1)/y1
+    # overflows, and the image's height overflows (d > 709)
+    @pytest.mark.parametrize("z1,z2", [((0.0, 1.0), (1e300, 1.0)),
+                                       ((0.0, 1e200), (1e210, 1e-200)),
+                                       ((0.0, 1e-10), (1e300, 1e-10)),
+                                       ((0.0, 1.0), (1e30, 1e-300))])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_w_that_leaves_the_floats(self, z1, z2, lam):
+        sp = HalfPlane()
+        for a, b in ((z1, z2), (z2, z1)):
+            with pytest.raises(InvalidPointError,
+                               match=re.escape(f"interpolation of {a} and {b} leaves the floats")):
+                sp.w(a, b, lam)
+        # w_many gives nan on those rows, and the other row keeps its bits
+        xs, ys = [z1, (0.3, 0.7), z2], [z2, (1.1, 2.5), z1]
+        lams = np.array([lam, 0.4, lam])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = sp.w_many(sp.pack(xs), sp.pack(ys), lams)
+        assert np.isnan(W[[0, 2]].real).all() and np.isnan(W[[0, 2]].imag).all()
+        assert W[1] == sp.w_many(sp.pack(xs[1:2]), sp.pack(ys[1:2]), lams[1:2])[0]
+
+    def test_w_when_only_the_discriminant_overflows(self):
+        # |x2 - x1| <= 2**-53 * y2: the rotation is the identity to double
+        # precision, so the conjugation still gives the point
+        sp = HalfPlane()
+        z1, z2 = (0.0, 1.0), (1.0, 1e200)
+        assert sp.w(z1, z2, 0.5) == pytest.approx((0.0, 1e100), rel=1e-13, abs=1e-300)
+        W = sp.w_many(sp.pack([z1]), sp.pack([z2]), 0.5)
+        assert (W[0].real, W[0].imag) == sp.w(z1, z2, 0.5)
+
+    def test_w_many_is_nan_where_w_refuses(self):
+        sp, rng = HalfPlane(), np.random.default_rng(9)
+        m = 3000
+        x1, x2 = (rng.uniform(-1, 1, (2, m)) * 10.0 ** rng.uniform(-300, 300, (2, m)))
+        x2[::3] = x1[::3]  # vertical rows too
+        y1, y2 = 10.0 ** rng.uniform(-300, 300, (2, m))
+        lams = rng.random(m)
+        xs, ys = list(zip(x1.tolist(), y1.tolist())), list(zip(x2.tolist(), y2.tolist()))
+        refused = []
+        for x, y, lam in zip(xs, ys, lams.tolist()):
+            try:
+                w = sp.w(x, y, lam)
+                assert math.isfinite(w[0]) and 0.0 < w[1] < math.inf
+                refused.append(False)
+            except InvalidPointError:
+                refused.append(True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = sp.w_many(sp.pack(xs), sp.pack(ys), lams)
+        assert 0 < sum(refused) < m
+        assert np.isnan(W.real).tolist() == refused == np.isnan(W.imag).tolist()
+
     @pytest.mark.parametrize("y", [1e-200, 1e200, 5e-324, 1e308])
     def test_distance_to_itself_is_zero(self, y):
         assert HalfPlane().d((0.0, y), (0.0, y)) == 0.0
