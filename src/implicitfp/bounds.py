@@ -12,14 +12,11 @@ Envelopes are cumulative products prod_{k=2..n} D_k * d0, the form the
 step-by-step inequality chains actually produce; the literal (D_n)^n * d0
 variant is kept behind `literal=True` for comparison.  Both are computed in
 Python floats: the running product multiplies in order, so it has the bits
-of numpy's cumprod.  The exponential
-envelope uses exp{-sum (1-a_i)(1-delta)} (the sign required for decay;
-the printed positive exponent is an erratum, see README).
+of numpy's cumprod.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -60,14 +57,6 @@ def step_factors(schedule: Schedule, delta: float, n_max: int) -> np.ndarray:
     import numpy as np
 
     return np.array(_factor_rows(schedule, delta, n_max))
-
-
-def exp_envelope(schedule: Schedule, delta: float, d0: float, n: int) -> float:
-    """exp{-sum_{i=2..n} (1-alpha_i)(1-delta)} * d0."""
-    _require_delta(delta)
-    total = sum((1.0 - schedule.alpha_at(i)) * (1.0 - delta)
-                for i in range(2, n + 1))
-    return math.exp(-total) * d0
 
 
 @dataclass

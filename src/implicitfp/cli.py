@@ -29,7 +29,8 @@ def _config_defaults(path, args, command):
     """The config file's flat key = value lines as defaults for `command`.
 
     argparse converts string defaults with each option's type; booleans
-    (store_true flags) are converted here.
+    (store_true flags) are converted here from 1/true/yes/on or
+    0/false/no/off, in any case; any other word is a ConfigError.
     """
     values = {}
     try:
@@ -48,7 +49,13 @@ def _config_defaults(path, args, command):
         if attr in ("command", "func") or not hasattr(args, attr):
             raise ConfigError(f"unknown config key {attr.replace('_', '-')!r}")
         if isinstance(command.get_default(attr), bool):
-            val = val.lower() in ("1", "true", "yes", "on")
+            word = val.lower()
+            if word in ("1", "true", "yes", "on"):
+                val = True
+            elif word in ("0", "false", "no", "off"):
+                val = False
+            else:
+                raise ConfigError(f"bad boolean {val!r} for config key {key!r}")
         values[attr] = val
     return values
 

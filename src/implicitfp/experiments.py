@@ -339,9 +339,10 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     """Run the paired iterations for T and its approximation S, both from x0.
 
     The limit q of the u-sequence is accepted when the last ten step
-    displacements d(u_n, u_{n-1}) fall below 1e-12; otherwise the report
-    is marked inconclusive (converged=False).  The schedule and n_max are
-    checked by datadep_weights before any step.  The report keeps the
+    displacements d(u_n, u_{n-1}) are at most 1e-10 * epsilon (1e-12 at
+    epsilon = 0.01; relative, as q lies within about epsilon of p);
+    otherwise the report is marked inconclusive (converged=False).  The
+    schedule and n_max are checked by datadep_weights before any step.  The report keeps the
     checked p and q and gives them in the space's public form when first
     read.  A step that does not converge raises NonconvergenceError naming
     the step, n and whether the x-step (T) or the u-step (S) failed.
@@ -391,7 +392,7 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
         mu_seq.append((1.0 - al) * (1.0 - delta))
         eta_seq.append(eta)
 
-    converged = len(u_steps) >= 10 and all(d < 1e-12 for d in u_steps[-10:])
+    converged = len(u_steps) >= 10 and all(d <= 1e-10 * eps for d in u_steps[-10:])
     q = u
     observed = space.d(p, q)
     bound = datadep_bound(eps, delta)

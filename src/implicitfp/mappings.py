@@ -4,8 +4,10 @@ The central class of maps satisfies
 
     d(Tx, Ty) <= delta * d(x, y) + phi(d(x, Tx)),   delta in [0, 1),
 
-with phi strictly increasing, continuous, phi(0) = 0.  Zamfirescu and
-Osilike-Udomene certificates induce such maps.
+with phi strictly increasing, continuous, phi(0) = 0.  ContractiveLike holds
+such a map with its certificate (delta, phi), ApproximateOperator a map S
+with d(Tx, Sx) <= epsilon.  The corpus returns (space, T, sampler), the
+sampler drawing points of the map's domain.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def validate_phi(phi) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# certificates and the mapping type
+# the mapping types
 
 
 @dataclass
@@ -73,49 +75,7 @@ class ContractiveLike:
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise CertificateError(f"delta must lie in [0, 1), got {self.delta}")
-        self.phi_degenerate = not validate_phi(self.phi)
-
-
-@dataclass
-class ZamfirescuCertificate:
-    """Constants (a, b, c) with 0 < a < 1 and 0 < b, c < 1/2."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if not (0.0 < self.a < 1.0):
-            raise CertificateError(f"need 0 < a < 1, got a={self.a}")
-        if not (0.0 < self.b < 0.5) or not (0.0 < self.c < 0.5):
-            raise CertificateError(f"need 0 < b, c < 1/2, got b={self.b}, c={self.c}")
-
-    @property
-    def delta(self) -> float:
-        return zamfirescu_delta(self)
-
-
-def zamfirescu_delta(cert: ZamfirescuCertificate) -> float:
-    """delta = max{a, b/(1-b), c/(1-c)}, always in (0, 1)."""
-    return max(cert.a, cert.b / (1.0 - cert.b), cert.c / (1.0 - cert.c))
-
-
-@dataclass
-class OsilikeUdomeneCertificate:
-    """d(Tx,Ty) <= delta d(x,y) + L d(x,Tx); induces phi(t) = L*t."""
-
-    delta: float
-    L: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.delta < 1.0):
-            raise CertificateError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.L < 0:
-            raise CertificateError(f"L must be >= 0, got {self.L}")
-
-    def to_contractive_like(self, apply, fixed_point=None, name="osilike-udomene"):
-        return ContractiveLike(apply, self.delta, LinearPhi(self.L),
-                               fixed_point=fixed_point, name=name)
+        validate_phi(self.phi)
 
 
 @dataclass
@@ -129,94 +89,6 @@ class ApproximateOperator:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise CertificateError(f"epsilon must be > 0, got {self.epsilon}")
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-@dataclass
-class VerificationReport:
-    passed: bool
-    max_violation: float
-    argmax: object
-    n_samples: int
-    tol: float
-
-
-def _worst_sample(space: Space, violation, k: int, sampler, n_samples: int,
-                  seed: int):
-    """The largest positive violation(*points) over n_samples samples.
-
-    Each sample draws k points from one seeded stream, in order, and
-    violation sees them as space.check_point returns them.  Returns (worst,
-    argmax): argmax is the sample that attained worst, its points in the
-    space's public form (the point itself when k == 1), or None when no
-    violation is positive.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    draw = sampler if sampler is not None else space.sample
-    check = space.check_point
-    worst, arg = 0.0, None
-    for _ in range(n_samples):
-        points = tuple(check(draw(rng)) for _ in range(k))
-        v = violation(*points)
-        if v > worst:
-            worst, arg = v, points
-    if arg is not None:
-        arg = tuple(map(space.public, arg))
-        arg = arg if k > 1 else arg[0]
-    return worst, arg
-
-
-def verify_contractive_like(space: Space, t: ContractiveLike, sampler=None,
-                            n_samples: int = 1000, tol: float = 1e-9,
-                            seed: int = 0) -> VerificationReport:
-    """Sampled check of d(Tx,Ty) <= delta d(x,y) + phi(d(x,Tx)).
-
-    Reports the max positive violation and the pair attaining it.
-    """
-    d, T = space.d, t.apply
-
-    def violation(x, y):
-        tx, ty = T(x), T(y)
-        return d(tx, ty) - (t.delta * d(x, y) + t.phi(d(x, tx)))
-
-    worst, arg = _worst_sample(space, violation, 2, sampler, n_samples, seed)
-    return VerificationReport(worst <= tol, worst, arg, n_samples, tol)
-
-
-def verify_approximate(space: Space, t: ContractiveLike, s: ApproximateOperator,
-                       sampler=None, n_samples: int = 1000,
-                       seed: int = 0) -> VerificationReport:
-    """Sampled sup of d(Tx, Sx); passes iff it stays within s.epsilon."""
-    T, S = t.apply, s.apply
-    worst, arg = _worst_sample(space, lambda x: space.d(T(x), S(x)), 1,
-                               sampler, n_samples, seed)
-    # relative slack absorbs roundoff in d(Tx, Sx) at the certified epsilon
-    passed = worst <= s.epsilon * (1.0 + 1e-12) + 1e-15
-    return VerificationReport(passed, worst, arg, n_samples, s.epsilon)
-
-
-def check_zamfirescu(space: Space, apply, cert: ZamfirescuCertificate,
-                     sampler=None, n_samples: int = 1000, tol: float = 1e-9,
-                     seed: int = 0) -> VerificationReport:
-    """Check each sampled pair satisfies at least one of (z1)-(z3)."""
-    d = space.d
-
-    def violation(x, y):
-        tx, ty = apply(x), apply(y)
-        lhs = d(tx, ty)
-        return min(lhs - cert.a * d(x, y),
-                   lhs - cert.b * (d(x, tx) + d(y, ty)),
-                   lhs - cert.c * (d(x, ty) + d(y, tx)))
-
-    worst, arg = _worst_sample(space, violation, 2, sampler, n_samples, seed)
-    return VerificationReport(worst <= tol, worst, arg, n_samples, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,11 @@ def schedule_from_name(name: str) -> Schedule:
             parts = [float(v) for v in name.split(":", 1)[1].split(",")]
         except ValueError:
             raise ConfigError(f"bad constant schedule {name!r}")
+        if len(parts) > 2:
+            raise ConfigError(f"constant schedule takes one or two values, got {name!r}")
         if not all(0.0 <= p <= 1.0 for p in parts):
             raise ConfigError(f"schedule values outside [0, 1] in {name!r}")
-        return constant_schedule(*parts[:2])
+        return constant_schedule(*parts)
     if name.startswith("polynomial:"):
         try:
             return polynomial_schedule(float(name.split(":", 1)[1]))
@@ -133,7 +135,7 @@ def _compile_expr(node):
     expression cannot reach attributes or builtins.
     """
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = node.value
+        value = float(node.value)  # OverflowError for an int past the floats
         return lambda n: value
     if isinstance(node, ast.Name) and node.id == "n":
         return lambda n: n
@@ -155,7 +157,10 @@ def _compile_expr(node):
 def expression_schedule(alpha_expr: str, beta_expr: Optional[str] = None) -> Schedule:
     """Schedule from inline expressions in the variable n, e.g. '1-1/n'.
 
-    n = 1 always yields 0 (the initial index carries no update).
+    n = 1 always yields 0 (the initial index carries no update).  It is
+    evaluated in floats, n and integer literals included, so no integer
+    grows without bound: a power past the floats raises OverflowError and
+    factorial or comb a TypeError, either one a ConfigError.
     """
     if beta_expr is None:
         beta_expr = alpha_expr
@@ -163,14 +168,14 @@ def expression_schedule(alpha_expr: str, beta_expr: Optional[str] = None) -> Sch
     def make(expr):
         try:
             g = _compile_expr(ast.parse(expr, "<string>", "eval").body)
-        except (SyntaxError, ValueError) as exc:
+        except (SyntaxError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad schedule expression: {exc}")
 
         def f(n):
             if n < 2:
                 return 0.0
             try:
-                return float(g(n))
+                return float(g(float(n)))
             except (ArithmeticError, ValueError, TypeError) as exc:
                 raise ConfigError(f"bad schedule expression {expr!r} at n={n}: {exc}")
         return f

@@ -1,12 +1,10 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicitfp import bounds
 from implicitfp.bounds import (BoundSequences, berinde_compare, check_lemma1,
-                               datadep_bound, exp_envelope)
+                               datadep_bound)
 from implicitfp.errors import CertificateError, DegenerateComparisonError
 from implicitfp.schemes import (constant_schedule, default_schedule,
                                 polynomial_schedule)
@@ -102,29 +100,6 @@ class TestEnvelopeIshikawa:
 
     def test_delta_zero_is_alpha_product(self):
         assert envelopes_at(SCHED, 0.0, 1.0, 3)[2] == pytest.approx((1 / 2) * (2 / 3))
-
-
-class TestExpEnvelope:
-    def test_hand_value_n2(self):
-        assert exp_envelope(SCHED, 0.5, 1.0, 2) == pytest.approx(math.exp(-0.25))
-
-    def test_alpha_one_constant(self):
-        sched = constant_schedule(1.0)
-        assert exp_envelope(sched, 0.5, 1.0, 50) == pytest.approx(1.0)
-
-    def test_harmonic_decay_rate(self):
-        # sum 1/k ~ ln n, so the envelope decays like n^-(1-delta)
-        delta = 0.5
-        v1 = exp_envelope(SCHED, delta, 1.0, 1000)
-        v2 = exp_envelope(SCHED, delta, 1.0, 4000)
-        assert v2 / v1 == pytest.approx(4.0 ** -(1 - delta), rel=1e-2)
-
-    def test_dominates_product_envelope(self):
-        for n in range(2, 100):
-            prod = 1.0
-            for k in range(2, n + 1):
-                prod *= 1 - (1 - SCHED.alpha_at(k)) * 0.5
-            assert exp_envelope(SCHED, 0.5, 1.0, n) >= prod - 1e-15
 
 
 class TestOrdering:

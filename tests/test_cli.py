@@ -186,6 +186,14 @@ class TestDatadep:
         out = capsys.readouterr().out
         assert f"epsilon={epsilon}\n" in out and "holds=True" in out
 
+    @pytest.mark.parametrize("perturb", ["1e-150", "1e-170"])
+    def test_tiny_offset_short_of_q_is_inconclusive(self, perturb, capsys):
+        # the u-steps are judged against 1e-10 * epsilon, not an absolute
+        # 1e-12, so a run that stops far from q is not called converged
+        assert run_cli(["datadep", "--proof-variant", "--perturb", perturb]) == 4
+        out = capsys.readouterr().out
+        assert "converged=False" in out and "holds=False" in out
+
     @pytest.mark.parametrize("x0", ["abc", "nan", "1,2"])
     def test_zero_perturbation_checks_x0(self, x0, capsys):
         assert run_cli(["datadep", "--perturb", "0", "--x0", x0]) == 2
@@ -247,6 +255,21 @@ class TestConfigFile:
         out = capsys.readouterr()
         assert len(out.out.strip().split("\n")) == 1 + 14
         assert "all table cells match" in out.err
+
+    @pytest.mark.parametrize("word,code", [
+        ("1", 0), ("true", 0), ("Yes", 0), ("ON", 0),
+        ("0", 0), ("false", 0), ("No", 0), ("off", 0),
+        ("ture", 2), ("", 2), ("y", 2), ("2", 2), ("enabled", 2),
+    ])
+    def test_boolean_words(self, word, code, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"verify = {word}\n")
+        assert run_cli(["table", "--config", str(conf)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("config error: bad boolean")
+        else:
+            assert ("all table cells match" in err) == (word.lower() in ("1", "true", "yes", "on"))
 
     def test_unknown_key_is_config_error(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -406,6 +429,11 @@ class TestRejectedSettings:
         (["compare", "--threshold", "-1"], "threshold must be finite and > 0"),
         (["compare", "--threshold", "inf"], "threshold must be finite and > 0"),
         (["compare", "--threshold", "0", "--assert-faster"], "threshold must be finite and > 0"),
+        (["compare", "--schedule", "constant:0.5,0.5,0.9"], "constant schedule takes one or two"),
+        # evaluated in floats: a power past the floats overflows, factorial
+        # refuses a float, instead of building ever larger integers
+        (["table", "--alpha", "1-1/n**n**n", "--n-max", "5"], "bad schedule expression"),
+        (["table", "--alpha", "1-1/math.factorial(n)", "--n-max", "3"], "bad schedule expression"),
     ])
     def test_config_error(self, argv, message, capsys):
         assert run_cli(argv) == 2
