@@ -229,21 +229,21 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
         actual[s] = seq
         zero_at[s] = None if zi is None else zi + 2  # back to n-indexing
 
-    aseq = actual["implicit-s"]
-    actual_verdicts = {}
-    for other in ("implicit-ishikawa", "implicit-mann"):
+    def compare(a, b):
         try:
-            verdict = berinde_compare(aseq[:len(actual[other])],
-                                      actual[other][:len(aseq)],
-                                      horizon=horizon, threshold=threshold)
+            return berinde_compare(a[:len(b)], b[:len(a)], horizon, threshold)
         except DegenerateComparisonError:
             # a trace hit the fixed point exactly before two comparison
-            # points existed; converged_exactly records where
-            verdict = RateVerdict("degenerate", None, horizon, threshold)
-        actual_verdicts[("implicit-s", other)] = verdict
+            # points existed (converged_exactly records where), or an
+            # envelope underflowed to 0 before the horizon
+            return RateVerdict("degenerate", None, horizon, threshold)
+
+    aseq = actual["implicit-s"]
+    actual_verdicts = {("implicit-s", other): compare(aseq, actual[other])
+                       for other in ("implicit-ishikawa", "implicit-mann")}
     envelope_verdicts = {
-        ("implicit-s", "implicit-ishikawa"): berinde_compare(env.a, env.c, horizon, threshold),
-        ("implicit-s", "implicit-mann"): berinde_compare(env.a, env.b, horizon, threshold),
+        ("implicit-s", "implicit-ishikawa"): compare(env.a, env.c),
+        ("implicit-s", "implicit-mann"): compare(env.a, env.b),
     }
     return RateRace(traces, env, actual_verdicts, envelope_verdicts, zero_at)
 

@@ -14,7 +14,6 @@ Built-in instances:
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -126,7 +125,9 @@ class Euclidean(Space):
 
     A checked point is a tuple of dim Python floats: the solver and the maps
     run on it.  `public` turns it into a float64 array of shape (dim,), the
-    form of trace and report points.
+    form of trace and report points.  `raw_d` is `math.dist`, which has the
+    bits of `math.hypot` of the coordinate differences; on the line `raw_w`
+    is the one expression `(1 - lam)*x + lam*y`.
     """
 
     def __init__(self, dim=1):
@@ -159,11 +160,12 @@ class Euclidean(Space):
             raise InvalidPointError(f"non-finite coordinates: {x}")
         return tuple(v)
 
-    def raw_d(self, x, y):
-        return math.hypot(*map(operator.sub, x, y))
+    raw_d = staticmethod(math.dist)
 
     def raw_w(self, x, y, lam):
         m = 1.0 - lam
+        if self.dim == 1:  # on the line: the same expression, no comprehension
+            return (m * x[0] + lam * y[0],)
         return tuple([m * a + lam * b for a, b in zip(x, y)])
 
     def public(self, x):

@@ -101,6 +101,16 @@ class TestCompare:
         out = capsys.readouterr().out
         assert out.count(": faster") == 4 and len(out.splitlines()) == 4
 
+    def test_envelope_that_underflows_is_degenerate(self, capsys):
+        # from the smallest subnormal every scheme lands on 0 at n = 2, and
+        # the envelopes f * d0 underflow to 0: no comparison can be made,
+        # which is a verdict, not an error
+        assert run_cli(["compare", "--x0", "5e-324"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": degenerate (final ratio None)") == 4
+        assert out.count("converged exactly at n=2") == 3
+        assert run_cli(["compare", "--x0", "5e-324", "--assert-faster"]) == 1
+
     @pytest.mark.parametrize("command", ["table", "compare", "bounds", "datadep"])
     def test_space_flag_is_an_argument_error(self, command, capsys):
         # the space is the one --mapping lives on; --space belongs to axiom-check

@@ -56,6 +56,26 @@ class TestPhiFamily:
         assert not validate_phi(LinearPhi(0.0))
         assert validate_phi(lambda t: 0.5 * t ** 2)
 
+    def test_corpus_maps_build_without_calling_phi(self, monkeypatch):
+        def count(phi, t):
+            calls.append(t)
+            return phi.L * t
+
+        calls = []
+        monkeypatch.setattr(LinearPhi, "__call__", count)
+        mappings.halving()
+        mappings.from_name("tripod-radial:0.5")
+        assert calls == []
+
+    def test_linear_phi_edge_values_keep_their_outcomes(self):
+        for L in (math.nan, math.inf):
+            with pytest.raises(CertificateError, match=r"phi\(0\) must be 0"):
+                validate_phi(LinearPhi(L))
+        assert validate_phi(LinearPhi(1e-320)) is True
+        assert validate_phi(LinearPhi(0.5)) is True
+        assert validate_phi(LinearPhi(-0.0)) is False
+        assert validate_phi(LinearPhi(0.0)) is False
+
     def test_nonmonotone_phi_rejected(self):
         with pytest.raises(CertificateError, match="strictly increasing"):
             validate_phi(lambda t: t * (0.5 - t))

@@ -517,6 +517,43 @@ def test_raw_primitives_match_public_bit_for_bit(name):
                 assert exact(space.raw_w(cx, cy, lam)) == exact(tuple(W.tolist()))
 
 
+def bits(v):
+    return struct.pack("<d", v)
+
+
+# finite floats, with the edges drawn often: signed zeros, subnormals, the
+# smallest normal and +-max (whose differences overflow to inf)
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min,
+                     sys.float_info.max, -sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+LAMBDA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.tuples(FINITE, FINITE)] * n)))
+def test_euclidean_raw_d_has_the_bits_of_hypot_of_differences(pair):
+    x, y = tuple(a for a, _ in pair), tuple(b for _, b in pair)
+    assert bits(Euclidean(len(x)).raw_d(x, y)) == bits(math.hypot(*(a - b for a, b in pair)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=FINITE, b=FINITE, lam=LAMBDA)
+def test_euclidean_raw_w_on_the_line_has_the_bits_of_the_comprehension(a, b, lam):
+    x, y = (a,), (b,)
+    got = Euclidean(1).raw_w(x, y, lam)
+    want = tuple([(1.0 - lam) * u + lam * v for u, v in zip(x, y)])
+    assert type(got) is tuple and len(got) == 1
+    assert bits(got[0]) == bits(want[0])
+
+
+@given(a=FINITE, b=FINITE, lam=LAMBDA)
+def test_broken_demo_raw_w_still_returns_y(a, b, lam):
+    y = (b,)
+    assert BrokenDemo().raw_w((a,), y, lam) is y
+
+
 def previous_euclidean_check(dim, x):
     """Euclidean.check_point before its shape fast path: the accept/reject reference."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
