@@ -152,8 +152,11 @@ def cmd_compare(args):
                      f" (final ratio {verdict.final_ratio!r})")
     for scheme, zi in race.converged_exactly.items():
         if zi is not None:
-            lines.append(f"{scheme}: converged exactly at n={zi};"
-                         " verdict computed on the pre-zero prefix")
+            judged = all(v.verdict != "degenerate"
+                         for pair, v in race.actual_verdicts.items() if scheme in pair)
+            lines.append(f"{scheme}: converged exactly at n={zi}; "
+                         + ("verdict computed on the pre-zero prefix" if judged
+                            else "too few points before it for a verdict"))
     _emit("\n".join(lines) + "\n", args.output)
     if args.assert_faster and not race.all_faster:
         return EXIT_CHECK_FAILED

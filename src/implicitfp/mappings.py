@@ -98,37 +98,14 @@ class ApproximateOperator:
 # built-in corpus
 
 
-def _coords(x, dim: int):
-    """x as dim Python floats, for the corpus maps on Euclidean space.
-
-    A tuple of dim Python floats, the solver's form, is returned as it is.
-    Anything else goes through a float64 array, as Euclidean.as_array takes
-    it (a scalar is admitted at dim 1); a shape other than (dim,) raises
-    InvalidPointError.
-    """
-    if type(x) is tuple and len(x) == dim:
-        for c in x:
-            if type(c) is not float:
-                break
-        else:
-            return x
-    import numpy as np
-
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.shape != (dim,):
-        raise InvalidPointError(f"expected {dim} coordinates, got shape {v.shape}")
-    return v.tolist()
-
-
 @dataclass
 class AffineMap:
     """x -> A x + b on Euclidean space; contraction certificate is ||A||_2.
 
-    A and b are float arrays.  A call takes any sequence of dim reals (a
-    scalar at dim 1), read as float64 values, and returns a tuple of floats:
-    coordinate i is fsum(A[i, j] * x[j]) + b[i], over rows cached at
-    construction (at dim 1, a*x + b).  Any other shape raises
-    InvalidPointError.
+    A and b are float arrays.  A call reads x with `Euclidean(dim).check_point`
+    (dim finite reals, a scalar at dim 1; InvalidPointError on anything else)
+    and returns a tuple of floats: coordinate i is fsum(A[i, j] * x[j]) + b[i],
+    over rows cached at construction (at dim 1, a*x + b).
     """
 
     A: np.ndarray
@@ -140,6 +117,7 @@ class AffineMap:
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
         self._rows = tuple(zip(map(tuple, self.A.tolist()), self.b.tolist()))
+        self._check = Euclidean(self.dim).check_point
 
     @property
     def dim(self) -> int:
@@ -157,7 +135,7 @@ class AffineMap:
         return np.linalg.solve(np.eye(self.dim) - self.A, self.b)
 
     def __call__(self, x):
-        x = _coords(x, len(self._rows))
+        x = self._check(x)
         fsum, mul = math.fsum, operator.mul
         return tuple([fsum(map(mul, row, x)) + bi for row, bi in self._rows])
 
@@ -165,7 +143,8 @@ class AffineMap:
 def halving() -> tuple[Space, ContractiveLike, Callable]:
     """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point (0.0,)."""
     space = Euclidean(1)
-    t = ContractiveLike(lambda x: (0.5 * _coords(x, 1)[0],), 0.5,
+    check = space.check_point
+    t = ContractiveLike(lambda x: (0.5 * check(x)[0],), 0.5,
                         LinearPhi(0.0), fixed_point=(0.0,),
                         name="halving")
     subset = spaces.Interval(0.0, 1.0)
@@ -286,19 +265,18 @@ def _offset_norm(off) -> float:
 def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     """S = T + offset with certified epsilon = d(Tx, Tx + offset).
 
-    Euclidean spaces: offset is a constant vector in any form the maps read
-    (a tuple, list or array; a scalar at dim 1), one finite entry per
-    coordinate, not all zero, with a finite epsilon = ||offset||.
+    Euclidean spaces: offset is a constant vector that the space's
+    check_point accepts (a tuple, list or array of dim finite entries; a
+    scalar at dim 1), not all zero, with a finite epsilon = ||offset||.
     Tripod: offset is a finite radius shift > 0 along the same ray,
     epsilon = offset.  Any other offset raises CertificateError.
     """
     if isinstance(space, Euclidean):
         try:
-            off = _coords(offset, space.dim)
+            off = space.check_point(offset)
         except InvalidPointError:
-            off = None
-        if off is None or not all(map(math.isfinite, off)):
-            raise CertificateError(f"offset must have {space.dim} finite entries, got {offset}")
+            raise CertificateError(f"offset must have {space.dim} finite entries, "
+                                   f"got {offset}") from None
         eps = _offset_norm(off)
         if eps == 0.0:
             raise CertificateError("offset must be nonzero (epsilon > 0)")

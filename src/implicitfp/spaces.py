@@ -51,9 +51,9 @@ class Space:
     point as `point_from_coords(rng.uniform(lo, hi))`, and `check_axioms`
     draws whole blocks of coordinates through `from_coords`.
 
-    A new space provides check_point, raw_d, raw_w, pack, d_many, w_many,
+    A new space provides check_point, raw_d, raw_w, d_many, w_many,
     sample_box, from_coords, point_from_coords and format_point, and may
-    override public.
+    override pack and public.
     """
 
     name = "abstract"
@@ -83,8 +83,12 @@ class Space:
         return x
 
     def pack(self, points):
-        """Batch a sequence of points; InvalidPointError as in check_point."""
-        raise NotImplementedError
+        """Batch a sequence of points: from_coords of the check_point-ed points."""
+        import numpy as np
+
+        k = len(self.sample_box()[0])  # an empty batch keeps its k columns
+        return self.from_coords(np.array([self.check_point(p) for p in points],
+                                         dtype=float).reshape(len(points), k))
 
     def d_many(self, X, Y):
         """Row-wise distances of two equal-length batches, as a float array."""
@@ -123,11 +127,12 @@ def check_lambda(lam):
 class Euclidean(Space):
     """R^dim with the Euclidean metric and w = linear interpolation.
 
-    A checked point is a tuple of dim Python floats: the solver and the maps
-    run on it.  `public` turns it into a float64 array of shape (dim,), the
-    form of trace and report points.  `raw_d` is `math.dist`, which has the
-    bits of `math.hypot` of the coordinate differences; on the line `raw_w`
-    is the one expression `(1 - lam)*x + lam*y`.
+    A checked point is a tuple of dim Python floats, which `check_point` reads
+    from any sequence of dim finite reals (a scalar at dim 1); the solver and
+    the maps run on it.  `public` turns it into a float64 array of shape
+    (dim,), the form of trace and report points.  `raw_d` is `math.dist`,
+    which has the bits of `math.hypot` of the coordinate differences; on
+    the line `raw_w` is the one expression `(1 - lam)*x + lam*y`.
     """
 
     def __init__(self, dim=1):
@@ -135,17 +140,6 @@ class Euclidean(Space):
             raise ConfigError(f"euclidean dimension must be >= 1, got {dim}")
         self.dim = dim
         self.name = f"euclidean:{dim}"
-
-    def as_array(self, x):
-        """x as a float array of shape (dim,); a scalar is admitted at dim 1."""
-        import numpy as np
-
-        v = np.asarray(x, dtype=float)
-        if v.shape != (self.dim,):
-            v = np.atleast_1d(v)
-            if v.shape != (self.dim,):
-                raise InvalidPointError(f"expected {self.dim} coordinates, got {v.shape}")
-        return v
 
     def check_point(self, x):
         if type(x) is tuple and len(x) == self.dim:
@@ -155,7 +149,15 @@ class Euclidean(Space):
                     break
             else:
                 return x
-        v = self.as_array(x).tolist()
+        import numpy as np
+
+        try:
+            v = np.atleast_1d(np.asarray(x, dtype=float))
+        except (TypeError, ValueError):  # ragged or non-numeric
+            raise InvalidPointError(f"expected {self.dim} real coordinates, got {x!r}") from None
+        if v.shape != (self.dim,):
+            raise InvalidPointError(f"expected {self.dim} coordinates, got {v.shape}")
+        v = v.tolist()
         if not all(map(math.isfinite, v)):
             raise InvalidPointError(f"non-finite coordinates: {x}")
         return tuple(v)
@@ -172,20 +174,6 @@ class Euclidean(Space):
         import numpy as np
 
         return np.array(x)
-
-    def pack(self, points):
-        """An (N, dim) array of the points."""
-        import numpy as np
-
-        try:
-            X = np.asarray(points, dtype=float)
-        except ValueError:  # ragged or non-numeric
-            X = None
-        if X is None or X.shape != (len(points), self.dim):
-            # per point: raises for the offending one, and admits scalars
-            # mixed with 1-vectors when dim == 1
-            X = np.array([self.as_array(p) for p in points]).reshape(len(points), self.dim)
-        return self.from_coords(X)
 
     def d_many(self, X, Y):
         import numpy as np
@@ -223,8 +211,6 @@ class Euclidean(Space):
         return c
 
     def format_point(self, x) -> str:
-        if not (type(x) is tuple and len(x) == self.dim):  # a tuple needs no array
-            x = self.as_array(x)
         return ";".join(repr(float(c)) for c in x)
 
 
@@ -239,12 +225,15 @@ class Tripod(Space):
     name = "tripod"
 
     def check_point(self, x):
-        ray, r = x
+        try:
+            ray, r = x
+            if ray in TRIPOD_RAYS and math.isfinite(r) and r >= 0.0:
+                return x
+        except (TypeError, ValueError):  # no (ray, r) pair, or r no real
+            raise InvalidPointError(f"expected a tripod point (ray, r), got {x!r}") from None
         if ray not in TRIPOD_RAYS:
             raise InvalidPointError(f"unknown ray {ray!r}")
-        if not (math.isfinite(r) and r >= 0.0):
-            raise InvalidPointError(f"radius must be finite and >= 0, got {r}")
-        return x
+        raise InvalidPointError(f"radius must be finite and >= 0, got {r}")
 
     def raw_d(self, x, y):
         (rx, a), (ry, b) = x, y
@@ -323,8 +312,7 @@ class HalfPlane(Space):
     root is taken as sqrt(y1)*sqrt(y2), and when 2*root then overflows q is
     0.5*(|z1-z2|/root); when |z1-z2| overflows it is taken from the halved
     coordinates, and when the asinh argument q leaves the floats, asinh(q)
-    is log(2q) from the logs of its numerator and denominator.  d_many
-    takes each of these branches on the rows that need it.
+    is log(2q) from the logs of its numerator and denominator.
 
     Points on one vertical geodesic (x2 == x1) interpolate in closed form,
     w = (x1, y1*(y2/y1)^lam), whenever y2/y1 is a positive finite float,
@@ -335,18 +323,24 @@ class HalfPlane(Space):
     gives the closed form's bits.  Where the conjugation of a pair off the
     vertical leaves the floats (y2/y1, (x2 - x1)/y1, the rotation's
     discriminant or the image's height), w raises InvalidPointError naming
-    the pair rather than give a wrong point.  w_many conjugates every row
-    but the vertical ones whose y2/y1 leaves the floats, which take w's own
-    branch, and gives nan on the rows w refuses.
+    the pair rather than give a wrong point.
+
+    d_many and w_many run the common formula on every row; the rows it does
+    not cover (y1*y2 outside the normal floats or q = inf; a conjugation
+    that leaves the floats) go through raw_d and raw_w one at a time, so
+    they get the scalar bits, and w_many gives nan where raw_w raises.
     """
 
     name = "halfplane"
 
     def check_point(self, z):
-        x, y = z
-        if not (math.isfinite(x) and math.isfinite(y) and y > 0.0):
-            raise InvalidPointError(f"half-plane requires finite coords with y > 0, got {z}")
-        return z
+        try:
+            x, y = z
+            if math.isfinite(x) and math.isfinite(y) and y > 0.0:
+                return z
+        except (TypeError, ValueError):  # no (x, y) pair, or no reals
+            pass
+        raise InvalidPointError(f"half-plane requires finite coords with y > 0, got {z}")
 
     def raw_d(self, z1, z2):
         (x1, y1), (x2, y2) = z1, z2
@@ -409,38 +403,18 @@ class HalfPlane(Space):
         back = (wim * c - s) / (wim * s + c)
         return (x1 + y1 * back.real, y1 * back.imag)
 
-    def pack(self, points):
-        """A complex array x + iy."""
-        import numpy as np
-
-        for p in points:
-            self.check_point(p)
-        P = np.array(points, dtype=float).reshape(len(points), 2)
-        return P[:, 0] + 1j * P[:, 1]
-
     def d_many(self, Z1, Z2):
         import numpy as np
 
-        # raw_d's branches, each on the mask of its rows
         y1, y2 = Z1.imag, Z2.imag
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             yy = y1 * y2
-            h = np.abs(Z1 - Z2)
-            root = np.sqrt(yy)
-            halve = h == _INF  # |z1 - z2| overflowed
-            wide = (yy < _FLOAT_MIN) | (yy == _INF)
-            if wide.any():
-                root[wide] = np.sqrt(y1[wide]) * np.sqrt(y2[wide])
-                halve |= root > _HALF_MAX  # 2*root overflows
-            den = 2.0 * root
-            if halve.any():  # h from the halved coordinates, over root
-                h[halve] = np.abs(0.5 * Z1[halve] - 0.5 * Z2[halve])
-                den[halve] = root[halve]
-            q = h / den
-        out = 2.0 * np.arcsinh(q)
-        big = q == _INF
-        if big.any():  # asinh(q) = log(2q), from the logs of h and den
-            out[big] = 2.0 * (np.log(h[big]) + (_LOG2 - np.log(den[big])))
+            q = np.abs(Z1 - Z2) / (2.0 * np.sqrt(yy))
+            out = 2.0 * np.arcsinh(q)
+        # the rows raw_d takes off its common branch
+        for i in np.flatnonzero((yy < _FLOAT_MIN) | (yy == _INF) | (q == _INF)).tolist():
+            out[i] = self.raw_d((float(Z1.real[i]), float(y1[i])),
+                                (float(Z2.real[i]), float(y2[i])))
         return out
 
     def w_many(self, Z1, Z2, lam):
@@ -454,17 +428,13 @@ class HalfPlane(Space):
             B = a * a + b * b - 1.0
             disc = B * B + 4.0 * a * a
             inside = (disc < _INF) & ((B + 2.0) / b < _INF)
-        odd = lost = ()
+        rest = []
         if not inside.all():
-            # raw_w's test in full.  Vertical rows whose y2/y1 leaves the
-            # floats take raw_w's branch, and other rows that fail it give
-            # nan; both conjugate 1 in their place first
-            inside |= (np.abs(a) <= b * _HALF_ULP) & (b < _INF)
-            vertical = a == 0.0
-            odd = np.flatnonzero(vertical & ((b == 0.0) | (b == _INF)))
-            lost = np.flatnonzero(~inside & ~vertical)
-            gone = np.concatenate([odd, lost])
-            a[gone], b[gone], B[gone], disc[gone] = 0.0, 1.0, 0.0, 0.0
+            # the rows the conjugation leaves go through raw_w below; they
+            # conjugate 1 in their place first
+            rest = np.flatnonzero(~inside).tolist()
+            a[rest], b[rest], B[rest], disc[rest] = 0.0, 1.0, 0.0, 0.0
+            lam = np.broadcast_to(lam, a.shape)  # one weight per row
         qroot = -(B + np.copysign(np.sqrt(disc), B)) / 2.0
         t = np.where(a == 0.0, 0.0,
                      np.where(qroot == 0.0, np.copysign(1.0, a),
@@ -476,14 +446,13 @@ class HalfPlane(Space):
         wim = 1j * np.exp(lam * np.log(height))
         back = (wim * c - s) / (wim * s + c)
         out = (x1 + y1 * back.real) + 1j * (y1 * back.imag)
-        if len(lost):
-            out[lost] = complex(math.nan, math.nan)
-        if len(odd):
-            lam = np.broadcast_to(lam, out.shape)
-            for i in odd.tolist():
+        for i in rest:
+            try:
                 out[i] = complex(*self.raw_w((float(x1[i]), float(y1[i])),
                                              (float(Z2.real[i]), float(Z2.imag[i])),
                                              float(lam[i])))
+            except InvalidPointError:
+                out[i] = complex(math.nan, math.nan)
         return out
 
     def sample_box(self):

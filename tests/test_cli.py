@@ -111,6 +111,23 @@ class TestCompare:
         assert out.count("converged exactly at n=2") == 3
         assert run_cli(["compare", "--x0", "5e-324", "--assert-faster"]) == 1
 
+    @pytest.mark.parametrize("x0", ["5e-324", "0"])
+    def test_exact_convergence_without_a_verdict(self, x0, capsys):
+        assert run_cli(["compare", "--x0", x0]) == 0
+        out = capsys.readouterr().out
+        assert out.count("too few points before it for a verdict") == 3
+        assert "pre-zero prefix" not in out
+
+    def test_exact_convergence_after_a_verdict(self, capsys):
+        # S lands on the fixed point at n = 50; both actual verdicts are made
+        # on the points before it
+        argv = ["compare", "--mapping", "halfplane-vertical:0.5", "--x0", "2,3"]
+        assert run_cli([*argv, "--assert-faster"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": faster") == 4
+        assert out.endswith("implicit-s: converged exactly at n=50; "
+                            "verdict computed on the pre-zero prefix\n")
+
     @pytest.mark.parametrize("command", ["table", "compare", "bounds", "datadep"])
     def test_space_flag_is_an_argument_error(self, command, capsys):
         # the space is the one --mapping lives on; --space belongs to axiom-check

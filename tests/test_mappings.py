@@ -199,6 +199,15 @@ class TestCorpus:
         with pytest.raises(InvalidPointError, match="coordinates"):
             t.apply(x)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_maps_reject_non_finite_input(self, bad):
+        _, t, _ = mappings.halving()
+        line, plane = AffineMap([[0.5]], [0.1]), AffineMap([[0.3, 0.1], [0.2, 0.4]], [0.1, -0.2])
+        for f, x in ((line, (bad,)), (line, bad), (plane, (0.0, bad)), (plane, [bad, 1.0]),
+                     (plane, np.array([bad, 1.0])), (t.apply, (bad,)), (t.apply, bad)):
+            with pytest.raises(InvalidPointError, match="non-finite"):
+                f(x)
+
     def test_tripod_radial(self):
         space, t, sampler = mappings.tripod_radial(0.5)
         assert loop_contractive_like(space, t, sampler, 400)[0] <= 1e-9

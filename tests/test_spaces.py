@@ -273,6 +273,40 @@ class TestHalfPlaneWideScales:
         assert 0 < sum(refused) < m
         assert np.isnan(W.real).tolist() == refused == np.isnan(W.imag).tolist()
 
+    def test_batch_rows_off_the_common_formula_are_the_scalar_results(self):
+        sp, rng = HalfPlane(), np.random.default_rng(20)
+        m = 50_000
+        x1, x2 = rng.choice([-1.0, 1.0], (2, m)) * 10.0 ** rng.uniform(-300, 300, (2, m))
+        x2[::3] = x1[::3]  # every third pair vertical
+        y1, y2 = 10.0 ** rng.uniform(-300, 300, (2, m))
+        lams = rng.random(m)
+        xs, ys = list(zip(x1.tolist(), y1.tolist())), list(zip(x2.tolist(), y2.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z1, Z2 = sp.pack(xs), sp.pack(ys)
+            D, W = sp.d_many(Z1, Z2), sp.w_many(Z1, Z2, lams)
+        # the rows the common formulas do not cover: for d, y1*y2 outside the
+        # normal floats or an infinite asinh argument; for w, a conjugation
+        # that leaves the floats
+        with np.errstate(all="ignore"):
+            yy = y1 * y2
+            q = np.abs(Z1 - Z2) / (2.0 * np.sqrt(yy))
+            a, b = (x2 - x1) / y1, y2 / y1
+            B = a * a + b * b - 1.0
+            inside = (B * B + 4.0 * a * a < math.inf) & ((B + 2.0) / b < math.inf)
+        off_d = np.flatnonzero((yy < sys.float_info.min) | (yy == math.inf) | (q == math.inf))
+        off_w = np.flatnonzero(~inside)
+        assert 1000 < len(off_d) < m and 1000 < len(off_w) < m
+        for i in off_d.tolist():
+            assert bits(D[i]) == bits(sp.raw_d(xs[i], ys[i])), (xs[i], ys[i])
+        for i in off_w.tolist():
+            try:
+                want = sp.raw_w(xs[i], ys[i], float(lams[i]))
+            except InvalidPointError:
+                assert math.isnan(W[i].real) and math.isnan(W[i].imag), (xs[i], ys[i])
+            else:
+                assert (bits(W[i].real), bits(W[i].imag)) == tuple(map(bits, want)), (xs[i], ys[i])
+
     @pytest.mark.parametrize("y", [1e-200, 1e200, 5e-324, 1e308])
     def test_distance_to_itself_is_zero(self, y):
         assert HalfPlane().d((0.0, y), (0.0, y)) == 0.0
@@ -471,6 +505,14 @@ def test_batched_primitives_match_scalar(name):
     assert np.all(space.d_many(W, Wref) <= 1e-12)
 
 
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_pack_of_no_points_is_an_empty_batch(name):
+    space = spaces.from_name(name)
+    X = space.pack([])
+    assert len(space.d_many(X, X)) == 0
+    assert len(space.d_many(space.w_many(X, X, np.array([])), X)) == 0
+
+
 def test_tripod_w_many_edge_values():
     sp = Tripod()
     xs, ys, lams = zip(*EDGE_CASES["tripod"])
@@ -591,7 +633,10 @@ def test_euclidean_check_point_accepts_as_before(dim):
     space = Euclidean(dim)
     for x in CHECK_INPUTS:
         got = outcome(space.check_point, x)
-        assert got == outcome(as_point(lambda v: previous_euclidean_check(dim, v)), x), x
+        want = outcome(as_point(lambda v: previous_euclidean_check(dim, v)), x)
+        if want[1] in (TypeError, ValueError):  # non-numeric input is now an invalid point
+            want = ("raises", InvalidPointError)
+        assert got == want, x
         if got[0] == "ok":
             point = space.check_point(x)
             assert len(point) == dim and all(type(c) is float for c in point)
@@ -657,6 +702,11 @@ BAD_POINTS = [
     ("halfplane", (0.0, 0.0)),
     ("halfplane", (0.0, -1.0)),
     ("broken-demo", np.array([math.inf])),
+    # malformed: no pair, or a coordinate that is no real number
+    ("tripod", ("A",)), ("tripod", ("A", "1")), ("tripod", ("A", 1.0, 2.0)), ("tripod", 3.0),
+    ("halfplane", (1.0,)), ("halfplane", 3.0), ("halfplane", ("0", 1.0)),
+    ("halfplane", (0.0, None)), ("euclidean:1", ("x",)), ("euclidean:2", [1.0, "x"]),
+    ("euclidean:2", [[1.0, 2.0], [3.0]]), ("euclidean:1", {}),
 ]
 
 
