@@ -208,6 +208,8 @@ def cmd_axiom_check(args):
         raise ConfigError(f"bad --samples {args.samples}: must be >= 1")
     if not 0.0 < args.tol < math.inf:  # nan fails too
         raise ConfigError(f"bad --tol {args.tol!r}: must be finite and > 0")
+    if args.seed < 0:
+        raise ConfigError(f"bad --seed {args.seed}: must be >= 0")
     report = spaces.check_axioms(space, n_samples=args.samples,
                                  tol=args.tol, seed=args.seed)
     lines = [f"space={report.space} samples={report.n_samples} tol={report.tol!r}"]

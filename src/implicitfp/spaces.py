@@ -22,7 +22,6 @@ from .errors import ConfigError, InvalidPointError
 TRIPOD_RAYS = ("A", "B", "C")
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 _HALF_MAX = sys.float_info.max / 2.0  # 2*x overflows above it
-_HALF_ULP = sys.float_info.epsilon / 2.0  # 2**-53
 _INF = math.inf
 _LOG2 = math.log(2.0)
 
@@ -316,19 +315,18 @@ class HalfPlane(Space):
 
     Points on one vertical geodesic (x2 == x1) interpolate in closed form,
     w = (x1, y1*(y2/y1)^lam), whenever y2/y1 is a positive finite float,
-    and as (x1, y1^(1-lam) * y2^lam) when it is not.  Other pairs are
-    conjugated by an isometry taking the geodesic to the imaginary axis
-    (translate/scale sending z1 to i, then a rotation about i), interpolated
-    as i*s^lam there, and mapped back; on a vertical pair that conjugation
-    gives the closed form's bits.  Where the conjugation of a pair off the
-    vertical leaves the floats (y2/y1, (x2 - x1)/y1, the rotation's
-    discriminant or the image's height), w raises InvalidPointError naming
-    the pair rather than give a wrong point.
+    and as (x1, y1^(1-lam) * y2^lam) when it is not.  Other pairs follow the
+    hyperboloid model's geodesic, pulled back: with d = raw_d(z1, z2), the
+    weights u1 = sinh((1-lam)d)/sinh(d) and u2 = sinh(lam d)/sinh(d) of
+    `_weights`, a = u1/y1 and b = u2/y2, w = ((a*x1 + b*x2)/(a + b), 1/(a + b)).
+    Every term is positive, so nothing cancels.  Where a weight or y2/y1 is
+    no normal float, the weights are taken in logs, relative to the larger.
+    Off the vertical, lam = 0 and 1 give the endpoints exactly.  w raises
+    InvalidPointError only where the point itself is no normal float.
 
     d_many and w_many run the common formula on every row; the rows it does
-    not cover (y1*y2 outside the normal floats or q = inf; a conjugation
-    that leaves the floats) go through raw_d and raw_w one at a time, so
-    they get the scalar bits, and w_many gives nan where raw_w raises.
+    not cover go through raw_d and raw_w one at a time, so they get the
+    scalar bits, and w_many gives nan where raw_w raises.
     """
 
     name = "halfplane"
@@ -364,44 +362,32 @@ class HalfPlane(Space):
 
     def raw_w(self, z1, z2, lam):
         (x1, y1), (x2, y2) = z1, z2
-        # normalize: z1 -> i
-        a = (x2 - x1) / y1
         b = y2 / y1
-        # rotate about i so the image of z2 lands on the imaginary axis;
-        # rotations are z -> (z cos + sin)/(-z sin + cos), t = tan(theta)
-        # solves a*t^2 + (|z|^2 - 1)*t - a = 0 (roots t and -1/t)
-        if a == 0.0:
-            # z2 lies on z1's vertical geodesic, so the rotation is the
-            # identity; this is the conjugation's result bit for bit (it too
-            # turns x1 = -0.0 into 0.0).  Where y2/y1 leaves the floats the
-            # conjugation gives no point; each power below stays inside them
+        if x2 == x1:
+            # on z1's vertical geodesic: the closed form (x1 = -0.0 turns 0.0);
+            # where y2/y1 leaves the floats, each power below stays inside them
             if 0.0 < b < math.inf:
                 return (x1 + 0.0, y1 * math.exp(lam * math.log(b)))
             return (x1 + 0.0, y1 ** (1.0 - lam) * y2 ** lam)
-        B = a * a + b * b - 1.0
-        disc = B * B + 4.0 * a * a
-        # the conjugation gives no point where b, the discriminant or the
-        # image's height h (h + 1/h = (B + 2)/b) leaves the floats, unless
-        # the discriminant alone overflowed at |a| <= 2**-53 * b, where the
-        # rotation is the identity to double precision
-        if not (b > 0.0 and disc < _INF and (B + 2.0) / b < _INF) and not (
-                abs(a) <= b * _HALF_ULP and b < _INF):
-            raise InvalidPointError(f"half-plane interpolation of {z1} and {z2} "
-                                    "leaves the floats")
-        qroot = -(B + math.copysign(math.sqrt(disc), B)) / 2.0
-        if qroot == 0.0:  # B == 0 and a == 0 handled above
-            t = math.copysign(1.0, a)
-        else:
-            t = -a / qroot
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        s = t * c
-        # image of z2 under the rotation (z1 maps to i, which is fixed)
-        zr = complex(a, b)
-        height = abs((zr * c + s) / (-zr * s + c))  # the image is (numerically) i*height
-        wim = complex(0.0, math.exp(lam * math.log(height)))
-        # undo the rotation, then the translate/scale
-        back = (wim * c - s) / (wim * s + c)
-        return (x1 + y1 * back.real, y1 * back.imag)
+        d = self.raw_d(z1, z2)
+        if lam == 0.0 or lam == 1.0 or d < _FLOAT_MIN:  # an endpoint, to double precision
+            return z2 if lam == 1.0 else z1
+        u1, u2, r1, r2 = _weights(math, d, lam)
+        if u1 >= _FLOAT_MIN and u2 >= _FLOAT_MIN and _FLOAT_MIN <= b < _INF:
+            m, p, q = 0.0, u1, u2 / b  # a and b times y1
+        else:  # the log route: log p and log q, relative to the larger; r = 0 weighs 0
+            p = (math.log(r1) if r1 else -_INF) - lam * d
+            q = (math.log(r2) if r2 else -_INF) + (lam - 1.0) * d + math.log(y1) - math.log(y2)
+            m = max(p, q)
+            p, q = math.exp(p - m), math.exp(q - m)
+        x, y = p / (p + q) * x1 + q / (p + q) * x2, y1 / (p + q)
+        try:  # y * e^-m, in logs where e^-m leaves the floats
+            y = y * math.exp(-m) if abs(m) < 700.0 else math.exp(math.log(y) - m)
+        except OverflowError:
+            y = _INF
+        if _FLOAT_MIN <= y < _INF and abs(x) < _INF:
+            return (x, y)
+        raise InvalidPointError(f"half-plane interpolation of {z1} and {z2} leaves the floats")
 
     def d_many(self, Z1, Z2):
         import numpy as np
@@ -420,37 +406,22 @@ class HalfPlane(Space):
     def w_many(self, Z1, Z2, lam):
         import numpy as np
 
-        # the conjugation of `w`, row by row
-        x1, y1 = Z1.real, Z1.imag
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            a = (Z2.real - x1) / y1
+        # raw_w's common formula, row by row
+        x1, y1, x2 = Z1.real, Z1.imag, Z2.real
+        d = self.d_many(Z1, Z2)
+        with np.errstate(all="ignore"):
             b = Z2.imag / y1
-            B = a * a + b * b - 1.0
-            disc = B * B + 4.0 * a * a
-            inside = (disc < _INF) & ((B + 2.0) / b < _INF)
-        rest = []
-        if not inside.all():
-            # the rows the conjugation leaves go through raw_w below; they
-            # conjugate 1 in their place first
-            rest = np.flatnonzero(~inside).tolist()
-            a[rest], b[rest], B[rest], disc[rest] = 0.0, 1.0, 0.0, 0.0
-            lam = np.broadcast_to(lam, a.shape)  # one weight per row
-        qroot = -(B + np.copysign(np.sqrt(disc), B)) / 2.0
-        t = np.where(a == 0.0, 0.0,
-                     np.where(qroot == 0.0, np.copysign(1.0, a),
-                              -a / np.where(qroot == 0.0, 1.0, qroot)))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        zr = a + 1j * b
-        height = np.abs((zr * c + s) / (-zr * s + c))
-        wim = 1j * np.exp(lam * np.log(height))
-        back = (wim * c - s) / (wim * s + c)
-        out = (x1 + y1 * back.real) + 1j * (y1 * back.imag)
-        for i in rest:
+            u1, u2, _, _ = _weights(np, d, lam)
+            q = u2 / b
+            x, y = u1 / (u1 + q) * x1 + q / (u1 + q) * x2, y1 / (u1 + q)
+            out = x + 1j * y
+        common = ((x2 != x1) & (np.minimum(np.minimum(u1, u2), np.minimum(b, d)) >= _FLOAT_MIN)
+                  & (b < _INF) & (y >= _FLOAT_MIN) & (y < _INF) & (np.abs(x) < _INF))
+        lam = np.broadcast_to(lam, out.shape)  # one weight per row
+        for i in np.flatnonzero(~common).tolist():
             try:
                 out[i] = complex(*self.raw_w((float(x1[i]), float(y1[i])),
-                                             (float(Z2.real[i]), float(Z2.imag[i])),
-                                             float(lam[i])))
+                                             (float(x2[i]), float(Z2.imag[i])), float(lam[i])))
             except InvalidPointError:
                 out[i] = complex(math.nan, math.nan)
         return out
@@ -474,6 +445,15 @@ class HalfPlane(Space):
 
     def format_point(self, z) -> str:
         return f"{z[0]!r};{z[1]!r}"
+
+
+def _weights(m, d, lam):
+    """u1 = sinh((1-lam)d)/sinh(d) and u2 = sinh(lam d)/sinh(d) over the math or
+    numpy module m, as u1 = e^(-lam d)*r1, r1 = expm1(-2(1-lam)d)/expm1(-2d),
+    and its mirror, so that no sinh overflows; returns u1, u2, r1, r2."""
+    e = m.expm1(-2.0 * d)
+    r1, r2 = m.expm1(2.0 * (lam - 1.0) * d) / e, m.expm1(-2.0 * lam * d) / e
+    return m.exp(-lam * d) * r1, m.exp((lam - 1.0) * d) * r2, r1, r2
 
 
 class BrokenDemo(Euclidean):

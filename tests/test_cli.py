@@ -252,7 +252,8 @@ class TestAxiomCheck:
 
     # exit 1 means a failed axiom, so a bad flag value must not end there
     @pytest.mark.parametrize("flag", ["--samples=0", "--samples=-3", "--tol=0",
-                                      "--tol=-1e-9", "--tol=nan", "--tol=inf"])
+                                      "--tol=-1e-9", "--tol=nan", "--tol=inf",
+                                      "--seed=-1"])
     def test_bad_argument_is_config_error(self, flag, capsys):
         assert run_cli(["axiom-check", flag]) == 2
         name = flag.split("=")[0]

@@ -220,8 +220,9 @@ class TestHalfPlaneWideScales:
             alone = sp.w_many(sp.pack([xs[i]]), sp.pack([ys[i]]), lams[i:i + 1])
             assert W[i] == alone[0]
 
-    # off the vertical: a*a overflows, y2/y1 underflows, (x2 - x1)/y1
-    # overflows, and the image's height overflows (d > 709)
+    # pairs the rotate-and-conjugate w refused: a*a overflows, y2/y1
+    # underflows, (x2 - x1)/y1 overflows, and the image's height overflows
+    # (d > 709); their points are normal floats
     @pytest.mark.parametrize("z1,z2", [((0.0, 1.0), (1e300, 1.0)),
                                        ((0.0, 1e200), (1e210, 1e-200)),
                                        ((0.0, 1e-10), (1e300, 1e-10)),
@@ -230,26 +231,26 @@ class TestHalfPlaneWideScales:
     def test_w_that_leaves_the_floats(self, z1, z2, lam):
         sp = HalfPlane()
         for a, b in ((z1, z2), (z2, z1)):
-            with pytest.raises(InvalidPointError,
-                               match=re.escape(f"interpolation of {a} and {b} leaves the floats")):
-                sp.w(a, b, lam)
-        # w_many gives nan on those rows, and the other row keeps its bits
+            assert backward_error(sp.w(a, b, lam), a, b, lam) <= 64.0
+        # so do the rows of w_many, and the other row keeps its bits
         xs, ys = [z1, (0.3, 0.7), z2], [z2, (1.1, 2.5), z1]
         lams = np.array([lam, 0.4, lam])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             W = sp.w_many(sp.pack(xs), sp.pack(ys), lams)
-        assert np.isnan(W[[0, 2]].real).all() and np.isnan(W[[0, 2]].imag).all()
+        for i in (0, 2):
+            assert backward_error((W[i].real, W[i].imag), xs[i], ys[i], lam) <= 64.0
         assert W[1] == sp.w_many(sp.pack(xs[1:2]), sp.pack(ys[1:2]), lams[1:2])[0]
 
     def test_w_when_only_the_discriminant_overflows(self):
-        # |x2 - x1| <= 2**-53 * y2: the rotation is the identity to double
-        # precision, so the conjugation still gives the point
+        # the pair whose rotation's discriminant alone overflowed
         sp = HalfPlane()
         z1, z2 = (0.0, 1.0), (1.0, 1e200)
-        assert sp.w(z1, z2, 0.5) == pytest.approx((0.0, 1e100), rel=1e-13, abs=1e-300)
+        x, y = sp.w(z1, z2, 0.5)
+        assert x == pytest.approx(1e-200, rel=1e-13) and y == pytest.approx(1e100, rel=1e-13)
+        assert backward_error((x, y), z1, z2, 0.5) <= 64.0
         W = sp.w_many(sp.pack([z1]), sp.pack([z2]), 0.5)
-        assert (W[0].real, W[0].imag) == sp.w(z1, z2, 0.5)
+        assert backward_error((W[0].real, W[0].imag), z1, z2, 0.5) <= 64.0
 
     def test_w_many_is_nan_where_w_refuses(self):
         sp, rng = HalfPlane(), np.random.default_rng(9)
@@ -259,6 +260,7 @@ class TestHalfPlaneWideScales:
         y1, y2 = 10.0 ** rng.uniform(-300, 300, (2, m))
         lams = rng.random(m)
         xs, ys = list(zip(x1.tolist(), y1.tolist())), list(zip(x2.tolist(), y2.tolist()))
+        xs[::100], ys[::100] = zip(*REFUSED_PAIRS * 15)  # and rows that refuse
         refused = []
         for x, y, lam in zip(xs, ys, lams.tolist()):
             try:
@@ -279,6 +281,9 @@ class TestHalfPlaneWideScales:
         x1, x2 = rng.choice([-1.0, 1.0], (2, m)) * 10.0 ** rng.uniform(-300, 300, (2, m))
         x2[::3] = x1[::3]  # every third pair vertical
         y1, y2 = 10.0 ** rng.uniform(-300, 300, (2, m))
+        # and 50 rows that refuse
+        x1[::1000], y1[::1000], x2[::1000], y2[::1000] = np.array(
+            [(*a, *b) for a, b in REFUSED_PAIRS * 25]).T
         lams = rng.random(m)
         xs, ys = list(zip(x1.tolist(), y1.tolist())), list(zip(x2.tolist(), y2.tolist()))
         with warnings.catch_warnings():
@@ -286,17 +291,23 @@ class TestHalfPlaneWideScales:
             Z1, Z2 = sp.pack(xs), sp.pack(ys)
             D, W = sp.d_many(Z1, Z2), sp.w_many(Z1, Z2, lams)
         # the rows the common formulas do not cover: for d, y1*y2 outside the
-        # normal floats or an infinite asinh argument; for w, a conjugation
-        # that leaves the floats
+        # normal floats or an infinite asinh argument; for w, vertical pairs
+        # and the rows where a weight, y2/y1 or the point is no normal float
         with np.errstate(all="ignore"):
             yy = y1 * y2
             q = np.abs(Z1 - Z2) / (2.0 * np.sqrt(yy))
-            a, b = (x2 - x1) / y1, y2 / y1
-            B = a * a + b * b - 1.0
-            inside = (B * B + 4.0 * a * a < math.inf) & ((B + 2.0) / b < math.inf)
-        off_d = np.flatnonzero((yy < sys.float_info.min) | (yy == math.inf) | (q == math.inf))
-        off_w = np.flatnonzero(~inside)
+            e = np.expm1(-2.0 * D)
+            u1 = np.exp(-lams * D) * np.expm1(-2.0 * (1.0 - lams) * D) / e
+            u2 = np.exp(-(1.0 - lams) * D) * np.expm1(-2.0 * lams * D) / e
+            b = y2 / y1
+            y = y1 / (u1 + u2 / b)
+        tiny = sys.float_info.min
+        common_w = ((x1 != x2) & (D >= tiny) & (u1 >= tiny) & (u2 >= tiny) & (b >= tiny)
+                    & (b < math.inf) & (y >= tiny) & (y < math.inf))
+        off_d = np.flatnonzero((yy < tiny) | (yy == math.inf) | (q == math.inf))
+        off_w = np.flatnonzero(~common_w)
         assert 1000 < len(off_d) < m and 1000 < len(off_w) < m
+        assert np.isnan(W[off_w].real).sum() >= 25  # the pairs below the normal floats
         for i in off_d.tolist():
             assert bits(D[i]) == bits(sp.raw_d(xs[i], ys[i])), (xs[i], ys[i])
         for i in off_w.tolist():
@@ -306,6 +317,44 @@ class TestHalfPlaneWideScales:
                 assert math.isnan(W[i].real) and math.isnan(W[i].imag), (xs[i], ys[i])
             else:
                 assert (bits(W[i].real), bits(W[i].imag)) == tuple(map(bits, want)), (xs[i], ys[i])
+
+    # x = +-10^U and y = 10^U with U uniform in [-e, e]: 300 seeded pairs per
+    # box, whose exact points are all normal floats
+    @pytest.mark.parametrize("e", [1, 8, 30, 100, 300])
+    def test_w_backward_error_at_every_scale(self, e):
+        sp, rng = HalfPlane(), np.random.default_rng(e)
+        n = 300
+        x1, x2 = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-e, e, (2, n))
+        y1, y2 = 10.0 ** rng.uniform(-e, e, (2, n))
+        lams = rng.random(n)
+        xs, ys = list(zip(x1.tolist(), y1.tolist())), list(zip(x2.tolist(), y2.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = sp.w_many(sp.pack(xs), sp.pack(ys), lams)
+        for z1, z2, lam, wz in zip(xs, ys, lams.tolist(), W.tolist()):
+            assert backward_error(sp.w(z1, z2, lam), z1, z2, lam) <= 64.0, (z1, z2, lam)
+            assert backward_error((wz.real, wz.imag), z1, z2, lam) <= 64.0, (z1, z2, lam)
+
+    def test_w_endpoints_are_exact(self):
+        sp, rng = HalfPlane(), np.random.default_rng(21)
+        pairs = [(sp.sample(rng), sp.sample(rng)) for _ in range(2000)]
+        for z1, z2 in pairs:
+            assert sp.raw_w(z1, z2, 0.0) == z1 and sp.raw_w(z1, z2, 1.0) == z2
+        Z1, Z2 = sp.pack([a for a, _ in pairs]), sp.pack([b for _, b in pairs])
+        assert np.array_equal(sp.w_many(Z1, Z2, 0.0), Z1)
+        assert np.array_equal(sp.w_many(Z1, Z2, 1.0), Z2)
+
+    # distinct pairs at distance 0, and at a distance below the normal floats
+    @pytest.mark.parametrize("z1,z2", [((0.0, 1.0), (5e-324, 1.0)),
+                                       ((0.0, 1.0), (-5e-324, 1.0)),
+                                       ((0.0, 1e10), (1e-300, 1e10))])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_w_of_a_distinct_pair_closer_than_the_floats_is_its_first_point(self, z1, z2, lam):
+        sp = HalfPlane()
+        assert sp.d(z1, z2) < sys.float_info.min
+        assert sp.w(z1, z2, lam) == z1
+        W = sp.w_many(sp.pack([z1]), sp.pack([z2]), lam)
+        assert (W[0].real, W[0].imag) == z1
 
     @pytest.mark.parametrize("y", [1e-200, 1e200, 5e-324, 1e308])
     def test_distance_to_itself_is_zero(self, y):
@@ -401,14 +450,54 @@ def decimal_vertical_w(y1, y2, lam):
         return float((D(y1).ln() * (1 - D(lam)) + D(y2).ln() * D(lam)).exp())
 
 
-def decimal_halfplane_d(z1, z2):
-    """2*asinh(|z1-z2| / (2*sqrt(y1*y2))) in 50-digit decimal arithmetic."""
+def decimal_halfplane_d(z1, z2, prec=50):
+    """2*asinh(|z1-z2| / (2*sqrt(y1*y2))) in prec-digit decimal arithmetic;
+    the coordinates are floats or Decimals."""
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = prec
         (x1, y1), (x2, y2) = [(D(x), D(y)) for x, y in (z1, z2)]
         q = ((x1 - x2) ** 2 + (y1 - y2) ** 2).sqrt() / (2 * (y1 * y2).sqrt())
         return float(2 * (q + (q * q + 1).sqrt()).ln())
+
+
+def decimal_halfplane_w(z1, z2, lam):
+    """w(z1, z2, lam) on the half-plane in 60-digit decimal arithmetic, with d
+    from ln and sqrt and sinh from exp: the weights u1 = sinh((1-lam)d)/sinh(d)
+    and u2 = sinh(lam d)/sinh(d), a = u1/y1, b = u2/y2 and
+    w = ((a*x1 + b*x2)/(a + b), 1/(a + b)).  Returns (x, y, d) as Decimals."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        (x1, y1), (x2, y2) = [(D(x), D(y)) for x, y in (z1, z2)]
+        q = ((x1 - x2) ** 2 + (y1 - y2) ** 2).sqrt() / (2 * (y1 * y2).sqrt())
+        d = 2 * (q + (q * q + 1).sqrt()).ln()
+        lam = D(lam)
+        sinh_d = (d.exp() - (-d).exp()) / 2
+        u1 = ((1 - lam) * d).exp() - (-(1 - lam) * d).exp()
+        u2 = (lam * d).exp() - (-lam * d).exp()
+        a, b = u1 / (2 * sinh_d) / y1, u2 / (2 * sinh_d) / y2
+        return (a * x1 + b * x2) / (a + b), 1 / (a + b), d
+
+
+FLOAT_MAX = decimal.Decimal(sys.float_info.max)
+
+
+def backward_error(w, z1, z2, lam):
+    """The distance from w to the exact point, as a multiple of the floor
+    2.3e-16*(1 + d) + 4e-16*(1 + max |x|/y over z1, z2 and the exact point):
+    the rounding of d and of the point, and one ulp of each input, in
+    hyperbolic units.  The exact point must be a normal float."""
+    x, y, d = decimal_halfplane_w(z1, z2, lam)
+    assert decimal.Decimal(sys.float_info.min) <= y <= FLOAT_MAX and abs(x) <= FLOAT_MAX
+    slope = max(abs(z1[0]) / z1[1], abs(z2[0]) / z2[1], float(abs(x) / y))
+    return decimal_halfplane_d(w, (x, y), prec=60) / (2.3e-16 * (1 + float(d))
+                                                      + 4e-16 * (1 + slope))
+
+
+# pairs whose point is no normal float: above the float max (where lam is
+# not near 0 or 1), and below the smallest normal float (at every lam)
+REFUSED_PAIRS = [((-1.7e308, 1e308), (1.7e308, 1e308)), ((0.0, 5e-324), (1e-323, 5e-324))]
 
 
 @pytest.mark.parametrize("name", ["euclidean:1", "euclidean:2", "euclidean:3",
@@ -479,11 +568,11 @@ EDGE_CASES = {
         (("A", 1.0), ("B", 3.0), 0.75),   # through the hub
     ],
     "halfplane": [
-        ((0.0, 1.0), (0.0, 3.0), 0.3),    # vertical pair, a == 0
+        ((0.0, 1.0), (0.0, 3.0), 0.3),    # vertical pair, x2 == x1
         ((1.0, 2.0), (1.0, 2.0), 0.6),    # identical points
-        ((0.0, 1.0), (0.6, 0.8), 0.5),    # B == 0
+        ((0.0, 1.0), (0.6, 0.8), 0.5),    # (x2 - x1)^2 + y2^2 == y1^2
         ((0.6, 0.8), (0.0, 1.0), 0.5),
-        ((0.0, 1.0), (1e-170, 1.0), 0.5),  # B == 0 and 4a^2 underflows: qroot == 0
+        ((0.0, 1.0), (1e-170, 1.0), 0.5),  # a horizontal step of 1e-170
     ],
 }
 
