@@ -104,8 +104,9 @@ class AffineMap:
 
     A and b are float arrays.  A call reads x with `Euclidean(dim).check_point`
     (dim finite reals, a scalar at dim 1; InvalidPointError on anything else)
-    and returns a tuple of floats: coordinate i is fsum(A[i, j] * x[j]) + b[i],
-    over rows cached at construction (at dim 1, a*x + b).
+    and returns a tuple of floats: coordinate i is fsum(A[i, j] * x[j]) + b[i].
+    The kernel that computes it is chosen by dim at construction (see
+    `_affine_kernel`); an image whose fsum overflows raises InvalidPointError.
     """
 
     A: np.ndarray
@@ -116,8 +117,8 @@ class AffineMap:
 
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        self._rows = tuple(zip(map(tuple, self.A.tolist()), self.b.tolist()))
-        self._check = Euclidean(self.dim).check_point
+        rows = tuple(zip(map(tuple, self.A.tolist()), self.b.tolist()))
+        self._kernel = _affine_kernel(Euclidean(self.dim).check_point, rows)
 
     @property
     def dim(self) -> int:
@@ -135,9 +136,56 @@ class AffineMap:
         return np.linalg.solve(np.eye(self.dim) - self.A, self.b)
 
     def __call__(self, x):
-        x = self._check(x)
-        fsum, mul = math.fsum, operator.mul
-        return tuple([fsum(map(mul, row, x)) + bi for row, bi in self._rows])
+        return self._kernel(x)
+
+    def __reduce__(self):  # the kernel is a closure, so pickle rebuilds it from A and b
+        return type(self), (self.A, self.b)
+
+
+def _affine_kernel(check, rows):
+    """x -> A x + b on x read by check, written out by dim; rows holds (A[i] as a tuple, b[i]).
+
+    Coordinate i is fsum(A[i, j]*x[j]) + b[i].  At dims 1 and 2 the sum of
+    the products is one IEEE expression, which is fsum's correctly rounded
+    sum of one or two terms; `+ 0.0` turns a -0.0 sum into 0.0, as fsum
+    does.  Where the products overflow there, the image is inf or nan, and
+    the caller's check rejects it.  At dim 3 the row is an fsum of a tuple,
+    and at dim >= 4 of the zipped row; where fsum overflows (OverflowError,
+    or ValueError on inf - inf), the call raises InvalidPointError.
+    """
+    fsum = math.fsum
+    if len(rows) == 1:
+        ((a,), b0), = rows
+
+        def kernel(x):
+            return (a * check(x)[0] + 0.0 + b0,)
+    elif len(rows) == 2:
+        ((a00, a01), b0), ((a10, a11), b1) = rows
+
+        def kernel(x):
+            x0, x1 = check(x)
+            return (a00 * x0 + a01 * x1 + 0.0 + b0, a10 * x0 + a11 * x1 + 0.0 + b1)
+    elif len(rows) == 3:
+        ((a00, a01, a02), b0), ((a10, a11, a12), b1), ((a20, a21, a22), b2) = rows
+
+        def kernel(x):
+            x0, x1, x2 = check(x)
+            try:
+                return (fsum((a00 * x0, a01 * x1, a02 * x2)) + b0,
+                        fsum((a10 * x0, a11 * x1, a12 * x2)) + b1,
+                        fsum((a20 * x0, a21 * x1, a22 * x2)) + b2)
+            except (OverflowError, ValueError):
+                raise InvalidPointError(f"affine image of {x} overflows") from None
+    else:
+        mul = operator.mul
+
+        def kernel(x):
+            x = check(x)
+            try:
+                return tuple([fsum(map(mul, row, x)) + bi for row, bi in rows])
+            except (OverflowError, ValueError):
+                raise InvalidPointError(f"affine image of {x} overflows") from None
+    return kernel
 
 
 def halving() -> tuple[Space, ContractiveLike, Callable]:
@@ -268,6 +316,8 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     Euclidean spaces: offset is a constant vector that the space's
     check_point accepts (a tuple, list or array of dim finite entries; a
     scalar at dim 1), not all zero, with a finite epsilon = ||offset||.
+    S x is check_point(T x) plus the offset, coordinate by coordinate, as
+    a tuple of floats (one expression per coordinate at dims 1-3).
     Tripod: offset is a finite radius shift > 0 along the same ray,
     epsilon = offset.  Any other offset raises CertificateError.
     """
@@ -282,9 +332,8 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
         if not math.isfinite(eps):
             raise CertificateError(f"epsilon = ||offset|| overflows for offset {offset}")
-        check = space.check_point
-        return ApproximateOperator(lambda x: tuple([a + c for a, c in zip(check(t.apply(x)), off)]),
-                                   eps, name=f"perturb:{t.name}:{offset}")
+        return ApproximateOperator(_shifted(space.check_point, t.apply, off), eps,
+                                   name=f"perturb:{t.name}:{offset}")
     if isinstance(space, Tripod):
         off = float(offset)
         if not (math.isfinite(off) and off > 0.0):
@@ -294,3 +343,28 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
             return (ray, r + off)
         return ApproximateOperator(s, off, name=f"perturb:{t.name}:{offset}")
     raise ConfigError(f"perturbation not supported on space {space.name!r}")
+
+
+def _shifted(check, T, off):
+    """x -> check(T(x)) + off coordinate by coordinate, written out at dims 1-3."""
+    if len(off) == 1:
+        o0, = off
+
+        def s(x):
+            return (check(T(x))[0] + o0,)
+    elif len(off) == 2:
+        o0, o1 = off
+
+        def s(x):
+            a0, a1 = check(T(x))
+            return (a0 + o0, a1 + o1)
+    elif len(off) == 3:
+        o0, o1, o2 = off
+
+        def s(x):
+            a0, a1, a2 = check(T(x))
+            return (a0 + o0, a1 + o1, a2 + o2)
+    else:
+        def s(x):
+            return tuple([a + c for a, c in zip(check(T(x)), off)])
+    return s

@@ -130,8 +130,12 @@ class Euclidean(Space):
     from any sequence of dim finite reals (a scalar at dim 1); the solver and
     the maps run on it.  `public` turns it into a float64 array of shape
     (dim,), the form of trace and report points.  `raw_d` is `math.dist`,
-    which has the bits of `math.hypot` of the coordinate differences; on
-    the line `raw_w` is the one expression `(1 - lam)*x + lam*y`.
+    which has the bits of `math.hypot` of the coordinate differences.
+    `raw_w` is `(1 - lam)*x[i] + lam*y[i]` for each coordinate, computed by
+    a function chosen by dim at construction: at dims 1-3 it writes each
+    coordinate out as one expression, above that it is a comprehension.
+    `raw_w` is a property that returns that function, so a subclass that
+    defines a raw_w method still overrides it.
     """
 
     def __init__(self, dim=1):
@@ -139,6 +143,7 @@ class Euclidean(Space):
             raise ConfigError(f"euclidean dimension must be >= 1, got {dim}")
         self.dim = dim
         self.name = f"euclidean:{dim}"
+        self._w = _EUCLIDEAN_W[dim - 1] if dim <= 3 else _w_any
 
     def check_point(self, x):
         if type(x) is tuple and len(x) == self.dim:
@@ -163,11 +168,10 @@ class Euclidean(Space):
 
     raw_d = staticmethod(math.dist)
 
-    def raw_w(self, x, y, lam):
-        m = 1.0 - lam
-        if self.dim == 1:  # on the line: the same expression, no comprehension
-            return (m * x[0] + lam * y[0],)
-        return tuple([m * a + lam * b for a, b in zip(x, y)])
+    @property
+    def raw_w(self):
+        """w(x, y, lam) for checked points: the function chosen for this dim."""
+        return self._w
 
     def public(self, x):
         import numpy as np
@@ -211,6 +215,29 @@ class Euclidean(Space):
 
     def format_point(self, x) -> str:
         return ";".join(repr(float(c)) for c in x)
+
+
+def _w_any(x, y, lam):
+    m = 1.0 - lam
+    return tuple([m * a + lam * b for a, b in zip(x, y)])
+
+
+def _w1(x, y, lam):
+    m = 1.0 - lam
+    return (m * x[0] + lam * y[0],)
+
+
+def _w2(x, y, lam):
+    m = 1.0 - lam
+    return (m * x[0] + lam * y[0], m * x[1] + lam * y[1])
+
+
+def _w3(x, y, lam):
+    m = 1.0 - lam
+    return (m * x[0] + lam * y[0], m * x[1] + lam * y[1], m * x[2] + lam * y[2])
+
+
+_EUCLIDEAN_W = (_w1, _w2, _w3)  # Euclidean.raw_w written out at dims 1, 2, 3
 
 
 class Tripod(Space):
@@ -321,8 +348,9 @@ class HalfPlane(Space):
     `_weights`, a = u1/y1 and b = u2/y2, w = ((a*x1 + b*x2)/(a + b), 1/(a + b)).
     Every term is positive, so nothing cancels.  Where a weight or y2/y1 is
     no normal float, the weights are taken in logs, relative to the larger.
-    Off the vertical, lam = 0 and 1 give the endpoints exactly.  w raises
-    InvalidPointError only where the point itself is no normal float.
+    lam = 0 and 1 give the endpoints exactly (on the vertical, a zero x
+    comes back as +0.0).  w raises InvalidPointError only where the point
+    itself is no normal float.
 
     d_many and w_many run the common formula on every row; the rows it does
     not cover go through raw_d and raw_w one at a time, so they get the
@@ -365,7 +393,10 @@ class HalfPlane(Space):
         b = y2 / y1
         if x2 == x1:
             # on z1's vertical geodesic: the closed form (x1 = -0.0 turns 0.0);
-            # where y2/y1 leaves the floats, each power below stays inside them
+            # where y2/y1 leaves the floats, each power below stays inside them.
+            # At lam = 1, exp(log(y2/y1)) need not give y2/y1 back: take y2
+            if lam == 1.0:
+                return (x1 + 0.0, y2)
             if 0.0 < b < math.inf:
                 return (x1 + 0.0, y1 * math.exp(lam * math.log(b)))
             return (x1 + 0.0, y1 ** (1.0 - lam) * y2 ** lam)

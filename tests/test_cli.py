@@ -411,6 +411,21 @@ class TestSchemeFailure:
         assert re.match(r"scheme failure: step n=\d+: non-finite coordinates", err)
 
 
+    @pytest.mark.parametrize("command", ["table", "compare", "bounds", "datadep"])
+    @pytest.mark.parametrize("mapping,x0", [
+        ("affine:0.6,0.6;0,0|0,0", "1.7e308,1.7e308"),
+        ("affine:0.5,0.5,0.5;0,0,0;0,0,0|0,0,0", "1.5e308,1.5e308,1.5e308"),
+        ("affine:0.4,0.4,0.4,0.4;0,0,0,0;0,0,0,0;0,0,0,0|0,0,0,0",
+         "1.5e308,1.5e308,1.5e308,1.5e308"),
+    ])
+    def test_an_overflowing_affine_image_exits_3(self, command, mapping, x0, capsys):
+        argv = [command, "--mapping", mapping, "--x0", x0]
+        if command == "datadep":  # one offset entry per coordinate
+            argv += ["--perturb", ",".join(["0.01"] * len(x0.split(",")))]
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err.startswith("scheme failure: step n=2: ")
+
+
 def codes_in_a_fresh_interpreter(argvs):
     """Exit codes of cli.main on each argv, run in turn by a fresh interpreter
     (this one has numpy loaded already), and whether numpy was imported."""

@@ -1,9 +1,15 @@
+import copy
 import math
+import pickle
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from implicitfp import mappings
+from implicitfp import mappings, schemes
 from implicitfp.errors import CertificateError, ConfigError, InvalidPointError
 from implicitfp.mappings import (AffineMap, ApproximateOperator,
                                  ContractiveLike, LinearPhi, validate_phi)
@@ -178,6 +184,13 @@ class TestCorpus:
             assert repr(got) == repr((0.3 * coords[0] + 0.1,))
             assert repr(got) == repr(tuple((m.A @ np.array(coords) + m.b).tolist()))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_affine_map_survives_pickle_and_copy(self, dim):
+        m = AffineMap(np.eye(dim) * 0.5, np.arange(dim, dtype=float))
+        x = tuple(np.linspace(-1.0, 2.0, dim).tolist())
+        for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert type(clone) is AffineMap and clone(x) == m(x)
+
     @pytest.mark.parametrize("x", [np.array([[0.3], [-1.2]]), [0.3, -1.2, 0.0], (0.3,), 0.5])
     def test_affine_call_rejects_wrong_shape(self, x):
         with pytest.raises(InvalidPointError, match="coordinates"):
@@ -317,3 +330,84 @@ class TestCorpus:
         space, t, _ = mappings.halfplane_vertical(0.5)
         with pytest.raises(ConfigError):
             mappings.perturbed(space, t, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# the per-dim kernels against the formulas they write out, bit for bit
+
+
+def bits(point):
+    return struct.pack(f"<{len(point)}d", *point)
+
+
+# finite floats, with the edges drawn often: signed zeros, subnormals, the
+# smallest normal and +-1.7e308 (whose sums and products overflow)
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1.0, -1.0,
+                     1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def square_systems(n):
+    """(A, b, x): an n x n matrix, an offset and a point of finite floats."""
+    vec = st.lists(FINITE, min_size=n, max_size=n)
+    return st.tuples(st.lists(vec, min_size=n, max_size=n), vec, vec)
+
+
+@settings(max_examples=600, deadline=None)
+@given(system=st.integers(1, 4).flatmap(square_systems))
+# a -0.0 product sum plus b = -0.0, which fsum makes 0.0 + -0.0 = 0.0
+@example(system=([[1.0]], [-0.0], [-0.0]))
+@example(system=([[1.0, 1.0], [-0.0, 1.0]], [-0.0, -0.0], [-0.0, -0.0]))
+# the products summed before b: (1 + 2**-53) + -1 is 0, 1 + (2**-53 + -1) is not
+@example(system=([[1.0, 2.0 ** -53], [0.0, 1.0]], [-1.0, 0.0], [1.0, 1.0]))
+def test_affine_call_has_the_bits_of_the_fsum_formula(system):
+    A, b, x = system
+    m, x = AffineMap(A, b), tuple(x)
+    try:
+        want = tuple(math.fsum(a * c for a, c in zip(row, x)) + bi for row, bi in zip(A, b))
+    except (OverflowError, ValueError):  # fsum cannot sum some row
+        if len(x) <= 2:  # the one-expression rows overflow to inf or nan there
+            assert not all(map(math.isfinite, m(x)))
+        else:
+            with pytest.raises(InvalidPointError, match="affine image .* overflows"):
+                m(x)
+        return
+    got = m(x)
+    assert type(got) is tuple and all(type(c) is float for c in got)
+    assert bits(got) == bits(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(FINITE, min_size=n, max_size=n)] * 2)))
+def test_perturbed_has_the_bits_of_the_coordinate_sum(pair):
+    x, offset = map(tuple, pair)
+    space, t = Euclidean(len(x)), ContractiveLike(lambda p: p, 0.5)
+    try:
+        s = mappings.perturbed(space, t, offset)
+    except CertificateError:  # a zero offset, or one whose norm overflows
+        assume(False)
+    got = s.apply(x)
+    assert type(got) is tuple
+    assert bits(got) == bits(tuple(a + c for a, c in zip(t.apply(x), offset)))
+
+
+# an image past the floats at each dim: a row sum reaches 2.04e308 or more
+OVERFLOWING = [
+    ("affine:-0.9|1e308", (-1.7e308,)),
+    ("affine:0.6,0.6;0,0|0,0", (1.7e308, 1.7e308)),
+    ("affine:0.5,0.5,0.5;0,0,0;0,0,0|0,0,0", (1.5e308, 1.5e308, 1.5e308)),
+    ("affine:0.4,0.4,0.4,0.4;0,0,0,0;0,0,0,0;0,0,0,0|0,0,0,0", (1.5e308,) * 4),
+]
+
+
+@pytest.mark.parametrize("name,x0", OVERFLOWING)
+def test_an_overflowing_affine_image_is_an_invalid_point(name, x0):
+    space, t, _ = mappings.from_name(name)
+    if len(x0) <= 2:
+        assert math.inf in t.apply(x0)
+    with pytest.raises(InvalidPointError):
+        space.check_point(t.apply(x0))
+    with pytest.raises(InvalidPointError, match="step n=2"):
+        schemes.run(space, t, "implicit-s", schemes.default_schedule(), x0, 5)

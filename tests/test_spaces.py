@@ -151,6 +151,11 @@ def conjugation_w(z1, z2, lam):
     return (x1 + y1 * back.real, y1 * back.imag)
 
 
+def vertical_reference_w(z1, z2, lam):
+    """The vertical w: the conjugation, except the exact endpoint (x1 + 0.0, y2) at lam = 1."""
+    return (z1[0] + 0.0, z2[1]) if lam == 1.0 else conjugation_w(z1, z2, lam)
+
+
 def product_d(z1, z2):
     """HalfPlane.raw_d before it guarded the product y1*y2, verbatim."""
     (x1, y1), (x2, y2) = z1, z2
@@ -178,7 +183,7 @@ class TestHalfPlaneWideScales:
         assume(0.0 < y2 / y1 < math.inf)  # the conjugation's domain
         z1, z2 = (x1, y1), (x2, y2)
         assert (w_outcome(HalfPlane().raw_w, z1, z2, lam)
-                == w_outcome(conjugation_w, z1, z2, lam))
+                == w_outcome(vertical_reference_w, z1, z2, lam))
 
     @settings(max_examples=200, deadline=None)
     @given(x=st.floats(-1e300, 1e300) | st.sampled_from([5e-324, -5e-324]),
@@ -187,7 +192,7 @@ class TestHalfPlaneWideScales:
         assume(0.0 < y2 / y1 < math.inf)  # the conjugation's domain
         z1, z2 = (x, y1), (x, y2)
         assert (w_outcome(HalfPlane().raw_w, z1, z2, lam)
-                == w_outcome(conjugation_w, z1, z2, lam))
+                == w_outcome(vertical_reference_w, z1, z2, lam))
 
     # y2/y1 under- or overflows; the conjugation gives no point there
     @pytest.mark.parametrize("y1,y2", [(1e300, 1e-300), (1e-300, 1e300),
@@ -337,12 +342,13 @@ class TestHalfPlaneWideScales:
 
     def test_w_endpoints_are_exact(self):
         sp, rng = HalfPlane(), np.random.default_rng(21)
-        pairs = [(sp.sample(rng), sp.sample(rng)) for _ in range(2000)]
-        for z1, z2 in pairs:
-            assert sp.raw_w(z1, z2, 0.0) == z1 and sp.raw_w(z1, z2, 1.0) == z2
-        Z1, Z2 = sp.pack([a for a, _ in pairs]), sp.pack([b for _, b in pairs])
-        assert np.array_equal(sp.w_many(Z1, Z2, 0.0), Z1)
-        assert np.array_equal(sp.w_many(Z1, Z2, 1.0), Z2)
+        for draw in (sp.sample, VerticalLine(0.0).sample):  # off and on the vertical
+            pairs = [(draw(rng), draw(rng)) for _ in range(2000)]
+            for z1, z2 in pairs:
+                assert sp.raw_w(z1, z2, 0.0) == z1 and sp.raw_w(z1, z2, 1.0) == z2
+            Z1, Z2 = sp.pack([a for a, _ in pairs]), sp.pack([b for _, b in pairs])
+            assert np.array_equal(sp.w_many(Z1, Z2, 0.0), Z1)
+            assert np.array_equal(sp.w_many(Z1, Z2, 1.0), Z2)
 
     # distinct pairs at distance 0, and at a distance below the normal floats
     @pytest.mark.parametrize("z1,z2", [((0.0, 1.0), (5e-324, 1.0)),
@@ -670,19 +676,21 @@ def test_euclidean_raw_d_has_the_bits_of_hypot_of_differences(pair):
 
 
 @settings(max_examples=500, deadline=None)
-@given(a=FINITE, b=FINITE, lam=LAMBDA)
-def test_euclidean_raw_w_on_the_line_has_the_bits_of_the_comprehension(a, b, lam):
-    x, y = (a,), (b,)
-    got = Euclidean(1).raw_w(x, y, lam)
+@given(pair=st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.tuples(FINITE, FINITE)] * n)), lam=LAMBDA)
+def test_euclidean_raw_w_has_the_bits_of_the_comprehension(pair, lam):
+    x, y = tuple(a for a, _ in pair), tuple(b for _, b in pair)
+    got = Euclidean(len(x)).raw_w(x, y, lam)
     want = tuple([(1.0 - lam) * u + lam * v for u, v in zip(x, y)])
-    assert type(got) is tuple and len(got) == 1
-    assert bits(got[0]) == bits(want[0])
+    assert type(got) is tuple and len(got) == len(x)
+    assert struct.pack(f"<{len(x)}d", *got) == struct.pack(f"<{len(x)}d", *want)
 
 
 @given(a=FINITE, b=FINITE, lam=LAMBDA)
 def test_broken_demo_raw_w_still_returns_y(a, b, lam):
     y = (b,)
     assert BrokenDemo().raw_w((a,), y, lam) is y
+    assert BrokenDemo().w((a,), y, lam) is y
 
 
 def previous_euclidean_check(dim, x):
