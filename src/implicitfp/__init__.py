@@ -3,13 +3,13 @@ W-hyperbolic spaces, with convergence-rate envelopes and a data-dependence
 bound experiment."""
 
 from . import bounds, experiments, mappings, schemes, spaces
-from .errors import (CertificateError, ConfigError, DegenerateComparisonError,
-                     ImplicitFPError, InvalidPointError, NonconvergenceError)
+from .errors import (CertificateError, ConfigError, ImplicitFPError, InvalidPointError,
+                     NonconvergenceError)
 
 __all__ = [
     "bounds", "experiments", "mappings", "schemes", "spaces",
     "ImplicitFPError", "InvalidPointError", "CertificateError",
-    "NonconvergenceError", "DegenerateComparisonError", "ConfigError",
+    "NonconvergenceError", "ConfigError",
 ]
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TYPE_CHECKING, Optional
 
-from .errors import CertificateError, DegenerateComparisonError
+from .errors import CertificateError
 from .schemes import Schedule
 
 if TYPE_CHECKING:
@@ -85,7 +85,7 @@ class BoundSequences:
 
 @dataclass
 class RateVerdict:
-    verdict: str  # "faster" | "not-established"
+    verdict: str  # "faster" | "not-established" | "degenerate"
     final_ratio: Optional[float]
     horizon: int
     threshold: float
@@ -102,12 +102,12 @@ def berinde_compare(a, b, horizon: int = 200, threshold: float = 1e-6) -> RateVe
     `a` and `b` are aligned sequences (lists).  Verdict is `faster` iff the
     ratio at the horizon is below the threshold AND the ratio decreased
     monotonically (nonincreasing) over the final quarter of the horizon.
+    Where fewer than two points lie within the horizon, or `b` reaches 0
+    there, no ratio can be judged: the verdict is `degenerate`, with no ratio.
     """
     h = min(horizon, len(a), len(b))
-    if h < 2:
-        raise DegenerateComparisonError("need at least two comparison points")
-    if any(v <= 0.0 for v in b[:h]):
-        raise DegenerateComparisonError("reference sequence vanishes before the horizon")
+    if h < 2 or any(v <= 0.0 for v in b[:h]):
+        return RateVerdict("degenerate", None, horizon, threshold)
     ratios = [a[i] / b[i] for i in range(h)]
     tail = ratios[h - max(2, h // 4):]
     monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
@@ -130,19 +130,16 @@ class Lemma1Report:
     tail_sup_eta: float
 
 
-def check_lemma1(a, mu, eta, horizon: Optional[int] = None,
-                 tol: float = 1e-10) -> Lemma1Report:
+def check_lemma1(a, mu, eta, tol: float = 1e-10) -> Lemma1Report:
     """Check a_{n+1} <= (1-mu_n) a_n + mu_n eta_n index by index.
 
     Sequences are aligned from n = 1 (a must have one extra entry).  The
     conclusion check compares sup of a over the last decile against sup of
     eta over the last decile, within tol.
     """
-    h = horizon if horizon is not None else min(len(a) - 1, len(mu), len(eta))
+    h = min(len(a) - 1, len(mu), len(eta))
     if h < 1:
         raise ValueError("need at least one index to check")
-    if len(a) < h + 1:
-        raise ValueError("sequence a must cover indices 1..horizon+1")
     for n in range(h):
         m = mu[n]
         if not (0.0 < m < 1.0):

@@ -108,8 +108,11 @@ def _perturbation(arg, space, t):
 
 def _emit(text, path):
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -26,9 +26,5 @@ class NonconvergenceError(ImplicitFPError):
         self.trace = trace
 
 
-class DegenerateComparisonError(ImplicitFPError):
-    """Rate comparison impossible because the reference sequence vanishes."""
-
-
 class ConfigError(ImplicitFPError):
     """CLI/config resolution failure (unknown name, bad value)."""

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import mappings, schemes
-from .bounds import BoundSequences, Lemma1Report, RateVerdict, berinde_compare, check_lemma1, datadep_bound
-from .errors import ConfigError, DegenerateComparisonError, InvalidPointError, NonconvergenceError
+from .bounds import BoundSequences, Lemma1Report, berinde_compare, check_lemma1, datadep_bound
+from .errors import ConfigError, InvalidPointError, NonconvergenceError
 from .mappings import ApproximateOperator, ContractiveLike
 from .schemes import InnerSolverConfig, Schedule, default_schedule, run
 from .spaces import Euclidean, Space
@@ -118,15 +118,14 @@ class ComparisonTable:
                   for n, imi, iii, isi in self.rows]
         return "\n".join(lines) + "\n"
 
-    def verify(self, reference=None) -> list:
-        """Return a list of (n, column, got, expected) mismatches."""
-        reference = reference or REFERENCE_TABLE
+    def verify(self) -> list:
+        """The (n, column, got, expected) cells that differ from REFERENCE_TABLE."""
         bad = []
         for n, imi, iii, isi in self.rows:
-            if n not in reference:
+            if n not in REFERENCE_TABLE:
                 continue
             for col, got, exp in zip(("imi", "iii", "isi"), (imi, iii, isi),
-                                     reference[n]):
+                                     REFERENCE_TABLE[n]):
                 if got != exp:
                     bad.append((n, col, got, exp))
         return bad
@@ -229,14 +228,10 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
         actual[s] = seq
         zero_at[s] = None if zi is None else zi + 2  # back to n-indexing
 
+    # degenerate where a trace hit p exactly before two comparison points
+    # (converged_exactly records where) or an envelope underflowed to 0
     def compare(a, b):
-        try:
-            return berinde_compare(a[:len(b)], b[:len(a)], horizon, threshold)
-        except DegenerateComparisonError:
-            # a trace hit the fixed point exactly before two comparison
-            # points existed (converged_exactly records where), or an
-            # envelope underflowed to 0 before the horizon
-            return RateVerdict("degenerate", None, horizon, threshold)
+        return berinde_compare(a[:len(b)], b[:len(a)], horizon, threshold)
 
     aseq = actual["implicit-s"]
     actual_verdicts = {("implicit-s", other): compare(aseq, actual[other])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -24,8 +23,6 @@ from .spaces import Euclidean, HalfPlane, Space, Tripod
 
 if TYPE_CHECKING:
     import numpy as np
-
-_SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)  # 2**-511: a smaller norm's square underflows
 
 # ---------------------------------------------------------------------------
 # phi family
@@ -201,6 +198,10 @@ def halving() -> tuple[Space, ContractiveLike, Callable]:
 
 def affine(affmap: AffineMap, name="affine") -> tuple[Space, ContractiveLike, Callable]:
     space = Euclidean(affmap.dim)
+    for i, (row, bi) in enumerate(zip(affmap.A.tolist(), affmap.b.tolist())):
+        for entry, v in [(f"A[{i}, {j}]", a) for j, a in enumerate(row)] + [(f"b[{i}]", bi)]:
+            if not math.isfinite(v):  # before the SVD, which fails on it
+                raise CertificateError(f"affine map entry {entry} = {v} is not finite")
     delta = affmap.norm
     if delta >= 1.0:
         raise CertificateError(f"affine map has ||A|| = {delta} >= 1")
@@ -213,8 +214,6 @@ def affine(affmap: AffineMap, name="affine") -> tuple[Space, ContractiveLike, Ca
 
 def tripod_radial(factor: float) -> tuple[Space, ContractiveLike, Callable]:
     """(ray, r) -> (ray, factor*r); contracts toward the hub with delta = factor."""
-    if not (0.0 <= factor < 1.0):
-        raise CertificateError(f"factor must lie in [0, 1), got {factor}")
     space = Tripod()
     t = ContractiveLike(lambda p: (p[0], factor * p[1]), factor,
                         LinearPhi(0.0), fixed_point=("A", 0.0),
@@ -229,8 +228,6 @@ def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]
     by exactly `factor`; the line is a geodesic, hence convex, and the
     iteration stays on it.
     """
-    if not (0.0 <= factor < 1.0):
-        raise CertificateError(f"factor must lie in [0, 1), got {factor}")
     space = HalfPlane()
     line = spaces.VerticalLine(0.0)
     t = ContractiveLike(lambda z: (0.0, z[1] ** factor), factor,
@@ -287,35 +284,13 @@ def from_name(name: str):
     raise ConfigError(f"unknown mapping {name!r}")
 
 
-def _offset_norm(off) -> float:
-    """||off|| for a sequence of floats, in np.linalg.norm's arithmetic.
-
-    At dim 1 that is sqrt(x*x), also where x*x overflows to inf; at dim >= 2
-    it is np.linalg.norm, whose BLAS dot a Python sum of squares would not
-    match bit for bit.  Where the squared norm of a non-zero offset falls
-    below the smallest normal float (the norm below its square root,
-    2**-511), the norm is taken from the offset scaled by its largest
-    |entry|, so dim 1 gives |x| exactly.
-    """
-    if len(off) == 1:
-        eps = math.sqrt(off[0] * off[0])
-    else:
-        import numpy as np
-
-        with np.errstate(over="ignore"):
-            eps = float(np.linalg.norm(off))
-    if eps < _SQRT_FLOAT_MIN and any(off):
-        scale = max(map(abs, off))
-        return scale * _offset_norm([c / scale for c in off])
-    return eps
-
-
 def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     """S = T + offset with certified epsilon = d(Tx, Tx + offset).
 
     Euclidean spaces: offset is a constant vector that the space's
     check_point accepts (a tuple, list or array of dim finite entries; a
-    scalar at dim 1), not all zero, with a finite epsilon = ||offset||.
+    scalar at dim 1), not all zero, with a finite epsilon = raw_d(0, offset),
+    the space's own distance from the origin to the offset.
     S x is check_point(T x) plus the offset, coordinate by coordinate, as
     a tuple of floats (one expression per coordinate at dims 1-3).
     Tripod: offset is a finite radius shift > 0 along the same ray,
@@ -327,11 +302,11 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
         except InvalidPointError:
             raise CertificateError(f"offset must have {space.dim} finite entries, "
                                    f"got {offset}") from None
-        eps = _offset_norm(off)
+        eps = space.raw_d((0.0,) * space.dim, off)
         if eps == 0.0:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
         if not math.isfinite(eps):
-            raise CertificateError(f"epsilon = ||offset|| overflows for offset {offset}")
+            raise CertificateError(f"epsilon = d(0, offset) overflows for offset {offset}")
         return ApproximateOperator(_shifted(space.check_point, t.apply, off), eps,
                                    name=f"perturb:{t.name}:{offset}")
     if isinstance(space, Tripod):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from implicitfp import bounds
 from implicitfp.bounds import (BoundSequences, berinde_compare, check_lemma1,
                                datadep_bound)
-from implicitfp.errors import CertificateError, DegenerateComparisonError
+from implicitfp.errors import CertificateError
 from implicitfp.schemes import (constant_schedule, default_schedule,
                                 polynomial_schedule)
 
@@ -158,9 +158,22 @@ class TestBerinde:
         seq = [1.0 / n for n in range(1, 100)]
         assert not berinde_compare(seq, seq).faster
 
-    def test_vanishing_reference_rejected(self):
-        with pytest.raises(DegenerateComparisonError):
-            berinde_compare([1.0, 0.5], [1.0, 0.0])
+    @pytest.mark.parametrize("a,b,horizon", [
+        ([1.0, 0.5], [1.0, 0.0], 200),  # the reference vanishes
+        ([1.0, 0.5, 0.25], [1.0, -0.5, 0.25], 200),
+        ([1.0, 0.5, 0.0], [1.0, 0.5, 0.0], 3),
+        ([0.5], [1.0], 200), ([], [], 200),  # fewer than two points
+        ([1.0, 0.5], [1.0, 0.5], 1), ([1.0, 0.5], [1.0, 0.5], 0),
+    ])
+    def test_no_ratio_to_judge_is_degenerate(self, a, b, horizon):
+        v = berinde_compare(a, b, horizon=horizon, threshold=1e-3)
+        assert (v.verdict, v.final_ratio, v.horizon, v.threshold, v.ratios) == \
+            ("degenerate", None, horizon, 1e-3, [])
+        assert not v.faster
+
+    def test_reference_vanishing_past_the_horizon_is_judged(self):
+        v = berinde_compare([1.0, 0.5, 0.25, 0.0], [1.0, 1.0, 1.0, 0.0], horizon=3)
+        assert v.verdict == "not-established" and v.final_ratio == 0.25
 
     def test_nonmonotone_tail_not_established(self):
         a = [1e-9 * (1.0 + 0.1 * (-1) ** i) for i in range(100)]

@@ -193,13 +193,29 @@ class TestDatadep:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize("argv", [
-        ["--perturb", "1e308"], ["--perturb", "1e200"],
-        ["--mapping", "affine:0.5,0;0,0.5", "--perturb", "1e308,1e308"],
+        ["--mapping", "affine:0.5,0;0,0.5", "--perturb", "1.7e308,1.7e308"],
+        ["--mapping", "affine:0.5,0,0;0,0.5,0;0,0,0.5", "--perturb", "1.7e308,0,-1.7e308"],
     ])
     def test_offset_whose_epsilon_overflows(self, argv, capsys, recwarn):
+        # the offset's norm passes the float max, so no epsilon certifies it
         assert run_cli(["datadep"] + argv) == 2
         assert "overflows" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_huge_offset_with_a_finite_epsilon(self, capsys):
+        # q = 2e200 and its bound 8e200 are finite, and the run reaches q
+        assert run_cli(["datadep", "--perturb", "1e200", "--proof-variant"]) == 0
+        out = capsys.readouterr().out
+        assert "epsilon=1e+200\n" in out and "q=2e+200\n" in out and "holds=True" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--perturb", "1e308"], ["--perturb", "1e308", "--proof-variant"],
+        ["--mapping", "affine:0.5,0;0,0.5", "--perturb", "1e308,1e308"],
+    ])
+    def test_huge_offset_whose_run_leaves_the_floats(self, argv, capsys):
+        # epsilon is finite, but an iterate passes the float max: a scheme failure
+        assert run_cli(["datadep"] + argv) == 3
+        assert "non-finite coordinates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,epsilon", [
         (["--perturb", "1e-170", "--n-max", "1000"], "1e-170"),
@@ -356,6 +372,29 @@ class TestMalformedInput:
     def test_out_of_range_mapping_parameter(self, argv, capsys):
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: bad --mapping {argv[2]!r}")
+
+    @pytest.mark.parametrize("command", ["table", "compare", "datadep"])
+    @pytest.mark.parametrize("mapping,entry", [
+        ("affine:nan", "A[0, 0] = nan"), ("affine:0.5,nan;0,0.5|0,0", "A[0, 1] = nan"),
+        ("affine:0.5,0;inf,0.5|0,0", "A[1, 0] = inf"), ("affine:0.5|-inf", "b[0] = -inf"),
+        ("affine:0.5,0;0,0.5|0,nan", "b[1] = nan"),
+    ])
+    def test_non_finite_affine_entry(self, command, mapping, entry, capsys):
+        assert run_cli([command, "--mapping", mapping]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad --mapping {mapping!r}")
+        assert f"entry {entry} is not finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table"], ["compare"], ["bounds", "--n-max", "10"],
+        ["datadep", "--proof-variant"], ["datadep", "--perturb", "0"], ["axiom-check"],
+    ])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_output_that_cannot_be_written(self, argv, where, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+        assert run_cli(argv + ["--output", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("config error: cannot write --output") and out.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--seed", "3"], ["table", "--seed", "3"],

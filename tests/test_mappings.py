@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import struct
 import sys
 
@@ -162,6 +163,18 @@ class TestCorpus:
         with pytest.raises(CertificateError, match="fixed point"):
             mappings.affine(AffineMap([[0.9]], [1e308]))
 
+    @pytest.mark.parametrize("A,b,entry", [
+        ([[math.nan]], [0.0], "A[0, 0] = nan"), ([[0.5]], [math.inf], "b[0] = inf"),
+        ([[0.5, math.nan], [0.0, 0.5]], [0.0, 0.0], "A[0, 1] = nan"),
+        ([[0.5, 0.0], [-math.inf, 0.5]], [0.0, 0.0], "A[1, 0] = -inf"),
+        ([[0.5, 0.0], [0.0, 0.5]], [0.0, math.nan], "b[1] = nan"),
+        ([[0.5, 0.0], [0.0, 0.5]], [-math.inf, 0.0], "b[0] = -inf"),
+    ])
+    def test_affine_rejects_a_non_finite_entry(self, A, b, entry):
+        # named before the operator norm's SVD, which fails on such an entry
+        with pytest.raises(CertificateError, match=re.escape(f"entry {entry} is not finite")):
+            mappings.affine(AffineMap(A, b))
+
     @pytest.mark.parametrize("x", [
         np.array([0.3, -1.2]), np.array([3, -1]), np.array([0.3, -1.2], dtype=np.float32),
         [0.3, -1.2], (3, -1), (0.3, -1.2), (np.float32(0.3), np.float32(-1.2)),
@@ -224,6 +237,13 @@ class TestCorpus:
     def test_tripod_radial(self):
         space, t, sampler = mappings.tripod_radial(0.5)
         assert loop_contractive_like(space, t, sampler, 400)[0] <= 1e-9
+
+    @pytest.mark.parametrize("build", [mappings.tripod_radial, mappings.halfplane_vertical])
+    @pytest.mark.parametrize("factor", [1.0, -0.1, math.nan])
+    def test_factor_outside_the_unit_interval_rejected(self, build, factor):
+        # the factor is the map's delta, so ContractiveLike's range check refuses it
+        with pytest.raises(CertificateError, match="delta must lie in"):
+            build(factor)
 
     def test_halfplane_vertical(self):
         space, t, sampler = mappings.halfplane_vertical(0.5)
@@ -295,31 +315,44 @@ class TestCorpus:
         ("affine:0.3,0.1;0.0,0.4|0.1,0.2", np.array([0.0, -0.0])),
         ("tripod-radial:0.5", 0.0), ("tripod-radial:0.5", -0.5),
         ("tripod-radial:0.5", np.nan), ("tripod-radial:0.5", np.inf),
-        # finite entries whose norm overflows to inf
-        ("halving", np.array([1e308])), ("halving", np.array([1e200])),
-        ("affine:0.3,0.1;0.0,0.4|0.1,0.2", np.array([1e308, 1e308])),
     ])
     def test_perturbed_rejects_bad_offset(self, name, offset):
         space, t, _ = mappings.from_name(name)
         with pytest.raises(CertificateError):
             mappings.perturbed(space, t, offset)
 
-    def test_epsilon_is_numpy_norm_bit_for_bit(self):
+    def test_epsilon_is_the_space_distance_bit_for_bit(self):
         rng = np.random.default_rng(11)
-        for dim, count in ((1, 10 ** 5), (2, 10 ** 4), (3, 10 ** 4)):
+        for dim, count in ((1, 10 ** 5), (2, 10 ** 4), (3, 10 ** 4), (4, 10 ** 4)):
             space, t = Euclidean(dim), ContractiveLike(lambda x: x, 0.5)
             offsets = (rng.choice([-1.0, 1.0], (count, dim))
-                       * 10.0 ** rng.uniform(-150, 150, (count, dim)))
-            got = [mappings.perturbed(space, t, tuple(c)).epsilon for c in offsets.tolist()]
-            want = [float(np.linalg.norm(c)) for c in offsets]
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+                       * 10.0 ** rng.uniform(-150, 150, (count, dim))).tolist()
+            got = [mappings.perturbed(space, t, tuple(c)).epsilon for c in offsets]
+            assert bits(got) == bits([space.raw_d((0.0,) * dim, c) for c in offsets])
+            if dim == 1:
+                assert bits(got) == bits([abs(c) for c, in offsets])
+
+    @pytest.mark.parametrize("offset", [
+        (1e200,), (1e308,), (-1e308,), (1e308, 1e308), (-1e308, 1e308, 1e-300),
+    ])
+    def test_finite_norm_of_huge_entries_accepted(self, offset):
+        # the squares overflow, but math.hypot scales, so epsilon is the finite norm
+        space, t = Euclidean(len(offset)), ContractiveLike(lambda x: x, 0.5)
+        eps = mappings.perturbed(space, t, offset).epsilon
+        assert eps == (abs(offset[0]) if len(offset) == 1 else math.hypot(*offset))
+
+    @pytest.mark.parametrize("offset", [(1.7e308, 1.7e308), (-1.7e308, 0.0, 1.7e308)])
+    def test_offset_whose_norm_passes_the_float_max_refused(self, offset):
+        space, t = Euclidean(len(offset)), ContractiveLike(lambda x: x, 0.5)
+        with pytest.raises(CertificateError, match="overflows"):
+            mappings.perturbed(space, t, offset)
 
     @pytest.mark.parametrize("offset,epsilon", [
         ((1e-170,), 1e-170), ((5e-324,), 5e-324), ((-5e-324,), 5e-324),
         ((3e-170, -4e-170), 5e-170), ((5e-324, 0.0), 5e-324),
     ])
     def test_tiny_offsets_are_not_zero(self, offset, epsilon):
-        # the squared norm underflows; epsilon comes from the scaled offset
+        # the squared norm underflows; math.hypot scales, so epsilon is not 0
         space, t = Euclidean(len(offset)), ContractiveLike(lambda x: x, 0.5)
         eps = mappings.perturbed(space, t, offset).epsilon
         if len(offset) == 1:
