@@ -187,8 +187,9 @@ def cmd_datadep(args):
     s = _perturbation(args.perturb, space, t)
     if s is None:
         # zero perturbation: S = T, observed 0 by construction; the schedule
-        # is still checked as run_datadep checks it
+        # and the solver mode are still checked as run_datadep checks them
         experiments.datadep_weights(schedule, args.n_max)
+        schemes.check_mode(cfg, space, t.apply, t.apply)
         p = space.check_point(t.fixed_point)
         report = experiments.DataDepReport(
             epsilon=0.0, delta=t.delta, p=p, q=p, observed=0.0,

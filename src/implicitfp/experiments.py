@@ -341,6 +341,8 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     checked p and q and gives them in the space's public form when first
     read.  A step that does not converge raises NonconvergenceError naming
     the step, n and whether the x-step (T) or the u-step (S) failed.
+    The steps call the maps' raw forms (T.apply, the AffineMap, in an
+    exact-affine x-step); the closed form reads A and b from T.apply.
     """
     weights = datadep_weights(schedule or default_schedule(), n_max)
     cfg = cfg or InnerSolverConfig()
@@ -360,7 +362,7 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     u_steps = []
     delta, phi = t.delta, t.phi
     eps = s.epsilon
-    T, S = t.apply, s.apply
+    T, S = schemes.step_map(t, cfg), s.raw  # the u-step is Picard, so S.raw
     for n, (al, be) in enumerate(weights, start=2):
         try:
             if n == 2:
@@ -371,7 +373,7 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
             x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx)
             tx, ty = stats.inner_x, stats.outer_y
             step = "u-step"
-            u, _, stats = schemes.implicit_step(space, S if proof_variant else T, S,
+            u, _, stats = schemes.implicit_step(space, S if proof_variant else t.raw, S,
                                                 su, u, al, be, u_cfg, su)
             su = stats.inner_x
             u_steps.append(raw_d(u, u_prev))
@@ -394,13 +396,14 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     lemma = check_lemma1(a_seq, mu_seq, eta_seq)
 
     closed_q = None
-    if isinstance(space, Euclidean) and isinstance(T, mappings.AffineMap):
+    affmap = t.apply
+    if isinstance(space, Euclidean) and isinstance(affmap, mappings.AffineMap):
         # S = T + c: q solves q = A q + b + c
         import numpy as np
 
         zero = (0.0,) * space.dim
-        c = np.subtract(S(zero), T(zero))
-        closed_q = np.linalg.solve(np.eye(T.dim) - T.A, T.b + c)
+        c = np.subtract(s.apply(zero), affmap(zero))
+        closed_q = np.linalg.solve(np.eye(affmap.dim) - affmap.A, affmap.b + c)
 
     return DataDepReport(eps, delta, check(p), q, observed, bound, bound - observed,
                          converged, lemma, closed_q, space.public)

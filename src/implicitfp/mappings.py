@@ -64,31 +64,52 @@ def validate_phi(phi) -> bool:
 
 @dataclass
 class ContractiveLike:
-    """A self-map T with certificate (delta, phi) and optional known fixed point."""
+    """A self-map T with certificate (delta, phi) and optional known fixed point.
+
+    `apply` is the map on any point the space's check_point accepts; `raw`
+    is the same map on points in the form check_point returns, which it may
+    trust without reading them again (the solver's Picard loop calls it).
+    raw defaults to apply's own `raw` where apply has one (an AffineMap),
+    else to apply.
+    """
 
     apply: Callable
     delta: float
     phi: Callable = field(default_factory=lambda: LinearPhi(0.0))
     fixed_point: Optional[object] = None
     name: str = "anonymous"
+    raw: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise CertificateError(f"delta must lie in [0, 1), got {self.delta}")
         validate_phi(self.phi)
+        if self.raw is None:
+            self.raw = getattr(self.apply, "raw", self.apply)
+
+    def __reduce__(self):  # AffineMap.raw is a closure: take it again from the copied apply
+        raw = None if self.raw is getattr(self.apply, "raw", self.apply) else self.raw
+        return type(self), (self.apply, self.delta, self.phi, self.fixed_point, self.name, raw)
 
 
 @dataclass
 class ApproximateOperator:
-    """S with certified sup-distance bound d(Tx, Sx) <= epsilon."""
+    """S with certified sup-distance bound d(Tx, Sx) <= epsilon.
+
+    `apply` and `raw` are S on any point and on checked points, as in
+    ContractiveLike; raw defaults to apply.
+    """
 
     apply: Callable
     epsilon: float
     name: str = "approximate"
+    raw: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise CertificateError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.raw is None:
+            self.raw = self.apply
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +120,12 @@ class ApproximateOperator:
 class AffineMap:
     """x -> A x + b on Euclidean space; contraction certificate is ||A||_2.
 
-    A and b are float arrays.  A call reads x with `Euclidean(dim).check_point`
-    (dim finite reals, a scalar at dim 1; InvalidPointError on anything else)
-    and returns a tuple of floats: coordinate i is fsum(A[i, j] * x[j]) + b[i].
-    The kernel that computes it is chosen by dim at construction (see
+    A and b are float arrays.  `raw` is the map on a checked point (a tuple
+    of dim floats) and returns a tuple of floats: coordinate i is
+    fsum(A[i, j] * x[j]) + b[i].  It is chosen by dim at construction (see
     `_affine_kernel`); an image whose fsum overflows raises InvalidPointError.
+    A call is raw on x read by `Euclidean(dim).check_point` (dim finite
+    reals, a scalar at dim 1; InvalidPointError on anything else).
     """
 
     A: np.ndarray
@@ -115,7 +137,8 @@ class AffineMap:
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
         rows = tuple(zip(map(tuple, self.A.tolist()), self.b.tolist()))
-        self._kernel = _affine_kernel(Euclidean(self.dim).check_point, rows)
+        self.raw = _affine_kernel(rows)
+        self._check = Euclidean(self.dim).check_point
 
     @property
     def dim(self) -> int:
@@ -133,20 +156,21 @@ class AffineMap:
         return np.linalg.solve(np.eye(self.dim) - self.A, self.b)
 
     def __call__(self, x):
-        return self._kernel(x)
+        return self.raw(self._check(x))
 
-    def __reduce__(self):  # the kernel is a closure, so pickle rebuilds it from A and b
+    def __reduce__(self):  # raw is a closure, so pickle rebuilds it from A and b
         return type(self), (self.A, self.b)
 
 
-def _affine_kernel(check, rows):
-    """x -> A x + b on x read by check, written out by dim; rows holds (A[i] as a tuple, b[i]).
+def _affine_kernel(rows):
+    """x -> A x + b on a checked point x, written out by dim; rows holds (A[i] as a tuple, b[i]).
 
-    Coordinate i is fsum(A[i, j]*x[j]) + b[i].  At dims 1 and 2 the sum of
-    the products is one IEEE expression, which is fsum's correctly rounded
-    sum of one or two terms; `+ 0.0` turns a -0.0 sum into 0.0, as fsum
-    does.  Where the products overflow there, the image is inf or nan, and
-    the caller's check rejects it.  At dim 3 the row is an fsum of a tuple,
+    x is trusted to be a tuple of dim finite floats (AffineMap.__call__
+    checks it first).  Coordinate i is fsum(A[i, j]*x[j]) + b[i].  At dims
+    1 and 2 the sum of the products is one IEEE expression, which is fsum's
+    correctly rounded sum of one or two terms; `+ 0.0` turns a -0.0 sum
+    into 0.0, as fsum does.  Where the products overflow there, the image
+    is inf or nan, and the caller's check rejects it.  At dim 3 the row is an fsum of a tuple,
     and at dim >= 4 of the zipped row; where fsum overflows (OverflowError,
     or ValueError on inf - inf), the call raises InvalidPointError.
     """
@@ -155,18 +179,18 @@ def _affine_kernel(check, rows):
         ((a,), b0), = rows
 
         def kernel(x):
-            return (a * check(x)[0] + 0.0 + b0,)
+            return (a * x[0] + 0.0 + b0,)
     elif len(rows) == 2:
         ((a00, a01), b0), ((a10, a11), b1) = rows
 
         def kernel(x):
-            x0, x1 = check(x)
+            x0, x1 = x
             return (a00 * x0 + a01 * x1 + 0.0 + b0, a10 * x0 + a11 * x1 + 0.0 + b1)
     elif len(rows) == 3:
         ((a00, a01, a02), b0), ((a10, a11, a12), b1), ((a20, a21, a22), b2) = rows
 
         def kernel(x):
-            x0, x1, x2 = check(x)
+            x0, x1, x2 = x
             try:
                 return (fsum((a00 * x0, a01 * x1, a02 * x2)) + b0,
                         fsum((a10 * x0, a11 * x1, a12 * x2)) + b1,
@@ -177,7 +201,6 @@ def _affine_kernel(check, rows):
         mul = operator.mul
 
         def kernel(x):
-            x = check(x)
             try:
                 return tuple([fsum(map(mul, row, x)) + bi for row, bi in rows])
             except (OverflowError, ValueError):
@@ -186,12 +209,20 @@ def _affine_kernel(check, rows):
 
 
 def halving() -> tuple[Space, ContractiveLike, Callable]:
-    """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point (0.0,)."""
+    """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point (0.0,).
+
+    raw is (0.5 * x[0],) on a checked point, and apply is raw on x read by
+    the space's check_point.
+    """
     space = Euclidean(1)
     check = space.check_point
-    t = ContractiveLike(lambda x: (0.5 * check(x)[0],), 0.5,
+
+    def raw(x):
+        return (0.5 * x[0],)
+
+    t = ContractiveLike(lambda x: raw(check(x)), 0.5,
                         LinearPhi(0.0), fixed_point=(0.0,),
-                        name="halving")
+                        name="halving", raw=raw)
     subset = spaces.Interval(0.0, 1.0)
     return space, t, subset.sample
 
@@ -291,10 +322,13 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     check_point accepts (a tuple, list or array of dim finite entries; a
     scalar at dim 1), not all zero, with a finite epsilon = raw_d(0, offset),
     the space's own distance from the origin to the offset.
-    S x is check_point(T x) plus the offset, coordinate by coordinate, as
-    a tuple of floats (one expression per coordinate at dims 1-3).
+    S's raw is check_point(T.raw x) plus the offset, coordinate by
+    coordinate, as a tuple of floats (one expression per coordinate at
+    dims 1-3): T's output is checked, as a user's T may return any
+    sequence.  S's apply is raw on x read by check_point.
     Tripod: offset is a finite radius shift > 0 along the same ray,
-    epsilon = offset.  Any other offset raises CertificateError.
+    epsilon = offset, and S is built on T.raw.  Any other offset raises
+    CertificateError.
     """
     if isinstance(space, Euclidean):
         try:
@@ -307,14 +341,16 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
         if not math.isfinite(eps):
             raise CertificateError(f"epsilon = d(0, offset) overflows for offset {offset}")
-        return ApproximateOperator(_shifted(space.check_point, t.apply, off), eps,
-                                   name=f"perturb:{t.name}:{offset}")
+        check = space.check_point
+        raw = _shifted(check, t.raw, off)
+        return ApproximateOperator(lambda x: raw(check(x)), eps,
+                                   name=f"perturb:{t.name}:{offset}", raw=raw)
     if isinstance(space, Tripod):
         off = float(offset)
         if not (math.isfinite(off) and off > 0.0):
             raise CertificateError("tripod offset must be finite and > 0")
         def s(p):
-            ray, r = t.apply(p)
+            ray, r = t.raw(p)
             return (ray, r + off)
         return ApproximateOperator(s, off, name=f"perturb:{t.name}:{offset}")
     raise ConfigError(f"perturbation not supported on space {space.name!r}")

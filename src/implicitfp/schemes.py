@@ -267,18 +267,39 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
 # the implicit step
 
 
+def step_map(t, cfg: InnerSolverConfig):
+    """The form of map t that steps in cfg's mode call: t.raw in Picard
+    mode, t.apply (the AffineMap itself) in exact-affine mode."""
+    return t.apply if cfg.mode == "exact-affine" else t.raw
+
+
+def check_mode(cfg: InnerSolverConfig, space: Space, outer, inner):
+    """ConfigError unless cfg's mode can solve a step with these maps.
+
+    Picard mode takes any maps.  exact-affine mode needs one AffineMap, as
+    both outer and inner, on Euclidean space.
+    """
+    if cfg.mode == "exact-affine" and not (
+            outer is inner and isinstance(space, Euclidean)
+            and isinstance(outer, AffineMap)):
+        raise ConfigError("exact-affine mode requires an affine map on Euclidean space")
+
+
 def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
                   beta: float, cfg: InnerSolverConfig = None, inner_x_prev=None):
     """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
-    outer and inner are plain callables on points, such as a map's `apply`
-    (`run` passes T.apply for both).  Checks x_prev, anchor and the weights
+    outer and inner are plain callables on checked points, such as a map's
+    `raw` (`run` passes T.raw for both in Picard mode); the solver calls
+    them only on points in the form check_point returns and checks each
+    output.  Checks x_prev, anchor and the weights
     once, then hands the solve to `_picard_solve`, started at x_prev with
     inner_x_prev (the caller's checked inner(x_prev), if given) for its
     first inner call.  alpha == 1 returns the anchor without iterating, and
     mode "exact-affine" solves an affine map on Euclidean space in closed
-    form.  beta == 1 takes y = x itself rather than W(x, inner(x), 0),
-    which is not bit-exact x on every space.  The maps are treated as pure
+    form: it needs the AffineMap itself (a map's `apply`) as outer and
+    inner, for A and b (see `check_mode`).  beta == 1 takes y = x itself
+    rather than W(x, inner(x), 0), which is not bit-exact x on every space.  The maps are treated as pure
     functions and evaluated once per point, each output checked.  Returns
     (x, y, InnerStats); y, stats.inner_x = inner(x) and stats.outer_y =
     outer(y) come from the step map evaluation at x, so a caller reuses
@@ -291,10 +312,8 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     # Ishikawa and Mann pass x_prev itself as the anchor: one check covers both
     anchor_is_x_prev = anchor is x_prev
     x_prev = check(x_prev)
+    check_mode(cfg, space, outer, inner)
     exact = cfg.mode == "exact-affine"
-    if exact and not (outer is inner and isinstance(space, Euclidean)
-                      and isinstance(outer, AffineMap)):
-        raise ConfigError("exact-affine mode requires an affine map on Euclidean space")
     anchor = x_prev if anchor_is_x_prev else check(anchor)
     la, lb = 1.0 - alpha, 1.0 - beta
     check_lambda(la)
@@ -396,7 +415,8 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     evaluated and range-checked before step 2.  If a step fails, the raised
     NonconvergenceError names the scheme and the step and carries the inner
     solver's residual and the partial trace, and an InvalidPointError names
-    the step.  The steps run on checked points, and the trace keeps
+    the step.  The steps run on checked points and call `step_map(t, cfg)`,
+    and the trace keeps
     them as they are; its records turn them into the space's public form
     when first read.
     """
@@ -417,7 +437,7 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
 
     rows = [(1, x0, None, 0, 0.0, dist(x0))]
     trace = IterationTrace(scheme, schedule.name, space, rows)
-    T = t.apply
+    T = step_map(t, cfg)
     x = x0
     for n, (a, b) in enumerate(weights, start=2):
         if scheme == "implicit-mann":

@@ -174,6 +174,14 @@ class TestDatadep:
                         "--perturb", "0.01,0.0", "--proof-variant"]) == 0
         assert "closed_form_q=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("perturb", ["0", "0.01"])
+    def test_solver_mode_checked_with_or_without_offset(self, perturb, capsys):
+        assert run_cli(["datadep", "--perturb", perturb, "--solver", "exact-affine"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: exact-affine mode requires an affine map on Euclidean space")
+        assert run_cli(["datadep", "--mapping", "affine:0.7|0.3", "--perturb", perturb,
+                        "--proof-variant", "--solver", "exact-affine"]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["datadep", "--n-max", "1"], ["datadep", "--n-max", "0"],
         ["datadep", "--n-max", "1", "--perturb", "0"],

@@ -203,6 +203,9 @@ class TestCorpus:
         x = tuple(np.linspace(-1.0, 2.0, dim).tolist())
         for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
             assert type(clone) is AffineMap and clone(x) == m(x)
+        t = mappings.affine(m)[1]  # its raw is the AffineMap's, a closure
+        for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert clone.raw is clone.apply.raw and clone.raw(x) == m(x) == clone.apply(x)
 
     @pytest.mark.parametrize("x", [np.array([[0.3], [-1.2]]), [0.3, -1.2, 0.0], (0.3,), 0.5])
     def test_affine_call_rejects_wrong_shape(self, x):
@@ -444,3 +447,55 @@ def test_an_overflowing_affine_image_is_an_invalid_point(name, x0):
         space.check_point(t.apply(x0))
     with pytest.raises(InvalidPointError, match="step n=2"):
         schemes.run(space, t, "implicit-s", schemes.default_schedule(), x0, 5)
+
+
+# ---------------------------------------------------------------------------
+# raw, the map on checked points, against apply, bit for bit
+
+
+def seeded_affine(dim):
+    """A seeded affine map on R^dim with ||A|| = 0.9."""
+    rng = np.random.default_rng(dim)
+    A = rng.uniform(-1.0, 1.0, (dim, dim))
+    return mappings.affine(AffineMap(A * (0.9 / np.linalg.norm(A, 2)), rng.uniform(-2.0, 2.0, dim)))
+
+
+def with_perturbation(build, offset):
+    """build's (space, S, sampler), S = T + offset."""
+    space, t, sampler = build()
+    return space, mappings.perturbed(space, t, offset), sampler
+
+
+RAW_MAPS = {
+    "halving": mappings.halving,
+    **{f"affine-{dim}": (lambda dim=dim: seeded_affine(dim)) for dim in (1, 2, 3, 4)},
+    "tripod-radial": lambda: mappings.tripod_radial(0.7),
+    "halfplane-vertical": lambda: mappings.halfplane_vertical(0.6),
+    "perturbed-halving": lambda: with_perturbation(mappings.halving, (0.01,)),
+    **{f"perturbed-affine-{dim}": (lambda dim=dim: with_perturbation(
+        lambda: seeded_affine(dim), tuple(np.linspace(-0.02, 0.03, dim).tolist())))
+       for dim in (1, 2, 3, 4)},
+    "perturbed-tripod": lambda: with_perturbation(lambda: mappings.tripod_radial(0.7), 0.05),
+}
+
+
+def point_bits(point):
+    """A point's coordinates as bytes, each float packed and a tripod ray as is."""
+    return tuple(c if isinstance(c, str) else struct.pack("<d", c) for c in point)
+
+
+@pytest.mark.parametrize("name", RAW_MAPS)
+def test_raw_on_checked_points_has_the_bits_of_apply(name):
+    space, op, sampler = RAW_MAPS[name]()
+    rng = np.random.default_rng(0)
+    points = [sampler(rng) for _ in range(300)]
+    if isinstance(space, Euclidean):  # the edges too: signed zeros, subnormals, huge values
+        points += [(c,) * space.dim for c in (0.0, -0.0, 5e-324, -1e-300, 1e300, -1.7e308)]
+    for x in points:
+        try:
+            want = op.apply(x)
+        except InvalidPointError:  # an image past the floats, from both forms
+            with pytest.raises(InvalidPointError):
+                op.raw(space.check_point(x))
+            continue
+        assert point_bits(op.raw(space.check_point(x))) == point_bits(want)

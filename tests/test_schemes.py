@@ -664,16 +664,16 @@ class TestAgainstReferenceSolver:
 
 
 def counting_map(space_and_map):
-    """The corpus map, with a count of its calls."""
+    """The corpus map, with a count of the solver's calls (of its raw form)."""
     space, t = space_and_map[:2]
     calls = []
-    apply = t.apply
+    raw = t.raw
 
     def counted(x):
         calls.append(None)
-        return apply(x)
+        return raw(x)
 
-    t.apply = counted
+    t.raw = counted
     return space, t, calls
 
 
@@ -690,6 +690,76 @@ def count_inside_solver(monkeypatch, calls):
 
     monkeypatch.setattr(schemes, "_picard_solve", counted)
     return inside
+
+
+def watch_affine_steps(monkeypatch):
+    """Patch the solver's view of an affine map; returns (events, watch).
+
+    events gets ("apply", x, caller) for each AffineMap call, ("step", None,
+    None) as each step starts and, while it runs, ("check", x, caller) for
+    each Euclidean check_point and ("output", y, None) for each point a
+    watched raw form returns; watch(op) wraps op.raw that way.  Call it
+    before the map is built, so the check AffineMap binds at construction
+    is watched too.
+    """
+    events, stepping = [], []
+    check, call, step = Euclidean.check_point, AffineMap.__call__, schemes.implicit_step
+
+    def caller():
+        return sys._getframe(2).f_code.co_name
+
+    def watched_check(self, x):
+        if stepping:
+            events.append(("check", x, caller()))
+        return check(self, x)
+
+    def watched_call(self, x):
+        events.append(("apply", x, caller()))
+        return call(self, x)
+
+    def watched_step(*args):
+        events.append(("step", None, None))
+        stepping.append(None)
+        try:
+            return step(*args)
+        finally:
+            stepping.pop()
+
+    def watch(op):
+        raw = op.raw
+
+        def watched_raw(x):
+            y = raw(x)
+            if stepping:
+                events.append(("output", y, None))
+            return y
+        op.raw = watched_raw
+
+    monkeypatch.setattr(Euclidean, "check_point", watched_check)
+    monkeypatch.setattr(AffineMap, "__call__", watched_call)
+    monkeypatch.setattr(schemes, "implicit_step", watched_step)
+    return events, watch
+
+
+def step_input_checks(events):
+    """Assert that every check inside a step reads the point the previous
+    map call returned, or a step input (x_prev or the anchor, checked by
+    implicit_step before any map call), so never a map's own input; returns
+    the number of step-input checks."""
+    previous = mapped = None
+    inputs = 0
+    for kind, x, where in events:
+        if kind == "step":
+            previous = mapped = None
+        elif kind == "check":
+            if previous is not None and x is previous:
+                previous = None  # a map output, checked once
+                continue
+            assert where == "implicit_step" and mapped is None, (where, x)
+            inputs += 1
+        elif kind == "output":
+            previous = mapped = x
+    return inputs
 
 
 class TestEvaluatedOnce:
@@ -720,6 +790,30 @@ class TestEvaluatedOnce:
         assert all(c == 2 * k - 1 for c, k in inside)
         # outside: T x_1 and S u_1, the first anchors
         assert len(calls) == sum(c for c, _ in inside) + 2
+
+    @pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
+    def test_run_checks_each_affine_point_once(self, monkeypatch, scheme):
+        events, watch = watch_affine_steps(monkeypatch)
+        space, t, x0, _ = REFERENCE_MAPS["affine-2"]()
+        watch(t)
+        run(space, t, scheme, default_schedule(), x0, 30)
+        assert not [e for e in events if e[0] == "apply"]  # T.apply is never called
+        # per step, x_prev, and the anchor unless it is x_prev
+        assert step_input_checks(events) == (2 if scheme == "implicit-s" else 1) * 29
+
+    @pytest.mark.parametrize("proof_variant", [False, True])
+    def test_datadep_checks_each_affine_point_once(self, monkeypatch, proof_variant):
+        events, watch = watch_affine_steps(monkeypatch)
+        space, t, x0, offset = REFERENCE_MAPS["affine-2"]()
+        watch(t)
+        s = mappings.perturbed(space, t, offset)  # S.raw checks T.raw's output, then shifts it
+        watch(s)
+        rep = run_datadep(space, t, s, default_schedule(), x0=x0, n_max=30,
+                          proof_variant=proof_variant)
+        # T.apply is called once, outside the steps, for the closed form
+        assert [e[2] for e in events if e[0] == "apply"] == ["run_datadep"]
+        assert rep.closed_form_q is not None
+        assert step_input_checks(events) == 2 * 2 * 29  # x_prev and anchor, both steps
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +846,7 @@ class TestPointForms:
     def test_run_passes_tuples_and_records_arrays(self, name, scheme):
         space, t, x0, _ = REFERENCE_MAPS[name]()
         seen = []
-        t.apply = recording(t.apply, seen)
+        t.raw = recording(t.raw, seen)
         trace = run(space, t, scheme, default_schedule(), x0, 20)
         assert len(seen) > 20 and all(is_raw_point(x, space.dim) for x in seen)
         assert all(is_public_point(r.x, space.dim) for r in trace)
@@ -763,16 +857,13 @@ class TestPointForms:
     def test_datadep_passes_tuples_and_reports_arrays(self, name, proof_variant):
         space, t, x0, offset = REFERENCE_MAPS[name]()
         seen = []
-        t.apply = recording(t.apply, seen)  # S = T + offset calls it too
+        t.raw = recording(t.raw, seen)  # S = T + offset calls it too
         s = mappings.perturbed(space, t, offset)
         rep = run_datadep(space, t, s, default_schedule(), x0=x0, n_max=20,
                           proof_variant=proof_variant)
         assert len(seen) > 20 and all(is_raw_point(x, space.dim) for x in seen)
         assert is_public_point(rep.p, space.dim) and is_public_point(rep.q, space.dim)
-        # the closed form needs T itself to be the AffineMap, so without the recorder
-        space, t, x0, offset = REFERENCE_MAPS[name]()
-        rep = run_datadep(space, t, mappings.perturbed(space, t, offset), default_schedule(),
-                          x0=x0, n_max=20, proof_variant=proof_variant)
+        # the closed form reads the AffineMap from T.apply, which the recorder leaves as is
         if name.startswith("affine"):
             assert is_public_point(rep.closed_form_q, space.dim)
         else:
@@ -875,7 +966,7 @@ def test_picard_iteration_calls_no_numpy(monkeypatch, name):
     solve, found = numpy_calls_in(schemes._picard_solve)
     monkeypatch.setattr(schemes, "_picard_solve", solve)
     seen = []
-    t.apply = recording(t.apply, seen)
+    t.raw = recording(t.raw, seen)
     for sched in REFERENCE_SCHEDULES:
         for scheme in schemes.SCHEME_IDS:
             run(space, t, scheme, schedule_from_name(sched), x0, 30)
