@@ -344,7 +344,7 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
         check = space.check_point
         raw = _shifted(check, t.raw, off)
         return ApproximateOperator(lambda x: raw(check(x)), eps,
-                                   name=f"perturb:{t.name}:{offset}", raw=raw)
+                                   name=f"perturb:{t.name}:{off}", raw=raw)
     if isinstance(space, Tripod):
         off = float(offset)
         if not (math.isfinite(off) and off > 0.0):
@@ -352,7 +352,7 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
         def s(p):
             ray, r = t.raw(p)
             return (ray, r + off)
-        return ApproximateOperator(s, off, name=f"perturb:{t.name}:{offset}")
+        return ApproximateOperator(s, off, name=f"perturb:{t.name}:{off}")
     raise ConfigError(f"perturbation not supported on space {space.name!r}")
 
 

@@ -55,18 +55,33 @@ class Schedule:
     def alpha_at(self, n: int) -> float:
         a = float(self.alpha(n))
         if not (0.0 <= a <= 1.0):
-            raise ConfigError(f"alpha_{n} = {a} outside [0, 1]")
+            raise _outside("alpha", n, a)
         return a
 
     def beta_at(self, n: int) -> float:
         b = float(self.beta(n))
         if not (0.0 <= b <= 1.0):
-            raise ConfigError(f"beta_{n} = {b} outside [0, 1]")
+            raise _outside("beta", n, b)
         return b
 
     def weights(self, n_max: int) -> list:
-        """[(alpha_n, beta_n) for n = 2..n_max], each checked to lie in [0, 1]."""
-        return [(self.alpha_at(n), self.beta_at(n)) for n in range(2, n_max + 1)]
+        """[(alpha_n, beta_n) for n = 2..n_max], each checked to lie in [0, 1].
+
+        One pass, in alpha_at's and beta_at's order: alpha_n, then beta_n."""
+        alpha, beta, out = self.alpha, self.beta, []
+        for n in range(2, n_max + 1):
+            a = float(alpha(n))
+            if not (0.0 <= a <= 1.0):
+                raise _outside("alpha", n, a)
+            b = float(beta(n))
+            if not (0.0 <= b <= 1.0):
+                raise _outside("beta", n, b)
+            out.append((a, b))
+        return out
+
+
+def _outside(which, n, v) -> ConfigError:
+    return ConfigError(f"{which}_{n} = {v} outside [0, 1]")
 
 
 def default_schedule() -> Schedule:

@@ -135,7 +135,13 @@ class Euclidean(Space):
     a function chosen by dim at construction: at dims 1-3 it writes each
     coordinate out as one expression, above that it is a comprehension.
     `raw_w` is a property that returns that function, so a subclass that
-    defines a raw_w method still overrides it.
+    defines a raw_w method still overrides it.  `check_point` is chosen the
+    same way: at dims 1-3 the constructor sets a written-out check of a
+    tuple of dim finite floats as an instance attribute, which sends any
+    other input to the same reader as the loop above dim 3.  It does so only
+    when the class's check_point is Euclidean's own, so a subclass override
+    or a class-level patch made before the space is built wins, and a later
+    instance attribute replaces it.
     """
 
     def __init__(self, dim=1):
@@ -144,6 +150,8 @@ class Euclidean(Space):
         self.dim = dim
         self.name = f"euclidean:{dim}"
         self._w = _EUCLIDEAN_W[dim - 1] if dim <= 3 else _w_any
+        if dim <= 3 and type(self).check_point is _check_any:
+            self.check_point = _EUCLIDEAN_CHECK[dim - 1]
 
     def check_point(self, x):
         if type(x) is tuple and len(x) == self.dim:
@@ -153,18 +161,7 @@ class Euclidean(Space):
                     break
             else:
                 return x
-        import numpy as np
-
-        try:
-            v = np.atleast_1d(np.asarray(x, dtype=float))
-        except (TypeError, ValueError):  # ragged or non-numeric
-            raise InvalidPointError(f"expected {self.dim} real coordinates, got {x!r}") from None
-        if v.shape != (self.dim,):
-            raise InvalidPointError(f"expected {self.dim} coordinates, got {v.shape}")
-        v = v.tolist()
-        if not all(map(math.isfinite, v)):
-            raise InvalidPointError(f"non-finite coordinates: {x}")
-        return tuple(v)
+        return _read_point(x, self.dim)
 
     raw_d = staticmethod(math.dist)
 
@@ -215,6 +212,57 @@ class Euclidean(Space):
 
     def format_point(self, x) -> str:
         return ";".join(repr(float(c)) for c in x)
+
+
+_check_any = Euclidean.check_point  # the loop, at any dim
+
+
+def _read_point(x, dim):
+    """Any sequence of dim finite reals (a scalar at dim 1) as a tuple of floats."""
+    import numpy as np
+
+    try:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError):  # ragged or non-numeric
+        raise InvalidPointError(f"expected {dim} real coordinates, got {x!r}") from None
+    if v.shape != (dim,):
+        raise InvalidPointError(f"expected {dim} coordinates, got {v.shape}")
+    v = v.tolist()
+    if not all(map(math.isfinite, v)):
+        raise InvalidPointError(f"non-finite coordinates: {x}")
+    return tuple(v)
+
+
+# Euclidean.check_point written out at dims 1, 2, 3: a tuple of dim floats
+# whose differences a - a sum to 0.0, which holds iff every one is finite
+# (inf - inf and nan - nan are nan), is already checked
+
+def _check1(x):
+    if type(x) is tuple and len(x) == 1:
+        a, = x
+        if type(a) is float and a - a == 0.0:
+            return x
+    return _read_point(x, 1)
+
+
+def _check2(x):
+    if type(x) is tuple and len(x) == 2:
+        a, b = x
+        if type(a) is float and type(b) is float and (a - a) + (b - b) == 0.0:
+            return x
+    return _read_point(x, 2)
+
+
+def _check3(x):
+    if type(x) is tuple and len(x) == 3:
+        a, b, c = x
+        if (type(a) is float and type(b) is float and type(c) is float
+                and (a - a) + (b - b) + (c - c) == 0.0):
+            return x
+    return _read_point(x, 3)
+
+
+_EUCLIDEAN_CHECK = (_check1, _check2, _check3)
 
 
 def _w_any(x, y, lam):

@@ -97,6 +97,23 @@ class TestSchedules:
         assert s.weights(4) == [(0.5, 0.5), (1 - 1 / 3, 1 / 3), (0.75, 0.25)]
         assert s.weights(1) == []
 
+    @pytest.mark.parametrize("bad_alpha,bad_beta", [(4, 3), (3, 3), (3, 4), (9, 9)])
+    def test_weights_match_alpha_at_and_beta_at(self, bad_alpha, bad_beta):
+        """weights evaluates alpha_n then beta_n, stops at the first bad value
+        with alpha_at's or beta_at's error, as calling them in turn does."""
+        def outcome(weights):
+            calls = []
+            s = Schedule(lambda n: calls.append(("alpha", n)) or (1.5 if n == bad_alpha else 1 - 1 / n),
+                         lambda n: calls.append(("beta", n)) or (-0.5 if n == bad_beta else 1 / n))
+            try:
+                return weights(s), calls
+            except ConfigError as exc:
+                return str(exc), calls
+
+        got = outcome(lambda s: s.weights(8))
+        assert got == outcome(lambda s: [(s.alpha_at(n), s.beta_at(n)) for n in range(2, 9)])
+        assert isinstance(got[0], list) == (min(bad_alpha, bad_beta) > 8)
+
     @pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
     def test_run_checks_schedule_before_step_two(self, scheme):
         space = Euclidean(1)
@@ -617,6 +634,11 @@ REFERENCE_MAPS = {
     "affine-3": lambda: mappings.affine(AffineMap([[0.5, 0.2, 0.0], [-0.1, 0.3, 0.1],
                                                   [0.0, 0.2, 0.6]], [1.0, 0.0, -1.0]))[:2]
     + (np.array([2.0, 1.0, 0.5]), np.array([0.003, 0.0, 0.004])),
+    # dim 4: the generic kernels, w, perturbation and check loop
+    "affine-4": lambda: mappings.affine(AffineMap([[0.4, 0.1, 0.0, 0.0], [0.0, 0.3, 0.1, 0.0],
+                                                  [0.0, 0.0, 0.5, 0.1], [0.1, 0.0, 0.0, 0.2]],
+                                                 [1.0, 0.0, -1.0, 0.5]))[:2]
+    + (np.array([2.0, 1.0, 0.5, -1.0]), np.array([0.01, 0.0, -0.005, 0.002])),
     "tripod": lambda: mappings.tripod_radial(0.7)[:2] + (("B", 2.0), 0.05),
     "halfplane": lambda: mappings.halfplane_vertical(0.6)[:2] + ((0.0, 5.0), None),
 }

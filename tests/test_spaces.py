@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from implicitfp import spaces
+from implicitfp import mappings, spaces
 from implicitfp.errors import ConfigError, InvalidPointError
+from implicitfp.schemes import default_schedule, run
 from implicitfp.spaces import (BrokenDemo, Euclidean, HalfPlane, Interval,
                                Tripod, VerticalLine, check_axioms)
 
@@ -788,6 +789,58 @@ def test_euclidean_finite_test_matches_isfinite(dim):
                                            x), x
         rejected += got[0] == "raises"
     assert 0 < rejected < len(inputs)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_euclidean_check_point_is_written_out_at_dims_1_to_3(dim):
+    space = Euclidean(dim)
+    if dim <= 3:
+        assert space.check_point is spaces._EUCLIDEAN_CHECK[dim - 1]
+    else:  # the loop, Euclidean's own method
+        assert "check_point" not in vars(space)
+        assert space.check_point.__func__ is Euclidean.check_point
+
+
+def test_a_subclass_that_keeps_check_point_gets_the_written_out_one():
+    assert BrokenDemo().check_point is spaces._EUCLIDEAN_CHECK[0]
+
+
+def d_w_and_run(space):
+    """d, w and an S run of a 2-D affine map on space, as plain values."""
+    t = mappings.affine(mappings.AffineMap([[0.3, 0.1], [0.0, 0.4]], [0.1, 0.2]))[1]
+    trace = run(space, t, "implicit-s", default_schedule(), (1.0, -1.0), 10)
+    return (space.d((0.0, 1.0), [3.0, 5.0]), tuple(space.w((0.0, 1.0), (2.0, 2.0), 0.25)),
+            [tuple(r.x.tolist()) for r in trace])
+
+
+@pytest.mark.parametrize("how", ["subclass", "class patch", "instance attribute"])
+def test_euclidean_check_point_override_wins(monkeypatch, how):
+    """A subclass's check_point, a class-level patch made before the space is
+    built, and an instance attribute each replace the written-out check, in
+    d, in w and in the solver."""
+    want = d_w_and_run(Euclidean(2))
+    seen = []
+    check = Euclidean.check_point
+
+    def counted(self, x):
+        seen.append(x)
+        return check(self, x)
+
+    if how == "subclass":
+        space = type("Counting", (Euclidean,), {"check_point": counted})(2)
+    elif how == "class patch":
+        monkeypatch.setattr(Euclidean, "check_point", counted)
+        space = Euclidean(2)
+    else:
+        space = Euclidean(2)
+        space.check_point = counted.__get__(space)
+    assert space.check_point is not spaces._EUCLIDEAN_CHECK[1]
+    space.d((0.0, 1.0), (1.0, 1.0))
+    assert len(seen) == 2
+    space.w((0.0, 1.0), (1.0, 1.0), 0.5)
+    assert len(seen) == 4
+    assert d_w_and_run(space) == want
+    assert len(seen) > 4 + 4 + 10  # d and w again, then the run's steps
 
 
 BAD_POINTS = [
