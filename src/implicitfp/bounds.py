@@ -11,8 +11,8 @@ is implicit-ishikawa at b_k = 1, i.e. D_k = a_k / (1 - (1-a_k)*delta).
 Envelopes are cumulative products prod_{k=2..n} D_k * d0, the form the
 step-by-step inequality chains actually produce; the literal (D_n)^n * d0
 variant is kept behind `literal=True` for comparison.  Both are computed in
-Python floats: the running product multiplies in order, so it has the bits
-of numpy's cumprod.
+the weights' own arithmetic: floats multiply in order, with the bits of
+numpy's cumprod, and Fractions stay exact.
 """
 
 from __future__ import annotations
@@ -20,13 +20,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import CertificateError
-from .schemes import Schedule
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _require_delta(delta: float):
@@ -34,34 +30,29 @@ def _require_delta(delta: float):
         raise CertificateError(f"delta must lie in [0, 1), got {delta}")
 
 
-def _factor_rows(schedule: Schedule, delta: float, n_max: int) -> tuple:
-    """Per-step factors D_k, k = 2..n_max, as three lists (implicit-s, mann, ishikawa).
+def step_factors(weights: list, delta) -> tuple:
+    """Per-step factors D_k, one per (alpha_k, beta_k) in weights, as three
+    lists (implicit-s, mann, ishikawa).
 
     One formula serves all three: Mann's factor is Ishikawa's at beta = 1, and
     S's is delta times Ishikawa's, computed as (alpha*delta)/den.  With delta
-    in [0, 1) and alpha, beta in [0, 1], den >= 1 - delta > 0.
+    in [0, 1) and alpha, beta in [0, 1], den >= 1 - delta > 0.  The constants
+    are integers, so Fraction weights give exact factors.
     """
     _require_delta(delta)
-    weights = schedule.weights(n_max)
 
     def factor(alpha, beta, scale):
-        return alpha * scale / (1.0 - (1.0 - alpha) * delta * (beta + (1.0 - beta) * delta))
+        return alpha * scale / (1 - (1 - alpha) * delta * (beta + (1 - beta) * delta))
 
     return ([factor(a, b, delta) for a, b in weights],
-            [factor(a, 1.0, 1.0) for a, _ in weights],
-            [factor(a, b, 1.0) for a, b in weights])
-
-
-def step_factors(schedule: Schedule, delta: float, n_max: int) -> np.ndarray:
-    """The factors of _factor_rows as a (3, n_max - 1) float array."""
-    import numpy as np
-
-    return np.array(_factor_rows(schedule, delta, n_max))
+            [factor(a, 1, 1) for a, _ in weights],
+            [factor(a, b, 1) for a, b in weights])
 
 
 @dataclass
 class BoundSequences:
-    """Envelopes a_n (implicit-S), b_n (Mann), c_n (Ishikawa), n = 2..n_max."""
+    """Envelopes a_n (implicit-S), b_n (Mann), c_n (Ishikawa), n = 2..n_max,
+    computed from a checked weights list, `Schedule.weights(n_max)`."""
 
     a: list
     b: list
@@ -69,9 +60,9 @@ class BoundSequences:
     d0: float
 
     @classmethod
-    def compute(cls, schedule: Schedule, delta: float, d0: float, n_max: int,
+    def compute(cls, weights: list, delta: float, d0: float,
                 literal: bool = False) -> "BoundSequences":
-        rows = _factor_rows(schedule, delta, n_max)
+        rows = step_factors(weights, delta)
         if literal:
             a, b, c = ([f ** n * d0 for n, f in enumerate(row, start=2)] for row in rows)
         else:

@@ -123,7 +123,7 @@ def _emit(text, path):
 
 def cmd_table(args):
     space, t, schedule, cfg, x0 = _resolve_run(args)
-    traces = experiments.run_schemes(space, t, schedule, x0, args.n_max, cfg)
+    traces = experiments.run_schemes(space, t, schedule.weights(args.n_max), x0, cfg)
     table = experiments.reproduce_table(traces, digits=args.digits)
     _emit(table.to_csv() if args.format == "csv" else table.to_text(),
           args.output)
@@ -169,9 +169,9 @@ def cmd_compare(args):
 def cmd_bounds(args):
     space, t, schedule, cfg, x0 = _resolve_run(args)
     d0 = space.d(x0, t.fixed_point)
-    env = bounds_mod.BoundSequences.compute(schedule, t.delta, d0, args.n_max,
-                                            literal=args.literal)
-    traces = experiments.run_schemes(space, t, schedule, x0, args.n_max, cfg)
+    weights = schedule.weights(args.n_max)
+    env = bounds_mod.BoundSequences.compute(weights, t.delta, d0, literal=args.literal)
+    traces = experiments.run_schemes(space, t, weights, x0, cfg)
     ds, dm, di = (traces[s].distances()[1:]
                   for s in ("implicit-s", "implicit-mann", "implicit-ishikawa"))
     lines = ["n,a_n,b_n,c_n,dist_s,dist_mann,dist_ishikawa"]

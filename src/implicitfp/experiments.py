@@ -63,8 +63,11 @@ def format15(value, digits: int = 15) -> str:
     """Fixed-point formatting with round-half-even, 15 decimals by default.
 
     The rounding is exact: a float or Fraction of any size keeps all its
-    integer digits and gets `digits` correctly rounded decimals.
+    integer digits and gets `digits` correctly rounded decimals.  A float
+    inf or nan, which has no digits, prints as `inf` or `nan`.
     """
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     units = round(Fraction(value) * 10 ** digits)  # an exact tie goes to even
     text = str(abs(units)).rjust(digits + 1, "0")
     if digits:
@@ -131,10 +134,11 @@ class ComparisonTable:
         return bad
 
 
-def run_schemes(space: Space, t: ContractiveLike, schedule: Schedule, x0,
-                n_max: int, cfg: Optional[InnerSolverConfig] = None) -> dict:
-    """The three schemes' traces from x0 to n_max, by scheme id."""
-    return {s: run(space, t, s, schedule, x0, n_max, cfg) for s in schemes.SCHEME_IDS}
+def run_schemes(space: Space, t: ContractiveLike, weights: list, x0,
+                cfg: Optional[InnerSolverConfig] = None) -> dict:
+    """The three schemes' traces from x0 over one checked weights list
+    (`Schedule.weights(n_max)`), by scheme id."""
+    return {s: run(space, t, s, weights, x0, cfg) for s in schemes.SCHEME_IDS}
 
 
 def reproduce_table(traces: Optional[dict] = None, rows=TABLE_ROWS,
@@ -149,7 +153,8 @@ def reproduce_table(traces: Optional[dict] = None, rows=TABLE_ROWS,
         raise ConfigError(f"digits must lie in [0, {MAX_DIGITS}], got {digits}")
     if traces is None:
         space, t, _sampler = mappings.halving()
-        traces = run_schemes(space, t, default_schedule(), default_x0(space, t), max(rows))
+        traces = run_schemes(space, t, default_schedule().weights(max(rows)),
+                             default_x0(space, t))
     cols = [traces[s].distances()  # n = 1..n_max
             for s in ("implicit-mann", "implicit-ishikawa", "implicit-s")]
     rows = tuple(n for n in rows if n <= len(cols[0])) or (1,)
@@ -203,6 +208,7 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
               threshold: float = 1e-6) -> RateRace:
     """Run the three schemes and compare rates on actual and envelope sequences.
 
+    The schedule is evaluated once, for the three runs and the envelopes.
     A threshold that is not finite and > 0 is a ConfigError.
     """
     if not 0.0 < threshold < math.inf:  # nan fails too
@@ -217,9 +223,11 @@ def rate_race(space: Space, t: ContractiveLike, schedule: Schedule, x0=None,
         raise ConfigError("a rate race needs at least two comparison points, "
                           f"min(horizon, n_max - 1); got horizon {horizon}, n_max {n_max}")
 
-    traces = run_schemes(space, t, schedule, x0, n_max, cfg)
+    x0 = space.check_point(x0)  # an invalid x0 is reported before the schedule
+    weights = schedule.weights(n_max)
+    traces = run_schemes(space, t, weights, x0, cfg)
     d0 = space.d(x0, p)
-    env = BoundSequences.compute(schedule, t.delta, d0, n_max)
+    env = BoundSequences.compute(weights, t.delta, d0)
 
     # actual distances from n = 2 on, truncated at the first exact zero
     actual, zero_at = {}, {}

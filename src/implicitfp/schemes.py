@@ -52,36 +52,22 @@ class Schedule:
     beta: Callable[[int], float]
     name: str = "custom"
 
-    def alpha_at(self, n: int) -> float:
-        a = float(self.alpha(n))
-        if not (0.0 <= a <= 1.0):
-            raise _outside("alpha", n, a)
-        return a
-
-    def beta_at(self, n: int) -> float:
-        b = float(self.beta(n))
-        if not (0.0 <= b <= 1.0):
-            raise _outside("beta", n, b)
-        return b
-
     def weights(self, n_max: int) -> list:
-        """[(alpha_n, beta_n) for n = 2..n_max], each checked to lie in [0, 1].
-
-        One pass, in alpha_at's and beta_at's order: alpha_n, then beta_n."""
+        """[(alpha_n, beta_n) for n = 2..n_max]: the one place a schedule is
+        evaluated and checked.  ConfigError unless n_max >= 1, then alpha_n
+        before beta_n, stopping at the first value outside [0, 1]."""
+        if n_max < 1:
+            raise ConfigError(f"n_max must be >= 1, got {n_max}")
         alpha, beta, out = self.alpha, self.beta, []
         for n in range(2, n_max + 1):
             a = float(alpha(n))
             if not (0.0 <= a <= 1.0):
-                raise _outside("alpha", n, a)
+                raise ConfigError(f"alpha_{n} = {a} outside [0, 1]")
             b = float(beta(n))
             if not (0.0 <= b <= 1.0):
-                raise _outside("beta", n, b)
+                raise ConfigError(f"beta_{n} = {b} outside [0, 1]")
             out.append((a, b))
         return out
-
-
-def _outside(which, n, v) -> ConfigError:
-    return ConfigError(f"{which}_{n} = {v} outside [0, 1]")
 
 
 def default_schedule() -> Schedule:
@@ -387,8 +373,8 @@ class IterationTrace:
     the rows and build no record.
     """
 
-    def __init__(self, scheme: str, schedule: str, space: Space, rows: list):
-        self.scheme, self.schedule = scheme, schedule
+    def __init__(self, scheme: str, space: Space, rows: list):
+        self.scheme = scheme
         self._public, self._rows, self._records = space.public, rows, None
 
     @property
@@ -420,14 +406,13 @@ class IterationTrace:
         return "\n".join(lines) + "\n"
 
 
-def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
-        x0, n_max: int, cfg: InnerSolverConfig = None,
-        p=None) -> IterationTrace:
+def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
+        cfg: InnerSolverConfig = None, p=None) -> IterationTrace:
     """Full iteration run; record n = 1 is the initial value x0.
 
-    Steps are taken for n = 2..n_max, matching the index origin where the
-    n = 1 schedule entries are zero and unused.  Every alpha_n and beta_n is
-    evaluated and range-checked before step 2.  If a step fails, the raised
+    Step n = 2..n_max takes (alpha_n, beta_n) from weights, a schedule's
+    checked list `Schedule.weights(n_max)`, so the trace has len(weights) + 1
+    records.  If a step fails, the raised
     NonconvergenceError names the scheme and the step and carries the inner
     solver's residual and the partial trace, and an InvalidPointError names
     the step.  The steps run on checked points and call `step_map(t, cfg)`,
@@ -435,8 +420,6 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     them as they are; its records turn them into the space's public form
     when first read.
     """
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
     if scheme not in SCHEME_IDS:
         raise ConfigError(f"unknown scheme {scheme!r}")
     cfg = cfg or InnerSolverConfig()
@@ -445,13 +428,12 @@ def run(space: Space, t: ContractiveLike, scheme: str, schedule: Schedule,
     x0 = space.check_point(x0)
     if p is not None:
         p = space.check_point(p)
-    weights = schedule.weights(n_max)
 
     def dist(x):
         return None if p is None else space.raw_d(x, p)
 
     rows = [(1, x0, None, 0, 0.0, dist(x0))]
-    trace = IterationTrace(scheme, schedule.name, space, rows)
+    trace = IterationTrace(scheme, space, rows)
     T = step_map(t, cfg)
     x = x0
     for n, (a, b) in enumerate(weights, start=2):

@@ -54,7 +54,7 @@ def test_criterion_2_oracle_equivalence():
     worst = 0.0
     for scheme in schemes.SCHEME_IDS:
         oracle = RationalOracle(scheme).sequence(50)
-        trace = run(space, t, scheme, sched, np.array([1.0]), 50)
+        trace = run(space, t, scheme, sched.weights(50), np.array([1.0]))
         for rec, exact in zip(trace.records, oracle):
             worst = max(worst, abs(float(rec.x[0]) - float(exact)))
     report("2 (float trace vs exact-rational oracle, <= 5e-14)", worst <= 5e-14)
@@ -64,11 +64,11 @@ def test_criterion_3_convergence_envelope():
     ok = True
     for space, t, sched in corpus_triples():
         x0 = experiments.default_x0(space, t)
-        trace = run(space, t, "implicit-s", sched, x0, 500)
+        trace = run(space, t, "implicit-s", sched.weights(500), x0)
         d = trace.distances()
         d0 = d[0]
         cum = 1.0
-        factors = bounds.step_factors(sched, t.delta, 500)[0].tolist()
+        factors = bounds.step_factors(sched.weights(500), t.delta)[0]
         for i, factor in enumerate(factors):
             cum *= factor
             per_step_slack = factor * d[i] - d[i + 1]
@@ -86,7 +86,7 @@ def test_criterion_4_rate_ordering_and_comparison():
                  polynomial_schedule(0.5)]
     for delta in (0.1, 0.5, 0.9):
         for sched in schedules:
-            env = bounds.BoundSequences.compute(sched, delta, 1.0, 200)
+            env = bounds.BoundSequences.compute(sched.weights(200), delta, 1.0)
             for an, bn, cn in zip(env.a, env.b, env.c):
                 chain = an <= delta * cn * (1 + 1e-12) and delta * cn <= cn and cn <= bn * (1 + 1e-12)
                 if not chain:
@@ -149,7 +149,7 @@ def test_criterion_7_inner_solver():
     cfg = InnerSolverConfig(tolerance=1e-14)
     space, t, _ = mappings.halving()
     for scheme in schemes.SCHEME_IDS:
-        trace = run(space, t, scheme, default_schedule(), np.array([1.0]), 50,
+        trace = run(space, t, scheme, default_schedule().weights(50), np.array([1.0]),
                     cfg)
         for rec in trace.records[1:]:
             if rec.inner_residual is None or rec.inner_residual > 1e-14:
@@ -159,9 +159,9 @@ def test_criterion_7_inner_solver():
                            np.array([0.1, 0.2])))
     x0 = experiments.default_x0(space_a, t_a)
     for scheme in schemes.SCHEME_IDS:
-        tp = run(space_a, t_a, scheme, default_schedule(), x0, 100,
+        tp = run(space_a, t_a, scheme, default_schedule().weights(100), x0,
                  InnerSolverConfig(tolerance=1e-14, mode="picard"))
-        te = run(space_a, t_a, scheme, default_schedule(), x0, 100,
+        te = run(space_a, t_a, scheme, default_schedule().weights(100), x0,
                  InnerSolverConfig(tolerance=1e-14, mode="exact-affine"))
         for rp, re in zip(tp.records, te.records):
             if space_a.d(rp.x, re.x) > 1e-12:

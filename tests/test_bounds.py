@@ -15,7 +15,7 @@ SCHED = default_schedule()
 
 def envelopes_at(schedule, delta, d0, n):
     """(a_n, b_n, c_n): the implicit-S, Mann and Ishikawa envelopes at one n."""
-    seqs = BoundSequences.compute(schedule, delta, d0, n)
+    seqs = BoundSequences.compute(schedule.weights(n), delta, d0)
     return seqs.a[-1], seqs.b[-1], seqs.c[-1]
 
 
@@ -39,9 +39,9 @@ def step_factor_mann(alpha, delta):
 
 def reference_envelopes(schedule, delta, d0, n_max, literal):
     factors = (
-        lambda k: step_factor_s(schedule.alpha_at(k), schedule.beta_at(k), delta),
-        lambda k: step_factor_mann(schedule.alpha_at(k), delta),
-        lambda k: step_factor_ishikawa(schedule.alpha_at(k), schedule.beta_at(k), delta),
+        lambda k: step_factor_s(float(schedule.alpha(k)), float(schedule.beta(k)), delta),
+        lambda k: step_factor_mann(float(schedule.alpha(k)), delta),
+        lambda k: step_factor_ishikawa(float(schedule.alpha(k)), float(schedule.beta(k)), delta),
     )
     out = []
     for factor in factors:
@@ -72,7 +72,7 @@ class TestEnvelopeS:
 
     def test_rejects_delta_ge_one(self):
         with pytest.raises(CertificateError):
-            BoundSequences.compute(SCHED, 1.0, 1.0, 5)
+            BoundSequences.compute(SCHED.weights(5), 1.0, 1.0)
 
 
 class TestEnvelopeMann:
@@ -109,15 +109,15 @@ class TestOrdering:
                                        constant_schedule(0.9, 0.3)])
     def test_chain(self, delta, sched):
         # a_n <= delta*c_n <= c_n <= b_n for all n
-        seqs = BoundSequences.compute(sched, delta, 1.0, 200)
+        seqs = BoundSequences.compute(sched.weights(200), delta, 1.0)
         for a, b, c in zip(seqs.a, seqs.b, seqs.c):
             assert a <= delta * c + 1e-300
             assert delta * c <= c
             assert c <= b + 1e-300
 
     def test_literal_form_differs_for_varying_schedule(self):
-        prod = BoundSequences.compute(SCHED, 0.5, 1.0, 10)
-        lit = BoundSequences.compute(SCHED, 0.5, 1.0, 10, literal=True)
+        prod = BoundSequences.compute(SCHED.weights(10), 0.5, 1.0)
+        lit = BoundSequences.compute(SCHED.weights(10), 0.5, 1.0, literal=True)
         assert prod.b[-1] != pytest.approx(lit.b[-1])
 
 
@@ -130,25 +130,25 @@ class TestAgainstReferenceLoop:
                                        polynomial_schedule(0.5),
                                        constant_schedule(0.7, 1.0)])
     def test_bit_identical(self, sched, delta, literal):
-        seqs = BoundSequences.compute(sched, delta, 0.7, 200, literal)
+        seqs = BoundSequences.compute(sched.weights(200), delta, 0.7, literal)
         assert [seqs.a, seqs.b, seqs.c] == reference_envelopes(sched, delta, 0.7, 200, literal)
         assert all(type(v) is float for v in seqs.a + seqs.b + seqs.c)
 
     def test_empty_below_n2(self):
-        seqs = BoundSequences.compute(SCHED, 0.5, 1.0, 1)
+        seqs = BoundSequences.compute(SCHED.weights(1), 0.5, 1.0)
         assert seqs.a == seqs.b == seqs.c == []
 
 
 class TestBerinde:
     def test_s_faster_than_mann(self):
-        seqs = BoundSequences.compute(SCHED, 0.5, 1.0, 50)
+        seqs = BoundSequences.compute(SCHED.weights(50), 0.5, 1.0)
         v = berinde_compare(seqs.a, seqs.b, horizon=50, threshold=1e-6)
         assert v.faster
         # per-step ratio is below delta = 1/2, so the final ratio is <= 2^-48
         assert v.final_ratio <= 2.0 ** -48
 
     def test_s_faster_than_ishikawa(self):
-        seqs = BoundSequences.compute(SCHED, 0.5, 1.0, 50)
+        seqs = BoundSequences.compute(SCHED.weights(50), 0.5, 1.0)
         v = berinde_compare(seqs.a, seqs.c, horizon=50, threshold=1e-6)
         assert v.faster
         # the two step factors differ exactly by the factor delta

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from implicitfp import cli
+from implicitfp import cli, schemes
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -22,6 +22,14 @@ class TestTable:
         out = capsys.readouterr()
         assert "0.307692307692308" in out.out
         assert "all table cells match" in out.err
+
+    def test_infinite_distance_prints_inf(self, capsys):
+        # the distance from 1.7e308 to p = -1.7e308 overflows to inf
+        argv = ["table", "--mapping", "affine:0.9|-1.7e307", "--x0", "1.7e308", "--n-max", "5"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.split("\n")[1].split() == ["2", "inf", "inf", "inf"]
+        assert run_cli(argv + ["--verify"]) == 1
+        assert "verify mismatch at n=2 imi: got inf" in capsys.readouterr().err
 
     def test_n_max_one_single_row(self, capsys):
         assert run_cli(["table", "--n-max", "1"]) == 0
@@ -138,6 +146,10 @@ class TestCompare:
 
 
 class TestBounds:
+    def test_n_max_below_one_is_config_error(self, capsys):
+        assert run_cli(["bounds", "--n-max", "0"]) == 2
+        assert capsys.readouterr().err == "config error: n_max must be >= 1, got 0\n"
+
     def test_csv_columns(self, capsys):
         assert run_cli(["bounds", "--n-max", "20"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -249,6 +261,18 @@ class TestDatadep:
     def test_zero_perturbation_checks_x0(self, x0, capsys):
         assert run_cli(["datadep", "--perturb", "0", "--x0", x0]) == 2
         assert capsys.readouterr().err.startswith("config error: bad --x0")
+
+
+@pytest.mark.parametrize("argv,n_max", [
+    (["table"], 50), (["compare", "--n-max", "60", "--horizon", "50"], 60),
+    (["bounds", "--n-max", "60"], 60), (["datadep", "--n-max", "60", "--proof-variant"], 60),
+    (["datadep", "--n-max", "60", "--perturb", "0"], 60),
+], ids=["table", "compare", "bounds", "datadep", "datadep-zero-offset"])
+def test_schedule_evaluated_once_per_command(argv, n_max, counting_schedule, monkeypatch, capsys):
+    schedule, evaluated_once = counting_schedule
+    monkeypatch.setattr(schemes, "schedule_from_name", lambda name: schedule)
+    assert run_cli(argv) == 0
+    assert evaluated_once(n_max)
 
 
 class TestAxiomCheck:

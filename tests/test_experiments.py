@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from implicitfp import experiments, mappings, schemes
-from implicitfp.errors import ConfigError, NonconvergenceError
+from implicitfp.bounds import BoundSequences, step_factors
+from implicitfp.errors import ConfigError, InvalidPointError, NonconvergenceError
 from implicitfp.experiments import (REFERENCE_TABLE, TABLE_ROWS,
                                     RationalOracle, format15, rate_race,
                                     reproduce_table, run_datadep, run_schemes)
@@ -53,6 +54,21 @@ class TestFormatting:
         # each of these needs more than 28 significant digits
         assert format15(value, digits) == text
 
+    @pytest.mark.parametrize("value,text", [(float("inf"), "inf"), (float("-inf"), "-inf"),
+                                            (float("nan"), "nan"), (np.float64("inf"), "inf")])
+    def test_non_finite_prints_its_name(self, value, text):
+        # a distance can overflow to inf on finite points; Fraction(inf) would raise
+        assert format15(value) == format15(value, 0) == text
+
+    def test_table_with_an_infinite_distance(self):
+        # d((1.7e308,), (-1.7e308,)) overflows at n = 2 on all three schemes
+        space, t, _ = mappings.affine(AffineMap([[0.9]], [-1.7e307]))
+        traces = run_schemes(space, t, default_schedule().weights(5), (1.7e308,))
+        table = reproduce_table(traces)
+        assert table.rows[0] == (2, "inf", "inf", "inf")
+        assert ("inf" in table.to_text()) and (",inf," in table.to_csv())
+        assert table.verify()  # every cell differs from the reference
+
     @pytest.mark.parametrize("digits", [-1, experiments.MAX_DIGITS + 1])
     def test_digits_out_of_range_rejected(self, digits):
         with pytest.raises(ConfigError, match=r"digits must lie in \[0, 1074\]"):
@@ -91,15 +107,15 @@ class TestTable:
 
     def test_formats_the_traces_it_is_given(self):
         space, t, _ = mappings.halving()
-        traces = run_schemes(space, t, default_schedule(), np.array([1.0]), 50)
+        traces = run_schemes(space, t, default_schedule().weights(50), np.array([1.0]))
         assert list(traces) == list(schemes.SCHEME_IDS)
         assert reproduce_table(traces) == reproduce_table()
 
     def test_rows_past_the_traces_are_dropped(self):
         space, t, _ = mappings.halving()
-        traces = run_schemes(space, t, default_schedule(), np.array([1.0]), 12)
+        traces = run_schemes(space, t, default_schedule().weights(12), np.array([1.0]))
         assert [row[0] for row in reproduce_table(traces).rows] == [2, 5, 7, 10]
-        short = run_schemes(space, t, default_schedule(), np.array([1.0]), 1)
+        short = run_schemes(space, t, default_schedule().weights(1), np.array([1.0]))
         assert reproduce_table(short).rows == [(1,) + ("1.000000000000000",) * 3]
 
     def test_verify_reports_drift(self):
@@ -124,16 +140,48 @@ class TestEnvelopeDominance:
         space, t, _ = mappings.halving()
         sched = default_schedule()
         from implicitfp.bounds import BoundSequences
-        env = BoundSequences.compute(sched, t.delta, 1.0, 50)
+        env = BoundSequences.compute(sched.weights(50), t.delta, 1.0)
         cols = {"implicit-s": env.a, "implicit-mann": env.b,
                 "implicit-ishikawa": env.c}
         for scheme, bound_seq in cols.items():
-            tr = schemes.run(space, t, scheme, sched, np.array([1.0]), 50)
+            tr = schemes.run(space, t, scheme, sched.weights(50), np.array([1.0]))
             for rec, bound in zip(tr.records[1:], bound_seq):
                 assert rec.dist_to_p <= bound + 1e-12
 
 
+class TestExactEnvelope:
+    @pytest.mark.parametrize("scheme,row", [("implicit-s", 0), ("implicit-mann", 1),
+                                            ("implicit-ishikawa", 2)])
+    def test_envelope_over_exact_weights_is_the_oracle(self, scheme, row):
+        """At the default schedule's ideal weights 1 - 1/n and delta = 1/2,
+        the halving map's trace is the envelope product: in Fractions, the
+        envelope equals the hand-derived oracle to n = 1000."""
+        weights = [(1 - Fraction(1, n),) * 2 for n in range(2, 1001)]
+        delta = Fraction(1, 2)
+        oracle = RationalOracle(scheme).sequence(1000)[1:]
+        factors = step_factors(weights, delta)[row]
+        assert factors == [b / a for a, b in zip([Fraction(1)] + oracle, oracle)]
+        env = BoundSequences.compute(weights, delta, 1)
+        seq = (env.a, env.b, env.c)[row]
+        assert all(type(v) is Fraction for v in seq)
+        assert seq == oracle
+
+
 class TestRateRace:
+    def test_schedule_evaluated_once_per_race(self, counting_schedule):
+        space, t, _ = mappings.halving()
+        schedule, evaluated_once = counting_schedule
+        rate_race(space, t, schedule, n_max=60, horizon=50)
+        assert evaluated_once(60)
+
+    def test_invalid_x0_reported_before_the_schedule(self):
+        space, t, _ = mappings.halving()
+        bad = schemes.Schedule(lambda n: 1.5, lambda n: 0.5)
+        with pytest.raises(InvalidPointError):
+            rate_race(space, t, bad, x0=(float("nan"),), n_max=10)
+        with pytest.raises(ConfigError, match="alpha_2 = 1.5"):
+            rate_race(space, t, bad, n_max=10)
+
     def test_benchmark_race_all_faster(self):
         space, t, _ = mappings.halving()
         race = rate_race(space, t, default_schedule(), n_max=60, horizon=50)
@@ -172,6 +220,13 @@ class TestRateRace:
 
 
 class TestDataDependence:
+    def test_schedule_evaluated_once(self, counting_schedule):
+        space, t, _ = mappings.halving()
+        s = mappings.perturbed(space, t, 0.01)
+        schedule, evaluated_once = counting_schedule
+        run_datadep(space, t, s, schedule, n_max=40, proof_variant=True)
+        assert evaluated_once(40)
+
     def test_halving_proof_variant_hits_closed_form(self):
         # S's fixed point solves q = q/2 + 0.01, so q = 0.02
         space, t, _ = mappings.halving()

@@ -446,7 +446,7 @@ def test_an_overflowing_affine_image_is_an_invalid_point(name, x0):
     with pytest.raises(InvalidPointError):
         space.check_point(t.apply(x0))
     with pytest.raises(InvalidPointError, match="step n=2"):
-        schemes.run(space, t, "implicit-s", schemes.default_schedule(), x0, 5)
+        schemes.run(space, t, "implicit-s", schemes.default_schedule().weights(5), x0)
 
 
 # ---------------------------------------------------------------------------

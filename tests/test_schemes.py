@@ -10,7 +10,7 @@ import pytest
 from implicitfp import mappings, schemes
 from implicitfp.bounds import check_lemma1
 from implicitfp.errors import ConfigError, InvalidPointError, NonconvergenceError
-from implicitfp.experiments import ORACLE_RATIOS, RationalOracle, run_datadep
+from implicitfp.experiments import ORACLE_RATIOS, RationalOracle, rate_race, run_datadep
 from implicitfp.mappings import AffineMap, ContractiveLike, LinearPhi
 from implicitfp.schemes import (InnerSolverConfig, Schedule, default_schedule,
                                 expression_schedule, implicit_step, run,
@@ -26,14 +26,14 @@ def halving():
 class TestSchedules:
     def test_default_values(self):
         s = default_schedule()
-        assert s.alpha_at(1) == 0.0
-        assert s.alpha_at(2) == pytest.approx(0.5)
-        assert s.beta_at(10) == pytest.approx(0.9)
+        assert s.alpha(1) == 0.0
+        assert s.alpha(2) == pytest.approx(0.5)
+        assert s.beta(10) == pytest.approx(0.9)
 
     def test_from_name(self):
         assert schedule_from_name("default").name == "default"
-        assert schedule_from_name("constant:0.3").alpha_at(5) == pytest.approx(0.3)
-        assert schedule_from_name("constant:0.3,0.7").beta_at(5) == pytest.approx(0.7)
+        assert schedule_from_name("constant:0.3").alpha(5) == pytest.approx(0.3)
+        assert schedule_from_name("constant:0.3,0.7").beta(5) == pytest.approx(0.7)
         with pytest.raises(ConfigError):
             schedule_from_name("constant:1.5")
         with pytest.raises(ConfigError):
@@ -43,12 +43,12 @@ class TestSchedules:
 
     def test_expression_schedule(self):
         s = expression_schedule("1-1/n")
-        assert s.alpha_at(4) == pytest.approx(0.75)
+        assert s.alpha(4) == pytest.approx(0.75)
         with pytest.raises(ConfigError):
             expression_schedule("1/(")
         s = expression_schedule("-(-1) - n**-0.5 + 0*sqrt(n)*log(n)*exp(1)"
                                 " + 0*min(n, 2)*max(n, 2)*math.cos(n)")
-        assert s.alpha_at(4) == pytest.approx(0.5)
+        assert s.alpha(4) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("expr", [
         "().__class__.__mro__[1].__subclasses__() and 0.5",
@@ -63,14 +63,14 @@ class TestSchedules:
 
     def test_out_of_range_rejected(self):
         s = Schedule(lambda n: 1.5, lambda n: 0.5)
-        with pytest.raises(ConfigError):
-            s.alpha_at(3)
+        with pytest.raises(ConfigError, match=r"alpha_2 = 1.5 outside \[0, 1\]"):
+            s.weights(3)
 
     def test_expression_error_at_any_index(self):
         s = expression_schedule("1-1/(n-3)**2")  # fine at n = 2
-        assert s.alpha_at(2) == 0.0
+        assert s.weights(2) == [(0.0, 0.0)]
         with pytest.raises(ConfigError, match="at n=3"):
-            s.alpha_at(3)
+            s.weights(3)
         for expr in ("sqrt(5-n)", "1/(7-n)", "exp(exp(n))", "min()", "(-1)**(1/n)"):
             with pytest.raises(ConfigError):
                 expression_schedule(expr).weights(10)
@@ -89,33 +89,38 @@ class TestSchedules:
     def test_float_evaluation_keeps_integer_results(self, expr):
         s = expression_schedule(expr)
         env = {"sqrt": math.sqrt, "min": min}
-        for n in range(2, 3000):
-            assert repr(s.alpha_at(n)) == repr(float(eval(expr, env, {"n": n})))
+        for n, (a, _) in enumerate(s.weights(2999), start=2):
+            assert repr(a) == repr(float(eval(expr, env, {"n": n})))
 
     def test_weights(self):
         s = Schedule(lambda n: 1 - 1 / n, lambda n: 1 / n)
         assert s.weights(4) == [(0.5, 0.5), (1 - 1 / 3, 1 / 3), (0.75, 0.25)]
         assert s.weights(1) == []
+        for n_max in (0, -3):
+            with pytest.raises(ConfigError, match=f"^n_max must be >= 1, got {n_max}$"):
+                s.weights(n_max)
 
-    @pytest.mark.parametrize("bad_alpha,bad_beta", [(4, 3), (3, 3), (3, 4), (9, 9)])
-    def test_weights_match_alpha_at_and_beta_at(self, bad_alpha, bad_beta):
-        """weights evaluates alpha_n then beta_n, stops at the first bad value
-        with alpha_at's or beta_at's error, as calling them in turn does."""
-        def outcome(weights):
-            calls = []
-            s = Schedule(lambda n: calls.append(("alpha", n)) or (1.5 if n == bad_alpha else 1 - 1 / n),
-                         lambda n: calls.append(("beta", n)) or (-0.5 if n == bad_beta else 1 / n))
-            try:
-                return weights(s), calls
-            except ConfigError as exc:
-                return str(exc), calls
+    @pytest.mark.parametrize("bad_alpha,bad_beta,error,n_calls", [
+        (4, 3, "beta_3 = -0.5 outside [0, 1]", 4),
+        (3, 3, "alpha_3 = 1.5 outside [0, 1]", 3),
+        (3, 4, "alpha_3 = 1.5 outside [0, 1]", 3),
+        (9, 9, None, 14),
+    ], ids=["4-3", "3-3", "3-4", "9-9"])
+    def test_weights_order_and_first_error(self, bad_alpha, bad_beta, error, n_calls):
+        """weights evaluates alpha_n then beta_n for n = 2, 3, ..., each once,
+        and stops at the first value outside [0, 1] with that value's error."""
+        calls = []
+        s = Schedule(lambda n: calls.append(("alpha", n)) or (1.5 if n == bad_alpha else 1 - 1 / n),
+                     lambda n: calls.append(("beta", n)) or (-0.5 if n == bad_beta else 1 / n))
+        if error is None:
+            assert s.weights(8) == [(1 - 1 / n, 1 / n) for n in range(2, 9)]
+        else:
+            with pytest.raises(ConfigError) as err:
+                s.weights(8)
+            assert str(err.value) == error
+        assert calls == [(w, n) for n in range(2, 9) for w in ("alpha", "beta")][:n_calls]
 
-        got = outcome(lambda s: s.weights(8))
-        assert got == outcome(lambda s: [(s.alpha_at(n), s.beta_at(n)) for n in range(2, 9)])
-        assert isinstance(got[0], list) == (min(bad_alpha, bad_beta) > 8)
-
-    @pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
-    def test_run_checks_schedule_before_step_two(self, scheme):
+    def test_race_checks_schedule_before_step_two(self):
         space = Euclidean(1)
         calls = []
         t = ContractiveLike(lambda x: calls.append(None) or 0.5 * x, 0.5,
@@ -124,7 +129,7 @@ class TestSchedules:
                       Schedule(lambda n: 0.5, lambda n: 0.5 if n < 7 else -0.5),
                       expression_schedule("1-1/(n-5)**2")):
             with pytest.raises(ConfigError):
-                run(space, t, scheme, sched, np.array([1.0]), 10)
+                rate_race(space, t, sched, np.array([1.0]), n_max=10)
             assert calls == []
 
 
@@ -189,19 +194,19 @@ class TestRuns:
     def test_cumulative_s_at_n5(self, halving):
         # exact-rational recursion: x5 = 15360/696787
         space, t, _ = halving
-        tr = run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 5)
+        tr = run(space, t, "implicit-s", default_schedule().weights(5), np.array([1.0]))
         exact = float(Fraction(15360, 696787))
         assert tr.records[-1].dist_to_p == pytest.approx(exact, abs=5e-14)
         assert exact == pytest.approx(0.022044039283167, abs=5e-16)
 
     def test_cumulative_ishikawa_at_n7(self, halving):
         space, t, _ = halving
-        tr = run(space, t, "implicit-ishikawa", default_schedule(), np.array([1.0]), 7)
+        tr = run(space, t, "implicit-ishikawa", default_schedule().weights(7), np.array([1.0]))
         assert tr.records[-1].dist_to_p == pytest.approx(0.292145335107371, abs=5e-14)
 
     def test_cumulative_mann_at_n50(self, halving):
         space, t, _ = halving
-        tr = run(space, t, "implicit-mann", default_schedule(), np.array([1.0]), 50)
+        tr = run(space, t, "implicit-mann", default_schedule().weights(50), np.array([1.0]))
         oracle = RationalOracle("implicit-mann").sequence(50)
         assert tr.records[-1].dist_to_p == pytest.approx(float(oracle[-1]), abs=5e-14)
         assert tr.records[-1].dist_to_p == pytest.approx(0.125645129018549, abs=5e-14)
@@ -209,26 +214,26 @@ class TestRuns:
     @pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
     def test_oracle_agreement_all_n(self, halving, scheme):
         space, t, _ = halving
-        tr = run(space, t, scheme, default_schedule(), np.array([1.0]), 50)
+        tr = run(space, t, scheme, default_schedule().weights(50), np.array([1.0]))
         oracle = RationalOracle(scheme).sequence(50)
         for rec, exact in zip(tr.records, oracle):
             assert abs(rec.dist_to_p - float(exact)) <= 5e-14
 
     def test_final_s_distance_vanishes(self, halving):
         space, t, _ = halving
-        tr = run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 50)
+        tr = run(space, t, "implicit-s", default_schedule().weights(50), np.array([1.0]))
         assert tr.records[-1].dist_to_p < 1e-15
 
     def test_start_at_fixed_point(self, halving):
         space, t, _ = halving
         p = np.array([0.0])
         for scheme in schemes.SCHEME_IDS:
-            tr = run(space, t, scheme, default_schedule(), p, 10)
+            tr = run(space, t, scheme, default_schedule().weights(10), p)
             assert all(r.dist_to_p == pytest.approx(0.0, abs=1e-15) for r in tr)
 
     def test_tripod_reduces_to_scalar_recursion(self):
         space, t, _ = mappings.tripod_radial(0.5)
-        tr = run(space, t, "implicit-s", default_schedule(), ("A", 1.0), 30)
+        tr = run(space, t, "implicit-s", default_schedule().weights(30), ("A", 1.0))
         oracle = RationalOracle("implicit-s").sequence(30)
         for rec, exact in zip(tr.records, oracle):
             assert abs(rec.dist_to_p - float(exact)) <= 5e-14
@@ -238,13 +243,13 @@ class TestRuns:
         space, t, _ = halving
         cfg = InnerSolverConfig()
         for scheme in schemes.SCHEME_IDS:
-            tr = run(space, t, scheme, default_schedule(), np.array([1.0]), 50, cfg)
+            tr = run(space, t, scheme, default_schedule().weights(50), np.array([1.0]), cfg)
             assert all(r.inner_residual <= cfg.tolerance for r in tr.records[1:])
 
     def test_distance_nonincreasing_on_corpus(self, halving):
         space, t, _ = halving
         for scheme in schemes.SCHEME_IDS:
-            tr = run(space, t, scheme, default_schedule(), np.array([1.0]), 50)
+            tr = run(space, t, scheme, default_schedule().weights(50), np.array([1.0]))
             d = [r.dist_to_p for r in tr]
             assert all(d[i + 1] <= d[i] + 1e-15 for i in range(len(d) - 1))
 
@@ -257,7 +262,7 @@ class TestRuns:
         space, t, _ = halving
         cfg = InnerSolverConfig(max_iterations=2)
         with pytest.raises(NonconvergenceError) as err:
-            run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 10, cfg)
+            run(space, t, "implicit-s", default_schedule().weights(10), np.array([1.0]), cfg)
         assert err.value.trace is not None
         assert len(err.value.trace) >= 1
 
@@ -269,7 +274,7 @@ class TestRuns:
         space, t = Euclidean(1), piecewise_map()
         for scheme in ("implicit-mann", "implicit-ishikawa"):
             with pytest.raises(NonconvergenceError) as err:
-                run(space, t, scheme, schedule_from_name("constant:0.5,1.0"), (0.88,), 10)
+                run(space, t, scheme, schedule_from_name("constant:0.5,1.0").weights(10), (0.88,))
             assert str(err.value) == f"{scheme} step n=2: inner solver exceeded 10000 iterations"
             assert err.value.residual == pytest.approx(0.0111, abs=1e-4)
             assert len(err.value.trace) == 1 and err.value.trace.records[0].x[0] == 0.88
@@ -277,11 +282,11 @@ class TestRuns:
     def test_unknown_scheme(self, halving):
         space, t, _ = halving
         with pytest.raises(ConfigError):
-            run(space, t, "explicit-mann", default_schedule(), np.array([1.0]), 5)
+            run(space, t, "explicit-mann", default_schedule().weights(5), np.array([1.0]))
 
     def test_csv_serialization(self, halving):
         space, t, _ = halving
-        tr = run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 3)
+        tr = run(space, t, "implicit-s", default_schedule().weights(3), np.array([1.0]))
         csv = tr.to_csv(space)
         lines = csv.strip().split("\n")
         assert lines[0] == "n,x,inner_iters,residual,dist_to_p"
@@ -294,10 +299,9 @@ class TestBoundsOnTraces:
         #             * d(x_{n-1},p) + tol
         space, t, _ = halving
         sched = default_schedule()
-        tr = run(space, t, "implicit-s", sched, np.array([1.0]), 50)
+        tr = run(space, t, "implicit-s", sched.weights(50), np.array([1.0]))
         d = [r.dist_to_p for r in tr]
-        for i, n in enumerate(range(2, 51)):
-            a, b = sched.alpha_at(n), sched.beta_at(n)
+        for i, (a, b) in enumerate(sched.weights(50)):
             factor = a * t.delta / (1 - (1 - a) * t.delta * (b + (1 - b) * t.delta))
             assert d[i + 1] <= factor * d[i] + 1e-10
 
@@ -305,19 +309,19 @@ class TestBoundsOnTraces:
         # d(x_n,p) <= [1 - (1-alpha_n)(1-delta)] d(x_{n-1},p) + tol
         space, t, _ = halving
         sched = default_schedule()
-        tr = run(space, t, "implicit-s", sched, np.array([1.0]), 50)
+        tr = run(space, t, "implicit-s", sched.weights(50), np.array([1.0]))
         d = [r.dist_to_p for r in tr]
         for i, n in enumerate(range(2, 51)):
-            factor = 1 - (1 - sched.alpha_at(n)) * (1 - t.delta)
+            factor = 1 - (1 - sched.alpha(n)) * (1 - t.delta)
             assert d[i + 1] <= factor * d[i] + 1e-10
 
     def test_beta_one_reduces_s_scheme(self, halving):
         # with beta == 1: y_n = x_n, so x_n = W(T x_{n-1}, T x_n, alpha)
         space, t, _ = halving
         sched = Schedule(lambda n: 0.0 if n < 2 else 1 - 1 / n, lambda n: 1.0)
-        tr = run(space, t, "implicit-s", sched, np.array([1.0]), 20)
+        tr = run(space, t, "implicit-s", sched.weights(20), np.array([1.0]))
         for i, n in enumerate(range(2, 21)):
-            a = sched.alpha_at(n)
+            a = sched.alpha(n)
             x_prev, rec = tr.records[i].x, tr.records[i + 1]
             direct = space.w(t.apply(x_prev), t.apply(rec.x), 1.0 - a)
             assert space.d(rec.x, direct) <= 1e-13
@@ -330,9 +334,9 @@ class TestExactAffine:
         m = AffineMap([[0.3, 0.1], [0.0, 0.4]], [0.1, 0.2])
         space, t, _ = mappings.affine(m)
         x0 = np.array([1.0, 1.0])
-        tr_p = run(space, t, scheme, default_schedule(), x0, 30,
+        tr_p = run(space, t, scheme, default_schedule().weights(30), x0,
                    InnerSolverConfig(mode="picard"))
-        tr_e = run(space, t, scheme, default_schedule(), x0, 30,
+        tr_e = run(space, t, scheme, default_schedule().weights(30), x0,
                    InnerSolverConfig(mode="exact-affine"))
         for rp, re in zip(tr_p.records, tr_e.records):
             assert space.d(rp.x, re.x) <= 1e-12
@@ -351,7 +355,7 @@ class TestExactAffine:
 
     def test_scalar_affine_equals_halving_oracle(self):
         space, t, _ = mappings.affine(AffineMap([[0.5]], [0.0]))
-        tr = run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 20,
+        tr = run(space, t, "implicit-s", default_schedule().weights(20), np.array([1.0]),
                  InnerSolverConfig(mode="exact-affine"), p=np.array([0.0]))
         oracle = RationalOracle("implicit-s").sequence(20)
         for rec, exact in zip(tr.records, oracle):
@@ -471,7 +475,7 @@ class TestCheckedAtTheBoundary:
         t = ContractiveLike(lambda x: (0.5 * x[0],) if x[0] > 0.01 else np.array([np.nan]),
                             0.5, fixed_point=np.array([0.0]))
         with pytest.raises(InvalidPointError, match=r"^step n=\d+: non-finite"):
-            run(space, t, "implicit-s", default_schedule(), np.array([1.0]), 20)
+            run(space, t, "implicit-s", default_schedule().weights(20), np.array([1.0]))
 
     @pytest.mark.parametrize("beta", [0.5, 1.0])
     def test_solver_uses_raw_primitives(self, monkeypatch, beta):
@@ -513,7 +517,7 @@ class TestCheckedAtTheBoundary:
         monkeypatch.setattr(schemes, "_picard_solve", counted)
         steps = 20
         tr = run(space, t, "implicit-ishikawa",
-                 Schedule(lambda n: 0.5, lambda n: beta), np.array([1.0, -1.0]), steps + 1,
+                 Schedule(lambda n: 0.5, lambda n: beta).weights(steps + 1), np.array([1.0, -1.0]),
                  p=np.array([0.0, 0.0]))
         assert len(tr) == steps + 1 and len(inside) == steps
         for c in inside:
@@ -582,7 +586,7 @@ def reference_run(space, t, scheme, schedule, x0, n_max, cfg):
     records = [(1, space.check_point(x0), None, 0, 0.0, space.d(x0, p))]
     x = x0
     for n in range(2, n_max + 1):
-        a, b = schedule.alpha_at(n), schedule.beta_at(n)
+        a, b = float(schedule.alpha(n)), float(schedule.beta(n))
         if scheme == "implicit-mann":
             b = 1.0
         anchor = t.apply(x) if scheme == "implicit-s" else x
@@ -597,7 +601,7 @@ def reference_datadep(space, t, s, schedule, x0, n_max, cfg, proof_variant):
     x = u = x0
     a_seq, mu_seq, eta_seq, u_steps = [d(x, u)], [], [], []
     for n in range(2, n_max + 1):
-        al, be = schedule.alpha_at(n), schedule.beta_at(n)
+        al, be = float(schedule.alpha(n)), float(schedule.beta(n))
         x_prev = x
         x, y, _, _ = reference_step(space, T, T, T(x), x, al, be, cfg)
         u_prev = u
@@ -655,7 +659,7 @@ class TestAgainstReferenceSolver:
         modes = ["picard", "exact-affine"] if name.startswith("affine") else ["picard"]
         for mode, scheme in [(m, s) for m in modes for s in schemes.SCHEME_IDS]:
             cfg = InnerSolverConfig(mode=mode)
-            trace = run(space, t, scheme, schedule, x0, 40, cfg)
+            trace = run(space, t, scheme, schedule.weights(40), x0, cfg)
             ref = reference_run(space, t, scheme, schedule, x0, 40, cfg)
             got = [(r.n, exact_form(r.x), exact_form(r.y), r.inner_iterations,
                     repr(r.inner_residual), repr(r.dist_to_p)) for r in trace]
@@ -792,7 +796,7 @@ class TestEvaluatedOnce:
         space, t, calls = counting_map(REFERENCE_MAPS[name]())
         x0 = REFERENCE_MAPS[name]()[2]
         inside = count_inside_solver(monkeypatch, calls)
-        trace = run(space, t, scheme, schedule_from_name(sched), x0, 30)
+        trace = run(space, t, scheme, schedule_from_name(sched).weights(30), x0)
         per_iteration = 1 if scheme == "implicit-mann" else 2  # outer, and inner
         assert len(inside) == 29
         # the first iteration takes T x_{n-1} from the caller
@@ -818,7 +822,7 @@ class TestEvaluatedOnce:
         events, watch = watch_affine_steps(monkeypatch)
         space, t, x0, _ = REFERENCE_MAPS["affine-2"]()
         watch(t)
-        run(space, t, scheme, default_schedule(), x0, 30)
+        run(space, t, scheme, default_schedule().weights(30), x0)
         assert not [e for e in events if e[0] == "apply"]  # T.apply is never called
         # per step, x_prev, and the anchor unless it is x_prev
         assert step_input_checks(events) == (2 if scheme == "implicit-s" else 1) * 29
@@ -869,7 +873,7 @@ class TestPointForms:
         space, t, x0, _ = REFERENCE_MAPS[name]()
         seen = []
         t.raw = recording(t.raw, seen)
-        trace = run(space, t, scheme, default_schedule(), x0, 20)
+        trace = run(space, t, scheme, default_schedule().weights(20), x0)
         assert len(seen) > 20 and all(is_raw_point(x, space.dim) for x in seen)
         assert all(is_public_point(r.x, space.dim) for r in trace)
         assert all(is_public_point(r.y, space.dim) for r in trace.records[1:])
@@ -897,7 +901,7 @@ class TestPointForms:
         made = []
         public = space.public
         space.public = lambda x: made.append(x) or public(x)
-        trace = run(space, t, "implicit-s", default_schedule(), x0, 20)
+        trace = run(space, t, "implicit-s", default_schedule().weights(20), x0)
         assert len(trace) == 20 and len(trace.distances()) == 20
         assert made == []  # neither len nor distances() builds a record
         records = trace.records
@@ -929,7 +933,7 @@ class TestPointForms:
 
     def test_a_reassigned_record_point_persists(self):
         space, t, x0, _ = REFERENCE_MAPS["affine-2"]()
-        trace = run(space, t, "implicit-ishikawa", default_schedule(), x0, 20)
+        trace = run(space, t, "implicit-ishikawa", default_schedule().weights(20), x0)
         moved = trace.records[10].x + 1e-6
         trace.records[10].x = moved
         assert trace.records[10].x is moved
@@ -991,7 +995,7 @@ def test_picard_iteration_calls_no_numpy(monkeypatch, name):
     t.raw = recording(t.raw, seen)
     for sched in REFERENCE_SCHEDULES:
         for scheme in schemes.SCHEME_IDS:
-            run(space, t, scheme, schedule_from_name(sched), x0, 30)
+            run(space, t, scheme, schedule_from_name(sched).weights(30), x0)
         run_datadep(space, t, mappings.perturbed(space, t, offset), schedule_from_name(sched),
                     x0=x0, n_max=30, proof_variant=True)
     # every point the map saw is a tuple of floats, so no ndarray operator ran

@@ -808,7 +808,7 @@ def test_a_subclass_that_keeps_check_point_gets_the_written_out_one():
 def d_w_and_run(space):
     """d, w and an S run of a 2-D affine map on space, as plain values."""
     t = mappings.affine(mappings.AffineMap([[0.3, 0.1], [0.0, 0.4]], [0.1, 0.2]))[1]
-    trace = run(space, t, "implicit-s", default_schedule(), (1.0, -1.0), 10)
+    trace = run(space, t, "implicit-s", default_schedule().weights(10), (1.0, -1.0))
     return (space.d((0.0, 1.0), [3.0, 5.0]), tuple(space.w((0.0, 1.0), (2.0, 2.0), 0.25)),
             [tuple(r.x.tolist()) for r in trace])
 
