@@ -17,6 +17,7 @@ numpy's cumprod, and Fractions stay exact.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -94,10 +95,13 @@ def berinde_compare(a, b, horizon: int = 200, threshold: float = 1e-6) -> RateVe
     ratio at the horizon is below the threshold AND the ratio decreased
     monotonically (nonincreasing) over the final quarter of the horizon.
     Where fewer than two points lie within the horizon, or `b` reaches 0
-    there, no ratio can be judged: the verdict is `degenerate`, with no ratio.
+    there, or a term of `a` or `b` there is not finite (d0 overflowed), no
+    ratio can be judged: the verdict is `degenerate`, with no ratio.
     """
     h = min(horizon, len(a), len(b))
-    if h < 2 or any(v <= 0.0 for v in b[:h]):
+    isfinite = math.isfinite
+    if (h < 2 or any(v <= 0.0 for v in b[:h]) or not all(map(isfinite, a[:h]))
+            or not all(map(isfinite, b[:h]))):
         return RateVerdict("degenerate", None, horizon, threshold)
     ratios = [a[i] / b[i] for i in range(h)]
     tail = ratios[h - max(2, h // 4):]

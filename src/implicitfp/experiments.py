@@ -350,7 +350,8 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     read.  A step that does not converge raises NonconvergenceError naming
     the step, n and whether the x-step (T) or the u-step (S) failed.
     The steps call the maps' raw forms (T.apply, the AffineMap, in an
-    exact-affine x-step); the closed form reads A and b from T.apply.
+    exact-affine x-step); the closed form reads A and b from T.apply.  A
+    Picard x-step does not check the outputs of a T closed on the space.
     """
     weights = datadep_weights(schedule or default_schedule(), n_max)
     cfg = cfg or InnerSolverConfig()
@@ -371,14 +372,16 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     delta, phi = t.delta, t.phi
     eps = s.epsilon
     T, S = schemes.step_map(t, cfg), s.raw  # the u-step is Picard, so S.raw
+    closed = schemes.closed_step_map(space, t, cfg)  # the x-step's T only
     for n, (al, be) in enumerate(weights, start=2):
         try:
             if n == 2:
-                tx, su = check(T(x)), check(S(u))
+                tx = T(x) if closed else check(T(x))
+                su = check(S(u))
             # each step hands back T x_n, T y_n and S u_n, checked
             x_prev, tx_prev, u_prev = x, tx, u
             step = "x-step"
-            x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx)
+            x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx, closed)
             tx, ty = stats.inner_x, stats.outer_y
             step = "u-step"
             u, _, stats = schemes.implicit_step(space, S if proof_variant else t.raw, S,

@@ -71,6 +71,13 @@ class ContractiveLike:
     trust without reading them again (the solver's Picard loop calls it).
     raw defaults to apply's own `raw` where apply has one (an AffineMap),
     else to apply.
+
+    The map is *closed* on a space when, for every x that the space's
+    check_point returns, check_point(raw(x)) accepts raw(x) and returns it
+    unchanged; the solver then does not check raw's outputs.  Only the
+    corpus constructors `halving`, `tripod_radial` and `halfplane_vertical`
+    certify that, each with its proof, and `closed_on` holds only while
+    `raw` is the function they certified: reassigning raw drops it.
     """
 
     apply: Callable
@@ -86,10 +93,19 @@ class ContractiveLike:
         validate_phi(self.phi)
         if self.raw is None:
             self.raw = getattr(self.apply, "raw", self.apply)
+        self._closed = None  # (raw, space class, space name) where certified
+
+    def closed_on(self, space: Space) -> bool:
+        """Whether raw is certified closed on space (a space of the class and
+        name its constructor proved it on), so its outputs need no check."""
+        c = self._closed
+        return (c is not None and self.raw is c[0] and type(space) is c[1]
+                and space.name == c[2])
 
     def __reduce__(self):  # AffineMap.raw is a closure: take it again from the copied apply
         raw = None if self.raw is getattr(self.apply, "raw", self.apply) else self.raw
-        return type(self), (self.apply, self.delta, self.phi, self.fixed_point, self.name, raw)
+        return (type(self), (self.apply, self.delta, self.phi, self.fixed_point, self.name, raw),
+                {"_closed": self._closed})
 
 
 @dataclass
@@ -208,21 +224,28 @@ def _affine_kernel(rows):
     return kernel
 
 
+def _closed_map(space: Space, raw: Callable, delta: float, fixed_point, name: str):
+    """ContractiveLike with raw, apply = raw on x read by the space's
+    check_point, phi == 0, certified closed on space: the caller proves it."""
+    check = space.check_point
+    t = ContractiveLike(lambda x: raw(check(x)), delta, LinearPhi(0.0),
+                        fixed_point=fixed_point, name=name, raw=raw)
+    t._closed = (raw, type(space), space.name)
+    return t
+
+
 def halving() -> tuple[Space, ContractiveLike, Callable]:
     """Tx = x/2 on [0, 1]; delta = 1/2, phi == 0, fixed point (0.0,).
 
     raw is (0.5 * x[0],) on a checked point, and apply is raw on x read by
-    the space's check_point.
+    the space's check_point.  Closed: 0.5*x of a finite float is finite.
     """
     space = Euclidean(1)
-    check = space.check_point
 
     def raw(x):
         return (0.5 * x[0],)
 
-    t = ContractiveLike(lambda x: raw(check(x)), 0.5,
-                        LinearPhi(0.0), fixed_point=(0.0,),
-                        name="halving", raw=raw)
+    t = _closed_map(space, raw, 0.5, (0.0,), "halving")
     subset = spaces.Interval(0.0, 1.0)
     return space, t, subset.sample
 
@@ -244,11 +267,17 @@ def affine(affmap: AffineMap, name="affine") -> tuple[Space, ContractiveLike, Ca
 
 
 def tripod_radial(factor: float) -> tuple[Space, ContractiveLike, Callable]:
-    """(ray, r) -> (ray, factor*r); contracts toward the hub with delta = factor."""
+    """(ray, r) -> (ray, factor*r); contracts toward the hub with delta = factor.
+
+    Closed: factor = delta in [0, 1) times a finite r >= 0 is finite and
+    >= 0, and an underflow to 0.0 is the hub, which is valid on any ray.
+    """
     space = Tripod()
-    t = ContractiveLike(lambda p: (p[0], factor * p[1]), factor,
-                        LinearPhi(0.0), fixed_point=("A", 0.0),
-                        name=f"tripod-radial:{factor}")
+
+    def raw(p):
+        return (p[0], factor * p[1])
+
+    t = _closed_map(space, raw, factor, ("A", 0.0), f"tripod-radial:{factor}")
     return space, t, space.sample
 
 
@@ -257,13 +286,16 @@ def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]
 
     Distances along the line are |ln(y1) - ln(y2)|, so the map contracts them
     by exactly `factor`; the line is a geodesic, hence convex, and the
-    iteration stays on it.
+    iteration stays on it.  Closed: for finite y > 0 and factor in [0, 1),
+    y**factor lies between min(y, 1) and max(y, 1), so it is finite and > 0.
     """
     space = HalfPlane()
     line = spaces.VerticalLine(0.0)
-    t = ContractiveLike(lambda z: (0.0, z[1] ** factor), factor,
-                        LinearPhi(0.0), fixed_point=(0.0, 1.0),
-                        name=f"halfplane-vertical:{factor}")
+
+    def raw(z):
+        return (0.0, z[1] ** factor)
+
+    t = _closed_map(space, raw, factor, (0.0, 1.0), f"halfplane-vertical:{factor}")
     return space, t, line.sample
 
 
@@ -322,10 +354,13 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     check_point accepts (a tuple, list or array of dim finite entries; a
     scalar at dim 1), not all zero, with a finite epsilon = raw_d(0, offset),
     the space's own distance from the origin to the offset.
-    S's raw is check_point(T.raw x) plus the offset, coordinate by
-    coordinate, as a tuple of floats (one expression per coordinate at
-    dims 1-3): T's output is checked, as a user's T may return any
-    sequence.  S's apply is raw on x read by check_point.
+    S's raw is T.raw x plus the offset, coordinate by coordinate, as a
+    tuple of floats (one expression per coordinate at dims 1-3).  T's
+    output is checked first unless T is closed on the space or T.raw is the
+    kernel of an AffineMap of the space's dim, which returns dim floats (an
+    inf or nan stays one after the finite offset, and the solver's check
+    of S's output rejects it); a user's T may return any sequence.  S's
+    apply is raw on x read by check_point.
     Tripod: offset is a finite radius shift > 0 along the same ray,
     epsilon = offset, and S is built on T.raw.  Any other offset raises
     CertificateError.
@@ -341,8 +376,14 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
         if not math.isfinite(eps):
             raise CertificateError(f"epsilon = d(0, offset) overflows for offset {offset}")
-        check = space.check_point
-        raw = _shifted(check, t.raw, off)
+        check, T, affmap = space.check_point, t.raw, t.apply
+        if not (t.closed_on(space) or (isinstance(affmap, AffineMap)
+                                       and T is affmap.raw and affmap.dim == space.dim)):
+            unchecked = T
+
+            def T(x):
+                return check(unchecked(x))
+        raw = _shifted(T, off)
         return ApproximateOperator(lambda x: raw(check(x)), eps,
                                    name=f"perturb:{t.name}:{off}", raw=raw)
     if isinstance(space, Tripod):
@@ -356,26 +397,26 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     raise ConfigError(f"perturbation not supported on space {space.name!r}")
 
 
-def _shifted(check, T, off):
-    """x -> check(T(x)) + off coordinate by coordinate, written out at dims 1-3."""
+def _shifted(T, off):
+    """x -> T(x) + off coordinate by coordinate, written out at dims 1-3."""
     if len(off) == 1:
         o0, = off
 
         def s(x):
-            return (check(T(x))[0] + o0,)
+            return (T(x)[0] + o0,)
     elif len(off) == 2:
         o0, o1 = off
 
         def s(x):
-            a0, a1 = check(T(x))
+            a0, a1 = T(x)
             return (a0 + o0, a1 + o1)
     elif len(off) == 3:
         o0, o1, o2 = off
 
         def s(x):
-            a0, a1, a2 = check(T(x))
+            a0, a1, a2 = T(x)
             return (a0 + o0, a1 + o1, a2 + o2)
     else:
         def s(x):
-            return tuple([a + c for a, c in zip(check(T(x)), off)])
+            return tuple([a + c for a, c in zip(T(x), off)])
     return s

@@ -216,7 +216,7 @@ class InnerStats:
 
 
 def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
-                  cfg: InnerSolverConfig, ix0):
+                  cfg: InnerSolverConfig, ix0, closed: bool):
     """Solve x = W(anchor, outer(y), 1-la), y = W(x, inner(x), 1-lb) by Picard iteration.
 
     Each iteration evaluates the step map at x inline: ix = inner(x), then
@@ -224,8 +224,11 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     lb None marks a Mann step: y = x and oy = ix, so inner, which the caller
     passes as outer, is the only map called.  ix0, unless None, is inner(x0)
     and stands in for the first call.  anchor, x0 and ix0 must be checked;
-    each map output is checked as it is produced, and a non-finite residual
-    d(x, fx) re-checks both points (InvalidPointError for an invalid one).
+    each map output is checked as it is produced, unless closed says both
+    maps are one map certified closed on the space (see
+    `ContractiveLike.closed_on`), whose outputs need no check.  A non-finite
+    residual d(x, fx) re-checks both points (InvalidPointError for an
+    invalid one) either way.
     Once within tolerance, keeps polishing while the residual strictly
     decreases, so accepted iterates sit near the machine fixed point.
     Returns (x, InnerStats) with the residual, y, ix and oy at that x.
@@ -235,12 +238,12 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     x, ix, best = x0, ix0, None  # best: (residual, x, y, ix, oy)
     for k in range(1, cfg.max_iterations + 1):
         if ix is None:
-            ix = check(inner(x))
+            ix = inner(x) if closed else check(inner(x))
         if lb is None:
             y, oy = x, ix
         else:
             y = raw_w(x, ix, lb)
-            oy = check(outer(y))
+            oy = outer(y) if closed else check(outer(y))
         fx = raw_w(anchor, oy, la)
         try:
             res = raw_d(x, fx)
@@ -274,6 +277,12 @@ def step_map(t, cfg: InnerSolverConfig):
     return t.apply if cfg.mode == "exact-affine" else t.raw
 
 
+def closed_step_map(space: Space, t: ContractiveLike, cfg: InnerSolverConfig) -> bool:
+    """Whether steps may skip checking the outputs of `step_map(t, cfg)`:
+    cfg's mode is Picard, so steps call t.raw, and t is closed on space."""
+    return cfg.mode == "picard" and t.closed_on(space)
+
+
 def check_mode(cfg: InnerSolverConfig, space: Space, outer, inner):
     """ConfigError unless cfg's mode can solve a step with these maps.
 
@@ -287,7 +296,8 @@ def check_mode(cfg: InnerSolverConfig, space: Space, outer, inner):
 
 
 def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
-                  beta: float, cfg: InnerSolverConfig = None, inner_x_prev=None):
+                  beta: float, cfg: InnerSolverConfig = None, inner_x_prev=None,
+                  _closed: bool = False):
     """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
     outer and inner are plain callables on checked points, such as a map's
@@ -307,6 +317,9 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     them: T x_n is the next implicit-S anchor and the next inner_x_prev.
     Points are passed and returned in the form check_point gives (tuples of
     floats on Euclidean space), so no array is built in the iteration.
+    `run` and the data-dependence x-step pass _closed when outer and inner
+    are the raw form of a map closed on the space (`closed_step_map`);
+    then the map's outputs are not checked.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w
@@ -326,7 +339,7 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     step_inner = outer if mann else inner
     if alpha != 1.0 and not exact:
         x, stats = _picard_solve(space, outer, step_inner, anchor, x_prev, la,
-                                 None if mann else lb, cfg, inner_x_prev)
+                                 None if mann else lb, cfg, inner_x_prev, _closed)
     else:  # x is known: evaluate the step map there once
         x = anchor
         if alpha != 1.0:
@@ -337,10 +350,15 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
             M = la * (beta * A + lb * (A @ A))
             rhs = alpha * np.array(anchor) + la * (lb * (A @ b) + b)
             x = check(np.linalg.solve(np.eye(len(b)) - M, rhs))
-        given = x is x_prev and inner_x_prev is not None
-        ix = inner_x_prev if given else check(step_inner(x))
-        y = x if mann else raw_w(x, ix, lb)
-        oy = ix if mann else check(outer(y))
+        if x is x_prev and inner_x_prev is not None:
+            ix = inner_x_prev
+        else:
+            ix = step_inner(x) if _closed else check(step_inner(x))
+        if mann:
+            y, oy = x, ix
+        else:
+            y = raw_w(x, ix, lb)
+            oy = outer(y) if _closed else check(outer(y))
         stats = (InnerStats(0, 0.0, y, ix, oy) if alpha == 1.0 else
                  InnerStats(1, space.d(x, raw_w(anchor, oy, la)), y, ix, oy))
     if mann and outer is not inner:
@@ -416,7 +434,7 @@ def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
     NonconvergenceError names the scheme and the step and carries the inner
     solver's residual and the partial trace, and an InvalidPointError names
     the step.  The steps run on checked points and call `step_map(t, cfg)`,
-    and the trace keeps
+    whose outputs they check unless `closed_step_map` holds, and the trace keeps
     them as they are; its records turn them into the space's public form
     when first read.
     """
@@ -434,16 +452,19 @@ def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
 
     rows = [(1, x0, None, 0, 0.0, dist(x0))]
     trace = IterationTrace(scheme, space, rows)
-    T = step_map(t, cfg)
+    T, closed = step_map(t, cfg), closed_step_map(space, t, cfg)
     x = x0
     for n, (a, b) in enumerate(weights, start=2):
         if scheme == "implicit-mann":
             b = 1.0
         try:
             # T x_{n-1}: the previous step hands it back
-            tx = space.check_point(T(x0)) if n == 2 else stats.inner_x
+            if n == 2:
+                tx = T(x0) if closed else space.check_point(T(x0))
+            else:
+                tx = stats.inner_x
             anchor = tx if scheme == "implicit-s" else x
-            x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg, tx)
+            x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg, tx, closed)
         except NonconvergenceError as exc:
             raise NonconvergenceError(f"{scheme} step n={n}: {exc}", residual=exc.residual,
                                       trace=trace) from exc

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,12 +166,21 @@ class TestBerinde:
         ([1.0, 0.5, 0.0], [1.0, 0.5, 0.0], 3),
         ([0.5], [1.0], 200), ([], [], 200),  # fewer than two points
         ([1.0, 0.5], [1.0, 0.5], 1), ([1.0, 0.5], [1.0, 0.5], 0),
+        # a term that is not finite: d0 overflowed, so every envelope is inf
+        ([math.inf, math.inf], [math.inf, math.inf], 200),
+        ([1.0, 0.5], [math.inf, 1.0], 200), ([1.0, math.inf], [1.0, 0.5], 200),
+        ([1.0, math.nan], [1.0, 0.5], 200), ([1.0, 0.5], [math.nan, 0.5], 200),
+        ([math.nan, 0.5, 0.25], [1.0, 1.0, 1.0], 200),
     ])
     def test_no_ratio_to_judge_is_degenerate(self, a, b, horizon):
         v = berinde_compare(a, b, horizon=horizon, threshold=1e-3)
         assert (v.verdict, v.final_ratio, v.horizon, v.threshold, v.ratios) == \
             ("degenerate", None, horizon, 1e-3, [])
         assert not v.faster
+
+    def test_a_term_past_the_horizon_is_not_read(self):
+        v = berinde_compare([1.0, 0.5, math.inf], [1.0, 1.0, math.nan], horizon=2)
+        assert v.verdict == "not-established" and v.final_ratio == 0.5
 
     def test_reference_vanishing_past_the_horizon_is_judged(self):
         v = berinde_compare([1.0, 0.5, 0.25, 0.0], [1.0, 1.0, 1.0, 0.0], horizon=3)

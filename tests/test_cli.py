@@ -119,6 +119,15 @@ class TestCompare:
         assert out.count("converged exactly at n=2") == 3
         assert run_cli(["compare", "--x0", "5e-324", "--assert-faster"]) == 1
 
+    def test_an_overflowing_d0_is_degenerate(self, capsys):
+        # x0 and p = -1.7e308 are finite, but d(x0, p) overflows: every
+        # envelope and the first actual distances are inf, with no ratio to judge
+        argv = ["compare", "--mapping", "affine:0.9|-1.7e307", "--x0", "1.7e308", "--n-max", "50"]
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count(": degenerate (final ratio None)") == 4 and len(out.splitlines()) == 4
+        assert run_cli(argv + ["--assert-faster"]) == 1
+
     @pytest.mark.parametrize("x0", ["5e-324", "0"])
     def test_exact_convergence_without_a_verdict(self, x0, capsys):
         assert run_cli(["compare", "--x0", x0]) == 0

@@ -499,3 +499,117 @@ def test_raw_on_checked_points_has_the_bits_of_apply(name):
                 op.raw(space.check_point(x))
             continue
         assert point_bits(op.raw(space.check_point(x))) == point_bits(want)
+
+
+# ---------------------------------------------------------------------------
+# the closed certificate: check_point(raw(x)) is raw(x) for every checked x
+
+MAX_FLOAT = sys.float_info.max
+# r, y >= 0 over the whole float range: subnormals, 0.0, and 10^-308 .. 10^308
+WIDE = st.one_of(
+    st.floats(0.0, MAX_FLOAT),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.9), st.integers(-308, 307)))
+FACTORS = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def assert_closed(space, t, x):
+    x = space.check_point(x)
+    y = t.raw(x)
+    assert space.check_point(y) is y
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-MAX_FLOAT)
+@example(x=-0.0)
+@example(x=5e-324)
+def test_halving_is_closed(x):
+    space, t, _ = mappings.halving()
+    assert t.closed_on(space)
+    assert_closed(space, t, (x,))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ray=st.sampled_from("ABC"), r=WIDE, factor=FACTORS)
+@example(ray="B", r=5e-324, factor=0.3)  # the image underflows to the hub
+@example(ray="A", r=-0.0, factor=0.5)
+@example(ray="A", r=2.2250738585072014e-308, factor=0.0)
+@example(ray="C", r=MAX_FLOAT, factor=0.9999999999999999)
+def test_tripod_radial_is_closed(ray, r, factor):
+    space, t, _ = mappings.tripod_radial(factor)
+    assert t.closed_on(space)
+    assert_closed(space, t, (ray, r))
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False),
+       y=WIDE.filter(lambda y: y > 0.0), factor=FACTORS)
+@example(x=0.0, y=5e-324, factor=0.9999999999999999)
+@example(x=7.0, y=MAX_FLOAT, factor=0.9999999999999999)
+@example(x=0.0, y=MAX_FLOAT, factor=0.0)
+@example(x=-0.0, y=1.0, factor=0.5)
+def test_halfplane_vertical_is_closed(x, y, factor):
+    space, t, _ = mappings.halfplane_vertical(factor)
+    assert t.closed_on(space)
+    assert_closed(space, t, (x, y))
+
+
+@pytest.mark.parametrize("build", [mappings.halving, lambda: mappings.tripod_radial(0.7),
+                                   lambda: mappings.halfplane_vertical(0.6)],
+                         ids=["halving", "tripod-radial", "halfplane-vertical"])
+class TestClosedCertificate:
+    def test_reassigning_raw_drops_it(self, build):
+        space, t, _ = build()
+        raw = t.raw
+        t.raw = lambda x: raw(x)  # the same map, but not the function proved closed
+        assert not t.closed_on(space)
+        t.raw = raw
+        assert t.closed_on(space)
+
+    def test_it_survives_copy(self, build):
+        # copy and pickle both rebuild the map through __reduce__
+        space, t, _ = build()
+        for clone in (copy.copy(t), copy.deepcopy(t)):
+            assert clone.raw is t.raw and clone.closed_on(space)
+
+    def test_only_on_its_own_space(self, build):
+        space, t, _ = build()
+
+        class Sub(type(space)):  # may check points differently
+            pass
+
+        other = Euclidean(2) if isinstance(space, Euclidean) else Euclidean(1)
+        assert t.closed_on(copy.copy(space))
+        assert not t.closed_on(other)
+        sub = copy.copy(space)
+        sub.__class__ = Sub
+        assert not t.closed_on(sub)
+
+    def test_a_rebuilt_map_is_not_certified(self, build):
+        space, t, _ = build()
+        assert not ContractiveLike(t.apply, t.delta, t.phi, t.fixed_point, raw=t.raw).closed_on(space)
+
+
+@pytest.mark.parametrize("name", ["affine:0.9", "affine:0.3,0.1;0.0,0.4|0.1,0.2"])
+def test_affine_maps_are_not_certified(name):
+    # an image can overflow to inf at dims 1-2 (see the test above)
+    space, t, _ = mappings.from_name(name)
+    assert not t.closed_on(space)
+
+
+def test_a_contractive_pickle_keeps_the_certificate():
+    # pickling a corpus map fails on its apply closure; the certificate rides
+    # in __reduce__'s state, so a map of picklable functions keeps it
+    space = Euclidean(1)
+    t = ContractiveLike(_pickled_apply, 0.5, raw=_pickled_raw)
+    t._closed = (_pickled_raw, Euclidean, space.name)
+    clone = pickle.loads(pickle.dumps(t))
+    assert clone.raw is _pickled_raw and clone.closed_on(space)
+
+
+def _pickled_raw(x):
+    return (0.5 * x[0],)
+
+
+def _pickled_apply(x):
+    return _pickled_raw(Euclidean(1).check_point(x))

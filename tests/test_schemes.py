@@ -1,6 +1,7 @@
 import copy
 import math
 import sys
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ import pytest
 from implicitfp import mappings, schemes
 from implicitfp.bounds import check_lemma1
 from implicitfp.errors import ConfigError, InvalidPointError, NonconvergenceError
-from implicitfp.experiments import ORACLE_RATIOS, RationalOracle, rate_race, run_datadep
+from implicitfp.experiments import (ORACLE_RATIOS, RationalOracle, default_x0, rate_race,
+                                    run_datadep)
 from implicitfp.mappings import AffineMap, ContractiveLike, LinearPhi
 from implicitfp.schemes import (InnerSolverConfig, Schedule, default_schedule,
                                 expression_schedule, implicit_step, run,
@@ -840,6 +842,80 @@ class TestEvaluatedOnce:
         assert [e[2] for e in events if e[0] == "apply"] == ["run_datadep"]
         assert rep.closed_form_q is not None
         assert step_input_checks(events) == 2 * 2 * 29  # x_prev and anchor, both steps
+
+    @pytest.mark.parametrize("proof_variant", [False, True])
+    @pytest.mark.parametrize("name", ["affine-2", "halving"])
+    def test_datadep_checks_each_s_output_once(self, monkeypatch, name, proof_variant):
+        # S over an AffineMap's kernel or a closed map shifts T's output
+        # unchecked, and the solver checks S's output once
+        events, watch = watch_affine_steps(monkeypatch)
+        space, t, x0, offset = REFERENCE_MAPS[name]()
+        s = mappings.perturbed(space, t, offset)  # built on T's own raw, before it is watched
+        watch(t)
+        watch(s)
+        run_datadep(space, t, s, default_schedule(), x0=x0, n_max=30,
+                    proof_variant=proof_variant)
+        outputs = sum(kind == "output" for kind, _, _ in events)
+        checks = sum(kind == "check" for kind, _, _ in events)
+        assert outputs and checks == step_input_checks(events) + outputs
+
+    def test_s_over_a_user_map_checks_its_output(self):
+        # a user's T may return any sequence: after its first call this one
+        # returns two coordinates on the line, which S must not shift as one
+        calls = []
+
+        def user(x):
+            calls.append(x)
+            return [0.5 * x[0]] if len(calls) == 1 else [0.5 * x[0], 0.0]
+
+        space, t = mappings.halving()[:2]
+        s = mappings.perturbed(space, ContractiveLike(user, 0.5), (0.01,))
+        with pytest.raises(InvalidPointError, match="^step n=2: ") as info:
+            run_datadep(space, t, s, default_schedule(), x0=(1.0,), n_max=30)
+        # S u_1 was fine; S's first call inside the u-step's Picard loop raised
+        assert len(calls) == 2
+        cause = info.value.__cause__.__traceback__
+        assert "_picard_solve" in [frame.name for frame in traceback.extract_tb(cause)]
+
+
+def counting_checks(space):
+    """A list that gets one entry per check_point call of space, counted
+    through an instance attribute, as the benchmark's tracer counts them."""
+    calls, check = [], space.check_point
+
+    def counted(x):
+        calls.append(None)
+        return check(x)
+
+    space.check_point = counted
+    return calls
+
+
+class TestClosedMaps:
+    @pytest.mark.parametrize("sched", REFERENCE_SCHEDULES)
+    @pytest.mark.parametrize("name", ["tripod-radial:0.7", "halfplane-vertical:0.6"])
+    def test_a_race_checks_points_per_step_not_per_iteration(self, name, sched):
+        space, t, _ = mappings.from_name(name)
+        checks = counting_checks(space)
+        race = rate_race(space, t, schedule_from_name(sched), n_max=200)
+        iterations = sum(r.inner_iterations for tr in race.traces.values() for r in tr)
+        assert iterations > 3 * 199 * 6  # two map calls each, none checked
+        # x0 for the race and d(x0, p); x0 and p per run; per step x_prev,
+        # and S's anchor T x_{n-1}
+        assert len(checks) == 1 + 2 + 3 * 2 + 4 * 199
+
+    @pytest.mark.parametrize("name", ["halving", "tripod-radial:0.7", "halfplane-vertical:0.6"])
+    def test_a_reassigned_raw_is_checked_again(self, name):
+        space, t, _ = mappings.from_name(name)
+        x0 = default_x0(space, t)
+        want = run(space, t, "implicit-s", default_schedule().weights(30), x0)
+        space, t, calls = counting_map((space, t))
+        assert not t.closed_on(space)
+        checks = counting_checks(space)
+        got = run(space, t, "implicit-s", default_schedule().weights(30), x0)
+        assert repr(got._rows) == repr(want._rows)
+        # every map output, then x0 and p, and per step x_prev and the anchor
+        assert len(checks) == len(calls) + 2 + 2 * 29
 
 
 # ---------------------------------------------------------------------------
