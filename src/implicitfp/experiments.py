@@ -347,8 +347,9 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     otherwise the report is marked inconclusive (converged=False).  The
     schedule and n_max are checked by datadep_weights before any step.  The report keeps the
     checked p and q and gives them in the space's public form when first
-    read.  A step that does not converge raises NonconvergenceError naming
-    the step, n and whether the x-step (T) or the u-step (S) failed.
+    read.  A step that does not converge raises NonconvergenceError, and a
+    point outside the space InvalidPointError, naming the step n and
+    whether the x-step (T) or the u-step (S) failed.
     The steps call the maps' raw forms (T.apply, the AffineMap, in an
     exact-affine x-step); the closed form reads A and b from T.apply.  A
     Picard x-step does not check the outputs of a T closed on the space.
@@ -375,12 +376,14 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     closed = schemes.closed_step_map(space, t, cfg)  # the x-step's T only
     for n, (al, be) in enumerate(weights, start=2):
         try:
+            step = "x-step"
             if n == 2:
                 tx = T(x) if closed else check(T(x))
+                step = "u-step"
                 su = check(S(u))
+                step = "x-step"
             # each step hands back T x_n, T y_n and S u_n, checked
             x_prev, tx_prev, u_prev = x, tx, u
-            step = "x-step"
             x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx, closed)
             tx, ty = stats.inner_x, stats.outer_y
             step = "u-step"
@@ -396,7 +399,7 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
         except NonconvergenceError as exc:
             raise NonconvergenceError(f"{step} n={n}: {exc}", residual=exc.residual) from exc
         except InvalidPointError as exc:
-            raise InvalidPointError(f"step n={n}: {exc}") from exc
+            raise InvalidPointError(f"{step} n={n}: {exc}") from exc
         mu_seq.append((1.0 - al) * (1.0 - delta))
         eta_seq.append(eta)
 

@@ -93,14 +93,16 @@ class ContractiveLike:
         validate_phi(self.phi)
         if self.raw is None:
             self.raw = getattr(self.apply, "raw", self.apply)
-        self._closed = None  # (raw, space class, space name) where certified
+        self._closed = None  # (raw, space class, space name, chart) where certified
 
-    def closed_on(self, space: Space) -> bool:
-        """Whether raw is certified closed on space (a space of the class and
-        name its constructor proved it on), so its outputs need no check."""
+    def closed_on(self, space: Space):
+        """The certificate (raw, space class, space name, chart) if raw is
+        certified closed on space (a space of the class and name its
+        constructor proved it on), so its outputs need no check; else None.
+        chart is the map's factor on its chart, or None (see `_closed_map`)."""
         c = self._closed
-        return (c is not None and self.raw is c[0] and type(space) is c[1]
-                and space.name == c[2])
+        ok = c is not None and self.raw is c[0] and type(space) is c[1] and space.name == c[2]
+        return c if ok else None
 
     def __reduce__(self):  # AffineMap.raw is a closure: take it again from the copied apply
         raw = None if self.raw is getattr(self.apply, "raw", self.apply) else self.raw
@@ -224,13 +226,17 @@ def _affine_kernel(rows):
     return kernel
 
 
-def _closed_map(space: Space, raw: Callable, delta: float, fixed_point, name: str):
+def _closed_map(space: Space, raw: Callable, delta: float, fixed_point, name: str,
+                chart=None):
     """ContractiveLike with raw, apply = raw on x read by the space's
-    check_point, phi == 0, certified closed on space: the caller proves it."""
+    check_point, phi == 0, certified closed on space: the caller proves it.
+    chart, unless None, is c with raw(head + (s,)) = head + (c*s,), where the
+    space's raw_w and raw_d on points of one head are (1-lam)*a + lam*b and
+    abs(a - b) in s; the solver then iterates on s (`schemes._picard_solve`)."""
     check = space.check_point
     t = ContractiveLike(lambda x: raw(check(x)), delta, LinearPhi(0.0),
                         fixed_point=fixed_point, name=name, raw=raw)
-    t._closed = (raw, type(space), space.name)
+    t._closed = (raw, type(space), space.name, chart)
     return t
 
 
@@ -239,13 +245,14 @@ def halving() -> tuple[Space, ContractiveLike, Callable]:
 
     raw is (0.5 * x[0],) on a checked point, and apply is raw on x read by
     the space's check_point.  Closed: 0.5*x of a finite float is finite.
+    Chart factor 0.5: at dim 1, math.dist is abs(a - b) and `_w1` is linear.
     """
     space = Euclidean(1)
 
     def raw(x):
         return (0.5 * x[0],)
 
-    t = _closed_map(space, raw, 0.5, (0.0,), "halving")
+    t = _closed_map(space, raw, 0.5, (0.0,), "halving", chart=0.5)
     subset = spaces.Interval(0.0, 1.0)
     return space, t, subset.sample
 
@@ -271,13 +278,14 @@ def tripod_radial(factor: float) -> tuple[Space, ContractiveLike, Callable]:
 
     Closed: factor = delta in [0, 1) times a finite r >= 0 is finite and
     >= 0, and an underflow to 0.0 is the hub, which is valid on any ray.
+    Chart factor `factor`: on one ray, raw_w and raw_d act on r alone.
     """
     space = Tripod()
 
     def raw(p):
         return (p[0], factor * p[1])
 
-    t = _closed_map(space, raw, factor, ("A", 0.0), f"tripod-radial:{factor}")
+    t = _closed_map(space, raw, factor, ("A", 0.0), f"tripod-radial:{factor}", chart=factor)
     return space, t, space.sample
 
 
@@ -288,6 +296,7 @@ def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]
     by exactly `factor`; the line is a geodesic, hence convex, and the
     iteration stays on it.  Closed: for finite y > 0 and factor in [0, 1),
     y**factor lies between min(y, 1) and max(y, 1), so it is finite and > 0.
+    No chart factor: W and d on the line are not linear in y.
     """
     space = HalfPlane()
     line = spaces.VerticalLine(0.0)

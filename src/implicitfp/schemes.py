@@ -23,6 +23,11 @@ T is delta-Lipschitz and the step map's Lipschitz constant is
 (1-alpha)*delta*[beta+(1-beta)*delta] < 1.  For phi != 0 the
 contractive-like inequality gives no such bound, and a step that does not
 converge within the budget raises NonconvergenceError.
+
+Halving and tripod-radial certify a chart factor c: on points that differ
+only in the last coordinate s (one tripod ray), T is s -> c*s, W is
+(1-lam)*a + lam*b and d is |a - b|.  A step on one chart runs its Picard
+loop on s as a float, with the same expressions, so with the same bits.
 """
 
 from __future__ import annotations
@@ -215,8 +220,13 @@ class InnerStats:
     outer_y: object = None
 
 
+def _on_chart(p, head) -> bool:
+    """Whether p is the tuple head + (s,) for some s, its head the same objects."""
+    return type(p) is tuple and len(p) == len(head) + 1 and all(map(operator.is_, p, head))
+
+
 def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
-                  cfg: InnerSolverConfig, ix0, closed: bool):
+                  cfg: InnerSolverConfig, ix0, closed):
     """Solve x = W(anchor, outer(y), 1-la), y = W(x, inner(x), 1-lb) by Picard iteration.
 
     Each iteration evaluates the step map at x inline: ix = inner(x), then
@@ -225,40 +235,79 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     passes as outer, is the only map called.  ix0, unless None, is inner(x0)
     and stands in for the first call.  anchor, x0 and ix0 must be checked;
     each map output is checked as it is produced, unless closed says both
-    maps are one map certified closed on the space (see
-    `ContractiveLike.closed_on`), whose outputs need no check.  A non-finite
-    residual d(x, fx) re-checks both points (InvalidPointError for an
-    invalid one) either way.
+    maps are one map certified closed on the space (True, or its
+    certificate from `ContractiveLike.closed_on`), whose outputs need no
+    check.  A non-finite residual d(x, fx) re-checks both points
+    (InvalidPointError for an invalid one) either way.
     Once within tolerance, keeps polishing while the residual strictly
     decreases, so accepted iterates sit near the machine fixed point.
     Returns (x, InnerStats) with the residual, y, ix and oy at that x.
+
+    The chart path: when the certificate has a chart factor c and x0, anchor
+    and ix0 share every coordinate but the last, the loop runs on that one
+    as floats: ix = c*x, y = (1-lb)*x + lb*ix, oy = c*y, fx = (1-la)*a +
+    la*oy, res = abs(x - fx).  raw, raw_w and raw_d evaluate these very
+    expressions on such points (`_w1` and math.dist at dim 1, Tripod on one
+    ray), so iterates, residuals and errors keep their bits; the tuples are
+    rebuilt once per solve.
     """
     raw_d, raw_w, check = space.raw_d, space.raw_w, space.check_point
     isfinite, tol = math.isfinite, cfg.tolerance
     x, ix, best = x0, ix0, None  # best: (residual, x, y, ix, oy)
-    for k in range(1, cfg.max_iterations + 1):
-        if ix is None:
-            ix = inner(x) if closed else check(inner(x))
-        if lb is None:
-            y, oy = x, ix
-        else:
-            y = raw_w(x, ix, lb)
-            oy = outer(y) if closed else check(outer(y))
-        fx = raw_w(anchor, oy, la)
-        try:
-            res = raw_d(x, fx)
-        except (ArithmeticError, ValueError):  # e.g. a half-plane point with y <= 0
-            res = math.nan
-        if res <= tol:
-            if best is not None and res >= best[0]:
-                break
-            best = (res, x, y, ix, oy)
-            if res == 0.0:
-                break
-        elif not isfinite(res):
-            check(x)
-            check(fx)
-        x, ix = fx, None
+    c = closed[3] if type(closed) is tuple else None
+    head = x0[:-1] if c is not None and type(x0) is tuple else None
+    if head is not None and _on_chart(anchor, head) and (ix0 is None or _on_chart(ix0, head)):
+        a, x, ix = anchor[-1], x0[-1], None if ix0 is None else ix0[-1]
+        ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
+        for k in range(1, cfg.max_iterations + 1):
+            if ix is None:
+                ix = c * x
+            if lb is None:
+                y, oy = x, ix
+            else:
+                y = mb * x + lb * ix
+                oy = c * y
+            fx = ma * a + la * oy
+            res = abs(x - fx)
+            if res <= tol:
+                if best is not None and res >= best[0]:
+                    break
+                best = (res, x, y, ix, oy)
+                if res == 0.0:
+                    break
+            elif not isfinite(res):
+                check(head + (x,))
+                check(head + (fx,))
+            x, ix = fx, None
+        if best is not None:
+            res, x, y, ix, oy = best
+            x, ix = head + (x,), head + (ix,)
+            y, oy = (x, ix) if lb is None else (head + (y,), head + (oy,))
+            return x, InnerStats(k, res, y, ix, oy)
+    else:
+        for k in range(1, cfg.max_iterations + 1):
+            if ix is None:
+                ix = inner(x) if closed else check(inner(x))
+            if lb is None:
+                y, oy = x, ix
+            else:
+                y = raw_w(x, ix, lb)
+                oy = outer(y) if closed else check(outer(y))
+            fx = raw_w(anchor, oy, la)
+            try:
+                res = raw_d(x, fx)
+            except (ArithmeticError, ValueError):  # e.g. a half-plane point with y <= 0
+                res = math.nan
+            if res <= tol:
+                if best is not None and res >= best[0]:
+                    break
+                best = (res, x, y, ix, oy)
+                if res == 0.0:
+                    break
+            elif not isfinite(res):
+                check(x)
+                check(fx)
+            x, ix = fx, None
     if best is None:
         raise NonconvergenceError(
             f"inner solver exceeded {cfg.max_iterations} iterations",
@@ -277,9 +326,10 @@ def step_map(t, cfg: InnerSolverConfig):
     return t.apply if cfg.mode == "exact-affine" else t.raw
 
 
-def closed_step_map(space: Space, t: ContractiveLike, cfg: InnerSolverConfig) -> bool:
-    """Whether steps may skip checking the outputs of `step_map(t, cfg)`:
-    cfg's mode is Picard, so steps call t.raw, and t is closed on space."""
+def closed_step_map(space: Space, t: ContractiveLike, cfg: InnerSolverConfig):
+    """t's closed certificate if steps may skip checking the outputs of
+    `step_map(t, cfg)` (cfg's mode is Picard, so steps call t.raw, and t is
+    closed on space), else a false value.  Steps take it as `_closed`."""
     return cfg.mode == "picard" and t.closed_on(space)
 
 
@@ -297,7 +347,7 @@ def check_mode(cfg: InnerSolverConfig, space: Space, outer, inner):
 
 def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
                   beta: float, cfg: InnerSolverConfig = None, inner_x_prev=None,
-                  _closed: bool = False):
+                  _closed=False):
     """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
     outer and inner are plain callables on checked points, such as a map's
@@ -317,9 +367,10 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     them: T x_n is the next implicit-S anchor and the next inner_x_prev.
     Points are passed and returned in the form check_point gives (tuples of
     floats on Euclidean space), so no array is built in the iteration.
-    `run` and the data-dependence x-step pass _closed when outer and inner
-    are the raw form of a map closed on the space (`closed_step_map`);
-    then the map's outputs are not checked.
+    `run` and the data-dependence x-step pass _closed, the certificate
+    from `closed_step_map`, when outer and inner are the raw form of a map
+    closed on the space; then the map's outputs are not checked, and a
+    chart factor in it lets `_picard_solve` iterate on one float.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w

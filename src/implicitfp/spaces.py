@@ -225,6 +225,8 @@ def _read_point(x, dim):
         v = np.atleast_1d(np.asarray(x, dtype=float))
     except (TypeError, ValueError):  # ragged or non-numeric
         raise InvalidPointError(f"expected {dim} real coordinates, got {x!r}") from None
+    except OverflowError:  # an int past the floats
+        raise InvalidPointError(f"expected {dim} reals, got an int past the floats") from None
     if v.shape != (dim,):
         raise InvalidPointError(f"expected {dim} coordinates, got {v.shape}")
     v = v.tolist()
@@ -305,6 +307,8 @@ class Tripod(Space):
                 return x
         except (TypeError, ValueError):  # no (ray, r) pair, or r no real
             raise InvalidPointError(f"expected a tripod point (ray, r), got {x!r}") from None
+        except OverflowError:  # an int r past the floats
+            raise InvalidPointError("radius is an int past the floats") from None
         if ray not in TRIPOD_RAYS:
             raise InvalidPointError(f"unknown ray {ray!r}")
         raise InvalidPointError(f"radius must be finite and >= 0, got {r}")
@@ -414,6 +418,8 @@ class HalfPlane(Space):
                 return z
         except (TypeError, ValueError):  # no (x, y) pair, or no reals
             pass
+        except OverflowError:  # an int past the floats
+            raise InvalidPointError("half-plane coordinate is an int past the floats") from None
         raise InvalidPointError(f"half-plane requires finite coords with y > 0, got {z}")
 
     def raw_d(self, z1, z2):

@@ -503,7 +503,8 @@ class TestSchemeFailure:
         if command == "datadep":  # one offset entry per coordinate
             argv += ["--perturb", ",".join(["0.01"] * len(x0.split(",")))]
         assert run_cli(argv) == 3
-        assert capsys.readouterr().err.startswith("scheme failure: step n=2: ")
+        step = "x-step" if command == "datadep" else "step"
+        assert capsys.readouterr().err.startswith(f"scheme failure: {step} n=2: ")
 
 
 def codes_in_a_fresh_interpreter(argvs):

@@ -324,6 +324,20 @@ class TestDataDependence:
         assert str(err.value) == "u-step n=2: inner solver exceeded 10000 iterations"
         assert err.value.residual == pytest.approx(0.012, abs=1e-3)
 
+    @pytest.mark.parametrize("name,x0,offset,message", [
+        # T's image at n = 2 overflows: checked for the x-step
+        ("affine:-0.9|1e308", (-1.7e308,), (0.01,), "x-step n=2: "),
+        # T's image is finite, S's is not: checked for the u-step
+        ("halving", (1.7e308,), (1.7e308,), r"u-step n=2: non-finite coordinates: \(inf,\)$"),
+        # S = T + 1e308 leaves the floats inside the u-step
+        ("halving", (1.0,), (1e308,), r"u-step n=7: non-finite coordinates: \(inf,\)$"),
+    ])
+    def test_an_invalid_point_names_the_x_or_u_step(self, name, x0, offset, message):
+        space, t, _ = mappings.from_name(name)
+        s = mappings.perturbed(space, t, offset)
+        with pytest.raises(InvalidPointError, match="^" + message):
+            run_datadep(space, t, s, x0=x0)
+
     @pytest.mark.parametrize("n_max", [1, 0, -3])
     def test_too_few_steps_rejected(self, n_max):
         # the averaging lemma needs at least one index, so n_max >= 2

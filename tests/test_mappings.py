@@ -554,40 +554,48 @@ def test_halfplane_vertical_is_closed(x, y, factor):
     assert_closed(space, t, (x, y))
 
 
-@pytest.mark.parametrize("build", [mappings.halving, lambda: mappings.tripod_radial(0.7),
-                                   lambda: mappings.halfplane_vertical(0.6)],
-                         ids=["halving", "tripod-radial", "halfplane-vertical"])
+def chart_of(t, space):
+    """The chart factor in t's closed certificate on space (which it must have)."""
+    return t.closed_on(space)[3]
+
+
+# (map, the chart factor its certificate records)
+@pytest.mark.parametrize("build,chart", [
+    (mappings.halving, 0.5), (lambda: mappings.tripod_radial(0.7), 0.7),
+    (lambda: mappings.halfplane_vertical(0.6), None)],
+    ids=["halving", "tripod-radial", "halfplane-vertical"])
 class TestClosedCertificate:
-    def test_reassigning_raw_drops_it(self, build):
+    def test_reassigning_raw_drops_it(self, build, chart):
         space, t, _ = build()
         raw = t.raw
         t.raw = lambda x: raw(x)  # the same map, but not the function proved closed
-        assert not t.closed_on(space)
+        assert t.closed_on(space) is None  # the chart factor goes with it
         t.raw = raw
-        assert t.closed_on(space)
+        assert chart_of(t, space) == chart
 
-    def test_it_survives_copy(self, build):
+    def test_it_survives_copy(self, build, chart):
         # copy and pickle both rebuild the map through __reduce__
         space, t, _ = build()
         for clone in (copy.copy(t), copy.deepcopy(t)):
-            assert clone.raw is t.raw and clone.closed_on(space)
+            assert clone.raw is t.raw and chart_of(clone, space) == chart
 
-    def test_only_on_its_own_space(self, build):
+    def test_only_on_its_own_space(self, build, chart):
         space, t, _ = build()
 
         class Sub(type(space)):  # may check points differently
             pass
 
         other = Euclidean(2) if isinstance(space, Euclidean) else Euclidean(1)
-        assert t.closed_on(copy.copy(space))
-        assert not t.closed_on(other)
+        assert chart_of(t, copy.copy(space)) == chart
+        assert t.closed_on(other) is None
         sub = copy.copy(space)
         sub.__class__ = Sub
-        assert not t.closed_on(sub)
+        assert t.closed_on(sub) is None
 
-    def test_a_rebuilt_map_is_not_certified(self, build):
+    def test_a_rebuilt_map_is_not_certified(self, build, chart):
         space, t, _ = build()
-        assert not ContractiveLike(t.apply, t.delta, t.phi, t.fixed_point, raw=t.raw).closed_on(space)
+        assert ContractiveLike(t.apply, t.delta, t.phi, t.fixed_point,
+                               raw=t.raw).closed_on(space) is None
 
 
 @pytest.mark.parametrize("name", ["affine:0.9", "affine:0.3,0.1;0.0,0.4|0.1,0.2"])
@@ -602,9 +610,9 @@ def test_a_contractive_pickle_keeps_the_certificate():
     # in __reduce__'s state, so a map of picklable functions keeps it
     space = Euclidean(1)
     t = ContractiveLike(_pickled_apply, 0.5, raw=_pickled_raw)
-    t._closed = (_pickled_raw, Euclidean, space.name)
+    t._closed = (_pickled_raw, Euclidean, space.name, 0.5)
     clone = pickle.loads(pickle.dumps(t))
-    assert clone.raw is _pickled_raw and clone.closed_on(space)
+    assert clone.raw is _pickled_raw and chart_of(clone, space) == 0.5
 
 
 def _pickled_raw(x):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from implicitfp import mappings, schemes
 from implicitfp.bounds import check_lemma1
@@ -870,7 +872,7 @@ class TestEvaluatedOnce:
 
         space, t = mappings.halving()[:2]
         s = mappings.perturbed(space, ContractiveLike(user, 0.5), (0.01,))
-        with pytest.raises(InvalidPointError, match="^step n=2: ") as info:
+        with pytest.raises(InvalidPointError, match="^u-step n=2: ") as info:
             run_datadep(space, t, s, default_schedule(), x0=(1.0,), n_max=30)
         # S u_1 was fine; S's first call inside the u-step's Picard loop raised
         assert len(calls) == 2
@@ -916,6 +918,94 @@ class TestClosedMaps:
         assert repr(got._rows) == repr(want._rows)
         # every map output, then x0 and p, and per step x_prev and the anchor
         assert len(checks) == len(calls) + 2 + 2 * 29
+
+
+# ---------------------------------------------------------------------------
+# the chart path: a closed map with a chart factor is solved on one float,
+# with the bits of the generic loop
+
+
+MAX_FLOAT = sys.float_info.max
+# 0.0, the smallest subnormal and the wide scales, and anything in between
+CHART_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300, MAX_FLOAT]),
+                         st.floats(0.0, MAX_FLOAT))
+FACTORS = st.floats(0.0, 1.0, exclude_max=True)
+WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+def scaled_line(c):
+    """(space, x -> c*x on Euclidean(1), certified closed with chart factor c)."""
+    space = Euclidean(1)
+    return space, mappings._closed_map(space, lambda x: (c * x[0],), c, (0.0,), "scaled",
+                                       chart=c)
+
+
+def solve_outcome(*args):
+    """repr of what _picard_solve returns, or the exception's type, text and residual."""
+    try:
+        x, stats = schemes._picard_solve(*args)
+    except (NonconvergenceError, InvalidPointError) as exc:
+        return type(exc), str(exc), repr(getattr(exc, "residual", None))
+    return repr((x, stats.y, stats.inner_x, stats.outer_y, stats.iterations, stats.residual))
+
+
+@settings(max_examples=400, deadline=None)
+@given(where=st.sampled_from(["A", "B", "C", "line+", "line-"]), c=FACTORS,
+       s=CHART_COORDS, a=CHART_COORDS, alpha=WEIGHTS,
+       beta=st.one_of(st.just(None), WEIGHTS),  # None: Mann, y = x
+       given_ix0=st.booleans(), max_iterations=st.sampled_from([1, 2, 3, 200]))
+@example(where="A", c=0.5, s=1e300, a=0.0, alpha=0.5, beta=0.0, given_ix0=True, max_iterations=3)
+@example(where="line-", c=0.0, s=5e-324, a=MAX_FLOAT, alpha=0.0, beta=None, given_ix0=False,
+         max_iterations=1)
+@example(where="C", c=0.9, s=0.0, a=5e-324, alpha=1.0, beta=1.0, given_ix0=True,
+         max_iterations=200)
+def test_the_chart_path_has_the_bits_of_the_generic_loop(where, c, s, a, alpha, beta,
+                                                        given_ix0, max_iterations):
+    if where.startswith("line"):
+        space, t = scaled_line(c)
+        sign = -1.0 if where == "line-" else 1.0
+        x0, anchor = (sign * s,), (-sign * a,)
+    else:
+        space, t, _ = mappings.tripod_radial(c)
+        x0, anchor = (where, s), (where, a)
+    cert = t.closed_on(space)
+    assert cert[3] == c
+    cfg = InnerSolverConfig(max_iterations=max_iterations)
+    lb = None if beta is None else 1.0 - beta
+    ix0 = t.raw(x0) if given_ix0 else None
+    calls = []
+
+    def counted(x):  # the chart path calls no map
+        calls.append(x)
+        return t.raw(x)
+
+    want = solve_outcome(space, t.raw, t.raw, anchor, x0, 1.0 - alpha, lb, cfg, ix0, True)
+    got = solve_outcome(space, counted, counted, anchor, x0, 1.0 - alpha, lb, cfg, ix0, cert)
+    assert got == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,x0,anchor,chart", [
+    ("halving", (1.0,), (0.25,), True),
+    ("tripod-radial:0.7", ("A", 1.0), ("A", 2.0), True),
+    ("tripod-radial:0.7", ("A", 1.0), ("B", 2.0), False),  # through the hub
+    ("tripod-radial:0.7", ("A", 1.0), ("B", 0.0), False),  # the hub, labelled B
+])
+def test_the_certificate_and_one_chart_select_the_chart_path(name, x0, anchor, chart):
+    space, t, _ = mappings.from_name(name)
+    cert = schemes.closed_step_map(space, t, InnerSolverConfig())
+    assert cert[3] == t.delta
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return t.raw(x)
+
+    args = (anchor, x0, 0.5, 0.5, InnerSolverConfig(), None)
+    got = schemes._picard_solve(space, counted, counted, *args, cert)
+    assert repr(got) == repr(schemes._picard_solve(space, t.raw, t.raw, *args, True))
+    # the generic loop calls raw twice per iteration, for T x and T y
+    assert len(calls) == (0 if chart else 2 * got[1].iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -791,6 +791,27 @@ def test_euclidean_finite_test_matches_isfinite(dim):
     assert 0 < rejected < len(inputs)
 
 
+# a point with an int coordinate past the floats: float() of it overflows
+POINTS_WITH_A_BIG_INT = {
+    "halfplane-y": (HalfPlane(), lambda big: (0, big)),
+    "halfplane-x": (HalfPlane(), lambda big: (big, 1.0)),
+    "tripod": (Tripod(), lambda big: ("A", big)),
+    "euclidean:1-scalar": (Euclidean(1), lambda big: big),
+    "euclidean:1": (Euclidean(1), lambda big: (big,)),
+    "euclidean:2": (Euclidean(2), lambda big: (0, big)),
+    "euclidean:4": (Euclidean(4), lambda big: [0.5, 0, big, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTS_WITH_A_BIG_INT))
+@pytest.mark.parametrize("big", [10**400, -10**400, 10**5000], ids=["1e400", "-1e400", "1e5000"])
+def test_an_int_past_the_floats_is_an_invalid_point(name, big):
+    # 10**5000 has more digits than str() of an int may print, so the message omits it
+    space, point = POINTS_WITH_A_BIG_INT[name]
+    with pytest.raises(InvalidPointError, match="an int past the floats"):
+        space.check_point(point(big))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
 def test_euclidean_check_point_is_written_out_at_dims_1_to_3(dim):
     space = Euclidean(dim)
