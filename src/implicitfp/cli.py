@@ -299,8 +299,24 @@ def build_parser():
     return parser, sub.choices
 
 
+def _join_negative_values(argv):
+    """argv with a token that starts with '-' and a digit or '.' joined onto
+    the --flag before it: argparse reads `--x0 -1,2` as a flag with no value,
+    and `--x0=-1,2` as the point (-1, 2)."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."
+                and prev.startswith("--") and len(prev) > 2 and "=" not in prev):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
         if args.config:

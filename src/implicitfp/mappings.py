@@ -99,7 +99,9 @@ class ContractiveLike:
         """The certificate (raw, space class, space name, chart) if raw is
         certified closed on space (a space of the class and name its
         constructor proved it on), so its outputs need no check; else None.
-        chart is the map's factor on its chart, or None (see `_closed_map`)."""
+        chart is the map's scalar form on a chart: a linear factor c, a
+        power ("power", c) on the half-plane's line x = 0, or None (see
+        `_closed_map`)."""
         c = self._closed
         ok = c is not None and self.raw is c[0] and type(space) is c[1] and space.name == c[2]
         return c if ok else None
@@ -230,9 +232,12 @@ def _closed_map(space: Space, raw: Callable, delta: float, fixed_point, name: st
                 chart=None):
     """ContractiveLike with raw, apply = raw on x read by the space's
     check_point, phi == 0, certified closed on space: the caller proves it.
-    chart, unless None, is c with raw(head + (s,)) = head + (c*s,), where the
-    space's raw_w and raw_d on points of one head are (1-lam)*a + lam*b and
-    abs(a - b) in s; the solver then iterates on s (`schemes._picard_solve`)."""
+    chart, unless None, is the map's scalar form, which lets the solver
+    iterate on one float (`schemes._picard_solve`):
+    - a float c: raw(head + (s,)) = head + (c*s,), where the space's raw_w
+      and raw_d on points of one head are (1-lam)*a + lam*b and abs(a - b)
+      in s;
+    - ("power", c), on HalfPlane only: raw((x, y)) = (0.0, y ** c) for x == 0."""
     check = space.check_point
     t = ContractiveLike(lambda x: raw(check(x)), delta, LinearPhi(0.0),
                         fixed_point=fixed_point, name=name, raw=raw)
@@ -296,7 +301,8 @@ def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]
     by exactly `factor`; the line is a geodesic, hence convex, and the
     iteration stays on it.  Closed: for finite y > 0 and factor in [0, 1),
     y**factor lies between min(y, 1) and max(y, 1), so it is finite and > 0.
-    No chart factor: W and d on the line are not linear in y.
+    Chart ("power", factor): on x = 0 the solver iterates on y itself, with
+    the expressions raw_w and raw_d take on a vertical pair.
     """
     space = HalfPlane()
     line = spaces.VerticalLine(0.0)
@@ -304,7 +310,8 @@ def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]
     def raw(z):
         return (0.0, z[1] ** factor)
 
-    t = _closed_map(space, raw, factor, (0.0, 1.0), f"halfplane-vertical:{factor}")
+    t = _closed_map(space, raw, factor, (0.0, 1.0), f"halfplane-vertical:{factor}",
+                    chart=("power", factor))
     return space, t, line.sample
 
 
@@ -343,16 +350,14 @@ def from_name(name: str):
         return halving()
     if name.startswith("affine:"):
         return affine(_parse_affine_spec(name.split(":", 1)[1]), name=name)
-    if name.startswith("tripod-radial:"):
-        try:
-            return tripod_radial(float(name.split(":", 1)[1]))
-        except ValueError:
-            raise ConfigError(f"bad factor in {name!r}")
-    if name.startswith("halfplane-vertical:"):
-        try:
-            return halfplane_vertical(float(name.split(":", 1)[1]))
-        except ValueError:
-            raise ConfigError(f"bad factor in {name!r}")
+    for prefix, build in (("tripod-radial:", tripod_radial),
+                          ("halfplane-vertical:", halfplane_vertical)):
+        if name.startswith(prefix):
+            try:
+                factor = float(name[len(prefix):]) + 0.0  # -0.0 reads as 0.0
+            except ValueError:
+                raise ConfigError(f"bad factor in {name!r}")
+            return build(factor)
     raise ConfigError(f"unknown mapping {name!r}")
 
 

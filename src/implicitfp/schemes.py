@@ -26,8 +26,11 @@ converge within the budget raises NonconvergenceError.
 
 Halving and tripod-radial certify a chart factor c: on points that differ
 only in the last coordinate s (one tripod ray), T is s -> c*s, W is
-(1-lam)*a + lam*b and d is |a - b|.  A step on one chart runs its Picard
-loop on s as a float, with the same expressions, so with the same bits.
+(1-lam)*a + lam*b and d is |a - b|.  halfplane-vertical certifies
+("power", c): on the line x = 0, T is y -> y**c, and W and d are the
+half-plane's own expressions for a vertical pair.  A step on one chart runs
+its Picard loop on s or y as a float, with the same expressions, so with
+the same bits.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, InvalidPointError, NonconvergenceError
 from .mappings import AffineMap, ContractiveLike
-from .spaces import Euclidean, Space, check_lambda
+from .spaces import _FLOAT_MIN, _HALF_MAX, _LOG2, Euclidean, Space, check_lambda
 
 SCHEME_IDS = ("implicit-s", "implicit-ishikawa", "implicit-mann")
 
@@ -225,6 +228,12 @@ def _on_chart(p, head) -> bool:
     return type(p) is tuple and len(p) == len(head) + 1 and all(map(operator.is_, p, head))
 
 
+def _on_vertical(p) -> bool:
+    """Whether p is a tuple of two floats (x, y) with x == 0.0 (or -0.0)."""
+    return (type(p) is tuple and len(p) == 2 and type(p[0]) is float and p[0] == 0.0
+            and type(p[1]) is float)
+
+
 def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
                   cfg: InnerSolverConfig, ix0, closed):
     """Solve x = W(anchor, outer(y), 1-la), y = W(x, inner(x), 1-lb) by Picard iteration.
@@ -249,12 +258,19 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     la*oy, res = abs(x - fx).  raw, raw_w and raw_d evaluate these very
     expressions on such points (`_w1` and math.dist at dim 1, Tripod on one
     ray), so iterates, residuals and errors keep their bits; the tuples are
-    rebuilt once per solve.
+    rebuilt once per solve.  A certificate chart ("power", c) with x0,
+    anchor and ix0 on the half-plane's line x = 0 takes `_vertical_solve`.
     """
+    c = closed[3] if type(closed) is tuple else None
+    if type(c) is tuple:  # ("power", c): y -> y**c on the line x = 0
+        # steps pass x0 or ix0 itself as the anchor: one test covers both
+        if (_on_vertical(x0) and (ix0 is None or _on_vertical(ix0))
+                and (anchor is x0 or anchor is ix0 or _on_vertical(anchor))):
+            return _vertical_solve(space.check_point, c[1], anchor, x0, la, lb, cfg, ix0)
+        c = None
     raw_d, raw_w, check = space.raw_d, space.raw_w, space.check_point
     isfinite, tol = math.isfinite, cfg.tolerance
     x, ix, best = x0, ix0, None  # best: (residual, x, y, ix, oy)
-    c = closed[3] if type(closed) is tuple else None
     head = x0[:-1] if c is not None and type(x0) is tuple else None
     if head is not None and _on_chart(anchor, head) and (ix0 is None or _on_chart(ix0, head)):
         a, x, ix = anchor[-1], x0[-1], None if ix0 is None else ix0[-1]
@@ -316,6 +332,78 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     return x, InnerStats(k, res, y, ix, oy)
 
 
+def _vertical_solve(check, c, anchor, x0, la: float, lb, cfg: InnerSolverConfig, ix0):
+    """`_picard_solve` for T (x, y) -> (0.0, y**c) on the half-plane, with
+    x0, anchor and ix0 (unless None) tuples of floats on the line x = 0.
+
+    The loop runs on y as floats: ix = y**c; W is raw_w's vertical branch,
+    y2 at lam == 1, else y1*exp(lam*log(y2/y1)) where 0 < y2/y1 < inf and
+    y1**(1-lam) * y2**lam where not; the residual is raw_d's arithmetic with
+    an x difference of +-0.0, every branch kept, where hypot(+-0.0, v) is
+    abs(v) bit for bit.  So iterates, residuals, the stopping rule and the
+    errors keep the generic loop's bits.  The tuples are rebuilt once: where
+    the best iterate is x0, x0 and ix0 themselves (a -0.0 head keeps its
+    bits), elsewhere (0.0, y), which is raw_w's x1 + 0.0.
+    """
+    exp, log, sqrt, asinh, isfinite = math.exp, math.log, math.sqrt, math.asinh, math.isfinite
+    fmin, half_max, log2, inf, tol = _FLOAT_MIN, _HALF_MAX, _LOG2, math.inf, cfg.tolerance
+    a, x, ix, best = anchor[1], x0[1], None if ix0 is None else ix0[1], None
+    ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
+    for k in range(1, cfg.max_iterations + 1):
+        if ix is None:
+            ix = x ** c
+        if lb is None:
+            y, oy = x, ix
+        else:
+            b = ix / x
+            if lb == 1.0:
+                y = ix
+            elif 0.0 < b < inf:
+                y = x * exp(lb * log(b))
+            else:
+                y = x ** mb * ix ** lb
+            oy = y ** c
+        b = oy / a
+        if la == 1.0:
+            fx = oy
+        elif 0.0 < b < inf:
+            fx = a * exp(la * log(b))
+        else:
+            fx = a ** ma * oy ** la
+        try:  # raw_d((0.0, x), (0.0, fx))
+            yy = x * fx
+            root = sqrt(yy) if fmin <= yy < inf else sqrt(x) * sqrt(fx)
+            if root > half_max:  # only off the common branch, as sqrt(yy) <= sqrt(max)
+                res = 2.0 * asinh(abs(0.5 * x - 0.5 * fx) / root)
+            else:
+                h, den = abs(x - fx), 2.0 * root
+                if h == inf:  # a difference overflowed: halve the coordinates
+                    h, den = abs(0.5 * x - 0.5 * fx), root
+                q = h / den
+                res = 2.0 * (log(h) + (log2 - log(den))) if q == inf else 2.0 * asinh(q)
+        except (ArithmeticError, ValueError):
+            res = math.nan
+        if res <= tol:
+            if best is not None and res >= best[0]:
+                break
+            best = (res, x, y, ix, oy, k)
+            if res == 0.0:
+                break
+        elif not isfinite(res):
+            check((0.0, x))
+            check((0.0, fx))
+        x, ix = fx, None
+    if best is None:
+        raise NonconvergenceError(
+            f"inner solver exceeded {cfg.max_iterations} iterations",
+            residual=res)
+    res, x, y, ix, oy, at = best
+    x = x0 if at == 1 else (0.0, x)
+    ix = ix0 if at == 1 and ix0 is not None else (0.0, ix)
+    y, oy = (x, ix) if lb is None else ((0.0, y), (0.0, oy))
+    return x, InnerStats(k, res, y, ix, oy)
+
+
 # ---------------------------------------------------------------------------
 # the implicit step
 
@@ -370,7 +458,7 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     `run` and the data-dependence x-step pass _closed, the certificate
     from `closed_step_map`, when outer and inner are the raw form of a map
     closed on the space; then the map's outputs are not checked, and a
-    chart factor in it lets `_picard_solve` iterate on one float.
+    chart in it lets `_picard_solve` iterate on one float.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w

@@ -475,6 +475,49 @@ class TestMalformedInput:
         assert err.startswith("config error: bad schedule expression") and "at n=3" in err
 
 
+class TestNegativeValues:
+    """A value that starts with '-' and a digit or '.' is read as the value of
+    the flag before it, as `--flag=value` is: argparse alone takes it for a flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--mapping", "affine:0.5,0;0,0.5", "--x0", "-1,2"],
+        ["compare", "--mapping", "halfplane-vertical:0.5", "--x0", "-3,2"],
+        ["datadep", "--mapping", "affine:0.5,0.1;0,0.4|1,2", "--perturb", "-0.01,0.005",
+         "--proof-variant"],
+        ["bounds", "--x0", "-.5", "--n-max", "5"],
+    ])
+    def test_a_negative_leading_coordinate_is_the_flag_value(self, argv, capsys):
+        i = next(i for i, arg in enumerate(argv) if arg in ("--x0", "--perturb"))
+        joined = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+        assert run_cli(joined) == 0
+        want = capsys.readouterr().out
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_a_flag_is_still_no_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["compare", "--x0", "--n-max", "5"])
+        assert exc.value.code == 2
+        assert "argument --x0: expected one argument" in capsys.readouterr().err
+
+    def test_a_switch_takes_no_negative_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["compare", "--assert-faster", "-1"])
+        assert exc.value.code == 2
+        assert "--assert-faster: ignored explicit argument '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "bounds"])
+@pytest.mark.parametrize("mapping", ["tripod-radial:-0.0", "halfplane-vertical:-0.0"])
+def test_a_minus_zero_factor_prints_no_minus_zero(command, mapping, capsys):
+    # delta = -0.0 used to print `final ratio -0.0` and -0.0 in the a_n column
+    assert run_cli([command, "--mapping", mapping, "--n-max", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    assert run_cli([command, "--mapping", mapping.replace("-0.0", "0.0"), "--n-max", "20"]) == 0
+    assert capsys.readouterr().out == out
+
+
 class TestSchemeFailure:
     def test_invalid_point_mid_run_exits_3(self, monkeypatch, capsys):
         from implicitfp import mappings

@@ -281,6 +281,16 @@ class TestCorpus:
         with pytest.raises(ConfigError):
             mappings.from_name("affine:1,0;0,1|1")  # inconsistent shapes
 
+    @pytest.mark.parametrize("kind", ["tripod-radial", "halfplane-vertical"])
+    @pytest.mark.parametrize("spelled", ["-0.0", "-0", "-0e5"])
+    def test_a_factor_spelled_minus_zero_is_zero(self, kind, spelled):
+        # a -0.0 delta would print as -0.0 in the envelopes and their ratios
+        space, t, _ = mappings.from_name(f"{kind}:{spelled}")
+        chart = t.closed_on(space)[3]
+        factor = chart[1] if kind == "halfplane-vertical" else chart
+        assert math.copysign(1.0, t.delta) == math.copysign(1.0, factor) == 1.0
+        assert t.name == f"{kind}:0.0"
+
     def test_perturb_halving(self):
         space, t, sampler = mappings.halving()
         s = mappings.perturbed(space, t, np.array([0.01]))
@@ -555,14 +565,14 @@ def test_halfplane_vertical_is_closed(x, y, factor):
 
 
 def chart_of(t, space):
-    """The chart factor in t's closed certificate on space (which it must have)."""
+    """The chart in t's closed certificate on space (which it must have)."""
     return t.closed_on(space)[3]
 
 
-# (map, the chart factor its certificate records)
+# (map, the chart its certificate records)
 @pytest.mark.parametrize("build,chart", [
     (mappings.halving, 0.5), (lambda: mappings.tripod_radial(0.7), 0.7),
-    (lambda: mappings.halfplane_vertical(0.6), None)],
+    (lambda: mappings.halfplane_vertical(0.6), ("power", 0.6))],
     ids=["halving", "tripod-radial", "halfplane-vertical"])
 class TestClosedCertificate:
     def test_reassigning_raw_drops_it(self, build, chart):
@@ -605,14 +615,15 @@ def test_affine_maps_are_not_certified(name):
     assert not t.closed_on(space)
 
 
-def test_a_contractive_pickle_keeps_the_certificate():
+@pytest.mark.parametrize("chart", [0.5, ("power", 0.5)], ids=["linear", "power"])
+def test_a_contractive_pickle_keeps_the_certificate(chart):
     # pickling a corpus map fails on its apply closure; the certificate rides
     # in __reduce__'s state, so a map of picklable functions keeps it
     space = Euclidean(1)
     t = ContractiveLike(_pickled_apply, 0.5, raw=_pickled_raw)
-    t._closed = (_pickled_raw, Euclidean, space.name, 0.5)
+    t._closed = (_pickled_raw, Euclidean, space.name, chart)
     clone = pickle.loads(pickle.dumps(t))
-    assert clone.raw is _pickled_raw and chart_of(clone, space) == 0.5
+    assert clone.raw is _pickled_raw and chart_of(clone, space) == chart
 
 
 def _pickled_raw(x):

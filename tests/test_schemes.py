@@ -990,11 +990,17 @@ def test_the_chart_path_has_the_bits_of_the_generic_loop(where, c, s, a, alpha, 
     ("tripod-radial:0.7", ("A", 1.0), ("A", 2.0), True),
     ("tripod-radial:0.7", ("A", 1.0), ("B", 2.0), False),  # through the hub
     ("tripod-radial:0.7", ("A", 1.0), ("B", 0.0), False),  # the hub, labelled B
+    ("halfplane-vertical:0.7", (0.0, 3.0), (0.0, 0.5), True),
+    ("halfplane-vertical:0.7", (-0.0, 3.0), (-0.0, 1e300), True),
+    ("halfplane-vertical:0.7", (7.0, 1e300), (7.0, 1e300), False),  # off x = 0
+    ("halfplane-vertical:0.7", (0.0, 3.0), (7.0, 0.5), False),
+    ("halfplane-vertical:0.7", (0, 3.0), (0.0, 0.5), False),  # an int x takes the generic loop
+    ("halfplane-vertical:0.7", [0.0, 3.0], (0.0, 0.5), False),  # so does a list
 ])
 def test_the_certificate_and_one_chart_select_the_chart_path(name, x0, anchor, chart):
     space, t, _ = mappings.from_name(name)
     cert = schemes.closed_step_map(space, t, InnerSolverConfig())
-    assert cert[3] == t.delta
+    assert cert[3] in (t.delta, ("power", t.delta))
     calls = []
 
     def counted(x):
@@ -1006,6 +1012,77 @@ def test_the_certificate_and_one_chart_select_the_chart_path(name, x0, anchor, c
     assert repr(got) == repr(schemes._picard_solve(space, t.raw, t.raw, *args, True))
     # the generic loop calls raw twice per iteration, for T x and T y
     assert len(calls) == (0 if chart else 2 * got[1].iterations)
+
+
+# the half-plane's y: the smallest subnormal, the wide scales and anything in between
+VERTICAL_YS = st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e300, MAX_FLOAT]),
+                        st.floats(5e-324, MAX_FLOAT))
+
+
+@settings(max_examples=400, deadline=None)
+@given(head=st.sampled_from([0.0, -0.0]), anchor_head=st.sampled_from([0.0, -0.0]),
+       c=FACTORS, y=VERTICAL_YS, a=VERTICAL_YS, alpha=WEIGHTS,
+       beta=st.one_of(st.just(None), WEIGHTS),  # None: Mann, y = x
+       ix0_head=st.sampled_from([None, 0.0, -0.0]),  # None: no ix0
+       max_iterations=st.sampled_from([1, 2, 3, 200]))
+# raw_d's sqrt(y1)*sqrt(y2) and halved-coordinates branches: y1*y2 overflows
+@example(head=0.0, anchor_head=0.0, c=0.5, y=1.7e308, a=1e308, alpha=1.0, beta=0.5,
+         ix0_head=0.0, max_iterations=200)
+# y1*y2 underflows, at the smallest subnormal
+@example(head=-0.0, anchor_head=0.0, c=0.5, y=5e-324, a=5e-324, alpha=0.5, beta=None,
+         ix0_head=None, max_iterations=200)
+# q = h/den leaves the floats: the residual from the logs
+@example(head=-0.0, anchor_head=-0.0, c=0.0, y=MAX_FLOAT, a=5e-324, alpha=1.0, beta=0.0,
+         ix0_head=-0.0, max_iterations=1)
+# W at lam == 1 and y2/y1 past the floats: y1**(1-lam) * y2**lam
+@example(head=0.0, anchor_head=0.0, c=0.0, y=5e-324, a=MAX_FLOAT, alpha=0.0, beta=0.5,
+         ix0_head=None, max_iterations=3)
+def test_the_vertical_path_has_the_bits_of_the_generic_loop(head, anchor_head, c, y, a, alpha,
+                                                           beta, ix0_head, max_iterations):
+    space, t, _ = mappings.halfplane_vertical(c)
+    cert = t.closed_on(space)
+    assert cert[3] == ("power", c)
+    x0, anchor = (head, y), (anchor_head, a)
+    # the steps' ix0 is T x0, whose x is 0.0; a -0.0 head must keep its bits too
+    ix0 = None if ix0_head is None else (ix0_head, t.raw(x0)[1])
+    cfg = InnerSolverConfig(max_iterations=max_iterations)
+    lb = None if beta is None else 1.0 - beta
+    calls = []
+
+    def counted(x):  # the vertical path calls no map
+        calls.append(x)
+        return t.raw(x)
+
+    want = solve_outcome(space, t.raw, t.raw, anchor, x0, 1.0 - alpha, lb, cfg, ix0, True)
+    got = solve_outcome(space, counted, counted, anchor, x0, 1.0 - alpha, lb, cfg, ix0, cert)
+    assert got == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("ix0_y", [0.0, math.inf])
+@pytest.mark.parametrize("beta", [None, 0.5])
+def test_the_vertical_path_rechecks_a_residual_past_the_floats(ix0_y, beta):
+    # an ix0 off the half-plane sends W and the residual past the floats;
+    # both loops re-check the points and reject the same one
+    space, t, _ = mappings.halfplane_vertical(0.5)
+    args = ((0.0, 2.0), (0.0, 3.0), 0.5, None if beta is None else 1.0 - beta,
+            InnerSolverConfig(), (0.0, ix0_y))
+    want = solve_outcome(space, t.raw, t.raw, *args, True)
+    assert want[0] is InvalidPointError
+    assert solve_outcome(space, t.raw, t.raw, *args, t.closed_on(space)) == want
+
+
+@given(v=st.floats(allow_nan=True, allow_infinity=True))
+@example(v=5e-324)
+@example(v=-MAX_FLOAT)
+@example(v=2.2250738585072014e-308)
+@example(v=math.inf)
+def test_hypot_with_a_zero_is_abs(v):
+    # the vertical path takes raw_d's hypot(x1 - x2, ...) with x1 - x2 = +-0.0
+    # as abs(...).  With one nonzero term, hypot's scaled sum of squares is
+    # exact and its correctly rounded root is |v|; repr shows every bit of a
+    # float but a nan's, and a nan residual acts the same whatever its bits
+    assert repr(math.hypot(0.0, v)) == repr(math.hypot(-0.0, v)) == repr(abs(v))
 
 
 # ---------------------------------------------------------------------------
