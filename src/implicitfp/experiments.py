@@ -352,7 +352,7 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     whether the x-step (T) or the u-step (S) failed.
     The steps call the maps' raw forms (T.apply, the AffineMap, in an
     exact-affine x-step); the closed form reads A and b from T.apply.  A
-    Picard x-step does not check the outputs of a T closed on the space.
+    Picard x-step trusts a closed T's outputs only on its chart (`schemes.step_chart`).
     """
     weights = datadep_weights(schedule or default_schedule(), n_max)
     cfg = cfg or InnerSolverConfig()
@@ -373,18 +373,18 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     delta, phi = t.delta, t.phi
     eps = s.epsilon
     T, S = schemes.step_map(t, cfg), s.raw  # the u-step is Picard, so S.raw
-    closed = schemes.closed_step_map(space, t, cfg)  # the x-step's T only
+    chart = schemes.step_chart(space, t, cfg)  # the x-step's T only
     for n, (al, be) in enumerate(weights, start=2):
         try:
             step = "x-step"
             if n == 2:
-                tx = T(x) if closed else check(T(x))
+                tx = T(x) if chart is not None else check(T(x))
                 step = "u-step"
                 su = check(S(u))
                 step = "x-step"
             # each step hands back T x_n, T y_n and S u_n, checked
             x_prev, tx_prev, u_prev = x, tx, u
-            x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx, closed)
+            x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx, chart)
             tx, ty = stats.inner_x, stats.outer_y
             step = "u-step"
             u, _, stats = schemes.implicit_step(space, S if proof_variant else t.raw, S,

@@ -74,10 +74,10 @@ class ContractiveLike:
 
     The map is *closed* on a space when, for every x that the space's
     check_point returns, check_point(raw(x)) accepts raw(x) and returns it
-    unchanged; the solver then does not check raw's outputs.  Only the
-    corpus constructors `halving`, `tripod_radial` and `halfplane_vertical`
-    certify that, each with its proof, and `closed_on` holds only while
-    `raw` is the function they certified: reassigning raw drops it.
+    unchanged.  Only the corpus constructors `halving`, `tripod_radial` and
+    `halfplane_vertical` certify that, each with its proof and a chart, and
+    `closed_on` holds only while `raw` is the function they certified:
+    reassigning raw drops it.  The solver trusts raw only on the chart.
     """
 
     apply: Callable
@@ -98,10 +98,9 @@ class ContractiveLike:
     def closed_on(self, space: Space):
         """The certificate (raw, space class, space name, chart) if raw is
         certified closed on space (a space of the class and name its
-        constructor proved it on), so its outputs need no check; else None.
-        chart is the map's scalar form on a chart: a linear factor c, a
-        power ("power", c) on the half-plane's line x = 0, or None (see
-        `_closed_map`)."""
+        constructor proved it on), else None.  chart is the map's scalar
+        form, a factor c or ("power", c) (see `_closed_map`); the solver
+        trusts raw on that chart only and checks every output off it."""
         c = self._closed
         ok = c is not None and self.raw is c[0] and type(space) is c[1] and space.name == c[2]
         return c if ok else None
@@ -228,15 +227,13 @@ def _affine_kernel(rows):
     return kernel
 
 
-def _closed_map(space: Space, raw: Callable, delta: float, fixed_point, name: str,
-                chart=None):
+def _closed_map(space: Space, raw: Callable, delta: float, fixed_point, name: str, chart):
     """ContractiveLike with raw, apply = raw on x read by the space's
     check_point, phi == 0, certified closed on space: the caller proves it.
-    chart, unless None, is the map's scalar form, which lets the solver
-    iterate on one float (`schemes._picard_solve`):
+    chart is the map's scalar form, on which the solver trusts raw and
+    iterates on one float; off it every output is checked (`schemes._picard_solve`):
     - a float c: raw(head + (s,)) = head + (c*s,), where the space's raw_w
-      and raw_d on points of one head are (1-lam)*a + lam*b and abs(a - b)
-      in s;
+      and raw_d on points of one head are (1-lam)*a + lam*b and abs(a - b) in s;
     - ("power", c), on HalfPlane only: raw((x, y)) = (0.0, y ** c) for x == 0."""
     check = space.check_point
     t = ContractiveLike(lambda x: raw(check(x)), delta, LinearPhi(0.0),
@@ -286,6 +283,7 @@ def tripod_radial(factor: float) -> tuple[Space, ContractiveLike, Callable]:
     Chart factor `factor`: on one ray, raw_w and raw_d act on r alone.
     """
     space = Tripod()
+    factor += 0.0  # a -0.0 factor would certify delta = -0.0
 
     def raw(p):
         return (p[0], factor * p[1])
@@ -305,6 +303,7 @@ def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]
     the expressions raw_w and raw_d take on a vertical pair.
     """
     space = HalfPlane()
+    factor += 0.0  # a -0.0 factor would certify delta = -0.0
     line = spaces.VerticalLine(0.0)
 
     def raw(z):
@@ -354,7 +353,7 @@ def from_name(name: str):
                           ("halfplane-vertical:", halfplane_vertical)):
         if name.startswith(prefix):
             try:
-                factor = float(name[len(prefix):]) + 0.0  # -0.0 reads as 0.0
+                factor = float(name[len(prefix):])
             except ValueError:
                 raise ConfigError(f"bad factor in {name!r}")
             return build(factor)
@@ -373,15 +372,16 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
     output is checked first unless T is closed on the space or T.raw is the
     kernel of an AffineMap of the space's dim, which returns dim floats (an
     inf or nan stays one after the finite offset, and the solver's check
-    of S's output rejects it); a user's T may return any sequence.  S's
-    apply is raw on x read by check_point.
+    of S's output rejects it); a user's T may return any sequence.
     Tripod: offset is a finite radius shift > 0 along the same ray,
-    epsilon = offset, and S is built on T.raw.  Any other offset raises
-    CertificateError.
+    epsilon = offset, and S's raw is built on T.raw.  Any other offset
+    raises CertificateError.  On both, S's apply is raw on x read by
+    check_point.
     """
+    check = space.check_point
     if isinstance(space, Euclidean):
         try:
-            off = space.check_point(offset)
+            off = check(offset)
         except InvalidPointError:
             raise CertificateError(f"offset must have {space.dim} finite entries, "
                                    f"got {offset}") from None
@@ -390,7 +390,7 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
             raise CertificateError("offset must be nonzero (epsilon > 0)")
         if not math.isfinite(eps):
             raise CertificateError(f"epsilon = d(0, offset) overflows for offset {offset}")
-        check, T, affmap = space.check_point, t.raw, t.apply
+        T, affmap = t.raw, t.apply
         if not (t.closed_on(space) or (isinstance(affmap, AffineMap)
                                        and T is affmap.raw and affmap.dim == space.dim)):
             unchecked = T
@@ -398,17 +398,18 @@ def perturbed(space: Space, t: ContractiveLike, offset) -> ApproximateOperator:
             def T(x):
                 return check(unchecked(x))
         raw = _shifted(T, off)
-        return ApproximateOperator(lambda x: raw(check(x)), eps,
-                                   name=f"perturb:{t.name}:{off}", raw=raw)
-    if isinstance(space, Tripod):
-        off = float(offset)
+    elif isinstance(space, Tripod):
+        eps = off = float(offset)
         if not (math.isfinite(off) and off > 0.0):
             raise CertificateError("tripod offset must be finite and > 0")
-        def s(p):
+
+        def raw(p):
             ray, r = t.raw(p)
             return (ray, r + off)
-        return ApproximateOperator(s, off, name=f"perturb:{t.name}:{off}")
-    raise ConfigError(f"perturbation not supported on space {space.name!r}")
+    else:
+        raise ConfigError(f"perturbation not supported on space {space.name!r}")
+    return ApproximateOperator(lambda x: raw(check(x)), eps, name=f"perturb:{t.name}:{off}",
+                               raw=raw)
 
 
 def _shifted(T, off):

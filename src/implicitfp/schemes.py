@@ -30,7 +30,8 @@ only in the last coordinate s (one tripod ray), T is s -> c*s, W is
 ("power", c): on the line x = 0, T is y -> y**c, and W and d are the
 half-plane's own expressions for a vertical pair.  A step on one chart runs
 its Picard loop on s or y as a float, with the same expressions, so with
-the same bits.
+the same bits.  A certified map is trusted only there: off its chart (as
+with `--x0 7,1e300`) every map output is checked.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def _on_vertical(p) -> bool:
 
 
 def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
-                  cfg: InnerSolverConfig, ix0, closed):
+                  cfg: InnerSolverConfig, ix0, chart):
     """Solve x = W(anchor, outer(y), 1-la), y = W(x, inner(x), 1-lb) by Picard iteration.
 
     Each iteration evaluates the step map at x inline: ix = inner(x), then
@@ -243,38 +244,117 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     lb None marks a Mann step: y = x and oy = ix, so inner, which the caller
     passes as outer, is the only map called.  ix0, unless None, is inner(x0)
     and stands in for the first call.  anchor, x0 and ix0 must be checked;
-    each map output is checked as it is produced, unless closed says both
-    maps are one map certified closed on the space (True, or its
-    certificate from `ContractiveLike.closed_on`), whose outputs need no
-    check.  A non-finite residual d(x, fx) re-checks both points
-    (InvalidPointError for an invalid one) either way.
-    Once within tolerance, keeps polishing while the residual strictly
-    decreases, so accepted iterates sit near the machine fixed point.
-    Returns (x, InnerStats) with the residual, y, ix and oy at that x.
+    each map output is checked, and a non-finite residual d(x, fx) re-checks
+    both points (InvalidPointError for an invalid one).  Once within
+    tolerance, keeps polishing while the residual strictly decreases, so
+    accepted iterates sit near the machine fixed point.  Returns
+    (x, InnerStats) with the residual, y, ix and oy at that x.
 
-    The chart path: when the certificate has a chart factor c and x0, anchor
-    and ix0 share every coordinate but the last, the loop runs on that one
-    as floats: ix = c*x, y = (1-lb)*x + lb*ix, oy = c*y, fx = (1-la)*a +
-    la*oy, res = abs(x - fx).  raw, raw_w and raw_d evaluate these very
-    expressions on such points (`_w1` and math.dist at dim 1, Tripod on one
-    ray), so iterates, residuals and errors keep their bits; the tuples are
-    rebuilt once per solve.  A certificate chart ("power", c) with x0,
-    anchor and ix0 on the half-plane's line x = 0 takes `_vertical_solve`.
+    chart, unless None, is the chart of the one map passed as outer and
+    inner, certified closed on the space (`step_chart`).  The map is trusted
+    only there: when x0, anchor and ix0 lie on it, the loop runs on their
+    last coordinate s as a float, calls no map, and evaluates the very
+    expressions raw, raw_w and raw_d evaluate on such points:
+    - a factor c, on points that share every coordinate but s: T is c*s, W
+      is (1-lam)*a + lam*b and d is abs(a - b) (`_w1` and math.dist at dim
+      1, Tripod on one ray);
+    - ("power", c), on tuples of floats on the half-plane's line x = 0: T is
+      y**c, W is raw_w's vertical branch and d is raw_d's arithmetic with an
+      x difference of +-0.0, every branch kept, hypot(+-0.0, v) being abs(v)
+      bit for bit.
+    So iterates, residuals and errors keep their bits.  The tuples are
+    rebuilt once per solve: x0 and ix0 themselves where the best iterate is
+    the first (a -0.0 head keeps its bits), else head + (s,), the head on
+    the line being raw_w's (0.0,).
     """
-    c = closed[3] if type(closed) is tuple else None
-    if type(c) is tuple:  # ("power", c): y -> y**c on the line x = 0
+    head = None
+    if type(chart) is tuple:  # ("power", c): y -> y**c on the line x = 0
         # steps pass x0 or ix0 itself as the anchor: one test covers both
         if (_on_vertical(x0) and (ix0 is None or _on_vertical(ix0))
                 and (anchor is x0 or anchor is ix0 or _on_vertical(anchor))):
-            return _vertical_solve(space.check_point, c[1], anchor, x0, la, lb, cfg, ix0)
-        c = None
-    raw_d, raw_w, check = space.raw_d, space.raw_w, space.check_point
-    isfinite, tol = math.isfinite, cfg.tolerance
-    x, ix, best = x0, ix0, None  # best: (residual, x, y, ix, oy)
-    head = x0[:-1] if c is not None and type(x0) is tuple else None
-    if head is not None and _on_chart(anchor, head) and (ix0 is None or _on_chart(ix0, head)):
+            head, c = (0.0,), chart[1]
+    elif chart is not None and type(x0) is tuple:
+        head, c = x0[:-1], chart
+        if not (_on_chart(anchor, head) and (ix0 is None or _on_chart(ix0, head))):
+            head = None
+    check, isfinite, tol = space.check_point, math.isfinite, cfg.tolerance
+    x, ix, best = x0, ix0, None  # best: (residual, x, y, ix, oy, iteration)
+    if head is not None:
         a, x, ix = anchor[-1], x0[-1], None if ix0 is None else ix0[-1]
         ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
+    if head is None:
+        raw_d, raw_w = space.raw_d, space.raw_w
+        for k in range(1, cfg.max_iterations + 1):
+            if ix is None:
+                ix = check(inner(x))
+            if lb is None:
+                y, oy = x, ix
+            else:
+                y = raw_w(x, ix, lb)
+                oy = check(outer(y))
+            fx = raw_w(anchor, oy, la)
+            try:
+                res = raw_d(x, fx)
+            except (ArithmeticError, ValueError):  # e.g. a half-plane point with y <= 0
+                res = math.nan
+            if res <= tol:
+                if best is not None and res >= best[0]:
+                    break
+                best = (res, x, y, ix, oy, k)
+                if res == 0.0:
+                    break
+            elif not isfinite(res):
+                check(x)
+                check(fx)
+            x, ix = fx, None
+    elif type(chart) is tuple:
+        exp, log, sqrt, asinh = math.exp, math.log, math.sqrt, math.asinh
+        fmin, half_max, log2, inf = _FLOAT_MIN, _HALF_MAX, _LOG2, math.inf
+        for k in range(1, cfg.max_iterations + 1):
+            if ix is None:
+                ix = x ** c
+            if lb is None:
+                y, oy = x, ix
+            else:
+                b = ix / x
+                if lb == 1.0:
+                    y = ix
+                elif 0.0 < b < inf:
+                    y = x * exp(lb * log(b))
+                else:
+                    y = x ** mb * ix ** lb
+                oy = y ** c
+            b = oy / a
+            if la == 1.0:
+                fx = oy
+            elif 0.0 < b < inf:
+                fx = a * exp(la * log(b))
+            else:
+                fx = a ** ma * oy ** la
+            try:  # raw_d((0.0, x), (0.0, fx))
+                yy = x * fx
+                root = sqrt(yy) if fmin <= yy < inf else sqrt(x) * sqrt(fx)
+                if root > half_max:  # only off the common branch, as sqrt(yy) <= sqrt(max)
+                    res = 2.0 * asinh(abs(0.5 * x - 0.5 * fx) / root)
+                else:
+                    h, den = abs(x - fx), 2.0 * root
+                    if h == inf:  # a difference overflowed: halve the coordinates
+                        h, den = abs(0.5 * x - 0.5 * fx), root
+                    q = h / den
+                    res = 2.0 * (log(h) + (log2 - log(den))) if q == inf else 2.0 * asinh(q)
+            except (ArithmeticError, ValueError):
+                res = math.nan
+            if res <= tol:
+                if best is not None and res >= best[0]:
+                    break
+                best = (res, x, y, ix, oy, k)
+                if res == 0.0:
+                    break
+            elif not isfinite(res):
+                check((0.0, x))
+                check((0.0, fx))
+            x, ix = fx, None
+    else:
         for k in range(1, cfg.max_iterations + 1):
             if ix is None:
                 ix = c * x
@@ -288,119 +368,22 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
             if res <= tol:
                 if best is not None and res >= best[0]:
                     break
-                best = (res, x, y, ix, oy)
+                best = (res, x, y, ix, oy, k)
                 if res == 0.0:
                     break
             elif not isfinite(res):
                 check(head + (x,))
                 check(head + (fx,))
             x, ix = fx, None
-        if best is not None:
-            res, x, y, ix, oy = best
-            x, ix = head + (x,), head + (ix,)
-            y, oy = (x, ix) if lb is None else (head + (y,), head + (oy,))
-            return x, InnerStats(k, res, y, ix, oy)
-    else:
-        for k in range(1, cfg.max_iterations + 1):
-            if ix is None:
-                ix = inner(x) if closed else check(inner(x))
-            if lb is None:
-                y, oy = x, ix
-            else:
-                y = raw_w(x, ix, lb)
-                oy = outer(y) if closed else check(outer(y))
-            fx = raw_w(anchor, oy, la)
-            try:
-                res = raw_d(x, fx)
-            except (ArithmeticError, ValueError):  # e.g. a half-plane point with y <= 0
-                res = math.nan
-            if res <= tol:
-                if best is not None and res >= best[0]:
-                    break
-                best = (res, x, y, ix, oy)
-                if res == 0.0:
-                    break
-            elif not isfinite(res):
-                check(x)
-                check(fx)
-            x, ix = fx, None
-    if best is None:
-        raise NonconvergenceError(
-            f"inner solver exceeded {cfg.max_iterations} iterations",
-            residual=res)
-    res, x, y, ix, oy = best
-    return x, InnerStats(k, res, y, ix, oy)
-
-
-def _vertical_solve(check, c, anchor, x0, la: float, lb, cfg: InnerSolverConfig, ix0):
-    """`_picard_solve` for T (x, y) -> (0.0, y**c) on the half-plane, with
-    x0, anchor and ix0 (unless None) tuples of floats on the line x = 0.
-
-    The loop runs on y as floats: ix = y**c; W is raw_w's vertical branch,
-    y2 at lam == 1, else y1*exp(lam*log(y2/y1)) where 0 < y2/y1 < inf and
-    y1**(1-lam) * y2**lam where not; the residual is raw_d's arithmetic with
-    an x difference of +-0.0, every branch kept, where hypot(+-0.0, v) is
-    abs(v) bit for bit.  So iterates, residuals, the stopping rule and the
-    errors keep the generic loop's bits.  The tuples are rebuilt once: where
-    the best iterate is x0, x0 and ix0 themselves (a -0.0 head keeps its
-    bits), elsewhere (0.0, y), which is raw_w's x1 + 0.0.
-    """
-    exp, log, sqrt, asinh, isfinite = math.exp, math.log, math.sqrt, math.asinh, math.isfinite
-    fmin, half_max, log2, inf, tol = _FLOAT_MIN, _HALF_MAX, _LOG2, math.inf, cfg.tolerance
-    a, x, ix, best = anchor[1], x0[1], None if ix0 is None else ix0[1], None
-    ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
-    for k in range(1, cfg.max_iterations + 1):
-        if ix is None:
-            ix = x ** c
-        if lb is None:
-            y, oy = x, ix
-        else:
-            b = ix / x
-            if lb == 1.0:
-                y = ix
-            elif 0.0 < b < inf:
-                y = x * exp(lb * log(b))
-            else:
-                y = x ** mb * ix ** lb
-            oy = y ** c
-        b = oy / a
-        if la == 1.0:
-            fx = oy
-        elif 0.0 < b < inf:
-            fx = a * exp(la * log(b))
-        else:
-            fx = a ** ma * oy ** la
-        try:  # raw_d((0.0, x), (0.0, fx))
-            yy = x * fx
-            root = sqrt(yy) if fmin <= yy < inf else sqrt(x) * sqrt(fx)
-            if root > half_max:  # only off the common branch, as sqrt(yy) <= sqrt(max)
-                res = 2.0 * asinh(abs(0.5 * x - 0.5 * fx) / root)
-            else:
-                h, den = abs(x - fx), 2.0 * root
-                if h == inf:  # a difference overflowed: halve the coordinates
-                    h, den = abs(0.5 * x - 0.5 * fx), root
-                q = h / den
-                res = 2.0 * (log(h) + (log2 - log(den))) if q == inf else 2.0 * asinh(q)
-        except (ArithmeticError, ValueError):
-            res = math.nan
-        if res <= tol:
-            if best is not None and res >= best[0]:
-                break
-            best = (res, x, y, ix, oy, k)
-            if res == 0.0:
-                break
-        elif not isfinite(res):
-            check((0.0, x))
-            check((0.0, fx))
-        x, ix = fx, None
     if best is None:
         raise NonconvergenceError(
             f"inner solver exceeded {cfg.max_iterations} iterations",
             residual=res)
     res, x, y, ix, oy, at = best
-    x = x0 if at == 1 else (0.0, x)
-    ix = ix0 if at == 1 and ix0 is not None else (0.0, ix)
-    y, oy = (x, ix) if lb is None else ((0.0, y), (0.0, oy))
+    if head is not None:
+        x = x0 if at == 1 else head + (x,)
+        ix = ix0 if at == 1 and ix0 is not None else head + (ix,)
+        y, oy = (x, ix) if lb is None else (head + (y,), head + (oy,))
     return x, InnerStats(k, res, y, ix, oy)
 
 
@@ -414,11 +397,11 @@ def step_map(t, cfg: InnerSolverConfig):
     return t.apply if cfg.mode == "exact-affine" else t.raw
 
 
-def closed_step_map(space: Space, t: ContractiveLike, cfg: InnerSolverConfig):
-    """t's closed certificate if steps may skip checking the outputs of
-    `step_map(t, cfg)` (cfg's mode is Picard, so steps call t.raw, and t is
-    closed on space), else a false value.  Steps take it as `_closed`."""
-    return cfg.mode == "picard" and t.closed_on(space)
+def step_chart(space: Space, t: ContractiveLike, cfg: InnerSolverConfig):
+    """The chart of t's closed certificate on space if cfg's mode is Picard,
+    where steps call t.raw, else None.  Steps take it as `_chart`."""
+    cert = cfg.mode == "picard" and t.closed_on(space)
+    return cert[3] if cert else None
 
 
 def check_mode(cfg: InnerSolverConfig, space: Space, outer, inner):
@@ -435,7 +418,7 @@ def check_mode(cfg: InnerSolverConfig, space: Space, outer, inner):
 
 def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
                   beta: float, cfg: InnerSolverConfig = None, inner_x_prev=None,
-                  _closed=False):
+                  _chart=None):
     """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
     outer and inner are plain callables on checked points, such as a map's
@@ -455,10 +438,10 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     them: T x_n is the next implicit-S anchor and the next inner_x_prev.
     Points are passed and returned in the form check_point gives (tuples of
     floats on Euclidean space), so no array is built in the iteration.
-    `run` and the data-dependence x-step pass _closed, the certificate
-    from `closed_step_map`, when outer and inner are the raw form of a map
-    closed on the space; then the map's outputs are not checked, and a
-    chart in it lets `_picard_solve` iterate on one float.
+    `run` and the data-dependence x-step pass _chart, from `step_chart`,
+    when outer and inner are the raw form of a map certified closed on the
+    space; `_picard_solve` trusts the map only on that chart, where it
+    iterates on one float, and checks every output off it.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w
@@ -478,7 +461,7 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     step_inner = outer if mann else inner
     if alpha != 1.0 and not exact:
         x, stats = _picard_solve(space, outer, step_inner, anchor, x_prev, la,
-                                 None if mann else lb, cfg, inner_x_prev, _closed)
+                                 None if mann else lb, cfg, inner_x_prev, _chart)
     else:  # x is known: evaluate the step map there once
         x = anchor
         if alpha != 1.0:
@@ -492,12 +475,12 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
         if x is x_prev and inner_x_prev is not None:
             ix = inner_x_prev
         else:
-            ix = step_inner(x) if _closed else check(step_inner(x))
+            ix = check(step_inner(x))
         if mann:
             y, oy = x, ix
         else:
             y = raw_w(x, ix, lb)
-            oy = outer(y) if _closed else check(outer(y))
+            oy = check(outer(y))
         stats = (InnerStats(0, 0.0, y, ix, oy) if alpha == 1.0 else
                  InnerStats(1, space.d(x, raw_w(anchor, oy, la)), y, ix, oy))
     if mann and outer is not inner:
@@ -564,7 +547,7 @@ class IterationTrace:
 
 
 def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
-        cfg: InnerSolverConfig = None, p=None) -> IterationTrace:
+        cfg: InnerSolverConfig = None) -> IterationTrace:
     """Full iteration run; record n = 1 is the initial value x0.
 
     Step n = 2..n_max takes (alpha_n, beta_n) from weights, a schedule's
@@ -572,17 +555,16 @@ def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
     records.  If a step fails, the raised
     NonconvergenceError names the scheme and the step and carries the inner
     solver's residual and the partial trace, and an InvalidPointError names
-    the step.  The steps run on checked points and call `step_map(t, cfg)`,
-    whose outputs they check unless `closed_step_map` holds, and the trace keeps
-    them as they are; its records turn them into the space's public form
-    when first read.
+    the step.  The distances are to t.fixed_point, where it is known.  The
+    steps run on checked points and call `step_map(t, cfg)`, trusting its
+    outputs only on the chart from `step_chart`, and the trace keeps them
+    as they are; its records turn them into the space's public form when
+    first read.
     """
     if scheme not in SCHEME_IDS:
         raise ConfigError(f"unknown scheme {scheme!r}")
     cfg = cfg or InnerSolverConfig()
-    if p is None:
-        p = t.fixed_point
-    x0 = space.check_point(x0)
+    p, x0 = t.fixed_point, space.check_point(x0)
     if p is not None:
         p = space.check_point(p)
 
@@ -591,7 +573,7 @@ def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
 
     rows = [(1, x0, None, 0, 0.0, dist(x0))]
     trace = IterationTrace(scheme, space, rows)
-    T, closed = step_map(t, cfg), closed_step_map(space, t, cfg)
+    T, chart = step_map(t, cfg), step_chart(space, t, cfg)
     x = x0
     for n, (a, b) in enumerate(weights, start=2):
         if scheme == "implicit-mann":
@@ -599,11 +581,12 @@ def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
         try:
             # T x_{n-1}: the previous step hands it back
             if n == 2:
-                tx = T(x0) if closed else space.check_point(T(x0))
+                # a chart implies the closed certificate
+                tx = T(x0) if chart is not None else space.check_point(T(x0))
             else:
                 tx = stats.inner_x
             anchor = tx if scheme == "implicit-s" else x
-            x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg, tx, closed)
+            x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg, tx, chart)
         except NonconvergenceError as exc:
             raise NonconvergenceError(f"{scheme} step n={n}: {exc}", residual=exc.residual,
                                       trace=trace) from exc

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from implicitfp import mappings, schemes
 from implicitfp.errors import CertificateError, ConfigError, InvalidPointError
+from implicitfp.experiments import rate_race
 from implicitfp.mappings import (AffineMap, ApproximateOperator,
                                  ContractiveLike, LinearPhi, validate_phi)
 from implicitfp.spaces import Euclidean
@@ -291,6 +292,16 @@ class TestCorpus:
         assert math.copysign(1.0, t.delta) == math.copysign(1.0, factor) == 1.0
         assert t.name == f"{kind}:0.0"
 
+    @pytest.mark.parametrize("kind,build", [("tripod-radial", mappings.tripod_radial),
+                                            ("halfplane-vertical", mappings.halfplane_vertical)])
+    def test_a_constructor_reads_a_minus_zero_factor_as_zero(self, kind, build):
+        space, t, _ = build(-0.0)
+        assert math.copysign(1.0, t.delta) == 1.0
+        assert t.name == f"{kind}:0.0"
+        race = rate_race(space, t, schemes.default_schedule(), n_max=20)
+        ratios = [v.final_ratio for v in race.envelope_verdicts.values()]
+        assert [math.copysign(1.0, r) for r in ratios] == [1.0, 1.0]
+
     def test_perturb_halving(self):
         space, t, sampler = mappings.halving()
         s = mappings.perturbed(space, t, np.array([0.01]))
@@ -319,6 +330,16 @@ class TestCorpus:
         s = mappings.perturbed(space, t, 0.05)
         assert s.epsilon == pytest.approx(0.05)
         assert space.d(t.apply(("A", 1.0)), s.apply(("A", 1.0))) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("point", [("Z", -1.0), ("A", -1.0), ("B", math.inf), ("C",)])
+    def test_perturbed_tripod_checks_its_input_as_t_does(self, point):
+        space, t, _ = mappings.tripod_radial(0.5)
+        s = mappings.perturbed(space, t, 0.1)
+        with pytest.raises(InvalidPointError):
+            t.apply(point)
+        with pytest.raises(InvalidPointError):
+            s.apply(point)
+        assert s.apply(("A", 1.0)) == s.raw(("A", 1.0)) == ("A", 0.6)
 
     @pytest.mark.parametrize("name,offset", [
         ("halving", np.array([0.0])), ("halving", np.array([np.nan])),

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from implicitfp import mappings, schemes
-from implicitfp.bounds import check_lemma1
+from implicitfp.bounds import BoundSequences, check_lemma1
 from implicitfp.errors import ConfigError, InvalidPointError, NonconvergenceError
 from implicitfp.experiments import (ORACLE_RATIOS, RationalOracle, default_x0, rate_race,
                                     run_datadep)
@@ -360,7 +360,7 @@ class TestExactAffine:
     def test_scalar_affine_equals_halving_oracle(self):
         space, t, _ = mappings.affine(AffineMap([[0.5]], [0.0]))
         tr = run(space, t, "implicit-s", default_schedule().weights(20), np.array([1.0]),
-                 InnerSolverConfig(mode="exact-affine"), p=np.array([0.0]))
+                 InnerSolverConfig(mode="exact-affine"))
         oracle = RationalOracle("implicit-s").sequence(20)
         for rec, exact in zip(tr.records, oracle):
             assert abs(rec.dist_to_p - float(exact)) <= 5e-14
@@ -521,8 +521,7 @@ class TestCheckedAtTheBoundary:
         monkeypatch.setattr(schemes, "_picard_solve", counted)
         steps = 20
         tr = run(space, t, "implicit-ishikawa",
-                 Schedule(lambda n: 0.5, lambda n: beta).weights(steps + 1), np.array([1.0, -1.0]),
-                 p=np.array([0.0, 0.0]))
+                 Schedule(lambda n: 0.5, lambda n: beta).weights(steps + 1), np.array([1.0, -1.0]))
         assert len(tr) == steps + 1 and len(inside) == steps
         for c in inside:
             assert c["d"] == c["w"] == 0
@@ -919,6 +918,26 @@ class TestClosedMaps:
         # every map output, then x0 and p, and per step x_prev and the anchor
         assert len(checks) == len(calls) + 2 + 2 * 29
 
+    def test_off_its_chart_a_closed_map_has_every_output_checked(self):
+        # a start off x = 0 takes the generic loop, which trusts no map; x
+        # underflows to 0.0 at step 4, so two steps stay off the chart
+        space, t, _ = mappings.from_name("halfplane-vertical:0.5")
+        checks = counting_checks(space)
+        tr = run(space, t, "implicit-ishikawa", default_schedule().weights(3), (7.0, 1e300))
+        iterations = sum(r.inner_iterations for r in tr)
+        assert iterations > 40 and all(x[0] > 0.0 for _, x, *_ in tr._rows)
+        # x0 and p; per step x_prev, its own anchor, and two outputs per
+        # Picard iteration but the first, whose T x_prev the last step handed over
+        assert len(checks) == 2 + 2 * iterations
+
+    def test_a_known_x_step_checks_the_outputs_of_a_closed_map(self):
+        space, t, _ = mappings.halving()
+        checks = counting_checks(space)
+        run(space, t, "implicit-s", schedule_from_name("constant:1.0,0.5").weights(3), (1.0,))
+        # x0 and p; per step x_prev, the anchor T x_prev, and at x = anchor
+        # its T x and T y
+        assert len(checks) == 2 + 4 * 2
+
 
 # ---------------------------------------------------------------------------
 # the chart path: a closed map with a chart factor is solved on one float,
@@ -968,8 +987,8 @@ def test_the_chart_path_has_the_bits_of_the_generic_loop(where, c, s, a, alpha, 
     else:
         space, t, _ = mappings.tripod_radial(c)
         x0, anchor = (where, s), (where, a)
-    cert = t.closed_on(space)
-    assert cert[3] == c
+    chart = schemes.step_chart(space, t, InnerSolverConfig())
+    assert chart == c
     cfg = InnerSolverConfig(max_iterations=max_iterations)
     lb = None if beta is None else 1.0 - beta
     ix0 = t.raw(x0) if given_ix0 else None
@@ -979,8 +998,8 @@ def test_the_chart_path_has_the_bits_of_the_generic_loop(where, c, s, a, alpha, 
         calls.append(x)
         return t.raw(x)
 
-    want = solve_outcome(space, t.raw, t.raw, anchor, x0, 1.0 - alpha, lb, cfg, ix0, True)
-    got = solve_outcome(space, counted, counted, anchor, x0, 1.0 - alpha, lb, cfg, ix0, cert)
+    want = solve_outcome(space, t.raw, t.raw, anchor, x0, 1.0 - alpha, lb, cfg, ix0, None)
+    got = solve_outcome(space, counted, counted, anchor, x0, 1.0 - alpha, lb, cfg, ix0, chart)
     assert got == want
     assert calls == []
 
@@ -999,8 +1018,8 @@ def test_the_chart_path_has_the_bits_of_the_generic_loop(where, c, s, a, alpha, 
 ])
 def test_the_certificate_and_one_chart_select_the_chart_path(name, x0, anchor, chart):
     space, t, _ = mappings.from_name(name)
-    cert = schemes.closed_step_map(space, t, InnerSolverConfig())
-    assert cert[3] in (t.delta, ("power", t.delta))
+    certified = schemes.step_chart(space, t, InnerSolverConfig())
+    assert certified in (t.delta, ("power", t.delta))
     calls = []
 
     def counted(x):
@@ -1008,10 +1027,32 @@ def test_the_certificate_and_one_chart_select_the_chart_path(name, x0, anchor, c
         return t.raw(x)
 
     args = (anchor, x0, 0.5, 0.5, InnerSolverConfig(), None)
-    got = schemes._picard_solve(space, counted, counted, *args, cert)
-    assert repr(got) == repr(schemes._picard_solve(space, t.raw, t.raw, *args, True))
+    got = schemes._picard_solve(space, counted, counted, *args, certified)
+    assert repr(got) == repr(schemes._picard_solve(space, t.raw, t.raw, *args, None))
     # the generic loop calls raw twice per iteration, for T x and T y
     assert len(calls) == (0 if chart else 2 * got[1].iterations)
+
+
+@pytest.mark.parametrize("name", ["halving", "tripod-radial:0.5", "tripod-radial:0.9",
+                                  "halfplane-vertical:0.5", "halfplane-vertical:0.9"])
+def test_each_chart_loop_follows_the_exact_envelope(name):
+    # in arc length s from p (r on a ray, |log y| on x = 0) T is s -> delta*s
+    # and W is linear in s, so d(x_n, p) is the envelope product D_2..D_n * d0
+    # itself: BoundSequences over Fraction copies of the run's own weights,
+    # delta and d0 is the exact trace.  |log y| near y = 1 resolves only to
+    # about 1e-15, so the half-plane is held to the absolute bound alone.
+    space, t, _ = mappings.from_name(name)
+    x0, delta = default_x0(space, t), Fraction(t.delta)
+    for sched in REFERENCE_SCHEDULES:
+        weights = schedule_from_name(sched).weights(200)
+        exact = [(Fraction(a), Fraction(b)) for a, b in weights]
+        for scheme, row in [("implicit-s", 0), ("implicit-mann", 1), ("implicit-ishikawa", 2)]:
+            d0, *dist = run(space, t, scheme, weights, x0).distances()
+            env = BoundSequences.compute(exact, delta, Fraction(d0))
+            for got, want in zip(dist, map(float, (env.a, env.b, env.c)[row]), strict=True):
+                assert abs(got - want) <= 1e-14
+                if got > 1e-8 and not name.startswith("halfplane"):
+                    assert abs(got - want) <= 1e-12 * want
 
 
 # the half-plane's y: the smallest subnormal, the wide scales and anything in between
@@ -1040,8 +1081,8 @@ VERTICAL_YS = st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e300, MAX_FLOAT])
 def test_the_vertical_path_has_the_bits_of_the_generic_loop(head, anchor_head, c, y, a, alpha,
                                                            beta, ix0_head, max_iterations):
     space, t, _ = mappings.halfplane_vertical(c)
-    cert = t.closed_on(space)
-    assert cert[3] == ("power", c)
+    chart = schemes.step_chart(space, t, InnerSolverConfig())
+    assert chart == ("power", c)
     x0, anchor = (head, y), (anchor_head, a)
     # the steps' ix0 is T x0, whose x is 0.0; a -0.0 head must keep its bits too
     ix0 = None if ix0_head is None else (ix0_head, t.raw(x0)[1])
@@ -1053,8 +1094,8 @@ def test_the_vertical_path_has_the_bits_of_the_generic_loop(head, anchor_head, c
         calls.append(x)
         return t.raw(x)
 
-    want = solve_outcome(space, t.raw, t.raw, anchor, x0, 1.0 - alpha, lb, cfg, ix0, True)
-    got = solve_outcome(space, counted, counted, anchor, x0, 1.0 - alpha, lb, cfg, ix0, cert)
+    want = solve_outcome(space, t.raw, t.raw, anchor, x0, 1.0 - alpha, lb, cfg, ix0, None)
+    got = solve_outcome(space, counted, counted, anchor, x0, 1.0 - alpha, lb, cfg, ix0, chart)
     assert got == want
     assert calls == []
 
@@ -1067,9 +1108,10 @@ def test_the_vertical_path_rechecks_a_residual_past_the_floats(ix0_y, beta):
     space, t, _ = mappings.halfplane_vertical(0.5)
     args = ((0.0, 2.0), (0.0, 3.0), 0.5, None if beta is None else 1.0 - beta,
             InnerSolverConfig(), (0.0, ix0_y))
-    want = solve_outcome(space, t.raw, t.raw, *args, True)
+    want = solve_outcome(space, t.raw, t.raw, *args, None)
     assert want[0] is InvalidPointError
-    assert solve_outcome(space, t.raw, t.raw, *args, t.closed_on(space)) == want
+    chart = schemes.step_chart(space, t, InnerSolverConfig())
+    assert solve_outcome(space, t.raw, t.raw, *args, chart) == want
 
 
 @given(v=st.floats(allow_nan=True, allow_infinity=True))
