@@ -282,25 +282,21 @@ class TestCorpus:
         with pytest.raises(ConfigError):
             mappings.from_name("affine:1,0;0,1|1")  # inconsistent shapes
 
+    @pytest.mark.parametrize("built_by", ["from_name", "constructor"])
     @pytest.mark.parametrize("kind", ["tripod-radial", "halfplane-vertical"])
     @pytest.mark.parametrize("spelled", ["-0.0", "-0", "-0e5"])
-    def test_a_factor_spelled_minus_zero_is_zero(self, kind, spelled):
+    def test_a_factor_spelled_minus_zero_is_zero(self, kind, spelled, built_by):
         # a -0.0 delta would print as -0.0 in the envelopes and their ratios
-        space, t, _ = mappings.from_name(f"{kind}:{spelled}")
+        if built_by == "from_name":
+            space, t, _ = mappings.from_name(f"{kind}:{spelled}")
+        else:
+            space, t, _ = getattr(mappings, kind.replace("-", "_"))(float(spelled))
         chart = t.closed_on(space)[3]
         factor = chart[1] if kind == "halfplane-vertical" else chart
         assert math.copysign(1.0, t.delta) == math.copysign(1.0, factor) == 1.0
         assert t.name == f"{kind}:0.0"
-
-    @pytest.mark.parametrize("kind,build", [("tripod-radial", mappings.tripod_radial),
-                                            ("halfplane-vertical", mappings.halfplane_vertical)])
-    def test_a_constructor_reads_a_minus_zero_factor_as_zero(self, kind, build):
-        space, t, _ = build(-0.0)
-        assert math.copysign(1.0, t.delta) == 1.0
-        assert t.name == f"{kind}:0.0"
         race = rate_race(space, t, schemes.default_schedule(), n_max=20)
-        ratios = [v.final_ratio for v in race.envelope_verdicts.values()]
-        assert [math.copysign(1.0, r) for r in ratios] == [1.0, 1.0]
+        assert [math.copysign(1.0, v.final_ratio) for v in race.envelope_verdicts.values()] == [1.0, 1.0]
 
     def test_perturb_halving(self):
         space, t, sampler = mappings.halving()

@@ -507,7 +507,7 @@ class TestCheckedAtTheBoundary:
             space.calls["map"] += 1
             return A @ x + 0.1
 
-        t = ContractiveLike(apply, 0.5)
+        t = ContractiveLike(apply, 0.5, fixed_point=np.array([0.0, 0.0]))
 
         inside = []
         solve = schemes._picard_solve
