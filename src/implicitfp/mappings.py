@@ -99,7 +99,7 @@ class ContractiveLike:
         """The certificate (raw, space class, space name, chart) if raw is
         certified closed on space (a space of the class and name its
         constructor proved it on), else None.  chart is the map's scalar
-        form, a factor c or ("power", c) (see `_closed_map`); the solver
+        form, a factor c or ("log", c) (see `_closed_map`); the solver
         trusts raw on that chart only and checks every output off it."""
         c = self._closed
         ok = c is not None and self.raw is c[0] and type(space) is c[1] and space.name == c[2]
@@ -234,7 +234,8 @@ def _closed_map(space: Space, raw: Callable, delta: float, fixed_point, name: st
     iterates on one float; off it every output is checked (`schemes._picard_solve`):
     - a float c: raw(head + (s,)) = head + (c*s,), where the space's raw_w
       and raw_d on points of one head are (1-lam)*a + lam*b and abs(a - b) in s;
-    - ("power", c), on HalfPlane only: raw((x, y)) = (0.0, y ** c) for x == 0."""
+    - ("log", c), on HalfPlane only: raw((x, y)) = (0.0, y ** c) for x == 0,
+      which in s = log y is s -> c*s, with W and d linear and abs(a - b) in s."""
     check = space.check_point
     t = ContractiveLike(lambda x: raw(check(x)), delta, LinearPhi(0.0),
                         fixed_point=fixed_point, name=name, raw=raw)
@@ -299,8 +300,8 @@ def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]
     by exactly `factor`; the line is a geodesic, hence convex, and the
     iteration stays on it.  Closed: for finite y > 0 and factor in [0, 1),
     y**factor lies between min(y, 1) and max(y, 1), so it is finite and > 0.
-    Chart ("power", factor): on x = 0 the solver iterates on y itself, with
-    the expressions raw_w and raw_d take on a vertical pair.
+    Chart ("log", factor): on x = 0 near y = 1 the solver iterates on
+    s = log y, where T is s -> factor*s and W and d are linear and |a - b|.
     """
     space = HalfPlane()
     factor += 0.0  # a -0.0 factor would certify delta = -0.0
@@ -310,7 +311,7 @@ def halfplane_vertical(factor: float) -> tuple[Space, ContractiveLike, Callable]
         return (0.0, z[1] ** factor)
 
     t = _closed_map(space, raw, factor, (0.0, 1.0), f"halfplane-vertical:{factor}",
-                    chart=("power", factor))
+                    chart=("log", factor))
     return space, t, line.sample
 
 

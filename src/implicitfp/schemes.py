@@ -26,12 +26,14 @@ converge within the budget raises NonconvergenceError.
 
 Halving and tripod-radial certify a chart factor c: on points that differ
 only in the last coordinate s (one tripod ray), T is s -> c*s, W is
-(1-lam)*a + lam*b and d is |a - b|.  halfplane-vertical certifies
-("power", c): on the line x = 0, T is y -> y**c, and W and d are the
-half-plane's own expressions for a vertical pair.  A step on one chart runs
-its Picard loop on s or y as a float, with the same expressions, so with
-the same bits.  A certified map is trusted only there: off its chart (as
-with `--x0 7,1e300`) every map output is checked.
+(1-lam)*a + lam*b and d is |a - b|, the expressions raw, raw_w and raw_d
+evaluate there.  halfplane-vertical certifies ("log", c): on the line x = 0,
+s = log y is an isometry onto the line, and in s T, W and d are the same
+expressions.  A step on a chart runs one Picard loop on s as a float.  A
+factor chart keeps the generic loop's bits; the log chart is taken only
+for e**-2 < y < e**2, where s is no coarser than the floats near y = 1.
+A certified map is trusted only there: off its chart (as with `--x0
+7,1e300`) every map output is checked.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, InvalidPointError, NonconvergenceError
 from .mappings import AffineMap, ContractiveLike
-from .spaces import _FLOAT_MIN, _HALF_MAX, _LOG2, Euclidean, Space, check_lambda
+from .spaces import Euclidean, Space, check_lambda
 
 SCHEME_IDS = ("implicit-s", "implicit-ishikawa", "implicit-mann")
 
@@ -229,10 +231,16 @@ def _on_chart(p, head) -> bool:
     return type(p) is tuple and len(p) == len(head) + 1 and all(map(operator.is_, p, head))
 
 
+# the log chart's domain e**-2 < y < e**2: there |log y| <= 2, so no s is
+# coarser than the floats near y = 1 (ulp(s) <= ulp(1.0))
+_LOG_CHART_Y = (math.exp(-2.0), math.exp(2.0))
+
+
 def _on_vertical(p) -> bool:
-    """Whether p is a tuple of two floats (x, y) with x == 0.0 (or -0.0)."""
+    """Whether p is a tuple of two floats (x, y) with x == 0.0 (or -0.0) and y
+    in the log chart's domain."""
     return (type(p) is tuple and len(p) == 2 and type(p[0]) is float and p[0] == 0.0
-            and type(p[1]) is float)
+            and type(p[1]) is float and _LOG_CHART_Y[0] < p[1] < _LOG_CHART_Y[1])
 
 
 def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
@@ -252,23 +260,25 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
 
     chart, unless None, is the chart of the one map passed as outer and
     inner, certified closed on the space (`step_chart`).  The map is trusted
-    only there: when x0, anchor and ix0 lie on it, the loop runs on their
-    last coordinate s as a float, calls no map, and evaluates the very
-    expressions raw, raw_w and raw_d evaluate on such points:
-    - a factor c, on points that share every coordinate but s: T is c*s, W
-      is (1-lam)*a + lam*b and d is abs(a - b) (`_w1` and math.dist at dim
-      1, Tripod on one ray);
-    - ("power", c), on tuples of floats on the half-plane's line x = 0: T is
-      y**c, W is raw_w's vertical branch and d is raw_d's arithmetic with an
-      x difference of +-0.0, every branch kept, hypot(+-0.0, v) being abs(v)
-      bit for bit.
-    So iterates, residuals and errors keep their bits.  The tuples are
-    rebuilt once per solve: x0 and ix0 themselves where the best iterate is
-    the first (a -0.0 head keeps its bits), else head + (s,), the head on
-    the line being raw_w's (0.0,).
+    only there: when x0, anchor and ix0 lie on it, the loop runs on a float
+    coordinate s, calls no map, and takes T as c*s, W as (1-lam)*a + lam*b
+    and d as abs(a - b):
+    - a factor c, on points that share every coordinate but the last, s.
+      These are the expressions raw, raw_w and raw_d evaluate there (`_w1`
+      and math.dist at dim 1, Tripod on one ray), so iterates, residuals
+      and errors have the generic loop's bits;
+    - ("log", c), on tuples of floats (+-0.0, y) on the half-plane's line,
+      with s = log y, an isometry onto the line.  The bits are the chart's,
+      not raw's.  Only e**-2 < y < e**2 is taken (`_on_vertical`): the
+      iterates stay in the hull of 0 and the given s, where ulp(s) <=
+      ulp(1.0), while at wide scales a residual in s does not bound the
+      half-plane's own.  Other vertical steps take the generic loop.
+    The tuples are rebuilt once per solve: x0 and ix0 themselves where the
+    best iterate is the first (a -0.0 head keeps its bits), else head + (s,),
+    or (0.0, exp(s)) on the line, as raw_w builds it.
     """
-    head = None
-    if type(chart) is tuple:  # ("power", c): y -> y**c on the line x = 0
+    logy, head = type(chart) is tuple, None
+    if logy:  # ("log", c): s = log y on the line x = 0, near its fixed point y = 1
         # steps pass x0 or ix0 itself as the anchor: one test covers both
         if (_on_vertical(x0) and (ix0 is None or _on_vertical(ix0))
                 and (anchor is x0 or anchor is ix0 or _on_vertical(anchor))):
@@ -279,9 +289,6 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
             head = None
     check, isfinite, tol = space.check_point, math.isfinite, cfg.tolerance
     x, ix, best = x0, ix0, None  # best: (residual, x, y, ix, oy, iteration)
-    if head is not None:
-        a, x, ix = anchor[-1], x0[-1], None if ix0 is None else ix0[-1]
-        ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
     if head is None:
         raw_d, raw_w = space.raw_d, space.raw_w
         for k in range(1, cfg.max_iterations + 1):
@@ -307,54 +314,15 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
                 check(x)
                 check(fx)
             x, ix = fx, None
-    elif type(chart) is tuple:
-        exp, log, sqrt, asinh = math.exp, math.log, math.sqrt, math.asinh
-        fmin, half_max, log2, inf = _FLOAT_MIN, _HALF_MAX, _LOG2, math.inf
-        for k in range(1, cfg.max_iterations + 1):
-            if ix is None:
-                ix = x ** c
-            if lb is None:
-                y, oy = x, ix
-            else:
-                b = ix / x
-                if lb == 1.0:
-                    y = ix
-                elif 0.0 < b < inf:
-                    y = x * exp(lb * log(b))
-                else:
-                    y = x ** mb * ix ** lb
-                oy = y ** c
-            b = oy / a
-            if la == 1.0:
-                fx = oy
-            elif 0.0 < b < inf:
-                fx = a * exp(la * log(b))
-            else:
-                fx = a ** ma * oy ** la
-            try:  # raw_d((0.0, x), (0.0, fx))
-                yy = x * fx
-                root = sqrt(yy) if fmin <= yy < inf else sqrt(x) * sqrt(fx)
-                if root > half_max:  # only off the common branch, as sqrt(yy) <= sqrt(max)
-                    res = 2.0 * asinh(abs(0.5 * x - 0.5 * fx) / root)
-                else:
-                    h, den = abs(x - fx), 2.0 * root
-                    if h == inf:  # a difference overflowed: halve the coordinates
-                        h, den = abs(0.5 * x - 0.5 * fx), root
-                    q = h / den
-                    res = 2.0 * (log(h) + (log2 - log(den))) if q == inf else 2.0 * asinh(q)
-            except (ArithmeticError, ValueError):
-                res = math.nan
-            if res <= tol:
-                if best is not None and res >= best[0]:
-                    break
-                best = (res, x, y, ix, oy, k)
-                if res == 0.0:
-                    break
-            elif not isfinite(res):
-                check((0.0, x))
-                check((0.0, fx))
-            x, ix = fx, None
     else:
+        a, x, ix = anchor[-1], x0[-1], None if ix0 is None else ix0[-1]
+        if logy:
+            log, exp = math.log, math.exp
+            a, x, ix = log(a), log(x), None if ix is None else log(ix)
+            point = lambda s: (0.0, exp(s))
+        else:
+            point = lambda s: head + (s,)
+        ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
         for k in range(1, cfg.max_iterations + 1):
             if ix is None:
                 ix = c * x
@@ -372,8 +340,8 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
                 if res == 0.0:
                     break
             elif not isfinite(res):
-                check(head + (x,))
-                check(head + (fx,))
+                check(point(x))
+                check(point(fx))
             x, ix = fx, None
     if best is None:
         raise NonconvergenceError(
@@ -381,9 +349,9 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
             residual=res)
     res, x, y, ix, oy, at = best
     if head is not None:
-        x = x0 if at == 1 else head + (x,)
-        ix = ix0 if at == 1 and ix0 is not None else head + (ix,)
-        y, oy = (x, ix) if lb is None else (head + (y,), head + (oy,))
+        x = x0 if at == 1 else point(x)
+        ix = ix0 if at == 1 and ix0 is not None else point(ix)
+        y, oy = (x, ix) if lb is None else (point(y), point(oy))
     return x, InnerStats(k, res, y, ix, oy)
 
 

@@ -589,7 +589,7 @@ def chart_of(t, space):
 # (map, the chart its certificate records)
 @pytest.mark.parametrize("build,chart", [
     (mappings.halving, 0.5), (lambda: mappings.tripod_radial(0.7), 0.7),
-    (lambda: mappings.halfplane_vertical(0.6), ("power", 0.6))],
+    (lambda: mappings.halfplane_vertical(0.6), ("log", 0.6))],
     ids=["halving", "tripod-radial", "halfplane-vertical"])
 class TestClosedCertificate:
     def test_reassigning_raw_drops_it(self, build, chart):
@@ -632,7 +632,7 @@ def test_affine_maps_are_not_certified(name):
     assert not t.closed_on(space)
 
 
-@pytest.mark.parametrize("chart", [0.5, ("power", 0.5)], ids=["linear", "power"])
+@pytest.mark.parametrize("chart", [0.5, ("log", 0.5)], ids=["linear", "log"])
 def test_a_contractive_pickle_keeps_the_certificate(chart):
     # pickling a corpus map fails on its apply closure; the certificate rides
     # in __reduce__'s state, so a map of picklable functions keeps it
