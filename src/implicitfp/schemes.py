@@ -29,11 +29,11 @@ only in the last coordinate s (one tripod ray), T is s -> c*s, W is
 (1-lam)*a + lam*b and d is |a - b|, the expressions raw, raw_w and raw_d
 evaluate there.  halfplane-vertical certifies ("log", c): on the line x = 0,
 s = log y is an isometry onto the line, and in s T, W and d are the same
-expressions.  A step on a chart runs one Picard loop on s as a float.  A
-factor chart keeps the generic loop's bits; the log chart is taken only
-for e**-2 < y < e**2, where s is no coarser than the floats near y = 1.
-A certified map is trusted only there: off its chart (as with `--x0
-7,1e300`) every map output is checked.
+expressions.  A step on a chart is linear in s, so its Picard loop on s as
+a float starts at the closed-form solution and only polishes it; the log
+chart is taken only for e**-2 < y < e**2, where s is no coarser than the
+floats near y = 1.  A certified map is trusted only there: off its chart
+(as with `--x0 7,1e300`) every map output is checked.
 """
 
 from __future__ import annotations
@@ -265,17 +265,20 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     and d as abs(a - b):
     - a factor c, on points that share every coordinate but the last, s.
       These are the expressions raw, raw_w and raw_d evaluate there (`_w1`
-      and math.dist at dim 1, Tripod on one ray), so iterates, residuals
-      and errors have the generic loop's bits;
+      and math.dist at dim 1, Tripod on one ray), so each iteration has the
+      generic step map's bits;
     - ("log", c), on tuples of floats (+-0.0, y) on the half-plane's line,
       with s = log y, an isometry onto the line.  The bits are the chart's,
       not raw's.  Only e**-2 < y < e**2 is taken (`_on_vertical`): the
       iterates stay in the hull of 0 and the given s, where ulp(s) <=
       ulp(1.0), while at wide scales a residual in s does not bound the
       half-plane's own.  Other vertical steps take the generic loop.
-    The tuples are rebuilt once per solve: x0 and ix0 themselves where the
-    best iterate is the first (a -0.0 head keeps its bits), else head + (s,),
-    or (0.0, exp(s)) on the line, as raw_w builds it.
+    In s the step is linear, s = (1-la)*a / (1 - la*c*((1-lb) + lb*c)) (the
+    denominator of `bounds.step_factors`; 1 - la*c for Mann), so the loop
+    starts there, and at x0 only where that is not a finite float.  The
+    tuples are rebuilt once per solve: x0 and ix0 themselves where the loop
+    started at x0 and its best iterate is the first (a -0.0 head keeps its
+    bits), else head + (s,), or (0.0, exp(s)) on the line, as raw_w builds it.
     """
     logy, head = type(chart) is tuple, None
     if logy:  # ("log", c): s = log y on the line x = 0, near its fixed point y = 1
@@ -323,6 +326,12 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
         else:
             point = lambda s: head + (s,)
         ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
+        # start at the step's closed form, bounds.step_factors' denominator
+        den = 1.0 - la * c * (1.0 if lb is None else mb + lb * c)
+        s = ma * a / den if den > 0.0 else math.nan
+        from_x0 = not isfinite(s)
+        if not from_x0:
+            x, ix = s, None
         for k in range(1, cfg.max_iterations + 1):
             if ix is None:
                 ix = c * x
@@ -349,8 +358,9 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
             residual=res)
     res, x, y, ix, oy, at = best
     if head is not None:
-        x = x0 if at == 1 else point(x)
-        ix = ix0 if at == 1 and ix0 is not None else point(ix)
+        first = from_x0 and at == 1
+        x = x0 if first else point(x)
+        ix = ix0 if first and ix0 is not None else point(ix)
         y, oy = (x, ix) if lb is None else (point(y), point(oy))
     return x, InnerStats(k, res, y, ix, oy)
 

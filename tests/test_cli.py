@@ -1,13 +1,15 @@
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from implicitfp import cli, schemes
+from implicitfp import cli, mappings, schemes
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -127,6 +129,17 @@ class TestCompare:
         out = capsys.readouterr().out
         assert out.count(": degenerate (final ratio None)") == 4 and len(out.splitlines()) == 4
         assert run_cli(argv + ["--assert-faster"]) == 1
+
+    def test_a_slow_ray_from_a_wide_start_converges_at_once(self, capsys):
+        # at alpha = 0 each step is x = T y, whose solution is the hub; Picard
+        # from x0 = 1e112 at c = 0.99 ran out of its 10 000 iterations, while
+        # the closed form starts there and every scheme lands on p at n = 2
+        argv = ["compare", "--mapping", "tripod-radial:0.99", "--x0", "A:1e112",
+                "--schedule", "constant:0.0,0.5"]
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count(": degenerate (final ratio None)") == 4
+        assert out.count("converged exactly at n=2") == 3
 
     @pytest.mark.parametrize("x0", ["5e-324", "0"])
     def test_exact_convergence_without_a_verdict(self, x0, capsys):
@@ -610,5 +623,17 @@ class TestRejectedSettings:
         # a cell of 1e13 or more has more than 28 digits at 15 decimals
         assert run_cli(["table", "--x0", "1e14", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == ("2,66666666666666.671875000000000,"
+        assert lines[1] == ("2,66666666666666.664062500000000,"
                             "61538461538461.539062500000000,30769230769230.769531250000000")
+        # Mann at n = 2 is x = (1e14 + x/2)/2, so 2e14/3, correctly rounded
+        assert Fraction(lines[1].split(",")[1]) == Fraction(float(Fraction(2 * 10**14, 3)))
+        # each Mann cell is its run's x_n, within an ulp of the exact
+        # solution of its step from x_{n-1}: x = a*x_{n-1} / (1 - (1 - a)/2)
+        weights = schemes.default_schedule().weights(50)
+        rows = schemes.run(*mappings.halving()[:2], "implicit-mann", weights, (1e14,))._rows
+        xs = [x[0] for _, x, *_ in rows]
+        for n, (a, _) in enumerate(weights, start=2):
+            exact = Fraction(a) * Fraction(xs[n - 2]) / (1 - (1 - Fraction(a)) / 2)
+            assert abs(Fraction(xs[n - 1]) - exact) <= math.ulp(xs[n - 1]), n
+        cells = [line.split(",")[:2] for line in lines[1:]]
+        assert len(cells) == 14 and all(Fraction(x) == xs[int(n) - 1] for n, x in cells)

@@ -306,18 +306,19 @@ class TestDataDependence:
         assert "holds=True" in text
 
     def test_failed_step_names_the_x_or_u_step(self):
-        # the x-step (T) cannot finish within one Picard iteration
-        space, t, _ = mappings.halving()
-        s = mappings.perturbed(space, t, (0.01,))
-        with pytest.raises(NonconvergenceError) as err:
-            run_datadep(space, t, s, cfg=InnerSolverConfig(max_iterations=1))
-        assert str(err.value) == "x-step n=2: inner solver exceeded 1 iterations"
-        assert err.value.residual > 0.0
-        # Tx = x/4 on [0, 1/2), x/5 on [1/2, 1] and S = T + 0.71: from 0.88 at
-        # alpha = 1/2, beta = 1 the x-step x = (T(0.88) + Tx)/2 is solvable, the
-        # u-step u = (S(0.88) + Tu)/2 is not (0.506 and 0.492 on the two pieces)
+        # Tx = x/4 on [0, 1/2), x/5 on [1/2, 1]: a map with no chart, so the
+        # x-step is Picard iteration from x_prev, which one iteration cannot finish
+        space = Euclidean(1)
         t = ContractiveLike(lambda x: (x[0] / 4 if x[0] < 0.5 else x[0] / 5,), 3 / 7,
                             LinearPhi(6 / 7), fixed_point=(0.0,))
+        s = mappings.perturbed(space, t, (0.01,))
+        with pytest.raises(NonconvergenceError) as err:
+            run_datadep(space, t, s, x0=(1.0,), cfg=InnerSolverConfig(max_iterations=1))
+        assert str(err.value) == "x-step n=2: inner solver exceeded 1 iterations"
+        assert err.value.residual > 0.0
+        # S = T + 0.71: from 0.88 at alpha = 1/2, beta = 1 the x-step
+        # x = (T(0.88) + Tx)/2 is solvable, the u-step u = (S(0.88) + Tu)/2 is
+        # not (0.506 and 0.492 on the two pieces)
         s = mappings.perturbed(space, t, (0.71,))
         with pytest.raises(NonconvergenceError) as err:
             run_datadep(space, t, s, constant_schedule(0.5, 1.0), x0=(0.88,), n_max=5)
