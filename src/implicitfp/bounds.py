@@ -41,13 +41,13 @@ def step_factors(weights: list, delta) -> tuple:
     are integers, so Fraction weights give exact factors.
     """
     _require_delta(delta)
-
-    def factor(alpha, beta, scale):
-        return alpha * scale / (1 - (1 - alpha) * delta * (beta + (1 - beta) * delta))
-
-    return ([factor(a, b, delta) for a, b in weights],
-            [factor(a, 1, 1) for a, _ in weights],
-            [factor(a, b, 1) for a, b in weights])
+    s, mann, ishikawa = rows = ([], [], [])
+    for a, b in weights:
+        den = 1 - (1 - a) * delta * (b + (1 - b) * delta)
+        s.append(a * delta / den)
+        mann.append(a / (1 - (1 - a) * delta))
+        ishikawa.append(a / den)
+    return rows
 
 
 @dataclass

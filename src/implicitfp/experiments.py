@@ -351,8 +351,8 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     point outside the space InvalidPointError, naming the step n and
     whether the x-step (T) or the u-step (S) failed.
     The steps call the maps' raw forms (T.apply, the AffineMap, in an
-    exact-affine x-step); the closed form reads A and b from T.apply.  A
-    Picard x-step trusts a closed T's outputs only on its chart (`schemes.step_chart`).
+    exact-affine x-step); the closed form reads A and b from T.apply.  The
+    x-sequence is `run`'s implicit-S steps (`schemes._steps`).
     """
     weights = datadep_weights(schedule or default_schedule(), n_max)
     cfg = cfg or InnerSolverConfig()
@@ -372,19 +372,19 @@ def run_datadep(space: Space, t: ContractiveLike, s: ApproximateOperator,
     u_steps = []
     delta, phi = t.delta, t.phi
     eps = s.epsilon
-    T, S = schemes.step_map(t, cfg), s.raw  # the u-step is Picard, so S.raw
-    chart = schemes.step_chart(space, t, cfg)  # the x-step's T only
+    S = s.raw  # the u-step is Picard, so S.raw
+    xs = schemes._steps(space, t, "implicit-s", weights, x, cfg, images=True)
     for n, (al, be) in enumerate(weights, start=2):
         try:
             step = "x-step"
             if n == 2:
-                tx = T(x) if chart is not None else check(T(x))
+                tx = next(xs)[2].inner_x  # record n = 1 gives T x_1
                 step = "u-step"
                 su = check(S(u))
                 step = "x-step"
             # each step hands back T x_n, T y_n and S u_n, checked
             x_prev, tx_prev, u_prev = x, tx, u
-            x, y, stats = schemes.implicit_step(space, T, T, tx, x, al, be, cfg, tx, chart)
+            x, y, stats = next(xs)
             tx, ty = stats.inner_x, stats.outer_y
             step = "u-step"
             u, _, stats = schemes.implicit_step(space, S if proof_variant else t.raw, S,

@@ -231,7 +231,7 @@ def _closed_map(space: Space, raw: Callable, delta: float, fixed_point, name: st
     """ContractiveLike with raw, apply = raw on x read by the space's
     check_point, phi == 0, certified closed on space: the caller proves it.
     chart is the map's scalar form, on which the solver trusts raw and
-    iterates on one float; off it every output is checked (`schemes._picard_solve`):
+    iterates on one float; off it every output is checked (`schemes._steps`):
     - a float c: raw(head + (s,)) = head + (c*s,), where the space's raw_w
       and raw_d on points of one head are (1-lam)*a + lam*b and abs(a - b) in s;
     - ("log", c), on HalfPlane only: raw((x, y)) = (0.0, y ** c) for x == 0,

@@ -33,7 +33,9 @@ expressions.  A step on a chart is linear in s, so its Picard loop on s as
 a float starts at the closed-form solution and only polishes it; the log
 chart is taken only for e**-2 < y < e**2, where s is no coarser than the
 floats near y = 1.  A certified map is trusted only there: off its chart
-(as with `--x0 7,1e300`) every map output is checked.
+(as with `--x0 7,1e300`) every map output is checked.  `_steps`, the step
+loop of `run` and of the data-dependence x-sequence, enters the chart once
+per run and then carries s from step to step.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import ast
 import math
 import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 from .errors import ConfigError, InvalidPointError, NonconvergenceError
@@ -216,7 +219,7 @@ class InnerSolverConfig:
             raise ConfigError(f"unknown inner solver mode {self.mode!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class InnerStats:
     iterations: int
     residual: float
@@ -226,25 +229,8 @@ class InnerStats:
     outer_y: object = None
 
 
-def _on_chart(p, head) -> bool:
-    """Whether p is the tuple head + (s,) for some s, its head the same objects."""
-    return type(p) is tuple and len(p) == len(head) + 1 and all(map(operator.is_, p, head))
-
-
-# the log chart's domain e**-2 < y < e**2: there |log y| <= 2, so no s is
-# coarser than the floats near y = 1 (ulp(s) <= ulp(1.0))
-_LOG_CHART_Y = (math.exp(-2.0), math.exp(2.0))
-
-
-def _on_vertical(p) -> bool:
-    """Whether p is a tuple of two floats (x, y) with x == 0.0 (or -0.0) and y
-    in the log chart's domain."""
-    return (type(p) is tuple and len(p) == 2 and type(p[0]) is float and p[0] == 0.0
-            and type(p[1]) is float and _LOG_CHART_Y[0] < p[1] < _LOG_CHART_Y[1])
-
-
 def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
-                  cfg: InnerSolverConfig, ix0, chart):
+                  cfg: InnerSolverConfig, ix0, chart=None):
     """Solve x = W(anchor, outer(y), 1-la), y = W(x, inner(x), 1-lb) by Picard iteration.
 
     Each iteration evaluates the step map at x inline: ix = inner(x), then
@@ -258,42 +244,19 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     accepted iterates sit near the machine fixed point.  Returns
     (x, InnerStats) with the residual, y, ix and oy at that x.
 
-    chart, unless None, is the chart of the one map passed as outer and
-    inner, certified closed on the space (`step_chart`).  The map is trusted
-    only there: when x0, anchor and ix0 lie on it, the loop runs on a float
-    coordinate s, calls no map, and takes T as c*s, W as (1-lam)*a + lam*b
-    and d as abs(a - b):
-    - a factor c, on points that share every coordinate but the last, s.
-      These are the expressions raw, raw_w and raw_d evaluate there (`_w1`
-      and math.dist at dim 1, Tripod on one ray), so each iteration has the
-      generic step map's bits;
-    - ("log", c), on tuples of floats (+-0.0, y) on the half-plane's line,
-      with s = log y, an isometry onto the line.  The bits are the chart's,
-      not raw's.  Only e**-2 < y < e**2 is taken (`_on_vertical`): the
-      iterates stay in the hull of 0 and the given s, where ulp(s) <=
-      ulp(1.0), while at wide scales a residual in s does not bound the
-      half-plane's own.  Other vertical steps take the generic loop.
-    In s the step is linear, s = (1-la)*a / (1 - la*c*((1-lb) + lb*c)) (the
-    denominator of `bounds.step_factors`; 1 - la*c for Mann), so the loop
-    starts there, and at x0 only where that is not a finite float.  The
-    tuples are rebuilt once per solve: x0 and ix0 themselves where the loop
-    started at x0 and its best iterate is the first (a -0.0 head keeps its
-    bits), else head + (s,), or (0.0, exp(s)) on the line, as raw_w builds it.
+    chart, unless None, is (c, point) for a step on a map's chart (`_steps`):
+    anchor, x0 and ix0 are then their chart coordinates s, and the loop runs
+    on floats, calls no map and takes T as c*s, W as (1-lam)*a + lam*b and d
+    as abs(a - b), the expressions raw, raw_w and raw_d evaluate on a factor
+    chart (the log chart's bits are its own).  The step is linear in s, so
+    the loop starts at s = (1-la)*a / (1 - la*c*((1-lb) + lb*c)) (1 - la*c
+    for Mann; `bounds.step_factors`' denominator), at x0 only where that is
+    not a finite float, and returns s and the InnerStats in s; point(s)
+    builds a point only to re-check a non-finite residual.
     """
-    logy, head = type(chart) is tuple, None
-    if logy:  # ("log", c): s = log y on the line x = 0, near its fixed point y = 1
-        # steps pass x0 or ix0 itself as the anchor: one test covers both
-        if (_on_vertical(x0) and (ix0 is None or _on_vertical(ix0))
-                and (anchor is x0 or anchor is ix0 or _on_vertical(anchor))):
-            head, c = (0.0,), chart[1]
-    elif chart is not None and type(x0) is tuple:
-        head, c = x0[:-1], chart
-        if not (_on_chart(anchor, head) and (ix0 is None or _on_chart(ix0, head))):
-            head = None
-    check, isfinite, tol = space.check_point, math.isfinite, cfg.tolerance
-    x, ix, best = x0, ix0, None  # best: (residual, x, y, ix, oy, iteration)
-    if head is None:
-        raw_d, raw_w = space.raw_d, space.raw_w
+    x, ix, best, tol = x0, ix0, None, cfg.tolerance  # best: (residual, x, y, ix, oy)
+    if chart is None:
+        check, isfinite, raw_d, raw_w = space.check_point, math.isfinite, space.raw_d, space.raw_w
         for k in range(1, cfg.max_iterations + 1):
             if ix is None:
                 ix = check(inner(x))
@@ -310,7 +273,7 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
             if res <= tol:
                 if best is not None and res >= best[0]:
                     break
-                best = (res, x, y, ix, oy, k)
+                best = (res, x, y, ix, oy)
                 if res == 0.0:
                     break
             elif not isfinite(res):
@@ -318,19 +281,12 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
                 check(fx)
             x, ix = fx, None
     else:
-        a, x, ix = anchor[-1], x0[-1], None if ix0 is None else ix0[-1]
-        if logy:
-            log, exp = math.log, math.exp
-            a, x, ix = log(a), log(x), None if ix is None else log(ix)
-            point = lambda s: (0.0, exp(s))
-        else:
-            point = lambda s: head + (s,)
+        (c, point), a = chart, anchor
         ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
         # start at the step's closed form, bounds.step_factors' denominator
         den = 1.0 - la * c * (1.0 if lb is None else mb + lb * c)
         s = ma * a / den if den > 0.0 else math.nan
-        from_x0 = not isfinite(s)
-        if not from_x0:
+        if math.isfinite(s):
             x, ix = s, None
         for k in range(1, cfg.max_iterations + 1):
             if ix is None:
@@ -345,23 +301,18 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
             if res <= tol:
                 if best is not None and res >= best[0]:
                     break
-                best = (res, x, y, ix, oy, k)
+                best = (res, x, y, ix, oy)
                 if res == 0.0:
                     break
-            elif not isfinite(res):
-                check(point(x))
-                check(point(fx))
+            elif not math.isfinite(res):
+                space.check_point(point(x))
+                space.check_point(point(fx))
             x, ix = fx, None
     if best is None:
         raise NonconvergenceError(
             f"inner solver exceeded {cfg.max_iterations} iterations",
             residual=res)
-    res, x, y, ix, oy, at = best
-    if head is not None:
-        first = from_x0 and at == 1
-        x = x0 if first else point(x)
-        ix = ix0 if first and ix0 is not None else point(ix)
-        y, oy = (x, ix) if lb is None else (point(y), point(oy))
+    res, x, y, ix, oy = best
     return x, InnerStats(k, res, y, ix, oy)
 
 
@@ -369,15 +320,9 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
 # the implicit step
 
 
-def step_map(t, cfg: InnerSolverConfig):
-    """The form of map t that steps in cfg's mode call: t.raw in Picard
-    mode, t.apply (the AffineMap itself) in exact-affine mode."""
-    return t.apply if cfg.mode == "exact-affine" else t.raw
-
-
 def step_chart(space: Space, t: ContractiveLike, cfg: InnerSolverConfig):
     """The chart of t's closed certificate on space if cfg's mode is Picard,
-    where steps call t.raw, else None.  Steps take it as `_chart`."""
+    where steps call t.raw, else None.  `_steps` enters it."""
     cert = cfg.mode == "picard" and t.closed_on(space)
     return cert[3] if cert else None
 
@@ -395,8 +340,7 @@ def check_mode(cfg: InnerSolverConfig, space: Space, outer, inner):
 
 
 def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
-                  beta: float, cfg: InnerSolverConfig = None, inner_x_prev=None,
-                  _chart=None):
+                  beta: float, cfg: InnerSolverConfig = None, inner_x_prev=None):
     """Solve x = W(anchor, outer(y), alpha), y = W(x, inner(x), beta) for x.
 
     outer and inner are plain callables on checked points, such as a map's
@@ -416,10 +360,8 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     them: T x_n is the next implicit-S anchor and the next inner_x_prev.
     Points are passed and returned in the form check_point gives (tuples of
     floats on Euclidean space), so no array is built in the iteration.
-    `run` and the data-dependence x-step pass _chart, from `step_chart`,
-    when outer and inner are the raw form of a map certified closed on the
-    space; `_picard_solve` trusts the map only on that chart, where it
-    iterates on one float, and checks every output off it.
+    Every map output is checked: the chart of a certified map is entered by
+    `_steps`, not here.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w
@@ -439,7 +381,7 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     step_inner = outer if mann else inner
     if alpha != 1.0 and not exact:
         x, stats = _picard_solve(space, outer, step_inner, anchor, x_prev, la,
-                                 None if mann else lb, cfg, inner_x_prev, _chart)
+                                 None if mann else lb, cfg, inner_x_prev)
     else:  # x is known: evaluate the step map there once
         x = anchor
         if alpha != 1.0:
@@ -513,7 +455,7 @@ class IterationTrace:
     def distances(self):
         """dist_to_p sequence as the run computed it, skipping rows where p
         was unknown."""
-        return [dist for *_, dist in self._rows if dist is not None]
+        return [r[5] for r in self._rows if r[5] is not None]
 
     def to_csv(self, space: Space) -> str:
         lines = ["n,x,inner_iters,residual,dist_to_p"]
@@ -522,6 +464,90 @@ class IterationTrace:
             lines.append(f"{r.n},{space.format_point(r.x)},"
                          f"{r.inner_iterations},{r.inner_residual!r},{dist}")
         return "\n".join(lines) + "\n"
+
+
+# the log chart's domain e**-2 < y < e**2: there |log y| <= 2, so no s is
+# coarser than the floats near y = 1 (ulp(s) <= ulp(1.0))
+_LOG_CHART_Y = (math.exp(-2.0), math.exp(2.0))
+
+
+def _on_vertical(p) -> bool:
+    """Whether p is a tuple of two floats (x, y) with x == 0.0 (or -0.0) and y
+    in the log chart's domain."""
+    return (type(p) is tuple and len(p) == 2 and type(p[0]) is float and p[0] == 0.0
+            and type(p[1]) is float and _LOG_CHART_Y[0] < p[1] < _LOG_CHART_Y[1])
+
+
+def _chart_forms(chart, x, tx):
+    """(c, point, coord) if the checked points x and tx = T x, which cover a
+    step's anchor, lie on a certified map's chart: c its factor, coord(q) the
+    coordinate s of q and point(s) the point at s, as raw_w builds it."""
+    if type(chart) is tuple:  # ("log", c): s = log y on the line x = 0, near y = 1
+        if _on_vertical(x) and _on_vertical(tx):
+            exp, log = math.exp, math.log
+            return chart[1], lambda s: (0.0, exp(s)), lambda q: log(q[1])
+    # a factor: x = head + (s,), and T x shares the same head objects
+    elif type(x) is type(tx) is tuple and len(tx) == len(x) and all(map(operator.is_, x[:-1], tx)):
+        head = x[:-1]
+        return chart, lambda s: head + (s,), operator.itemgetter(-1)
+    return None
+
+
+def _steps(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
+           cfg: InnerSolverConfig, images: bool = False):
+    """Yield (x, y, stats) for x0, record n = 1 (stats (0, 0.0) with inner_x =
+    T x0), then for each step n = 2, 3, ... of scheme, one per (alpha_n, beta_n).
+
+    x and y are checked points.  The steps call t.raw, or t.apply (the
+    AffineMap) in exact-affine mode.  Each step tests entry to the chart of a
+    certified map (`step_chart`) only until its x_{n-1} and T x_{n-1} lie on
+    it.  From there the run never leaves it: it carries s and T s across
+    steps (on the log chart, the anchor's read off its point) and solves
+    each step with `_picard_solve` on floats, so stats.y, inner_x and outer_y
+    are floats unless images asks for points.  Off the chart, and at
+    alpha == 1, a step is `implicit_step` on points.  A failed step raises
+    unlabelled, for the caller to name.
+    """
+    T = t.apply if cfg.mode == "exact-affine" else t.raw
+    chart = step_chart(space, t, cfg)
+    implicit_s, mann = scheme == "implicit-s", scheme == "implicit-mann"
+    logy = type(chart) is tuple
+    # a chart implies the closed certificate
+    tx = T(x0) if chart is not None else space.check_point(T(x0))
+    x, forms = x0, None
+    yield x0, None, InnerStats(0, 0.0, inner_x=tx)
+    for a, b in weights:
+        if mann:
+            b = 1.0
+        if forms is None and chart is not None:
+            forms = _chart_forms(chart, x, tx)
+            if forms is not None:
+                c, point, coord = forms
+                s, ts = coord(x), coord(tx)
+        if forms is None or a == 1.0:  # off the chart, or x is the anchor
+            if tx is None:
+                tx = point(ts)
+            x, y, stats = implicit_step(space, T, T, tx if implicit_s else x, x, a, b, cfg, tx)
+            tx = stats.inner_x
+            if forms is not None:
+                s, ts = coord(x), coord(tx)
+            yield x, y, stats
+            continue
+        lb = None if b == 1.0 else 1.0 - b
+        s, stats = _picard_solve(space, None, None, ts if implicit_s else s, s, 1.0 - a, lb,
+                                 cfg, ts, (c, point))
+        ts = stats.inner_x
+        x, tx = point(s), point(ts) if images or (logy and implicit_s) else None
+        y = x if lb is None else point(stats.y)
+        if images:
+            stats.y, stats.inner_x = y, tx
+            stats.outer_y = tx if lb is None else point(stats.outer_y)
+        if logy:  # the next anchor is read off its point, as off the chart
+            if implicit_s:
+                ts = coord(tx)
+            else:
+                s = coord(x)
+        yield x, y, stats
 
 
 def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
@@ -534,10 +560,9 @@ def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
     NonconvergenceError names the scheme and the step and carries the inner
     solver's residual and the partial trace, and an InvalidPointError names
     the step.  The distances are to t.fixed_point, where it is known.  The
-    steps run on checked points and call `step_map(t, cfg)`, trusting its
-    outputs only on the chart from `step_chart`, and the trace keeps them
-    as they are; its records turn them into the space's public form when
-    first read.
+    steps come from `_steps`, which trusts the map's outputs only on the
+    chart from `step_chart`, and the trace keeps them as they are; its
+    records turn them into the space's public form when first read.
     """
     if scheme not in SCHEME_IDS:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -545,30 +570,17 @@ def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
     p, x0 = t.fixed_point, space.check_point(x0)
     if p is not None:
         p = space.check_point(p)
-
-    def dist(x):
-        return None if p is None else space.raw_d(x, p)
-
-    rows = [(1, x0, None, 0, 0.0, dist(x0))]
+    raw_d = space.raw_d
+    rows = [(1, x0, None, 0, 0.0, None if p is None else raw_d(x0, p))]
     trace = IterationTrace(scheme, space, rows)
-    T, chart = step_map(t, cfg), step_chart(space, t, cfg)
-    x = x0
-    for n, (a, b) in enumerate(weights, start=2):
-        if scheme == "implicit-mann":
-            b = 1.0
-        try:
-            # T x_{n-1}: the previous step hands it back
-            if n == 2:
-                # a chart implies the closed certificate
-                tx = T(x0) if chart is not None else space.check_point(T(x0))
-            else:
-                tx = stats.inner_x
-            anchor = tx if scheme == "implicit-s" else x
-            x, y, stats = implicit_step(space, T, T, anchor, x, a, b, cfg, tx, chart)
-        except NonconvergenceError as exc:
-            raise NonconvergenceError(f"{scheme} step n={n}: {exc}", residual=exc.residual,
-                                      trace=trace) from exc
-        except InvalidPointError as exc:
-            raise InvalidPointError(f"step n={n}: {exc}") from exc
-        rows.append((n, x, y, stats.iterations, stats.residual, dist(x)))
+    try:
+        # record n = 1 is rows[0]; the generator's first resume gives T x0
+        for x, y, stats in islice(_steps(space, t, scheme, weights, x0, cfg), 1, None):
+            rows.append((len(rows) + 1, x, y, stats.iterations, stats.residual,
+                         None if p is None else raw_d(x, p)))
+    except NonconvergenceError as exc:
+        raise NonconvergenceError(f"{scheme} step n={len(rows) + 1}: {exc}",
+                                  residual=exc.residual, trace=trace) from exc
+    except InvalidPointError as exc:
+        raise InvalidPointError(f"step n={len(rows) + 1}: {exc}") from exc
     return trace

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,22 @@ class TestAgainstReferenceLoop:
         seqs = BoundSequences.compute(sched.weights(200), delta, 0.7, literal)
         assert [seqs.a, seqs.b, seqs.c] == reference_envelopes(sched, delta, 0.7, 200, literal)
         assert all(type(v) is float for v in seqs.a + seqs.b + seqs.c)
+
+    def test_step_factors_have_the_bits_of_the_one_formula(self):
+        # D_k = alpha*scale / (1 - (1-alpha)*delta*(beta + (1-beta)*delta)),
+        # scale delta for S and 1 for Ishikawa, and Mann at beta = 1: floats
+        # keep their bits and Fractions stay exact
+        def factor(alpha, beta, scale, delta):
+            return alpha * scale / (1 - (1 - alpha) * delta * (beta + (1 - beta) * delta))
+
+        rng = random.Random(3)
+        exact = [(Fraction(rng.randint(0, 40), 40), Fraction(rng.randint(0, 40), 40))
+                 for _ in range(30)]
+        for weights, delta in [(SCHED.weights(200), 0.7), (exact, Fraction(7, 10))]:
+            want = ([factor(a, b, delta, delta) for a, b in weights],
+                    [factor(a, 1, 1, delta) for a, _ in weights],
+                    [factor(a, b, 1, delta) for a, b in weights])
+            assert repr(bounds.step_factors(weights, delta)) == repr(want)
 
     def test_empty_below_n2(self):
         seqs = BoundSequences.compute(SCHED.weights(1), 0.5, 1.0)

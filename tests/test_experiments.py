@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -338,6 +339,19 @@ class TestDataDependence:
         s = mappings.perturbed(space, t, offset)
         with pytest.raises(InvalidPointError, match="^" + message):
             run_datadep(space, t, s, x0=x0)
+
+    def test_an_x_step_failure_comes_before_a_later_u_step_failure(self):
+        # T has no image below 0.1, which the x-sequence passes at step 3;
+        # S = T + 1e308 leaves the floats at u-step 7, as it does over the
+        # halving map, whose x-sequence is the same and never fails
+        space = Euclidean(1)
+        halving = ContractiveLike(lambda x: (0.5 * x[0],), 0.5, fixed_point=(0.0,))
+        t = ContractiveLike(lambda x: (0.5 * x[0] if x[0] >= 0.1 else math.nan,), 0.5,
+                            fixed_point=(0.0,))
+        with pytest.raises(InvalidPointError, match=r"^u-step n=7: "):
+            run_datadep(space, halving, mappings.perturbed(space, halving, (1e308,)), x0=(1.0,))
+        with pytest.raises(InvalidPointError, match=r"^x-step n=3: non-finite coordinates"):
+            run_datadep(space, t, mappings.perturbed(space, t, (1e308,)), x0=(1.0,))
 
     @pytest.mark.parametrize("n_max", [1, 0, -3])
     def test_too_few_steps_rejected(self, n_max):

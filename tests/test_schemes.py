@@ -717,6 +717,34 @@ class TestAgainstReferenceSolver:
             assert repr(rep.lemma1) == repr(lemma)
 
 
+@pytest.mark.parametrize("name", ["halving", "tripod-radial:0.5", "affine-2"])
+def test_datadep_takes_its_x_sequence_from_run(monkeypatch, name):
+    if name in REFERENCE_MAPS:
+        space, t, x0, offset = REFERENCE_MAPS[name]()
+    else:
+        (space, t, _), x0, offset = mappings.from_name(name), ("A", 1.0), 0.05
+    s = mappings.perturbed(space, t, offset)
+    schedule = default_schedule()
+    want = run(space, t, "implicit-s", schedule.weights(200), x0)._rows
+    steps, seen = schemes._steps, []
+
+    def recorded(*args, **kwargs):
+        for x, y, stats in steps(*args, **kwargs):
+            seen.append((x, y, stats.iterations, stats.residual))
+            yield x, y, stats
+
+    monkeypatch.setattr(schemes, "_steps", recorded)
+    for proof_variant in (False, True):
+        del seen[:]
+        rep = run_datadep(space, t, s, schedule, x0=x0, n_max=200, proof_variant=proof_variant)
+        assert repr(seen) == repr([row[1:5] for row in want])
+        # and the report has the bits of a transcription that steps on its own
+        q, observed, converged, lemma = reference_datadep(
+            space, t, s, schedule, x0, 200, InnerSolverConfig(), proof_variant)
+        assert (exact_form(rep.q), repr(rep.observed), rep.converged, repr(rep.lemma1)) == (
+            exact_form(q), repr(observed), converged, repr(lemma))
+
+
 # ---------------------------------------------------------------------------
 # maps are evaluated inside Picard iterations only
 
@@ -928,9 +956,9 @@ class TestClosedMaps:
         space, t, _ = mappings.from_name(name)
         checks = counting_checks(space)
         rate_race(space, t, schedule_from_name(sched), n_max=200)
-        # x0 for the race and d(x0, p); x0 and p per run; per step x_prev,
-        # and S's anchor T x_{n-1}
-        assert len(checks) == 1 + 2 + 3 * 2 + 4 * 199
+        # x0 for the race and d(x0, p); x0 and p per run.  Each run is on
+        # its chart from step 2, and a step there checks no point
+        assert len(checks) == 1 + 2 + 3 * 2
 
     @pytest.mark.parametrize("name,x0,sched", [
         # at alpha = 0 a step from x_prev polished s = log y down towards 0
@@ -1009,10 +1037,25 @@ def exact_chart_step(c, a, la, lb):
     return (1 - fla) * Fraction(a) / gap, gap
 
 
+def chart_solve(space, outer, inner, anchor, x0, la, lb, cfg, ix0, chart):
+    """One step as `schemes._steps` takes it, on points: where chart is given
+    and x0, the anchor and ix0 (if given) lie on it (`_chart_forms`),
+    `_picard_solve` on their coordinates s, the points then built from s;
+    else the generic loop.  Returns (x, InnerStats) with points."""
+    forms = None if chart is None else schemes._chart_forms(chart, x0, anchor)
+    if forms is None or (ix0 is not None and schemes._chart_forms(chart, x0, ix0) is None):
+        return schemes._picard_solve(space, outer, inner, anchor, x0, la, lb, cfg, ix0)
+    c, point, coord = forms
+    s, stats = schemes._picard_solve(space, outer, inner, coord(anchor), coord(x0), la, lb, cfg,
+                                     None if ix0 is None else coord(ix0), (c, point))
+    stats.y, stats.inner_x, stats.outer_y = map(point, (stats.y, stats.inner_x, stats.outer_y))
+    return point(s), stats
+
+
 def solve_outcome(*args):
-    """repr of what _picard_solve returns, or the exception's type, text and residual."""
+    """repr of what chart_solve returns, or the exception's type, text and residual."""
     try:
-        x, stats = schemes._picard_solve(*args)
+        x, stats = chart_solve(*args)
     except (NonconvergenceError, InvalidPointError) as exc:
         return type(exc), str(exc), repr(getattr(exc, "residual", None))
     return repr((x, stats.y, stats.inner_x, stats.outer_y, stats.iterations, stats.residual))
@@ -1060,8 +1103,7 @@ def test_the_chart_path_solves_each_step_where_the_generic_loop_does(
     la = 1.0 - alpha
     want = solve_outcome(space, t.raw, t.raw, anchor, x0, la, lb, cfg, ix0, None)
     try:
-        x, stats = schemes._picard_solve(space, counted, counted, anchor, x0, la, lb, cfg,
-                                         ix0, chart)
+        x, stats = chart_solve(space, counted, counted, anchor, x0, la, lb, cfg, ix0, chart)
     except (NonconvergenceError, InvalidPointError) as exc:
         assert calls == [] and want[:2] == (type(exc), str(exc))
         return
@@ -1070,7 +1112,7 @@ def test_the_chart_path_solves_each_step_where_the_generic_loop_does(
     y = x if lb is None else space.raw_w(x, t.raw(x), lb)
     assert repr((stats.y, stats.inner_x, stats.outer_y)) == repr((y, t.raw(x), t.raw(y)))
     assert stats.residual == space.raw_d(x, space.raw_w(anchor, stats.outer_y, la))
-    assert x is x0 or x[:-1] == x0[:-1]
+    assert x[:-1] == x0[:-1]
     exact, gap = exact_chart_step(c, anchor[-1], la, lb)
     rounding = 2.0 ** -49 * max(abs(anchor[-1]), abs(x[-1])) + 2.0 ** -1070
     assert abs(Fraction(x[-1]) - exact) <= (Fraction(stats.residual) + Fraction(rounding)) / gap
@@ -1099,9 +1141,11 @@ def test_the_certificate_and_one_chart_select_the_chart_path(name, x0, anchor, c
         calls.append(x)
         return t.raw(x)
 
+    # a run enters its chart at the first step whose x_{n-1} and anchor lie on it
+    assert (schemes._chart_forms(certified, x0, anchor) is not None) == chart
     args = (anchor, x0, 0.5, 0.5, InnerSolverConfig(), None)
-    got = schemes._picard_solve(space, counted, counted, *args, certified)
-    want = schemes._picard_solve(space, t.raw, t.raw, *args, None)
+    got = chart_solve(space, counted, counted, *args, certified)
+    want = schemes._picard_solve(space, t.raw, t.raw, *args)
     if chart:  # the chart's own bits
         (x, on), (x1, own) = got, want
         assert on.residual <= 1e-14
@@ -1194,13 +1238,12 @@ def test_the_vertical_path_has_the_bits_of_the_generic_loop(head, anchor_head, c
         assert solve_outcome(space, counted, counted, anchor, x0, la, lb, cfg, ix0, chart) == want
         return
     try:
-        x, stats = schemes._picard_solve(space, counted, counted, anchor, x0, la, lb, cfg,
-                                         ix0, chart)
+        x, stats = chart_solve(space, counted, counted, anchor, x0, la, lb, cfg, ix0, chart)
     except NonconvergenceError:  # a slow step may need more than max_iterations
         assert calls == []
         return
     assert calls == [] and stats.residual <= cfg.tolerance
-    assert x is x0 or x[0] == 0.0
+    assert x[0] == 0.0
     exact, gap = exact_chart_step(c, math.log(a), la, lb)
     # the residual and some ulps of s's arithmetic, through 1/(1 - L), then
     # the rounding of exp and log
@@ -1223,8 +1266,8 @@ def test_a_vertical_solve_keeps_its_residual_at_every_scale():
         x0 = (rng.choice([0.0, -0.0]), y)
         ix0 = rng.choice([None, t.raw(x0)])
         try:
-            x, _ = schemes._picard_solve(space, t.raw, t.raw, (0.0, a), x0, la, lb, cfg, ix0,
-                                         schemes.step_chart(space, t, cfg))
+            x, _ = chart_solve(space, t.raw, t.raw, (0.0, a), x0, la, lb, cfg, ix0,
+                               schemes.step_chart(space, t, cfg))
         except NonconvergenceError:
             continue
         if x[1] >= sys.float_info.min:
@@ -1243,7 +1286,71 @@ def test_the_vertical_path_rechecks_a_residual_past_the_floats(ix0_y, beta):
     want = solve_outcome(space, t.raw, t.raw, *args, None)
     assert want[0] is InvalidPointError
     chart = schemes.step_chart(space, t, InnerSolverConfig())
+    assert schemes._chart_forms(chart, args[1], args[-1]) is None  # the ix0 is off the chart
     assert solve_outcome(space, t.raw, t.raw, *args, chart) == want
+
+
+def stepped_rows(space, t, scheme, weights, x0):
+    """run's rows with one `chart_solve` per step: each step tests its points
+    for the chart afresh and reads s off them, where a run enters its chart
+    once and carries s.  Every alpha_n < 1 here."""
+    cfg = InnerSolverConfig()
+    chart = schemes.step_chart(space, t, cfg)
+    p, x = space.check_point(t.fixed_point), space.check_point(x0)
+    rows, tx = [(1, x, None, 0, 0.0, space.raw_d(x, p))], t.raw(x)
+    for n, (a, b) in enumerate(weights, start=2):
+        b = 1.0 if scheme == "implicit-mann" else b
+        x, stats = chart_solve(space, t.raw, t.raw, tx if scheme == "implicit-s" else x, x,
+                               1.0 - a, None if b == 1.0 else 1.0 - b, cfg, tx, chart)
+        rows.append((n, x, stats.y, stats.iterations, stats.residual, space.raw_d(x, p)))
+        tx = stats.inner_x
+    return rows
+
+
+def chart_steps(monkeypatch):
+    """A list that gets, per _picard_solve call, whether it solved on a chart."""
+    on, solve = [], schemes._picard_solve
+
+    def watched(*args):
+        on.append(len(args) == 10 and args[9] is not None)
+        return solve(*args)
+
+    monkeypatch.setattr(schemes, "_picard_solve", watched)
+    return on
+
+
+@pytest.mark.parametrize("sched", REFERENCE_SCHEDULES)
+@pytest.mark.parametrize("name,x0", [("halving", (1.0,)), ("halving", (-0.0,)),
+                                     ("tripod-radial:0.5", ("A", 1.0)),
+                                     ("tripod-radial:0.5", ("B", 0.0))])  # the hub
+@pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
+def test_a_run_on_its_chart_has_the_rows_of_one_solve_per_step(monkeypatch, scheme, name, x0,
+                                                              sched):
+    space, t, _ = mappings.from_name(name)
+    weights = schedule_from_name(sched).weights(200)
+    want = stepped_rows(space, t, scheme, weights, x0)
+    on = chart_steps(monkeypatch)
+    got = run(space, t, scheme, weights, x0)
+    assert repr(got._rows) == repr(want)
+    assert on == [True] * 199  # on the chart from step 2, one solve per step
+
+
+@pytest.mark.parametrize("scheme,enters", [("implicit-s", 9), ("implicit-ishikawa", None),
+                                           ("implicit-mann", None)])
+def test_a_wide_half_plane_start_enters_the_chart_where_its_points_do(monkeypatch, scheme,
+                                                                     enters):
+    # y = 1e300 lies far off the log chart's domain: the generic loop runs
+    # until x_{n-1} and T x_{n-1} lie on it, and Ishikawa and Mann, which
+    # contract log y slowly, never get there within 200 steps
+    space, t, _ = mappings.from_name("halfplane-vertical:0.5")
+    weights = default_schedule().weights(200)
+    want = stepped_rows(space, t, scheme, weights, (0.0, 1e300))
+    on = chart_steps(monkeypatch)
+    got = run(space, t, scheme, weights, (0.0, 1e300))
+    assert len(on) == 199 and (on.index(True) + 2 if True in on else None) == enters
+    assert all(on[enters - 2:]) if enters else not any(on)
+    # the log chart reads s off the points each step, so every row keeps its bits
+    assert repr(got._rows) == repr(want)
 
 
 # ---------------------------------------------------------------------------
