@@ -103,9 +103,9 @@ def berinde_compare(a, b, horizon: int = 200, threshold: float = 1e-6) -> RateVe
     if (h < 2 or any(v <= 0.0 for v in b[:h]) or not all(map(isfinite, a[:h]))
             or not all(map(isfinite, b[:h]))):
         return RateVerdict("degenerate", None, horizon, threshold)
-    ratios = [a[i] / b[i] for i in range(h)]
+    ratios = list(map(operator.truediv, a[:h], b[:h]))
     tail = ratios[h - max(2, h // 4):]
-    monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
+    monotone = all(map(operator.le, tail[1:], tail))
     ok = ratios[-1] < threshold and monotone
     return RateVerdict("faster" if ok else "not-established",
                        ratios[-1], h, threshold, ratios)

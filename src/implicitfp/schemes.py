@@ -10,7 +10,9 @@ analysis uses them, i.e. alpha on the first argument):
     implicit-mann:     anchor_n = x_{n-1}, beta_n = 1, so y_n = x_n
 
 `implicit_step` solves one step for any outer and inner map; the
-data-dependence u-step uses it with T and its approximation S.  Maps are
+data-dependence u-step uses it with T and its approximation S.  `_steps`,
+the step loop of `run` and of the data-dependence x-sequence, checks each
+step's weights and calls `_picard_solve` itself.  Maps are
 treated as pure functions and evaluated once per point, across steps too:
 the step hands back y_n and T x_n from the Picard iteration that produced
 x_n, and T x_n carries over as the next implicit-S anchor and into the next
@@ -33,9 +35,9 @@ expressions.  A step on a chart is linear in s, so its Picard loop on s as
 a float starts at the closed-form solution and only polishes it; the log
 chart is taken only for e**-2 < y < e**2, where s is no coarser than the
 floats near y = 1.  A certified map is trusted only there: off its chart
-(as with `--x0 7,1e300`) every map output is checked.  `_steps`, the step
-loop of `run` and of the data-dependence x-sequence, enters the chart once
-per run and then carries s from step to step.
+(as with `--x0 7,1e300`) every map output is checked.  `_steps` enters the
+chart once per run, then carries s from step to step and solves each step
+inline, on floats.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class Schedule:
     def weights(self, n_max: int) -> list:
         """[(alpha_n, beta_n) for n = 2..n_max]: the one place a schedule is
         evaluated and checked.  ConfigError unless n_max >= 1, then alpha_n
-        before beta_n, stopping at the first value outside [0, 1]."""
+        before beta_n, stopping at the first value outside [0, 1].  Where
+        beta is alpha (one function for both), it is evaluated once per n."""
         if n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {n_max}")
         alpha, beta, out = self.alpha, self.beta, []
@@ -77,7 +80,7 @@ class Schedule:
             a = float(alpha(n))
             if not (0.0 <= a <= 1.0):
                 raise ConfigError(f"alpha_{n} = {a} outside [0, 1]")
-            b = float(beta(n))
+            b = a if beta is alpha else float(beta(n))
             if not (0.0 <= b <= 1.0):
                 raise ConfigError(f"beta_{n} = {b} outside [0, 1]")
             out.append((a, b))
@@ -230,7 +233,7 @@ class InnerStats:
 
 
 def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
-                  cfg: InnerSolverConfig, ix0, chart=None):
+                  cfg: InnerSolverConfig, ix0):
     """Solve x = W(anchor, outer(y), 1-la), y = W(x, inner(x), 1-lb) by Picard iteration.
 
     Each iteration evaluates the step map at x inline: ix = inner(x), then
@@ -242,72 +245,34 @@ def _picard_solve(space: Space, outer, inner, anchor, x0, la: float, lb,
     both points (InvalidPointError for an invalid one).  Once within
     tolerance, keeps polishing while the residual strictly decreases, so
     accepted iterates sit near the machine fixed point.  Returns
-    (x, InnerStats) with the residual, y, ix and oy at that x.
-
-    chart, unless None, is (c, point) for a step on a map's chart (`_steps`):
-    anchor, x0 and ix0 are then their chart coordinates s, and the loop runs
-    on floats, calls no map and takes T as c*s, W as (1-lam)*a + lam*b and d
-    as abs(a - b), the expressions raw, raw_w and raw_d evaluate on a factor
-    chart (the log chart's bits are its own).  The step is linear in s, so
-    the loop starts at s = (1-la)*a / (1 - la*c*((1-lb) + lb*c)) (1 - la*c
-    for Mann; `bounds.step_factors`' denominator), at x0 only where that is
-    not a finite float, and returns s and the InnerStats in s; point(s)
-    builds a point only to re-check a non-finite residual.
+    (x, InnerStats) with the residual, y, ix and oy at that x.  A step on a
+    map's chart is solved by the same loop on floats, inline in `_steps`.
     """
     x, ix, best, tol = x0, ix0, None, cfg.tolerance  # best: (residual, x, y, ix, oy)
-    if chart is None:
-        check, isfinite, raw_d, raw_w = space.check_point, math.isfinite, space.raw_d, space.raw_w
-        for k in range(1, cfg.max_iterations + 1):
-            if ix is None:
-                ix = check(inner(x))
-            if lb is None:
-                y, oy = x, ix
-            else:
-                y = raw_w(x, ix, lb)
-                oy = check(outer(y))
-            fx = raw_w(anchor, oy, la)
-            try:
-                res = raw_d(x, fx)
-            except (ArithmeticError, ValueError):  # e.g. a half-plane point with y <= 0
-                res = math.nan
-            if res <= tol:
-                if best is not None and res >= best[0]:
-                    break
-                best = (res, x, y, ix, oy)
-                if res == 0.0:
-                    break
-            elif not isfinite(res):
-                check(x)
-                check(fx)
-            x, ix = fx, None
-    else:
-        (c, point), a = chart, anchor
-        ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
-        # start at the step's closed form, bounds.step_factors' denominator
-        den = 1.0 - la * c * (1.0 if lb is None else mb + lb * c)
-        s = ma * a / den if den > 0.0 else math.nan
-        if math.isfinite(s):
-            x, ix = s, None
-        for k in range(1, cfg.max_iterations + 1):
-            if ix is None:
-                ix = c * x
-            if lb is None:
-                y, oy = x, ix
-            else:
-                y = mb * x + lb * ix
-                oy = c * y
-            fx = ma * a + la * oy
-            res = abs(x - fx)
-            if res <= tol:
-                if best is not None and res >= best[0]:
-                    break
-                best = (res, x, y, ix, oy)
-                if res == 0.0:
-                    break
-            elif not math.isfinite(res):
-                space.check_point(point(x))
-                space.check_point(point(fx))
-            x, ix = fx, None
+    check, isfinite, raw_d, raw_w = space.check_point, math.isfinite, space.raw_d, space.raw_w
+    for k in range(1, cfg.max_iterations + 1):
+        if ix is None:
+            ix = check(inner(x))
+        if lb is None:
+            y, oy = x, ix
+        else:
+            y = raw_w(x, ix, lb)
+            oy = check(outer(y))
+        fx = raw_w(anchor, oy, la)
+        try:
+            res = raw_d(x, fx)
+        except (ArithmeticError, ValueError):  # e.g. a half-plane point with y <= 0
+            res = math.nan
+        if res <= tol:
+            if best is not None and res >= best[0]:
+                break
+            best = (res, x, y, ix, oy)
+            if res == 0.0:
+                break
+        elif not isfinite(res):
+            check(x)
+            check(fx)
+        x, ix = fx, None
     if best is None:
         raise NonconvergenceError(
             f"inner solver exceeded {cfg.max_iterations} iterations",
@@ -361,7 +326,9 @@ def implicit_step(space: Space, outer, inner, anchor, x_prev, alpha: float,
     Points are passed and returned in the form check_point gives (tuples of
     floats on Euclidean space), so no array is built in the iteration.
     Every map output is checked: the chart of a certified map is entered by
-    `_steps`, not here.
+    `_steps`, not here.  `_steps` takes its Picard steps at alpha < 1 to
+    `_picard_solve` directly, and this function only its steps at
+    alpha == 1 and in exact-affine mode.
     """
     cfg = cfg or InnerSolverConfig()
     check, raw_w = space.check_point, space.raw_w
@@ -478,18 +445,17 @@ def _on_vertical(p) -> bool:
             and type(p[1]) is float and _LOG_CHART_Y[0] < p[1] < _LOG_CHART_Y[1])
 
 
-def _chart_forms(chart, x, tx):
-    """(c, point, coord) if the checked points x and tx = T x, which cover a
-    step's anchor, lie on a certified map's chart: c its factor, coord(q) the
-    coordinate s of q and point(s) the point at s, as raw_w builds it."""
+def _chart_head(chart, x, tx):
+    """The head of the checked points x and tx = T x, which cover a step's
+    anchor, if both lie on a certified map's chart, else None: the point at
+    coordinate s is head + (s,) on a factor chart (x[:-1], whose objects
+    T x shares) and head + (exp(s),) = (0.0, exp(s)) on the log chart, as
+    raw_w builds them."""
     if type(chart) is tuple:  # ("log", c): s = log y on the line x = 0, near y = 1
         if _on_vertical(x) and _on_vertical(tx):
-            exp, log = math.exp, math.log
-            return chart[1], lambda s: (0.0, exp(s)), lambda q: log(q[1])
-    # a factor: x = head + (s,), and T x shares the same head objects
+            return (0.0,)
     elif type(x) is type(tx) is tuple and len(tx) == len(x) and all(map(operator.is_, x[:-1], tx)):
-        head = x[:-1]
-        return chart, lambda s: head + (s,), operator.itemgetter(-1)
+        return x[:-1]
     return None
 
 
@@ -498,56 +464,101 @@ def _steps(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,
     """Yield (x, y, stats) for x0, record n = 1 (stats (0, 0.0) with inner_x =
     T x0), then for each step n = 2, 3, ... of scheme, one per (alpha_n, beta_n).
 
-    x and y are checked points.  The steps call t.raw, or t.apply (the
-    AffineMap) in exact-affine mode.  Each step tests entry to the chart of a
-    certified map (`step_chart`) only until its x_{n-1} and T x_{n-1} lie on
-    it.  From there the run never leaves it: it carries s and T s across
-    steps (on the log chart, the anchor's read off its point) and solves
-    each step with `_picard_solve` on floats, so stats.y, inner_x and outer_y
-    are floats unless images asks for points.  Off the chart, and at
-    alpha == 1, a step is `implicit_step` on points.  A failed step raises
-    unlabelled, for the caller to name.
+    x and y are checked points.  Each step first checks its weights, as
+    implicit_step does (Mann's beta is 1).  The steps call t.raw, or t.apply
+    (the AffineMap) in exact-affine mode.  Each step tests entry to the
+    chart of a certified map (`step_chart`) only until its x_{n-1} and
+    T x_{n-1} lie on it.  From there the run never leaves it: it carries s
+    and T s across steps (on the log chart, the anchor's read off its point)
+    and solves each step here, by `_picard_solve`'s loop on floats that
+    starts at the step's closed form, calls no map and checks no point
+    unless the residual is not finite.  With images its stats carry y,
+    T x_n and T y_n as points, as off the chart.  Off the chart a Picard
+    step checks x_{n-1} and calls `_picard_solve`, its anchor T x_{n-1}
+    (S) already checked as the last step's map output, or as T x0 where
+    the run starts off its chart; a step at alpha == 1 or in exact-affine
+    mode is `implicit_step` on points.  A failed step raises unlabelled,
+    for the caller to name.
     """
     T = t.apply if cfg.mode == "exact-affine" else t.raw
     chart = step_chart(space, t, cfg)
     implicit_s, mann = scheme == "implicit-s", scheme == "implicit-mann"
-    logy = type(chart) is tuple
-    # a chart implies the closed certificate
-    tx = T(x0) if chart is not None else space.check_point(T(x0))
-    x, forms = x0, None
+    logy, picard = type(chart) is tuple, cfg.mode == "picard"
+    c = chart[1] if logy else chart
+    check, isfinite, exp, log = space.check_point, math.isfinite, math.exp, math.log
+    tol, budget = cfg.tolerance, range(1, cfg.max_iterations + 1)
+    tx = T(x0)
+    if chart is None or _chart_head(chart, x0, tx) is None:
+        tx = check(tx)  # T x0 is trusted only where the run starts on its chart
+    x, head = x0, None
     yield x0, None, InnerStats(0, 0.0, inner_x=tx)
     for a, b in weights:
         if mann:
             b = 1.0
-        if forms is None and chart is not None:
-            forms = _chart_forms(chart, x, tx)
-            if forms is not None:
-                c, point, coord = forms
-                s, ts = coord(x), coord(tx)
-        if forms is None or a == 1.0:  # off the chart, or x is the anchor
+        la, lb = 1.0 - a, 1.0 - b
+        if not 0.0 <= la <= 1.0 >= lb >= 0.0:
+            check_lambda(la)
+            check_lambda(lb)
+        if head is None and chart is not None:
+            head = _chart_head(chart, x, tx)
+            if head is not None:
+                s, ts = (log(x[1]), log(tx[1])) if logy else (x[-1], tx[-1])
+        lb = None if b == 1.0 else lb
+        if head is None or a == 1.0:  # off the chart, or x is the anchor
             if tx is None:
-                tx = point(ts)
-            x, y, stats = implicit_step(space, T, T, tx if implicit_s else x, x, a, b, cfg, tx)
+                tx = head + (exp(ts) if logy else ts,)
+            if a == 1.0 or not picard:
+                x, y, stats = implicit_step(space, T, T, tx if implicit_s else x, x, a, b, cfg, tx)
+            else:
+                x = check(x)
+                x, stats = _picard_solve(space, T, T, tx if implicit_s else x, x, la, lb, cfg, tx)
+                y = stats.y
             tx = stats.inner_x
-            if forms is not None:
-                s, ts = coord(x), coord(tx)
+            if head is not None:
+                s, ts = (log(x[1]), log(tx[1])) if logy else (x[-1], tx[-1])
             yield x, y, stats
             continue
-        lb = None if b == 1.0 else 1.0 - b
-        s, stats = _picard_solve(space, None, None, ts if implicit_s else s, s, 1.0 - a, lb,
-                                 cfg, ts, (c, point))
-        ts = stats.inner_x
-        x, tx = point(s), point(ts) if images or (logy and implicit_s) else None
-        y = x if lb is None else point(stats.y)
-        if images:
-            stats.y, stats.inner_x = y, tx
-            stats.outer_y = tx if lb is None else point(stats.outer_y)
+        # the step is linear in s: start at its closed form (bounds.step_factors'
+        # denominator), at s_{n-1} only where that is not a finite float
+        ma, mb, sa = 1.0 - la, None if lb is None else 1.0 - lb, ts if implicit_s else s
+        den = 1.0 - la * c * (1.0 if lb is None else mb + lb * c)
+        z, iz, best = ma * sa / den if den > 0.0 else math.nan, None, None
+        if not isfinite(z):
+            z, iz = s, ts
+        for k in budget:  # T is c*s, W (1-lam)*a + lam*b and d abs(a - b)
+            if iz is None:
+                iz = c * z
+            if lb is None:
+                y, oy = z, iz
+            else:
+                y = mb * z + lb * iz
+                oy = c * y
+            fz = ma * sa + la * oy
+            res = abs(z - fz)
+            if res <= tol:
+                if best is not None and res >= best[0]:
+                    break
+                best = (res, z, y, iz, oy)
+                if res == 0.0:
+                    break
+            elif not isfinite(res):
+                check(head + (exp(z) if logy else z,))
+                check(head + (exp(fz) if logy else fz,))
+            z, iz = fz, None
+        if best is None:
+            raise NonconvergenceError(f"inner solver exceeded {cfg.max_iterations} iterations",
+                                      residual=res)
+        res, s, y, ts, oy = best
+        x = head + (exp(s) if logy else s,)
+        y = x if lb is None else head + (exp(y) if logy else y,)
+        tx = head + (exp(ts) if logy else ts,) if images or logy and implicit_s else None
+        ty = (tx if lb is None else head + (exp(oy) if logy else oy,)) if images else None
         if logy:  # the next anchor is read off its point, as off the chart
             if implicit_s:
-                ts = coord(tx)
+                ts = log(tx[1])
             else:
-                s = coord(x)
-        yield x, y, stats
+                s = log(x[1])
+        yield x, y, InnerStats(k, res, y, tx, ty)
 
 
 def run(space: Space, t: ContractiveLike, scheme: str, weights: list, x0,

@@ -216,6 +216,34 @@ class TestBerinde:
         assert not berinde_compare(seq, seq, horizon=n).faster
 
 
+    # zeros (both signs), the smallest subnormal, the largest float, inf and
+    # nan among ordinary terms
+    TERMS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf,
+                                       -math.inf, math.nan, 1.0]), st.floats(-1.0, 2.0))
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=st.lists(TERMS, max_size=12), b=st.lists(TERMS, max_size=12),
+           horizon=st.integers(0, 14))
+    def test_verdicts_and_ratios_have_the_bits_of_the_indexed_loops(self, a, b, horizon):
+        v = berinde_compare(a, b, horizon=horizon, threshold=1e-3)
+        # the degenerate test, then the ratio and monotonicity loops as first written
+        h = min(horizon, len(a), len(b))
+        if (h < 2 or any(x <= 0.0 for x in b[:h]) or not all(map(math.isfinite, a[:h]))
+                or not all(map(math.isfinite, b[:h]))):
+            want = ("degenerate", None, [])
+        else:
+            ratios = [a[i] / b[i] for i in range(h)]
+            tail = ratios[h - max(2, h // 4):]
+            monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
+            ok = ratios[-1] < 1e-3 and monotone
+            want = ("faster" if ok else "not-established", ratios[-1], ratios)
+        assert repr((v.verdict, v.final_ratio, v.ratios)) == repr(want)
+
+    def test_zero_terms_of_a_give_zero_ratios(self):
+        # b > 0 up to the horizon, so no ratio is 0/0; a zero term of a is a 0.0 ratio
+        v = berinde_compare([1.0, 0.5, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], horizon=4)
+        assert (v.verdict, v.final_ratio, v.ratios) == ("faster", 0.0, [1.0, 0.5, 0.0, 0.0])
+
 class TestLemma1:
     def test_harmonic_first_violation_at_two(self):
         # a_n = 1/n, mu = 1/2, eta = 0: equality at n=1, first violation at

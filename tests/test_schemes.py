@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import random
 import sys
 import traceback
@@ -18,7 +19,7 @@ from implicitfp.experiments import (ORACLE_RATIOS, RationalOracle, default_x0, r
                                     run_datadep)
 from implicitfp.mappings import AffineMap, ContractiveLike, LinearPhi
 from implicitfp.schemes import (InnerSolverConfig, Schedule, default_schedule,
-                                expression_schedule, implicit_step, run,
+                                expression_schedule, implicit_step, polynomial_schedule, run,
                                 schedule_from_name)
 from implicitfp.spaces import Euclidean, HalfPlane, Tripod
 
@@ -124,6 +125,24 @@ class TestSchedules:
                 s.weights(8)
             assert str(err.value) == error
         assert calls == [(w, n) for n in range(2, 9) for w in ("alpha", "beta")][:n_calls]
+
+    @pytest.mark.parametrize("make", [default_schedule, lambda: polynomial_schedule(0.5)])
+    def test_one_function_for_both_weights_is_evaluated_once_per_n(self, make):
+        schedule = make()
+        f = schedule.alpha
+        assert schedule.beta is f
+        want = [(float(f(n)), float(f(n))) for n in range(2, 201)]
+        calls = []
+        schedule.alpha = schedule.beta = lambda n: calls.append(n) or f(n)
+        assert repr(schedule.weights(200)) == repr(want)
+        assert calls == list(range(2, 201))
+
+    def test_one_function_for_both_weights_stops_at_its_alpha_error(self):
+        calls = []
+        f = lambda n: calls.append(n) or (1.5 if n == 5 else 0.5)  # noqa: E731
+        with pytest.raises(ConfigError, match=r"^alpha_5 = 1.5 outside \[0, 1\]$"):
+            Schedule(f, f).weights(200)
+        assert calls == [2, 3, 4, 5]
 
     def test_race_checks_schedule_before_step_two(self):
         space = Euclidean(1)
@@ -782,14 +801,16 @@ def watch_affine_steps(monkeypatch):
     """Patch the solver's view of an affine map; returns (events, watch).
 
     events gets ("apply", x, caller) for each AffineMap call, ("step", None,
-    None) as each step starts and, while it runs, ("check", x, caller) for
-    each Euclidean check_point and ("output", y, None) for each point a
-    watched raw form returns; watch(op) wraps op.raw that way.  Call it
-    before the map is built, so the check AffineMap binds at construction
-    is watched too.
+    None) as each step starts (a resume of `_steps` or a call of
+    `implicit_step`, which takes the data-dependence u-steps) and, while it
+    runs, ("check", x, caller) for each Euclidean check_point and ("output",
+    y, None) for each point a watched raw form returns; watch(op) wraps
+    op.raw that way.  Call it before the map is built, so the check
+    AffineMap binds at construction is watched too.
     """
     events, stepping = [], []
-    check, call, step = Euclidean.check_point, AffineMap.__call__, schemes.implicit_step
+    check, call = Euclidean.check_point, AffineMap.__call__
+    step, steps = schemes.implicit_step, schemes._steps
 
     def caller():
         return sys._getframe(2).f_code.co_name
@@ -811,6 +832,19 @@ def watch_affine_steps(monkeypatch):
         finally:
             stepping.pop()
 
+    def watched_steps(*args, **kwargs):
+        items = steps(*args, **kwargs)
+        while True:
+            events.append(("step", None, None))
+            stepping.append(None)
+            try:
+                item = next(items)
+            except StopIteration:
+                return
+            finally:
+                stepping.pop()
+            yield item
+
     def watch(op):
         raw = op.raw
 
@@ -824,14 +858,15 @@ def watch_affine_steps(monkeypatch):
     monkeypatch.setattr(Euclidean, "check_point", watched_check)
     monkeypatch.setattr(AffineMap, "__call__", watched_call)
     monkeypatch.setattr(schemes, "implicit_step", watched_step)
+    monkeypatch.setattr(schemes, "_steps", watched_steps)
     return events, watch
 
 
 def step_input_checks(events):
     """Assert that every check inside a step reads the point the previous
-    map call returned, or a step input (x_prev or the anchor, checked by
-    implicit_step before any map call), so never a map's own input; returns
-    the number of step-input checks."""
+    map call returned, or a step input (x_prev, or the anchor of a u-step,
+    checked by `_steps` or implicit_step before any map call), so never a
+    map's own input; returns the number of step-input checks."""
     previous = mapped = None
     inputs = 0
     for kind, x, where in events:
@@ -841,7 +876,7 @@ def step_input_checks(events):
             if previous is not None and x is previous:
                 previous = None  # a map output, checked once
                 continue
-            assert where == "implicit_step" and mapped is None, (where, x)
+            assert where in ("_steps", "implicit_step") and mapped is None, (where, x)
             inputs += 1
         elif kind == "output":
             previous = mapped = x
@@ -884,8 +919,8 @@ class TestEvaluatedOnce:
         watch(t)
         run(space, t, scheme, default_schedule().weights(30), x0)
         assert not [e for e in events if e[0] == "apply"]  # T.apply is never called
-        # per step, x_prev, and the anchor unless it is x_prev
-        assert step_input_checks(events) == (2 if scheme == "implicit-s" else 1) * 29
+        # per step, x_prev: S's anchor T x_prev was checked as a map output
+        assert step_input_checks(events) == 29
 
     @pytest.mark.parametrize("proof_variant", [False, True])
     def test_datadep_checks_each_affine_point_once(self, monkeypatch, proof_variant):
@@ -899,7 +934,8 @@ class TestEvaluatedOnce:
         # T.apply is called once, outside the steps, for the closed form
         assert [e[2] for e in events if e[0] == "apply"] == ["run_datadep"]
         assert rep.closed_form_q is not None
-        assert step_input_checks(events) == 2 * 2 * 29  # x_prev and anchor, both steps
+        # per x-step x_prev; per u-step, which implicit_step takes, u_prev and its anchor
+        assert step_input_checks(events) == (1 + 2) * 29
 
     @pytest.mark.parametrize("proof_variant", [False, True])
     @pytest.mark.parametrize("name", ["affine-2", "halving"])
@@ -983,8 +1019,8 @@ class TestClosedMaps:
         assert not t.closed_on(space)
         checks = counting_checks(space)
         got = run(space, t, "implicit-s", default_schedule().weights(30), x0)
-        # every map output, then x0 and p, and per step x_prev and the anchor
-        assert len(checks) == len(calls) + 2 + 2 * 29
+        # every map output, then x0 and p, and per step x_prev
+        assert len(checks) == len(calls) + 2 + 29
         assert_rows_close(space, want._rows, got._rows, 1e-14)  # want took the chart
 
     def test_off_its_chart_a_closed_map_has_every_output_checked(self):
@@ -995,9 +1031,10 @@ class TestClosedMaps:
         tr = run(space, t, "implicit-ishikawa", default_schedule().weights(3), (7.0, 1e300))
         iterations = sum(r.inner_iterations for r in tr)
         assert iterations > 40 and all(x[0] > 0.0 for _, x, *_ in tr._rows)
-        # x0 and p; per step x_prev, its own anchor, and two outputs per
-        # Picard iteration but the first, whose T x_prev the last step handed over
-        assert len(checks) == 2 + 2 * iterations
+        # x0, p and T x0; per step x_prev, its own anchor, and two outputs
+        # per Picard iteration but the first, whose T x_prev the last step
+        # handed over
+        assert len(checks) == 3 + 2 * iterations
 
     def test_a_known_x_step_checks_the_outputs_of_a_closed_map(self):
         space, t, _ = mappings.halving()
@@ -1037,17 +1074,124 @@ def exact_chart_step(c, a, la, lb):
     return (1 - fla) * Fraction(a) / gap, gap
 
 
+# The chart path as `_steps` took it before its chart loop moved inline: the
+# entry test (`_chart_forms`), the chart loop on floats (`chart_loop`, once
+# `_picard_solve`'s chart branch) and the step loop (`reference_steps`),
+# kept verbatim as the reference the inline loop must match bit for bit.
+_LOG_CHART_Y = (math.exp(-2.0), math.exp(2.0))
+
+
+def _on_vertical(p) -> bool:
+    return (type(p) is tuple and len(p) == 2 and type(p[0]) is float and p[0] == 0.0
+            and type(p[1]) is float and _LOG_CHART_Y[0] < p[1] < _LOG_CHART_Y[1])
+
+
+def _chart_forms(chart, x, tx):
+    """(c, point, coord) if the checked points x and tx = T x lie on chart."""
+    if type(chart) is tuple:  # ("log", c): s = log y on the line x = 0, near y = 1
+        if _on_vertical(x) and _on_vertical(tx):
+            exp, log = math.exp, math.log
+            return chart[1], lambda s: (0.0, exp(s)), lambda q: log(q[1])
+    # a factor: x = head + (s,), and T x shares the same head objects
+    elif type(x) is type(tx) is tuple and len(tx) == len(x) and all(map(operator.is_, x[:-1], tx)):
+        head = x[:-1]
+        return chart, lambda s: head + (s,), operator.itemgetter(-1)
+    return None
+
+
+def chart_loop(space, anchor, x0, la, lb, cfg, ix0, chart):
+    """One step on a chart (c, point), in its coordinates: the Picard loop on
+    floats from the step's closed form.  Returns (s, InnerStats in s)."""
+    x, ix, best, tol = x0, ix0, None, cfg.tolerance  # best: (residual, x, y, ix, oy)
+    (c, point), a = chart, anchor
+    ma, mb = 1.0 - la, None if lb is None else 1.0 - lb
+    # start at the step's closed form, bounds.step_factors' denominator
+    den = 1.0 - la * c * (1.0 if lb is None else mb + lb * c)
+    s = ma * a / den if den > 0.0 else math.nan
+    if math.isfinite(s):
+        x, ix = s, None
+    for k in range(1, cfg.max_iterations + 1):
+        if ix is None:
+            ix = c * x
+        if lb is None:
+            y, oy = x, ix
+        else:
+            y = mb * x + lb * ix
+            oy = c * y
+        fx = ma * a + la * oy
+        res = abs(x - fx)
+        if res <= tol:
+            if best is not None and res >= best[0]:
+                break
+            best = (res, x, y, ix, oy)
+            if res == 0.0:
+                break
+        elif not math.isfinite(res):
+            space.check_point(point(x))
+            space.check_point(point(fx))
+        x, ix = fx, None
+    if best is None:
+        raise NonconvergenceError(
+            f"inner solver exceeded {cfg.max_iterations} iterations",
+            residual=res)
+    res, x, y, ix, oy = best
+    return x, schemes.InnerStats(k, res, y, ix, oy)
+
+
+def reference_steps(space, t, scheme, weights, x0, cfg, images=False):
+    """`_steps` with the chart loop a call of `chart_loop`."""
+    T = t.apply if cfg.mode == "exact-affine" else t.raw
+    chart = schemes.step_chart(space, t, cfg)
+    implicit_s, mann = scheme == "implicit-s", scheme == "implicit-mann"
+    logy = type(chart) is tuple
+    tx = T(x0) if chart is not None else space.check_point(T(x0))
+    x, forms = x0, None
+    yield x0, None, schemes.InnerStats(0, 0.0, inner_x=tx)
+    for a, b in weights:
+        if mann:
+            b = 1.0
+        if forms is None and chart is not None:
+            forms = _chart_forms(chart, x, tx)
+            if forms is not None:
+                c, point, coord = forms
+                s, ts = coord(x), coord(tx)
+        if forms is None or a == 1.0:  # off the chart, or x is the anchor
+            if tx is None:
+                tx = point(ts)
+            x, y, stats = implicit_step(space, T, T, tx if implicit_s else x, x, a, b, cfg, tx)
+            tx = stats.inner_x
+            if forms is not None:
+                s, ts = coord(x), coord(tx)
+            yield x, y, stats
+            continue
+        lb = None if b == 1.0 else 1.0 - b
+        s, stats = chart_loop(space, ts if implicit_s else s, s, 1.0 - a, lb, cfg, ts,
+                              (c, point))
+        ts = stats.inner_x
+        x, tx = point(s), point(ts) if images or (logy and implicit_s) else None
+        y = x if lb is None else point(stats.y)
+        if images:
+            stats.y, stats.inner_x = y, tx
+            stats.outer_y = tx if lb is None else point(stats.outer_y)
+        if logy:  # the next anchor is read off its point, as off the chart
+            if implicit_s:
+                ts = coord(tx)
+            else:
+                s = coord(x)
+        yield x, y, stats
+
+
 def chart_solve(space, outer, inner, anchor, x0, la, lb, cfg, ix0, chart):
-    """One step as `schemes._steps` takes it, on points: where chart is given
+    """One step as `reference_steps` takes it, on points: where chart is given
     and x0, the anchor and ix0 (if given) lie on it (`_chart_forms`),
-    `_picard_solve` on their coordinates s, the points then built from s;
+    `chart_loop` on their coordinates s, the points then built from s;
     else the generic loop.  Returns (x, InnerStats) with points."""
-    forms = None if chart is None else schemes._chart_forms(chart, x0, anchor)
-    if forms is None or (ix0 is not None and schemes._chart_forms(chart, x0, ix0) is None):
+    forms = None if chart is None else _chart_forms(chart, x0, anchor)
+    if forms is None or (ix0 is not None and _chart_forms(chart, x0, ix0) is None):
         return schemes._picard_solve(space, outer, inner, anchor, x0, la, lb, cfg, ix0)
     c, point, coord = forms
-    s, stats = schemes._picard_solve(space, outer, inner, coord(anchor), coord(x0), la, lb, cfg,
-                                     None if ix0 is None else coord(ix0), (c, point))
+    s, stats = chart_loop(space, coord(anchor), coord(x0), la, lb, cfg,
+                          None if ix0 is None else coord(ix0), (c, point))
     stats.y, stats.inner_x, stats.outer_y = map(point, (stats.y, stats.inner_x, stats.outer_y))
     return point(s), stats
 
@@ -1142,7 +1286,7 @@ def test_the_certificate_and_one_chart_select_the_chart_path(name, x0, anchor, c
         return t.raw(x)
 
     # a run enters its chart at the first step whose x_{n-1} and anchor lie on it
-    assert (schemes._chart_forms(certified, x0, anchor) is not None) == chart
+    assert (schemes._chart_head(certified, x0, anchor) is not None) == chart
     args = (anchor, x0, 0.5, 0.5, InnerSolverConfig(), None)
     got = chart_solve(space, counted, counted, *args, certified)
     want = schemes._picard_solve(space, t.raw, t.raw, *args)
@@ -1286,7 +1430,7 @@ def test_the_vertical_path_rechecks_a_residual_past_the_floats(ix0_y, beta):
     want = solve_outcome(space, t.raw, t.raw, *args, None)
     assert want[0] is InvalidPointError
     chart = schemes.step_chart(space, t, InnerSolverConfig())
-    assert schemes._chart_forms(chart, args[1], args[-1]) is None  # the ix0 is off the chart
+    assert schemes._chart_head(chart, args[1], args[-1]) is None  # the ix0 is off the chart
     assert solve_outcome(space, t.raw, t.raw, *args, chart) == want
 
 
@@ -1308,14 +1452,29 @@ def stepped_rows(space, t, scheme, weights, x0):
 
 
 def chart_steps(monkeypatch):
-    """A list that gets, per _picard_solve call, whether it solved on a chart."""
-    on, solve = [], schemes._picard_solve
+    """A list that gets, per step `_steps` yields after record n = 1, whether
+    it solved the step on a chart: without calling `_picard_solve` or
+    `implicit_step`, through which every step off the chart goes."""
+    on, calls = [], []
+    steps, solve, step = schemes._steps, schemes._picard_solve, schemes.implicit_step
 
-    def watched(*args):
-        on.append(len(args) == 10 and args[9] is not None)
-        return solve(*args)
+    def counted(fn):
+        def f(*args):
+            calls.append(None)
+            return fn(*args)
+        return f
 
-    monkeypatch.setattr(schemes, "_picard_solve", watched)
+    def watched(*args, **kwargs):
+        items = steps(*args, **kwargs)
+        yield next(items)
+        for item in items:
+            on.append(not calls)
+            del calls[:]
+            yield item
+
+    monkeypatch.setattr(schemes, "_picard_solve", counted(solve))
+    monkeypatch.setattr(schemes, "implicit_step", counted(step))
+    monkeypatch.setattr(schemes, "_steps", watched)
     return on
 
 
@@ -1352,6 +1511,55 @@ def test_a_wide_half_plane_start_enters_the_chart_where_its_points_do(monkeypatc
     # the log chart reads s off the points each step, so every row keeps its bits
     assert repr(got._rows) == repr(want)
 
+
+
+def step_bits(item):
+    x, y, stats = item
+    return repr((x, y, stats.iterations, stats.residual, stats.y, stats.inner_x, stats.outer_y))
+
+
+@pytest.mark.parametrize("sched", REFERENCE_SCHEDULES)
+@pytest.mark.parametrize("name,x0", [("halving", (1.0,)), ("halving", (-0.0,)),
+                                     ("tripod-radial:0.5", ("A", 1.0)),
+                                     ("tripod-radial:0.5", ("B", 0.0)),  # the hub
+                                     ("halfplane-vertical:0.5", (0.0, 3.0)),
+                                     ("halfplane-vertical:0.5", (0.0, 1e300))])
+@pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
+def test_the_inline_chart_loop_has_the_bits_of_one_loop_call_per_step(scheme, name, x0, sched):
+    # every row of run, and every step _steps yields with the points of
+    # T x_n and T y_n (the data-dependence x-sequence's form, which
+    # run_datadep never takes on the half-plane), as reference_steps gives them
+    space, t, _ = mappings.from_name(name)
+    weights, cfg = schedule_from_name(sched).weights(200), InnerSolverConfig()
+    p = space.check_point(t.fixed_point)
+    rows = [(n, x, y, stats.iterations, stats.residual, space.raw_d(x, p)) for n, (x, y, stats)
+            in enumerate(reference_steps(space, t, scheme, weights, x0, cfg), start=1)]
+    assert repr(run(space, t, scheme, weights, x0)._rows) == repr(rows)
+    got = schemes._steps(space, t, scheme, weights, x0, cfg, images=True)
+    want = reference_steps(space, t, scheme, weights, x0, cfg, images=True)
+    assert list(map(step_bits, got)) == list(map(step_bits, want))
+
+
+@pytest.mark.parametrize("name", ["halving", "tripod-radial:0.5", "halfplane-vertical:0.5",
+                                  "affine:0.5|0.1"])
+@pytest.mark.parametrize("scheme", schemes.SCHEME_IDS)
+def test_each_step_checks_the_weights_it_uses_on_and_off_a_chart(scheme, name):
+    # the message is check_lambda's, on 1 - alpha or 1 - beta; Mann's beta is 1
+    space, t, _ = mappings.from_name(name)
+    x0, good = default_x0(space, t), [(0.5, 0.5)] * 3
+    for bad, lam in [((1.5, 0.5), "-0.5"), ((-0.25, 0.5), "1.25"), ((math.nan, 0.5), "nan"),
+                     ((0.5, 1.5), "-0.5"), ((0.5, -0.25), "1.25"), ((0.5, math.nan), "nan")]:
+        weights = good + [bad]
+        if scheme == "implicit-mann" and bad[0] == 0.5:
+            assert len(run(space, t, scheme, weights, x0)) == 5
+            continue
+        with pytest.raises(ValueError, match=rf"^interpolation parameter {lam} outside \[0, 1\]$"):
+            run(space, t, scheme, [bad] * 5, x0)
+        done = []
+        with pytest.raises(ValueError, match=rf"^interpolation parameter {lam} outside"):
+            for item in schemes._steps(space, t, scheme, weights, x0, InnerSolverConfig()):
+                done.append(item)
+        assert len(done) == 4  # x0 and the three good steps; the bad one raises first
 
 # ---------------------------------------------------------------------------
 # Euclidean points: tuples of floats inside the solver and the maps, float
